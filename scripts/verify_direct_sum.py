@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Check the predicted denominator of a direct-sum zeta function.
 
-Counts solutions of f(x) + g(y) = 0 mod p^m by lifting, multiplies the
-measure series by the predicted denominator, and reports whether the
-product truncates to a polynomial (it must, if the denominator is
-right).  Exit code 2 flags a falsification, mirroring the CLI.
+Counts solutions of f(x) + g(y) = 0 mod p^m from the value balls of f
+and of g, multiplies the measure series by the predicted denominator,
+and reports whether the product truncates to a polynomial (it must, if
+the denominator is right).  Exit code 2 flags a falsification, mirroring
+the CLI.
 
     python3 scripts/verify_direct_sum.py -f "x^2" -g "y^3" -p 5 --depth 9
 """
@@ -27,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-deg", type=int, default=None,
                         help="numerator degree cap (default: depth - 3)")
     parser.add_argument("--budget", type=int, default=10**8,
-                        help="node budget for the lifting search")
+                        help="node budget; a node is one scan of the p^n residues "
+                        "of f or g")
     parser.add_argument("--json", action="store_true", help="emit the full JSON report")
     return parser
 

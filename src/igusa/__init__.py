@@ -15,8 +15,8 @@ Subpackages by role:
   expansion, numerator recovery.
 * :mod:`igusa.spf` — stationary-phase recursion: exact evaluation of
   the measure integral over residue domains.
-* :mod:`igusa.oracle` — brute-force point counting and end-to-end
-  denominator verification.
+* :mod:`igusa.oracle` — point counting (brute-force lifting, and value
+  balls for direct sums) and end-to-end denominator verification.
 * :mod:`igusa.cli` — the `igusa` command.
 """
 

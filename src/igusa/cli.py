@@ -326,7 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if depthish:
             sp.add_argument("--depth", type=int, default=None, help="levels of p-adic precision")
             sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                            help="node budget for counting (default 10^8)")
+                            help="node budget (default 10^8); a node is one survivor "
+                            "lifted by one level for count, one scan of the p^n "
+                            "residues of f or g for verify")
         sp.add_argument("--json", dest="fmt", action="store_const", const="json",
                         default="json", help="JSON output (default)")
         sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv",

@@ -32,8 +32,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import sympy
-
 from .mpoly import Polynomial
 from .newton import Face, NewtonPolyhedron, build_polyhedron
 
@@ -82,6 +80,8 @@ class NonCritReport:
 
 
 def _to_sympy(f: Polynomial, symbols):
+    import sympy
+
     expr = sympy.Integer(0)
     for exps, coeff in f.terms.items():
         term = sympy.Integer(coeff)
@@ -95,6 +95,8 @@ def _to_sympy(f: Polynomial, symbols):
 def _torus_ideal_trivial(partials: Sequence[Polynomial], variables) -> bool:
     """True iff the partials have no common zero with all coords nonzero
     over the algebraic closure of Q (weak Nullstellensatz via saturation)."""
+    import sympy
+
     symbols = sympy.symbols(list(variables) + ["_t"])
     xs, t = symbols[:-1], symbols[-1]
     system = [_to_sympy(g, xs) for g in partials if not g.is_zero()]
@@ -117,6 +119,8 @@ def _char0_witness(partials: Sequence[Polynomial], variables) -> Optional[Tuple]
     for point in itertools.product([1, -1, 2, -2, 3, -3, 5, -5], repeat=n):
         if all(g.evaluate(point) == 0 for g in nonzero):
             return tuple(point)
+    import sympy
+
     symbols = sympy.symbols(list(variables))
     system = [_to_sympy(g, symbols) for g in nonzero]
     try:

@@ -12,6 +12,7 @@ absorbs addition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -59,8 +60,13 @@ INFINITE = _Infinite()
 Valuation = Union[int, _Infinite]
 
 
+@functools.lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all 64-bit inputs."""
+    """Deterministic Miller-Rabin; the witness set covers all 64-bit inputs.
+
+    Cached: `p_valuation` checks its base on every call, and the callers in
+    the recursion hot paths ask about the same few primes over and over.
+    """
     if p < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

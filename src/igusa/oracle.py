@@ -1,21 +1,36 @@
-"""Brute-force p-adic point counting and end-to-end denominator checks.
+"""Exact p-adic point counts and end-to-end denominator checks.
 
-The ground truth in this package: count solutions of f = 0 mod p^m by
-breadth-first lifting (survivors mod p^m expand to their p^n children
-mod p^(m+1)), optionally restricted to a valuation-cone domain, convert
-the counts to the measure series of Z(f; s), and verify that the series
-satisfies the linear recurrence forced by a claimed factored
-denominator, recovering the numerator polynomial.
+Two counters live here, written independently of each other:
 
-Everything here is deliberately dumb: no Hensel block lifting, no
-smooth-point shortcuts.  That independence is what makes the
-cross-checks against the stationary-phase evaluator and the predicted
-denominators meaningful.
+* ``count_mod`` counts solutions of f = 0 mod p^m by breadth-first
+  lifting (survivors mod p^m expand to their p^n children mod p^(m+1)),
+  optionally restricted to a valuation-cone domain.  It is deliberately
+  dumb: no Hensel block lifting, no smooth-point shortcuts.  It uses
+  nothing the stationary-phase evaluator uses, which is what makes the
+  cross-checks against ``spf`` and against the value-ball counter
+  meaningful; ``igusa count`` and the cone domains run on it.
+* ``value_balls`` pushes the point count of f mod p^m forward to the
+  values of f, as a list of uniform balls.  A residue class where some
+  partial derivative is a unit maps uniformly onto one ball of radius
+  p^-1 (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
+  class recurses through f(r + p x) - f(r) = p^e h(x) (``shift_scale``,
+  which ``spf`` shares).
+  ``direct_sum_counts`` combines the balls of f and of g into the counts
+  of f(x) + g(y): two uniform balls add to one.  ``verify_theorem``
+  counts this way, so it leans on Hensel; the tests tie it to
+  ``count_mod``.
 
-Counting is exact; the only concession to cost is an explicit node
-budget (a node is one survivor expanded by one level).  Exceeding it
-returns the completed prefix with a truncation marker rather than an
-error.
+The counts are converted to the measure series of Z(f; s), and
+``verify_theorem`` checks that the series satisfies the linear
+recurrence forced by a claimed factored denominator, recovering the
+numerator polynomial.
+
+Counting is exact; the only concession to cost is an
+explicit node budget.  For ``count_mod`` a node is one survivor expanded
+by one level, and exceeding the budget returns the completed prefix with
+a truncation marker.  For the value-ball counter a node is one scan of
+the p^n residue classes mod p, and exceeding the budget raises
+``BudgetExceeded`` naming the class where it stopped.
 """
 
 from __future__ import annotations
@@ -24,12 +39,12 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tsden
-from .mpoly import Polynomial, direct_sum
+from .mpoly import Polynomial, direct_sum, shift_scale
 from .newton import Face, NewtonPolyhedron
 from .numeric import PrimeSpec
 from .ratfun import (
@@ -45,6 +60,9 @@ _CAND_CHUNK = 1 << 20  # candidate rows evaluated per numpy block
 
 class BudgetExceeded(RuntimeError):
     """The node budget stopped counting before the requested depth."""
+
+
+ValueBalls = Dict[Tuple[int, int], int]  # (k, centre mod p^k) -> weight
 
 
 def _thread_count() -> int:
@@ -366,6 +384,144 @@ def count_mod(
     )
 
 
+def value_balls(
+    f: Polynomial,
+    p: PrimeSpec,
+    precision: int,
+    budget: int = DEFAULT_BUDGET,
+    spent: int = 0,
+) -> Tuple[ValueBalls, int]:
+    """The values of f on (Z/p^m)^n, m = precision, as uniform balls.
+
+    Returns ``(balls, nodes)``.  ``balls`` maps (k, c) with 1 <= k <= m
+    and 0 <= c < p^k to the number w of points x mod p^m with
+    f(x) = c mod p^k; those w points have values mod p^m spread evenly
+    over the p^(m-k) residues of c + p^k Z, so p^(m-k) divides w.  The
+    weights add up to p^(n m).  ``nodes`` is ``spent`` (nodes already
+    taken from the same budget) plus the scans of the p^n residue classes
+    mod p made here, one per polynomial and precision met in the
+    recursion; a scan beyond ``budget`` raises BudgetExceeded.
+
+    A class r where some partial is a unit maps onto f(r) + p Z_p
+    uniformly (Hensel).  On any other class f(r + p x) - f(r) = p^e h(x)
+    with e >= 2, so the class takes the balls of h at precision m - e,
+    scaled by p^e and moved to f(r); when e >= m it is one point mod p^m.
+    """
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    q = p.p
+    n = f.nvars
+    residues = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    memo: Dict[tuple, ValueBalls] = {}
+    nodes = spent
+
+    def balls(g: Polynomial, m: int, path: Tuple[Tuple[int, ...], ...]) -> ValueBalls:
+        nonlocal nodes
+        if g.total_degree() == 0:
+            return {(m, g.constant_term() % q**m): q ** (n * m)}
+        key = (g.canonical_key(), m)
+        if key in memo:
+            return memo[key]
+        if nodes >= budget:
+            raise BudgetExceeded(
+                f"value balls of {f} stopped at class "
+                f"{' -> '.join(map(str, path)) or '(root)'} with "
+                f"precision {m}/{precision} after {nodes} nodes (budget {budget})"
+            )
+        nodes += 1
+        out: ValueBalls = {}
+        smooth = np.zeros(len(residues), dtype=bool)
+        for d in g.partials():
+            smooth |= _eval_mod_np(d, residues, q) != 0
+        centres, sizes = np.unique(_eval_mod_np(g, residues[smooth], q), return_counts=True)
+        class_weight = q ** (n * (m - 1))
+        for c, size in zip(centres.tolist(), sizes.tolist()):
+            out[(1, c)] = size * class_weight
+        for row in residues[~smooth].tolist():
+            r = tuple(row)
+            base = g.evaluate(r)
+            # e >= 2 on a singular class, so at m <= 2 it is one point anyway
+            e, h = shift_scale(g - base, r, q) if m > 2 else (m, None)
+            if e >= m:
+                ball = (m, base % q**m)
+                out[ball] = out.get(ball, 0) + class_weight
+                continue
+            scale = q ** (n * (e - 1))
+            for (k, c), w in balls(h, m - e, path + (r,)).items():
+                ball = (k + e, (base + q**e * c) % q ** (k + e))
+                out[ball] = out.get(ball, 0) + w * scale
+        memo[key] = out
+        return out
+
+    return balls(f, precision, ()), nodes
+
+
+def _ball_sum_counts(
+    balls_f: ValueBalls, balls_g: ValueBalls, p: int, n: int, depth: int
+) -> List[int]:
+    """N_1..N_depth of f(x) + g(y) from the value balls of f and g at precision depth.
+
+    The sum of the uniform balls (k1, c1) and (k2, c2) is uniform on
+    c1 + c2 + p^k Z with k = min(k1, k2).  Every level j is read from the
+    same precision: hits[j] counts the points mod p^depth whose value is
+    0 mod p^j, and N_j = hits[j] / p^(n (depth - j)).
+    """
+    hits = [0] * (depth + 1)
+    for (k1, c1), w1 in balls_f.items():
+        for (k2, c2), w2 in balls_g.items():
+            k = min(k1, k2)
+            c = (c1 + c2) % p**k
+            w = w1 * w2
+            v = 0
+            while v < k and c % p ** (v + 1) == 0:
+                v += 1
+            for j in range(1, v + 1):
+                hits[j] += w
+            if v == k:
+                for j in range(k + 1, depth + 1):
+                    hits[j] += w // p ** (j - k)
+    counts = []
+    for j in range(1, depth + 1):
+        count, rest = divmod(hits[j], p ** (n * (depth - j)))
+        if rest:
+            raise ArithmeticError(f"value balls give a fractional N_{j}")
+        counts.append(count)
+    return counts
+
+
+def direct_sum_counts(
+    f: Polynomial,
+    g: Polynomial,
+    p: PrimeSpec,
+    depth: int,
+    budget: int = DEFAULT_BUDGET,
+) -> CountSeries:
+    """Exact N_m of f(x) + g(y), m = 1..depth, from the value balls of f and g.
+
+    f and g are pushed forward one at a time, so the work follows the
+    singular classes of each summand instead of the solutions of the sum.
+    The two pushforwards share the node budget; running out raises
+    BudgetExceeded.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    h = direct_sum(f, g)
+    if h.nvars < 1:
+        raise ValueError("need at least one variable")
+    balls_f, nodes = value_balls(f, p, depth, budget)
+    balls_g, nodes = value_balls(g, p, depth, budget, spent=nodes)
+    return CountSeries(
+        f=h,
+        p=p,
+        dim=h.nvars,
+        counts=tuple(_ball_sum_counts(balls_f, balls_g, p.p, h.nvars, depth)),
+        n0=1,
+        requested_depth=depth,
+        truncated=False,
+        nodes_expanded=nodes,
+    )
+
+
 def measure_series(counts: CountSeries) -> PowerSeries:
     """coefficient of t^m = N_m q^(-mn) - N_(m+1) q^(-(m+1)n), m < depth.
 
@@ -447,7 +603,8 @@ def verify_theorem(
     checks), else max_deg = sum of t-powers and depth = max_deg + that
     sum + 2.  A failed recovery is returned as a report with ok=False
     and the nonzero residuals — a falsification candidate, not an
-    exception.  A truncated count (budget) raises BudgetExceeded.
+    exception.  The counts come from ``direct_sum_counts``; running out
+    of node budget there raises BudgetExceeded.
     """
     den = tsden.denominator(f, g, check_mode=check_mode)
     factors = tuple(den.factors())
@@ -459,13 +616,7 @@ def verify_theorem(
     if max_deg < 0 or depth < 2:
         raise ValueError(f"unusable window: depth={depth}, max_deg={max_deg}")
 
-    h = direct_sum(f, g)
-    counts = count_mod(h, p, depth, budget=budget)
-    if counts.truncated:
-        raise BudgetExceeded(
-            f"count of {h} truncated at depth {counts.depth}/{depth} "
-            f"after {counts.nodes_expanded} nodes (budget {budget})"
-        )
+    counts = direct_sum_counts(f, g, p, depth, budget=budget)
     series = measure_series(counts)
     recovery = recover_numerator(series, factors, p.q, max_deg)
     candidate_poles = tuple(sorted(den.candidate_poles().poles))

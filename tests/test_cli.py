@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -211,3 +213,20 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"schema": SCHEMA, "poles": ["-1", "-5/6"]}
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy serves only the exact non-criticality route; importing the CLI
+    # must not pay for it
+    import igusa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, igusa.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

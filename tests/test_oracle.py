@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
 from igusa.cli import parse_polynomial as P
-from igusa.mpoly import direct_sum, from_terms
+from igusa.mpoly import Polynomial, direct_sum, from_terms
 from igusa.newton import build_polyhedron
 from igusa.numeric import PrimeSpec
 from igusa.oracle import (
     BudgetExceeded,
     ConeDomainSpec,
     count_mod,
+    direct_sum_counts,
     measure_series,
+    value_balls,
     verify_theorem,
 )
 
@@ -92,6 +94,40 @@ class TestCountMod:
             assert c.N(m + 1) <= p**n * c.N(m)
         series = measure_series(c)
         assert all(co >= 0 for co in series.coefficients)
+
+
+class TestValueBalls:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        p=st.sampled_from([2, 3, 5]),
+        depth=st.integers(min_value=1, max_value=6),
+    )
+    def test_direct_sum_counts_match_lifting(self, seed, p, depth):
+        rng = random.Random(seed)
+        f = random_sparse_poly(rng, rng.choice([1, 2]), origin_vanishing=rng.random() < 0.5)
+        g1 = random_sparse_poly(rng, 1, origin_vanishing=rng.random() < 0.5)
+        g = Polynomial(("u",), g1.terms)
+        n = f.nvars + g.nvars
+        # keep the lifting reference small: about p^((n-1) m) survivors at level m
+        while p ** ((n - 1) * depth) > 20000:
+            depth -= 1
+        spec = PrimeSpec(p)
+        for poly in (f, g):
+            balls, _ = value_balls(poly, spec, depth)
+            assert sum(balls.values()) == p ** (poly.nvars * depth)
+            assert all(w % p ** (depth - k) == 0 for (k, _), w in balls.items())
+        fast = direct_sum_counts(f, g, spec, depth)
+        assert fast.counts == count_mod(direct_sum(f, g), spec, depth).counts
+
+    def test_budget_names_where_it_stopped(self):
+        # x^2 needs one scan at each of the precisions 16, 14, ..., 2
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"value balls of x\^2 stopped at class \(0,\) -> \(0,\) -> \(0,\) "
+            r"with precision 10/16 after 3 nodes \(budget 3\)",
+        ):
+            direct_sum_counts(P("x^2"), P("y^3"), P5, 16, budget=3)
 
 
 class TestMeasureSeries:
@@ -208,8 +244,20 @@ class TestVerifyTheorem:
         )
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(BudgetExceeded, match="budget 1000"):
-            verify_theorem(P("x^2"), P("y^2"), P5, depth=8, budget=1000)
+        # 4 nodes per summand: a budget of 7 runs out inside y^2 only
+        # because f and g draw on the same budget
+        assert direct_sum_counts(P("x^2"), P("y^2"), P5, 8).nodes_expanded == 8
+        with pytest.raises(BudgetExceeded, match="budget 7"):
+            verify_theorem(P("x^2"), P("y^2"), P5, depth=8, budget=7)
+
+    def test_readme_default_passes(self):
+        rep = verify_theorem(P("x^2"), P("y^3"), P5)
+        assert rep.ok
+        assert (rep.depth, rep.max_deg) == (16, 7)
+        assert [str(c) for c in rep.numerator] == ["4/5", "-4/125", "4/125", "0", "0", "-4/15625"]
+        assert rep.surviving_poles == (Fraction(-1), Fraction(-5, 6))
+        lifted = count_mod(P("x^2 + y^3"), P5, 7)
+        assert rep.counts.counts[:7] == lifted.counts
 
     def test_report_dict_is_json_ready(self):
         import json
