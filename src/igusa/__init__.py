@@ -29,7 +29,6 @@ from .ratfun import PowerSeries, RationalZeta, expand, recover_numerator
 from .spf import ResidueDomain, spf_counts, spf_evaluate, sup_bound
 from .tsden import candidate_poles, denominator
 from .euclid import orbit, weight_sums
-from .cli import parse_polynomial
 
 __all__ = [
     "Polynomial",
@@ -61,3 +60,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # loaded on first use, so that `python -m igusa.cli` does not find
+    # igusa.cli already imported by the package
+    if name == "parse_polynomial":
+        from .cli import parse_polynomial
+
+        return parse_polynomial
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

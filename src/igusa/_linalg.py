@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries (integers are
-accepted and coerced).  The routines are written for the desk-scale
+``rank`` and ``det`` share one fraction-free integer elimination
+(Bareiss); rational rows are scaled to integer rows first.  The other
+routines work with ``fractions.Fraction`` entries (integers are
+accepted and coerced).  Everything is written for the desk-scale
 matrices that arise from Newton polyhedra in at most a handful of
 variables; no attempt is made at asymptotic efficiency.
 
@@ -15,89 +17,84 @@ assignments deterministic without genericity assumptions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _int_rows(rows):
+    """Each row scaled by the lcm of its denominators: an integer matrix
+    with the same rank."""
+    out = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        fracs = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in fracs))
+        out.append([int(x * scale) for x in fracs])
+    return out
+
+
+def _bareiss(m):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
+
+    Returns (rank, pivot): every update divides exactly by the previous
+    pivot, so entries stay integer minors of the input.  For a square
+    matrix of full rank the signed last pivot is the determinant.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    r, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        r += 1
+    return r, sign * prev
+
+
 def rank(rows) -> int:
     """Rank of a matrix given as a list of rows."""
-    m = _frac_rows(rows)
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return _bareiss(_int_rows(rows))[0]
 
 
-def nullspace(rows, ncols: int):
-    """Basis of {x : A x = 0} as a list of Fraction vectors.
+def det(rows) -> int:
+    """Determinant of a square integer matrix (1 for the empty matrix)."""
+    r, pivot = _bareiss([list(row) for row in rows])
+    return pivot if r == len(rows) else 0
 
-    ``rows`` may be empty, in which case the whole space is returned.
+
+def normal(rows, ncols: int):
+    """Primitive integer normal of ncols - 1 rational rows, or None.
+
+    The generalized cross product (signed maximal minors of the rows
+    scaled to integers) is orthogonal to every row and vanishes exactly
+    when the rows are dependent.  The sign is normalised so the first
+    nonzero entry is positive.
     """
-    m = _frac_rows(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
-
-
-def primitive_integer_vector(vec):
-    """Scale a rational vector to a primitive integer vector (gcd 1).
-
-    The sign is normalised so the first nonzero entry is positive.
-    """
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    m = _int_rows(rows)
+    cross = [(-1) ** j * det([row[:j] + row[j + 1:] for row in m]) for j in range(ncols)]
+    g = gcd(*cross)
+    if g == 0:
+        return None
+    if next(x for x in cross if x) < 0:
+        g = -g
+    return tuple(x // g for x in cross)
 
 
 def solve(rows, rhs):

@@ -202,7 +202,7 @@ def run(cmd: str, req: AnalysisRequest) -> Tuple[dict, int]:
         }
         if req.g_text is not None:
             g = parse_polynomial(req.g_text)
-            den = tsden.denominator(f, g)
+            den = tsden.denominator(f, g, newton_f=poly)
             payload["g"] = str(g)
             payload["denominator"] = den.as_dict()
         return payload, 0

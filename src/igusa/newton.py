@@ -14,6 +14,14 @@ set) determines everything else:
   normals of the facets containing tau, and those cones together with
   the origin partition the weight orthant.
 
+Facets are found among hyperplanes through k minimal support points
+(no other support point lies below them coordinatewise) and parallel
+to n - k coordinate rays.  Every vertex of the polyhedron is minimal,
+and a facet's affine hull is spanned by its vertices and its rays, so
+no facet is missed.  Candidate normals are integer cross products
+(signed maximal minors, ``_linalg.normal``); no rational arithmetic
+enters the enumeration.
+
 ``decompose_simplicial`` splits a cone into simplicial cells spanned by
 subsets of its generators so that every lattice point of the input lies
 in exactly one cell.  Cells come from a regular triangulation with
@@ -28,7 +36,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -125,23 +132,6 @@ class Cone:
     def is_simplicial(self) -> bool:
         return self.dim == len(self.generators)
 
-    def is_simple(self) -> bool:
-        """Simplicial with generators extendable to a lattice basis.
-
-        True iff the gcd of the maximal minors of the generator matrix
-        is 1.  Detection is provided for completeness; nothing in the
-        pipeline branches on it.
-        """
-        if not self.is_simplicial():
-            return False
-        k = len(self.generators)
-        n = self.ambient_dim
-        g = 0
-        for cols in itertools.combinations(range(n), k):
-            sub = [[row[c] for c in cols] for row in self.generators]
-            g = gcd(g, abs(_int_det(sub)))
-        return g == 1
-
     def contains_lattice_point(self, v: Sequence[int]) -> bool:
         """Exact membership test for simplicial cones.
 
@@ -164,29 +154,6 @@ class Cone:
             if not strict and not coeff >= 0:
                 return False
         return True
-
-
-def _int_det(rows) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return int(det)
 
 
 class NewtonPolyhedron:
@@ -283,13 +250,24 @@ _MAX_VARS = 4
 _MAX_SUPPORT = 30
 
 
+def _minimal_points(support: Sequence[Monomial]) -> List[Monomial]:
+    """Support points with no other support point below them coordinatewise."""
+    return [
+        w for w in support
+        if not any(v != w and all(x <= y for x, y in zip(v, w)) for v in support)
+    ]
+
+
 def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     """Construct the Newton polyhedron of f.
 
     f must be nonzero, vanish at the origin, and stay within the desk
-    scale bounds (<= 4 variables, <= 30 support monomials): candidate
-    facet normals are enumerated from subsets of support points plus
-    coordinate rays, which is quadratic-ish in those bounds.
+    scale bounds (<= 4 variables, <= 30 support monomials).  Candidate
+    facet normals are the integer cross products of k - 1 differences
+    of k minimal support points and n - k coordinate rays; a candidate
+    is a facet when its meet set and its rays span a hyperplane.
+    Minimal points suffice because every vertex is one, and a facet's
+    affine hull is spanned by its vertices and its coordinate rays.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no Newton polyhedron")
@@ -305,35 +283,22 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     facets: List[Facet] = []
     seen = set()
     units = [_unit(n, i) for i in range(n)]
+    minimal = _minimal_points(support)
 
-    # A facet normal is orthogonal to n-1 independent directions, each a
-    # difference of support points on the facet or a coordinate ray in it.
     for k in range(1, n + 1):
-        ray_count = n - k
-        if ray_count < 0:
-            continue
-        for pts in itertools.combinations(support, k):
+        for pts in itertools.combinations(minimal, k):
             base = pts[0]
             diffs = [tuple(p - q for p, q in zip(pt, base)) for pt in pts[1:]]
-            for rays in itertools.combinations(range(n), ray_count):
-                rows = diffs + [units[i] for i in rays]
-                if len(rows) != n - 1:
-                    continue
-                ns = _linalg.nullspace(rows, n)
-                if len(ns) != 1:
-                    continue
-                a = _linalg.primitive_integer_vector(ns[0])
-                if any(x < 0 for x in a):
-                    continue  # primitive form is sign-normalised; mixed signs die here
-                if a in seen:
-                    continue
+            for rays in itertools.combinations(range(n), n - k):
+                a = _linalg.normal(diffs + [units[i] for i in rays], n)
+                if a is None or any(x < 0 for x in a) or a in seen:
+                    continue  # dependent rows, or mixed signs (no facet has such a normal)
+                seen.add(a)
                 m = min(_dot(a, w) for w in support)
                 meet = frozenset(w for w in support if _dot(a, w) == m)
                 ray_set = [units[i] for i, x in enumerate(a) if x == 0]
-                if _affine_dim(sorted(meet), ray_set) != n - 1:
-                    continue
-                seen.add(a)
-                facets.append(Facet(a, m, meet))
+                if _affine_dim(sorted(meet), ray_set) == n - 1:
+                    facets.append(Facet(a, m, meet))
 
     facets.sort(key=lambda ft: ft.normal)
     faces = _face_lattice(support, facets, n)
@@ -422,10 +387,9 @@ def _cone_hrep(generators: Sequence[IntVec]):
     seen = set()
     for subset in itertools.combinations(range(len(gens)), r - 1):
         rows = [coords[i] for i in subset]
-        ns = _linalg.nullspace(rows, r)
-        if len(ns) != 1:
+        h = _linalg.normal(rows, r)
+        if h is None:
             continue
-        h = _linalg.primitive_integer_vector(ns[0])
         sides = [sum(hx * cx for hx, cx in zip(h, c)) for c in coords]
         if all(s >= 0 for s in sides):
             pass

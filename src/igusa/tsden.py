@@ -173,8 +173,8 @@ def denominator(
     ng = newton_g if newton_g is not None else build_polyhedron(g)
     warnings = []
     if check_mode is not None:
-        for name, poly in (("f", f), ("g", g)):
-            report = noncrit.check_noncritical(poly, mode=check_mode)
+        for name, poly, newton in (("f", f, nf), ("g", g, ng)):
+            report = noncrit.check_noncritical(poly, mode=check_mode, polyhedron=newton)
             if report.verdict != "non_critical":
                 warnings.append(
                     f"{name} = {poly} is not certified Newton non-critical "

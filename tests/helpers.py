@@ -5,20 +5,18 @@ algebra so that geometric checks cross-verify rather than echo the
 implementation.
 """
 
+import itertools
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from igusa.mpoly import Polynomial, from_terms
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by Gaussian elimination over Q."""
-    mat: List[List[Fraction]] = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def _reduce(mat: List[List[Fraction]], ncols: int) -> List[int]:
+    """Reduced row echelon form over Q, in place; returns the pivot columns."""
+    pivots = []
     rank = 0
-    col = 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(mat)):
@@ -34,10 +32,108 @@ def exact_rank(rows: Sequence[Sequence[int]]) -> int:
             if r != rank and mat[r][col] != 0:
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
         rank += 1
         if rank == len(mat):
             break
-    return rank
+    return pivots
+
+
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by Gaussian elimination over Q."""
+    mat: List[List[Fraction]] = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return 0
+    return len(_reduce(mat, len(mat[0])))
+
+
+def _nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[List[Fraction]]:
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = _reduce(mat, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, pc in zip(mat, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
+    """Primitive integer multiple of a nonzero rational vector, first
+    nonzero entry positive."""
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x != 0) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def reference_polyhedron(f: Polynomial) -> dict:
+    """``as_dict()`` of the Newton polyhedron of f by the slow route.
+
+    Candidate normals are Fraction nullspaces of n - 1 directions drawn
+    from every subset of the support (not only its minimal points) plus
+    coordinate rays; faces are closed under facet intersection.  Faces
+    are sorted by (dim, support, containing facets), so compare against
+    a face list sorted the same way.
+    """
+    n = f.nvars
+    support = sorted(f.support())
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def dot(a, w):
+        return sum(x * y for x, y in zip(a, w))
+
+    def dim(meet, rays):
+        return affine_dim(list(meet) + [tuple(b + u for b, u in zip(meet[0], units[i])) for i in rays])
+
+    facets = {}
+    for k in range(1, n + 1):
+        for pts in itertools.combinations(support, k):
+            diffs = [tuple(p - q for p, q in zip(pt, pts[0])) for pt in pts[1:]]
+            for rays in itertools.combinations(range(n), n - k):
+                ns = _nullspace(diffs + [units[i] for i in rays], n)
+                if len(ns) != 1:
+                    continue
+                a = _primitive(ns[0])
+                if any(x < 0 for x in a) or a in facets:
+                    continue
+                m = min(dot(a, w) for w in support)
+                meet = sorted(w for w in support if dot(a, w) == m)
+                ray_set = [i for i, x in enumerate(a) if x == 0]
+                if dim(meet, ray_set) == n - 1:
+                    facets[a] = (m, frozenset(meet), frozenset(ray_set))
+    normals = sorted(facets)
+    keys = {facets[a][1:] for a in normals}
+    queue = list(keys)
+    while queue:
+        meet, rays = queue.pop()
+        for a in normals:
+            key = (meet & facets[a][1], rays & facets[a][2])
+            if key[0] and key not in keys:
+                keys.add(key)
+                queue.append(key)
+    faces = [
+        {
+            "support": [list(w) for w in sorted(meet)],
+            "facets": [i for i, a in enumerate(normals) if meet <= facets[a][1] and rays <= facets[a][2]],
+            "dim": dim(sorted(meet), sorted(rays)),
+        }
+        for meet, rays in keys
+    ]
+    faces.append({"support": [list(w) for w in support], "facets": [], "dim": n})
+    faces.sort(key=lambda fc: (fc["dim"], fc["support"], fc["facets"]))
+    return {
+        "facets": [{"normal": list(a), "m": facets[a][0]} for a in normals],
+        "faces": faces,
+        "support": [list(w) for w in support],
+    }
 
 
 def affine_dim(points: Sequence[Tuple[int, ...]]) -> int:
@@ -83,8 +179,6 @@ def random_sparse_poly(
 
 def poly_in_box(facets, bound: int, n: int):
     """Lattice points of {x >= 0 : a.x >= m for all facets} with coords <= bound."""
-    import itertools
-
     out = []
     for pt in itertools.product(range(bound + 1), repeat=n):
         if all(sum(a * w for a, w in zip(f.normal, pt)) >= f.m for f in facets):

@@ -230,3 +230,27 @@ def test_cli_import_leaves_sympy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_module_run_prints_no_warning():
+    # the package must not import igusa.cli itself, or `python -m igusa.cli`
+    # warns that the module was already in sys.modules
+    import igusa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "igusa.cli", "phi", "-c", "3", "-d", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_parse_polynomial_stays_a_package_attribute():
+    import igusa
+
+    assert "parse_polynomial" in igusa.__all__
+    assert igusa.parse_polynomial is parse_polynomial

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import itertools
+import json
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_dim, poly_in_box, random_sparse_poly
+from helpers import affine_dim, poly_in_box, random_sparse_poly, reference_polyhedron
+from igusa import _linalg
+from igusa.cli import main
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
 from igusa.newton import (
@@ -191,6 +197,104 @@ class TestPolyhedronGeometry:
         normals = sorted(tuple(f["normal"]) for f in d["facets"])
         assert normals == [(0, 1), (1, 0), (3, 2)]
         assert all(set(f) >= {"normal", "m"} for f in d["facets"])
+
+
+# 3- and 4-variable polynomials of 8 to 20 terms, drawn once at random
+POLES_CORPUS = [
+    "-x^4*y*z^2 - 2*x^4*z^4 + x^3*z^4 + x^3*z + x^2*y*z^3 + 3*y^4 - 2*y - z^3",
+    "x^5*y*z^2 + 2*x^4*z^4 - 2*x^3*y^2*z^3 + 2*x^3*y^2*z^2 + x^3*z^5 + 3*x^3"
+    " + x*y^5*z - 2*x*y^4 - x*y^2*z - 2*x*z^4 + 3*z^5 - z^4",
+    "-2*x^5*z^3 - x^4*y^2*z + x^4*z^3 + x^4 + x^3*y*z + 3*x^3*y - x^3*z^3"
+    " + 2*x^2*y^2 + 2*x*y^2*z + 2*x*y*z + 2*y^3*z^4 + 2*y^3*z^2 + y^2*z^4"
+    " - y*z^4 - y*z^3 + 2*y",
+    "3*x^5 + 3*x^4*z^3 + 2*x^3*y^5 + x^3*y^3*z^2 - 2*x^3*y^2*z + 3*x^3*y*z^3"
+    " - 2*x^2*y^5*z + 2*x^2*y^2 - 2*x^2*y*z^3 + 2*x^2*y*z^2 + 3*x*y^5*z^2"
+    " + 3*x*y^4*z^3 + 2*x*y*z^3 + 3*x*z^5 - y^5*z^3 + y^4*z^2 + 2*y^3*z^5"
+    " + 3*y*z^4 + 2*y*z^3 - z^3",
+    "3*x^4*z*w + 3*x^3*y*z + 2*x*y^4*w - 2*x*y^2*z^4*w - 2*x*y*w - x*z^5*w^2"
+    " - 2*y^4*w^2 - 2*z^4*w^3",
+    "x^4*w + 2*x^3*y^3*z^2 + x^3*z^2 + x^2*z^4*w + 2*x^2*z^2 + 3*x^2*z*w^5"
+    " - x*y^5*z*w + x*y^3*z*w^3 + 3*x*y^2*z^2 + 2*x*y^2*z*w^3 + 2*y^2*z^2"
+    " - 2*z^3*w^2",
+    "-x^4*y*z^2 + x^3*z^3*w^2 + 2*x^3*z^2*w^2 + x^2*y^3*z + 3*x^2*y^3*w^2"
+    " + x^2*y^2*w^2 + 2*x^2*z^3*w + 3*x^2*z^3 + 3*x*y^4 - x*y^3*z^2 + x*z*w^2"
+    " + 2*x - y^2*z^3 + 2*y^2*z*w^5 + 2*y^2*z*w^2 + y*z^3*w^4",
+    "2*x^5*y*w^2 + 3*x^4*z^2*w + 2*x^3*y^3*z + x^3*y^2*w + x^3*z^4 - 2*x^3*w^3"
+    " - x^2*y^4*z - 2*x^2*z^3*w^3 + 3*x^2*w^5 + x*y^3*z^2*w^2 - 2*x*y^3*z^2*w"
+    " + 3*x*y*z^4 + 3*x*y*w + 2*x*z^4 - x*z*w^4 + y^2*z^3*w^2 - 2*y^2*z^3"
+    " + 3*y^2*w^2 - y*w^3 - 2*z^2*w^4",
+]
+
+
+class TestManyVariables:
+    @pytest.mark.parametrize("text", POLES_CORPUS)
+    def test_h_v_consistency(self, text):
+        _check_h_v_consistency(P(text))
+
+    @pytest.mark.parametrize("text", POLES_CORPUS)
+    def test_cone_dimension(self, text):
+        _check_cone_dimension(P(text))
+
+
+def _random_support_poly(rng, n, nterms):
+    """Up to nterms monomials, some of them dominated by others."""
+    names = ("x", "y", "z", "w")[:n]
+    exps = set()
+    while len(exps) < nterms:
+        if exps and rng.random() < 0.3:
+            base = rng.choice(sorted(exps))
+            e = tuple(b + rng.randint(0, 2) for b in base)
+        else:
+            e = tuple(rng.randint(0, 5) for _ in range(n))
+        if any(e):
+            exps.add(e)
+    return from_terms(names, [(e, 1) for e in sorted(exps)])
+
+
+def _face_order(d):
+    d = dict(d)
+    d["faces"] = sorted(d["faces"], key=lambda fc: (fc["dim"], fc["support"], fc["facets"]))
+    return d
+
+
+class TestAgainstReference:
+    def test_random_supports(self):
+        rng = random.Random(20261018)
+        for i in range(40):
+            f = _random_support_poly(rng, 1 + i % 4, rng.randint(1, 20))
+            assert _face_order(build_polyhedron(f).as_dict()) == reference_polyhedron(f), f
+
+    def test_integer_kernel_matches_rational_elimination(self):
+        from helpers import exact_rank
+
+        def laplace(m):
+            if not m:
+                return 1
+            return sum((-1) ** j * m[0][j] * laplace([r[:j] + r[j + 1:] for r in m[1:]])
+                       for j in range(len(m)))
+
+        rng = random.Random(11)
+        for _ in range(2000):
+            rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+            m = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(cols)] for _ in range(rows)]
+            assert _linalg.rank(m) == exact_rank(m), m
+            if rows == cols:
+                assert _linalg.det(m) == laplace(m), m
+
+
+# `igusa analyze` and `igusa poles` stdout on the analyze benchmark pool and
+# the README examples, recorded before the facet enumeration changed
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_analyze_poles.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"])[:60])
+def test_cli_output_matches_golden(entry):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(entry["argv"]))
+    assert code == entry["code"]
+    assert out.getvalue() == entry["stdout"]
 
 
 class TestDecompose:
