@@ -5,6 +5,7 @@ algebra so that geometric checks cross-verify rather than echo the
 implementation.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -144,6 +145,32 @@ def affine_dim(points: Sequence[Tuple[int, ...]]) -> int:
     base = pts[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
     return exact_rank(diffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_points(ell: int, n: int):
+    import numpy as np
+
+    return np.array(list(itertools.product(range(1, ell), repeat=n)), dtype=np.int64)
+
+
+def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
+    """Whether the polys share a zero on the whole torus (F_ell^x)^n,
+    by evaluating them at every one of its (ell - 1)^n points."""
+    import numpy as np
+
+    grid = _torus_points(ell, polys[0].nvars)
+    alive = np.ones(len(grid), dtype=bool)
+    for g in polys:
+        vals = np.zeros(len(grid), dtype=np.int64)
+        for exps, coeff in g.terms.items():
+            term = np.full(len(grid), coeff % ell, dtype=np.int64)
+            for i, e in enumerate(exps):
+                powers = np.array([pow(x, e, ell) for x in range(ell)], dtype=np.int64)
+                term = term * powers[grid[:, i]] % ell
+            vals = (vals + term) % ell
+        alive &= vals == 0
+    return bool(alive.any())
 
 
 def random_sparse_poly(
