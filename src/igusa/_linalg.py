@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 ``rank`` and ``det`` share one fraction-free integer elimination
-(Bareiss); rational rows are scaled to integer rows first.  The other
-routines work with ``fractions.Fraction`` entries (integers are
-accepted and coerced).  Everything is written for the desk-scale
-matrices that arise from Newton polyhedra in at most a handful of
-variables; no attempt is made at asymptotic efficiency.
+(Bareiss), with rational rows scaled to integer rows first; ``rank_mod``
+runs the same elimination over F_ell.  The other routines work with
+``fractions.Fraction`` entries (integers are accepted and coerced).
+Everything is written for the desk-scale matrices that arise from
+Newton polyhedra in at most a handful of variables; no attempt is made
+at asymptotic efficiency.
 
 ``Eps`` implements the ordered field Q(eps) restricted to polynomials in
 an infinitesimal eps > 0: comparisons are lexicographic in the
@@ -38,12 +39,14 @@ def _int_rows(rows):
     return out
 
 
-def _bareiss(m):
+def _bareiss(m, ell: int = 0):
     """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
 
     Returns (rank, pivot): every update divides exactly by the previous
     pivot, so entries stay integer minors of the input.  For a square
-    matrix of full rank the signed last pivot is the determinant.
+    matrix of full rank the signed last pivot is the determinant.  Given
+    a prime ell, the entries are residues mod ell, each update is reduced
+    mod ell instead of divided, and only the rank means anything.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -62,7 +65,10 @@ def _bareiss(m):
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            if ell:
+                m[i] = [(p * a - f * b) % ell for a, b in zip(row, top)]
+            else:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         prev = p
         r += 1
     return r, sign * prev
@@ -71,6 +77,11 @@ def _bareiss(m):
 def rank(rows) -> int:
     """Rank of a matrix given as a list of rows."""
     return _bareiss(_int_rows(rows))[0]
+
+
+def rank_mod(rows, ell: int) -> int:
+    """Rank over F_ell of an integer matrix given as a list of rows."""
+    return _bareiss([[x % ell for x in row] for row in rows], ell)[0]
 
 
 def det(rows) -> int:

@@ -14,12 +14,26 @@ Two modes:
   Groebner basis over Q detects exactly.  This subsumes the
   resultant/gcd elimination one would do by hand and is immune to its
   degenerate branches (shared components, leading-coefficient drops,
-  zeros pairing off across the two eliminations).
+  zeros pairing off across the two eliminations).  A monomial face
+  needs no basis: one of its partials is a monomial, a unit on the
+  torus.
 * ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n for a
   list of auxiliary primes l.  A common zero whose Hessian is
   invertible mod l lifts to characteristic zero (Hensel), certifying a
   critical verdict; finding no zeros for any l supports non-critical,
   flagged as heuristic; anything else is inconclusive.
+* Witness (exact mode, critical faces).  First a point with small
+  integer coordinates that kills the partials exactly, as ints.  Else
+  the first zero of the cross-check's scans (primes in order, at most
+  64 zeros each) at which the Jacobian of the nonzero partials has full
+  row rank mod l, as strings "r mod l": by Hensel's lemma it lifts to a
+  common zero in Z_l^n whose coordinates are units, a torus zero over
+  Q_l, which has characteristic 0.  Else None.  A quasi-homogeneous
+  f_tau whose partials are all nonzero never gets such a witness, since
+  its Jacobian is the Hessian, singular at every critical point by
+  Euler's relation (below); nor do partials with a common factor, such
+  as those of x^2 (3y + 1)^2, along whose zero curve the Jacobian drops
+  rank.
 
 The report records the per-face finding in both worlds when available
 and flags auxiliary primes that disagree with the characteristic-0
@@ -30,14 +44,15 @@ Torus slices.  When supp(f_tau) lies in an affine hyperplane a.w = d
 stable under x -> lam^a . x, because d_i f_tau(lam^a . x) =
 lam^(d - a_i) d_i f_tau(x).  If some a_j is prime to l - 1, every orbit
 meets x_j = 1, so that slice of (l - 1)^(n-1) points decides whether a
-zero exists.  Existence is all the exact mode's cross-check uses, and
-all the heuristic mode can learn from such a face: Euler's relation
-gives H (a * x) = 0 at a critical point, and a * x != 0 mod l for a
-primitive, so the Hessian never certifies it.  Other faces (in practice
-the improper face of a general f) scan the whole torus.  The grid
-budget counts the points scanned, so a sliced face in 4 variables fits
-it at the default primes (10^6 points, not 10^8); the faces of
-homogeneous inputs slice in practice, and those no longer hit it.
+zero exists.  Existence is all the exact mode's check of its verdict
+uses, and all the heuristic mode can learn from such a face: Euler's
+relation gives H (a * x) = 0 at a critical point, and a * x != 0 mod l
+for a primitive, so the Hessian never certifies it.  Other faces (in
+practice the improper face of a general f) scan the whole torus.  The
+grid budget counts the points scanned, so a sliced face in 4 variables
+fits it at the default primes (10^6 points, not 10^8); the faces of
+homogeneous inputs slice in practice, and those no longer hit it.  A
+scan over the budget raises ValueError in either mode.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from ._linalg import normal, rank
+from ._linalg import normal, rank, rank_mod
 from .mpoly import Polynomial
 from .newton import Face, NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
@@ -58,7 +73,19 @@ _GRID_BUDGET = 4 * 10**6
 
 @dataclass(frozen=True)
 class FaceFinding:
-    """Outcome for one face polynomial."""
+    """Outcome for one face polynomial.
+
+    ``witness`` is a torus zero of the face partials, or None:
+    * heuristic mode, critical: a zero mod l (``field`` "F_l") with an
+      invertible Hessian, as ints;
+    * exact mode, critical: a small integer zero, as ints; else a zero
+      mod l at which the Jacobian of the nonzero partials has full row
+      rank, as strings "r mod l" (Hensel lifts it to a torus zero in
+      Z_l^n, so ``field`` stays "char0"); else None.  The mod-l form
+      never certifies a quasi-homogeneous face with no zero partial
+      (Euler's relation makes its Hessian singular at every zero) nor
+      partials with a common factor (the Jacobian drops rank along it).
+    """
 
     face_support: Tuple[Tuple[int, ...], ...]
     verdict: str  # "non_critical" | "critical" | "inconclusive"
@@ -124,47 +151,24 @@ def _torus_ideal_trivial(partials: Sequence[Polynomial], variables) -> bool:
     return list(gb.exprs) == [sympy.Integer(1)]
 
 
-def _char0_witness(partials: Sequence[Polynomial], variables) -> Optional[Tuple]:
-    """Best-effort explicit common zero with nonzero coordinates.
-
-    Tries small integer points first, then sympy's solver; returns a
-    tuple of exact values (ints/rationals or algebraic expressions as
-    strings) or None if nothing concrete was found.
-    """
+def _integer_zero(partials: Sequence[Polynomial]) -> Optional[Tuple[int, ...]]:
+    """A common zero of the partials with small nonzero integer coordinates."""
     nonzero = [g for g in partials if not g.is_zero()]
-    n = len(variables)
-    for point in itertools.product([1, -1, 2, -2, 3, -3, 5, -5], repeat=n):
+    for point in itertools.product([1, -1, 2, -2, 3, -3, 5, -5], repeat=len(partials)):
         if all(g.evaluate(point) == 0 for g in nonzero):
-            return tuple(point)
-    import sympy
+            return point
+    return None
 
-    symbols = sympy.symbols(list(variables))
-    system = [_to_sympy(g, symbols) for g in nonzero]
-    try:
-        solutions = sympy.solve(system, list(symbols), dict=True)
-    except Exception:
-        return None
-    for sol in solutions:
-        # instantiate free symbols with small nonzero rationals
-        for fill in (1, 2, 3, -1, sympy.Rational(1, 2)):
-            subs = dict(sol)
-            point = []
-            ok = True
-            for s in symbols:
-                val = subs.get(s, s)
-                val = sympy.simplify(sympy.sympify(val).subs(
-                    {sym: fill for sym in val.free_symbols} if hasattr(val, "free_symbols") else {}
-                ))
-                if val.free_symbols or val == 0:
-                    ok = False
-                    break
-                point.append(val)
-            if not ok:
-                continue
-            if all(sympy.simplify(expr.subs(dict(zip(symbols, point)))) == 0 for expr in system):
-                return tuple(
-                    int(v) if v.is_Integer else str(v) for v in point
-                )
+
+def _hensel_zero(partials: Sequence[Polynomial], scans) -> Optional[Tuple[str, ...]]:
+    """The first of at most 64 torus zeros per (ell, zeros) scan at which
+    the Jacobian of the nonzero partials has full row rank mod ell: Hensel
+    lifts it to a common zero in Z_ell^n, with unit coordinates."""
+    jacobian = [g.partials() for g in partials if not g.is_zero()]
+    for ell, zeros in scans:
+        for point in zeros[:64]:
+            if _full_rank_mod(jacobian, point, ell):
+                return tuple(f"{x} mod {ell}" for x in point)
     return None
 
 
@@ -214,7 +218,7 @@ def _torus_zeros_mod(partials: Sequence[Polynomial], ell: int, nvars: int, axis:
     size = (ell - 1) ** free
     if size > _GRID_BUDGET:
         raise ValueError(
-            f"heuristic grid of {free} coordinates in F_{ell}^x has {size} points; "
+            f"torus grid of {free} coordinates in F_{ell}^x has {size} points; "
             "supply smaller auxiliary primes"
         )
     cols = np.ones((nvars, size), dtype=np.int64)
@@ -231,25 +235,9 @@ def _torus_zeros_mod(partials: Sequence[Polynomial], ell: int, nvars: int, axis:
     return [tuple(int(x) for x in row) for row in pts]
 
 
-def _hessian_rank_mod(hessian, point, ell: int) -> int:
-    """Rank mod ell at point of the Hessian, given as its second partials."""
-    n = len(hessian)
-    m = [[h.evaluate(point) % ell for h in row] for row in hessian]
-    # Gaussian elimination over F_ell
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c] % ell), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, ell)
-        m[r] = [(x * inv) % ell for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] % ell:
-                fmul = m[i][c]
-                m[i] = [(a - fmul * b) % ell for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+def _full_rank_mod(jacobian, point, ell: int) -> bool:
+    """Whether the matrix of polynomials has full row rank mod ell at point."""
+    return rank_mod([[h.evaluate(point) for h in row] for row in jacobian], ell) == len(jacobian)
 
 
 def check_noncritical(
@@ -261,8 +249,9 @@ def check_noncritical(
     """Decide (exactly or heuristically) whether f is Newton non-critical.
 
     ``exact_small`` is a complete characteristic-0 decision, limited to
-    n <= 2; it additionally scans the auxiliary primes and flags those
-    whose torus zeros disagree with the exact verdict.
+    n <= 2; it additionally scans the auxiliary primes, flags those
+    whose torus zeros disagree with the exact verdict, and draws the
+    witnesses of critical faces from those zeros.
     ``finite_field_heuristic`` works in any dimension.
     """
     if mode not in ("exact_small", "finite_field_heuristic"):
@@ -302,35 +291,29 @@ def _face_key(face: Face):
 
 
 def _check_face_exact(f_tau, partials, face, aux_primes) -> FaceFinding:
-    trivial = _torus_ideal_trivial(partials, f_tau.variables)
-    # cross-check each auxiliary prime; only the existence of a zero counts
     weights = _weights(f_tau)
-    disagree = []
-    for ell in aux_primes:
-        try:
-            zeros = _torus_zeros_mod(partials, ell, f_tau.nvars, _slice_axis(weights, ell))
-        except ValueError:
-            continue
-        if trivial and zeros:
-            disagree.append(ell)
-        if not trivial and not zeros:
-            disagree.append(ell)
+    scans = [
+        (ell, _torus_zeros_mod(partials, ell, f_tau.nvars, _slice_axis(weights, ell)))
+        for ell in aux_primes
+    ]
+    trivial = len(f_tau.terms) == 1 or _torus_ideal_trivial(partials, f_tau.variables)
+    # a prime disagrees when it has torus zeros on a trivial face or none on a critical one
+    disagree = tuple(ell for ell, zeros in scans if bool(zeros) == trivial)
     if trivial:
         return FaceFinding(
             face_support=_face_key(face),
             verdict="non_critical",
             field="char0",
             certificate="saturated gradient ideal is trivial",
-            disagreeing_primes=tuple(disagree),
+            disagreeing_primes=disagree,
         )
-    witness = _char0_witness(partials, f_tau.variables)
     return FaceFinding(
         face_support=_face_key(face),
         verdict="critical",
         field="char0",
         certificate="saturated gradient ideal is nontrivial",
-        witness=witness,
-        disagreeing_primes=tuple(disagree),
+        witness=_integer_zero(partials) or _hensel_zero(partials, scans),
+        disagreeing_primes=disagree,
     )
 
 
@@ -345,14 +328,14 @@ def _check_face_heuristic(f_tau, partials, face, aux_primes) -> FaceFinding:
         )
     else:
         found_any = False
-        hessian = [[g.partial(j) for j in range(f_tau.nvars)] for g in partials]
+        hessian = [g.partials() for g in partials]
         for ell in aux_primes:
             zeros = _torus_zeros_mod(partials, ell, f_tau.nvars)
             if not zeros:
                 continue
             found_any = True
             for point in zeros[:64]:
-                if _hessian_rank_mod(hessian, point, ell) == f_tau.nvars:
+                if _full_rank_mod(hessian, point, ell):
                     return FaceFinding(
                         face_support=_face_key(face),
                         verdict="critical",

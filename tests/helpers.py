@@ -154,9 +154,9 @@ def _torus_points(ell: int, n: int):
     return np.array(list(itertools.product(range(1, ell), repeat=n)), dtype=np.int64)
 
 
-def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
-    """Whether the polys share a zero on the whole torus (F_ell^x)^n,
-    by evaluating them at every one of its (ell - 1)^n points."""
+def torus_common_zeros(polys: Sequence[Polynomial], ell: int) -> List[Tuple[int, ...]]:
+    """The common zeros of the polys on the whole torus (F_ell^x)^n, by
+    evaluating them at every one of its (ell - 1)^n points."""
     import numpy as np
 
     grid = _torus_points(ell, polys[0].nvars)
@@ -170,7 +170,75 @@ def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
                 term = term * powers[grid[:, i]] % ell
             vals = (vals + term) % ell
         alive &= vals == 0
-    return bool(alive.any())
+    return [tuple(int(x) for x in row) for row in grid[alive]]
+
+
+def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
+    """Whether the polys share a zero on the whole torus (F_ell^x)^n."""
+    return bool(torus_common_zeros(polys, ell))
+
+
+def rank_mod(rows: Sequence[Sequence[int]], ell: int) -> int:
+    """Rank over F_ell of an integer matrix: Gauss-Jordan elimination,
+    inverting pivots by Fermat's little theorem."""
+    mat = [[x % ell for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], ell - 2, ell)
+        mat[rank] = [x * inv % ell for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [(x - factor * y) % ell for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def lifts_mod(partials: Sequence[Polynomial], point: Sequence[int], ell: int) -> bool:
+    """Whether point is a common zero mod ell of the nonzero partials at
+    which their Jacobian has full row rank mod ell (so Hensel lifts it)."""
+    nonzero = [g for g in partials if g.terms]
+    if any(g.evaluate(point) % ell for g in nonzero):
+        return False
+    jacobian = [[g.partial(j).evaluate(point) for j in range(g.nvars)] for g in nonzero]
+    return rank_mod(jacobian, ell) == len(nonzero)
+
+
+def witness_error(f_tau: Polynomial, witness) -> str:
+    """Why witness is no torus zero of the partials of f_tau ("" if it is).
+
+    Ints must kill every partial exactly.  Strings "r mod l", one prime
+    l for all coordinates, must be a zero mod l at which the Jacobian of
+    the nonzero partials has full row rank mod l.
+    """
+    partials = f_tau.partials()
+    if len(witness) != f_tau.nvars:
+        return f"arity {len(witness)} != {f_tau.nvars}"
+    if all(type(x) is int for x in witness):
+        if 0 in witness:
+            return "a coordinate is 0"
+        if any(g.evaluate(witness) for g in partials):
+            return "a partial does not vanish"
+        return ""
+    try:
+        pairs = [tuple(int(v) for v in x.split(" mod ")) for x in witness]
+    except (AttributeError, ValueError):
+        return f"unreadable witness {witness!r}"
+    if any(len(p) != 2 for p in pairs) or len({ell for _, ell in pairs}) != 1:
+        return f"not one prime in {witness!r}"
+    ell = pairs[0][1]
+    point = [r for r, _ in pairs]
+    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell**0.5) + 1)):
+        return f"{ell} is not prime"
+    if not all(0 < r < ell for r in point):
+        return "a coordinate is not a unit residue"
+    if not lifts_mod(partials, point, ell):
+        return "not a zero with a Jacobian of full row rank"
+    return ""
 
 
 def random_sparse_poly(

@@ -249,6 +249,25 @@ def test_module_run_prints_no_warning():
     assert proc.stderr == ""
 
 
+def test_exact_analyze_finds_witness_quickly():
+    # this input took an unbounded solver 74 s, which then found no witness
+    import igusa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "igusa.cli", "analyze", "-f", "x^5 + y^7 + x^2*y^2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["noncritical"]
+    assert report["verdict"] == "critical"
+    critical = [fc for fc in report["faces"] if fc["verdict"] == "critical"]
+    assert critical and all(fc["witness"] is not None for fc in critical)
+
+
 def test_parse_polynomial_stays_a_package_attribute():
     import igusa
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sparse_poly, torus_has_common_zero
+from helpers import lifts_mod, random_sparse_poly, torus_common_zeros, torus_has_common_zero, witness_error
 from igusa import noncrit
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
@@ -68,6 +68,120 @@ class TestExactMode:
         for text in ["x^2", "x^2 + y^3", "x + y"]:
             report = check_noncritical(P(text), mode="exact_small")
             assert all(not f.disagreeing_primes for f in report.findings)
+
+
+def _face_poly(f, support):
+    """f restricted to the given support points."""
+    return from_terms(f.variables, [(tuple(w), f.terms[tuple(w)]) for w in support])
+
+
+class TestExactWitness:
+    """Exact-mode witnesses: small integer zeros, else Hensel-certified
+    zeros of the auxiliary-prime scans, checked by independent code."""
+
+    # the critical inputs of the golden analyze file whose witnesses sympy's
+    # solver used to find, and the input that took it 74 s to find none
+    SOLVER_INPUTS = [
+        "x^3 + y^4 + x*y^2",
+        "x^2*y + y^4 + x^4",
+        "x*y + x^3 + y^3",
+        "x^2*y^2 + x^5 + y^5",
+        "x^2*y^3 + x^5 + y^4",
+        "x^3*y + x*y^3 + x^6 + y^6",
+        "x^2 - y^2 + x^3",
+        "x^5 + x^2*y^2 + y^4",
+        "x^5 + x^3*y^2 + y^4",
+        "x^5 + y^7 + x^2*y^2",
+    ]
+
+    def test_golden_witnesses_are_torus_zeros(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "golden_analyze_poles.json")
+        with open(path) as fh:
+            golden = json.load(fh)
+        checked = 0
+        for entry in golden:
+            if entry["argv"][0] != "analyze":
+                continue
+            payload = json.loads(entry["stdout"])
+            report = payload["noncritical"]
+            if report["mode"] != "exact_small":
+                continue
+            f = P(entry["argv"][2])
+            for face in report["faces"]:
+                if face["witness"] is None:
+                    continue
+                f_tau = _face_poly(f, face["support"])
+                assert witness_error(f_tau, tuple(face["witness"])) == "", (entry["argv"], face)
+                checked += 1
+        assert checked == 9
+
+    def test_seeded_critical_inputs(self):
+        rng = random.Random(5)
+        inputs = []
+        while len(inputs) < 60:
+            if rng.random() < 0.5:
+                g = random_sparse_poly(rng, 2, max_terms=3, max_exp=3, coeff_bound=3)
+                f = g * g
+            else:
+                f = random_sparse_poly(rng, 2, max_terms=4, max_exp=5, coeff_bound=4)
+            try:
+                report = check_noncritical(f, mode="exact_small")
+            except ValueError:  # the origin is no zero of f
+                continue
+            if report.verdict == "critical":
+                inputs.append((f, report))
+        seen = {"int": 0, "mod": 0, "none": 0, "trivial": 0}
+        for f, report in inputs:
+            for fnd in report.findings:
+                f_tau = _face_poly(f, fnd.face_support)
+                if fnd.verdict == "non_critical":
+                    # by the Nullstellensatz no zero of a trivial face lifts
+                    # to characteristic 0, so none may be certified mod l
+                    seen["trivial"] += 1
+                    for ell in report.aux_primes:
+                        zeros = torus_common_zeros(f_tau.partials(), ell)
+                        assert not any(lifts_mod(f_tau.partials(), z, ell) for z in zeros), (str(f), ell)
+                    continue
+                if fnd.witness is None:
+                    seen["none"] += 1
+                    continue
+                seen["int" if type(fnd.witness[0]) is int else "mod"] += 1
+                assert witness_error(f_tau, fnd.witness) == "", (str(f), fnd)
+        assert min(seen.values()) >= 10, seen
+
+    def test_no_solver_needed(self, monkeypatch):
+        import sympy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy.solve called")
+
+        monkeypatch.setattr(sympy, "solve", refuse)
+        for text in self.SOLVER_INPUTS:
+            report = check_noncritical(P(text), mode="exact_small")
+            assert report.verdict == "critical", text
+            critical = [fnd for fnd in report.findings if fnd.verdict == "critical"]
+            assert critical and all(fnd.witness is not None for fnd in critical), text
+
+    @pytest.mark.parametrize("text", ["x^4 - 4*x^2*y^2 + 4*y^4", "9*x^2*y^2 + 6*x^2*y + x^2"])
+    def test_singular_jacobian_face_has_no_witness(self, text):
+        # (x^2 - 2y^2)^2 is homogeneous with both partials nonzero, so its
+        # Jacobian is the Hessian, singular at every zero by Euler; and no
+        # integer point has x^2 = 2y^2.  x^2 (3y + 1)^2 has partials sharing
+        # the factor 3y + 1, whose zeros form a curve with y = -1/3: the
+        # Jacobian has rank 1 along it.  Zeros exist mod 103 in both cases.
+        f = P(text)
+        report = check_noncritical(f, mode="exact_small")
+        assert report.verdict == "critical"
+        critical = [fnd for fnd in report.findings if fnd.verdict == "critical"]
+        assert critical and all(fnd.witness is None for fnd in critical)
+        zeros = torus_common_zeros(f.partials(), 103)
+        assert zeros and not any(lifts_mod(f.partials(), z, 103) for z in zeros)
+
+    def test_over_budget_prime_raises(self):
+        # the improper face is off every hyperplane: 2002^2 points exceed
+        # the grid budget, and the prime must not pass as if it agreed
+        with pytest.raises(ValueError, match="F_2003"):
+            check_noncritical(P("x^2 + 2*x*y + y^2 + x^3"), mode="exact_small", aux_primes=(2003,))
 
 
 class TestHeuristicMode:
@@ -131,6 +245,33 @@ class TestMonomialProperty:
         exps = tuple(e // g for e in exps)
         f = from_terms(("x", "y"), [(exps, coeff)])
         assert check_noncritical(f, mode="exact_small").verdict == "non_critical"
+
+    @settings(max_examples=30)
+    @given(
+        exps=st.tuples(
+            st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)
+        ).filter(any),
+        coeff=st.integers(min_value=-9, max_value=9).filter(bool),
+    )
+    def test_groebner_agrees_on_monomials(self, exps, coeff):
+        # exact mode decides monomial faces without the Groebner basis
+        f = from_terms(("x", "y"), [(exps, coeff)])
+        assert noncrit._torus_ideal_trivial(f.partials(), f.variables)
+
+    def test_monomial_faces_skip_groebner(self, monkeypatch):
+        bases = []
+        groebner = noncrit._torus_ideal_trivial
+        monkeypatch.setattr(
+            noncrit, "_torus_ideal_trivial", lambda ps, vs: bases.append(ps) or groebner(ps, vs)
+        )
+        f = P("x^3 + y^4 + x*y^2")
+        report = check_noncritical(f, mode="exact_small")
+        poly = build_polyhedron(f)
+        polys = [poly.face_polynomial(f, face) for face in poly.faces]
+        assert len(bases) == sum(len(g.terms) > 1 for g in polys) == 3
+        assert len(polys) == 8
+        assert all(fnd.verdict == "non_critical" and fnd.field == "char0"
+                   for g, fnd in zip(polys, report.findings) if len(g.terms) == 1)
 
     @settings(max_examples=15)
     @given(
