@@ -4,8 +4,7 @@ Subpackages by role:
 
 * :mod:`igusa.numeric`, :mod:`igusa.mpoly` — exact arithmetic and sparse
   integer polynomials.
-* :mod:`igusa.newton` — Newton polyhedra: facets, faces, weight cones,
-  simplicial decomposition.
+* :mod:`igusa.newton` — Newton polyhedra: facets, faces, weight cones.
 * :mod:`igusa.noncrit` — Newton non-criticality decisions.
 * :mod:`igusa.euclid` — the interleaved subtraction orbit underlying the
   exponent bookkeeping.
@@ -21,7 +20,7 @@ Subpackages by role:
 """
 
 from .mpoly import Polynomial, direct_sum
-from .newton import NewtonPolyhedron, build_polyhedron, decompose_simplicial
+from .newton import NewtonPolyhedron, build_polyhedron
 from .noncrit import check_noncritical
 from .numeric import INFINITE, PrimeSpec, p_valuation
 from .oracle import ConeDomainSpec, count_mod, measure_series, verify_theorem
@@ -35,7 +34,6 @@ __all__ = [
     "direct_sum",
     "NewtonPolyhedron",
     "build_polyhedron",
-    "decompose_simplicial",
     "check_noncritical",
     "INFINITE",
     "PrimeSpec",

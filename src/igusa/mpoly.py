@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .numeric import INFINITE, ModResidue, p_valuation, valuation_min
+from .numeric import INFINITE, p_valuation, valuation_min
 
 Monomial = Tuple[int, ...]
 
@@ -163,15 +163,11 @@ class Polynomial:
 
     # -- evaluation and calculus --------------------------------------
 
-    def evaluate(self, point: Sequence[Union[int, Fraction, ModResidue]]):
-        """Evaluate at a point of ints, Fractions, or ModResidues."""
+    def evaluate(self, point: Sequence[Union[int, Fraction]]):
+        """Evaluate at a point of ints or Fractions."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
-        if point and isinstance(point[0], ModResidue):
-            zero = ModResidue(0, point[0].prime, point[0].level)
-        else:
-            zero = 0
-        acc = zero
+        acc = 0
         for exps, coeff in self.terms.items():
             term = coeff
             for x, e in zip(point, exps):

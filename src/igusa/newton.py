@@ -22,24 +22,19 @@ no facet is missed.  Candidate normals are integer cross products
 (signed maximal minors, ``_linalg.normal``); no rational arithmetic
 enters the enumeration.
 
-``decompose_simplicial`` splits a cone into simplicial cells spanned by
-subsets of its generators so that every lattice point of the input lies
-in exactly one cell.  Cells come from a regular triangulation with
-symbolic heights eps^i (deterministic in generator order); for a closed
-input the cells are half-open with shared walls assigned to the
-earliest cell, and for a strictly open input the decomposition lists
-the open faces of the triangulation interior to the cone.
+Cone membership is decided with integer ranks and facet normals only:
+a vector lies in the span of a cone's generators when adding it keeps
+the rank, and its span coordinates are its entries on axes where the
+generators have full rank.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import _linalg
-from ._linalg import Eps
 from .mpoly import Monomial, Polynomial
 
 IntVec = Tuple[int, ...]
@@ -99,19 +94,15 @@ class Face:
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational cone spanned by generators with per-generator openness.
+    """The strictly positive span of nonzero integer generators.
 
-    ``strict[i]`` True means the coefficient of generators[i] is
-    required to be > 0; False allows >= 0.  A face cone is strictly
-    spanned (all True); its closure is all False.
+    A face cone is open: its points are the positive combinations of
+    the generators, the relative interior of the closed cone.
     """
 
     generators: Tuple[IntVec, ...]
-    strict: Tuple[bool, ...]
 
     def __post_init__(self):
-        if len(self.generators) != len(self.strict):
-            raise ValueError("one openness flag per generator")
         if not self.generators:
             raise ValueError("cone needs at least one generator")
         n = len(self.generators[0])
@@ -124,36 +115,6 @@ class Cone:
     @property
     def dim(self) -> int:
         return _linalg.rank(self.generators)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.generators[0])
-
-    def is_simplicial(self) -> bool:
-        return self.dim == len(self.generators)
-
-    def contains_lattice_point(self, v: Sequence[int]) -> bool:
-        """Exact membership test for simplicial cones.
-
-        Solves for the generator coefficients; for non-simplicial cones
-        use ``cone_contains`` (H-representation) instead.
-        """
-        if not self.is_simplicial():
-            raise ValueError("membership by coefficients needs a simplicial cone")
-        cols = list(zip(*self.generators))
-        lam = _linalg.solve(cols, [Fraction(x) for x in v])
-        if lam is None:
-            return False
-        # solve() may have used a least-structured solution; verify
-        recon = [sum(l * g[i] for l, g in zip(lam, self.generators)) for i in range(self.ambient_dim)]
-        if any(r != x for r, x in zip(recon, v)):
-            return False
-        for coeff, strict in zip(lam, self.strict):
-            if strict and not coeff > 0:
-                return False
-            if not strict and not coeff >= 0:
-                return False
-        return True
 
 
 class NewtonPolyhedron:
@@ -221,7 +182,7 @@ class NewtonPolyhedron:
         if face.is_improper:
             raise ValueError("the improper face has no cone")
         gens = tuple(self.facets[i].normal for i in face.containing_facets)
-        return Cone(gens, (True,) * len(gens))
+        return Cone(gens)
 
     def proper_faces(self) -> List[Face]:
         return [f for f in self.faces if not f.is_improper]
@@ -351,222 +312,52 @@ def _face_lattice(support: List[Monomial], facets: List[Facet], n: int) -> List[
 def _cone_hrep(generators: Sequence[IntVec]):
     """Facet inequalities of the closed cone, in span coordinates.
 
-    Returns (span_basis, facet_normals) where membership of v means
-    v in span and h.v_span >= 0 for every h.  Valid for pointed cones,
-    which all cones here are (generators live in the positive orthant).
+    Returns (facet_normals, span_coords): v lies in the closed cone
+    when span_coords(v) is not None and h.span_coords(v) >= 0 for
+    every h.  A vector is in the span when adding it keeps the rank r;
+    its coordinates are its entries on r axes where the generators have
+    rank r, which map the span one to one into Z^r.  Valid for pointed
+    cones, which all cones here are (generators live in the positive
+    orthant).
     """
     gens = [tuple(g) for g in generators]
     r = _linalg.rank(gens)
-    basis = []
-    for g in gens:
-        if _linalg.rank(basis + [g]) > len(basis):
-            basis.append(g)
-        if len(basis) == r:
+    axes: List[int] = []
+    for i in range(len(gens[0])):
+        if len(axes) == r:
             break
+        if _linalg.rank([[g[j] for j in axes + [i]] for g in gens]) > len(axes):
+            axes.append(i)
 
     def span_coords(v):
-        cols = list(zip(*basis))
-        sol = _linalg.solve(cols, [Fraction(x) for x in v])
-        if sol is None:
+        if _linalg.rank(gens + [tuple(v)]) != r:
             return None
-        recon = [
-            sum(s * b[i] for s, b in zip(sol, basis)) for i in range(len(v))
-        ]
-        if any(a != Fraction(x) for a, x in zip(recon, v)):
-            return None
-        return sol
+        return tuple(v[i] for i in axes)
 
     coords = [span_coords(g) for g in gens]
-    assert all(c is not None for c in coords)
     if r == 1:
-        # single ray: "facet" is the origin; use the ray functional itself
-        h = [c[0] for c in coords if c[0] != 0][0]
-        sign = 1 if h > 0 else -1
-        return basis, [(Fraction(sign),)], span_coords
+        # single ray: the "facet" is the origin; use the ray functional itself
+        return [(1 if coords[0][0] > 0 else -1,)], span_coords
     normals = []
-    seen = set()
     for subset in itertools.combinations(range(len(gens)), r - 1):
-        rows = [coords[i] for i in subset]
-        h = _linalg.normal(rows, r)
+        h = _linalg.normal([coords[i] for i in subset], r)
         if h is None:
             continue
-        sides = [sum(hx * cx for hx, cx in zip(h, c)) for c in coords]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
+        sides = [_dot(h, c) for c in coords]
+        if all(s <= 0 for s in sides):
             h = tuple(-x for x in h)
             sides = [-s for s in sides]
-        else:
+        elif not all(s >= 0 for s in sides):
             continue
         tight = [gens[i] for i, s in enumerate(sides) if s == 0]
-        if tight and _linalg.rank(tight) == r - 1 and h not in seen:
-            seen.add(h)
+        if tight and _linalg.rank(tight) == r - 1 and h not in normals:
             normals.append(h)
-    return basis, normals, span_coords
+    return normals, span_coords
 
 
-def cone_contains(cone: Cone, v: Sequence[int], closure: bool = False) -> bool:
-    """Membership of a lattice point in the cone (or its closure).
-
-    Uses the H-representation of the closed span and checks strictness
-    against the relative interior.  For a cone with mixed flags this is
-    only correct when all flags agree; the decomposition below never
-    produces mixed non-simplicial cones.
-    """
-    if cone.is_simplicial() and not closure:
-        return cone.contains_lattice_point(v)
-    strict = any(cone.strict) and not closure
-    if strict and not all(cone.strict):
-        raise ValueError("mixed openness on a non-simplicial cone")
-    basis, normals, span_coords = _cone_hrep(cone.generators)
+def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
+    """Whether v is a positive combination of the cone's generators,
+    i.e. lies in the relative interior of the closed cone."""
+    normals, span_coords = _cone_hrep(cone.generators)
     c = span_coords(v)
-    if c is None:
-        return False
-    for h in normals:
-        s = sum(hx * cx for hx, cx in zip(h, c))
-        if strict:
-            if not s > 0:
-                return False
-        else:
-            if not s >= 0:
-                return False
-    return True
-
-
-def _triangulate(generators: Sequence[IntVec]) -> List[Tuple[int, ...]]:
-    """Regular triangulation with heights eps^(i+1) in generator order.
-
-    Returns index tuples of the full-dimensional simplicial cells.  The
-    symbolic heights rule out ties, so the result is deterministic and
-    genuinely a triangulation for every input.
-    """
-    gens = [tuple(g) for g in generators]
-    r = _linalg.rank(gens)
-    basis = []
-    for g in gens:
-        if _linalg.rank(basis + [g]) > len(basis):
-            basis.append(g)
-        if len(basis) == r:
-            break
-    cols = list(zip(*basis))
-
-    def span_coords(v):
-        sol = _linalg.solve(cols, [Fraction(x) for x in v])
-        recon = [sum(s * b[i] for s, b in zip(sol, basis)) for i in range(len(v))]
-        assert all(a == Fraction(x) for a, x in zip(recon, v)), "generator outside span"
-        return sol
-
-    coords = [span_coords(g) for g in gens]
-    heights = [Eps.power(i + 1) for i in range(len(gens))]
-    cells = []
-    for subset in itertools.combinations(range(len(gens)), r):
-        rows = [coords[i] for i in subset]
-        if _linalg.rank(rows) != r:
-            continue
-        # psi has one Eps value per span coordinate: psi . g_i = h_i on subset
-        psi = _linalg.solve(rows, [heights[i] for i in subset])
-        if psi is None:
-            continue
-        ok = True
-        for j in range(len(gens)):
-            if j in subset:
-                continue
-            val = Eps()
-            for pk, ck in zip(psi, coords[j]):
-                val = val + pk * ck
-            if not val < heights[j]:
-                ok = False
-                break
-        if ok:
-            cells.append(subset)
-    cells.sort()
-    return cells
-
-
-def decompose_simplicial(cone: Cone) -> List[Cone]:
-    """Partition a cone into simplicial cells on generator subsets.
-
-    For an all-closed input the cells are half-open simplicial cones of
-    full rank whose disjoint union is the closed cone, shared walls
-    going to the earliest cell.  For an all-strict input the cells are
-    the open faces of the triangulation interior to the cone (mixed
-    dimensions, all strict).  Mixed input flags are not supported.
-
-    Every lattice point of the input cone lies in exactly one output
-    cell; that is the tested contract.
-    """
-    if all(cone.strict):
-        open_input = True
-    elif not any(cone.strict):
-        open_input = False
-    else:
-        raise ValueError("mixed openness flags on the input cone")
-
-    gens = list(cone.generators)
-    cells = _triangulate(gens)
-    if not cells:
-        raise AssertionError("triangulation produced no cells")
-
-    if not open_input:
-        return _half_open_cells(gens, cells)
-
-    # open input: collect faces of the complex interior to the cone
-    faces = set()
-    for cell in cells:
-        for k in range(1, len(cell) + 1):
-            for sub in itertools.combinations(cell, k):
-                faces.add(sub)
-    out = []
-    for sub in sorted(faces, key=lambda s: (len(s), s)):
-        interior_pt = [
-            sum(gens[i][c] for i in sub) for c in range(len(gens[0]))
-        ]
-        if _relint_contains(gens, interior_pt):
-            out.append(Cone(tuple(gens[i] for i in sub), (True,) * len(sub)))
-    return out
-
-
-def _relint_contains(gens: Sequence[IntVec], v: Sequence[int]) -> bool:
-    basis, normals, span_coords = _cone_hrep(gens)
-    c = span_coords(v)
-    if c is None:
-        return False
-    return all(sum(hx * cx for hx, cx in zip(h, c)) > 0 for h in normals)
-
-
-def _half_open_cells(gens: List[IntVec], cells: List[Tuple[int, ...]]) -> List[Cone]:
-    """Assign shared walls of a triangulation to the earliest cell.
-
-    Uses a symbolically perturbed interior point w of the first cell:
-    for each cell, a generator's wall is excluded (coefficient forced
-    > 0) exactly when w lies on the wall's negative side.
-    """
-    r = len(cells[0])
-    basis = [gens[i] for i in cells[0]]
-    cols = list(zip(*basis))
-
-    def span_coords(v):
-        sol = _linalg.solve(cols, [Fraction(x) for x in v])
-        recon = [sum(s * b[i] for s, b in zip(sol, basis)) for i in range(len(v))]
-        assert all(a == Fraction(x) for a, x in zip(recon, v))
-        return sol
-
-    # w = sum eps^i * (i-th generator of the first cell), in span coords
-    w = [Eps() for _ in range(r)]
-    for i, gi in enumerate(cells[0]):
-        c = span_coords(gens[gi])
-        for k in range(r):
-            w[k] = w[k] + c[k] * Eps.power(i)
-
-    out = []
-    for cell in cells:
-        mat = [span_coords(gens[i]) for i in cell]
-        mu = _linalg.solve([list(row) for row in zip(*mat)], w)
-        assert mu is not None
-        flags = []
-        for m in mu:
-            s = m.sign()
-            assert s != 0, "perturbed point on a wall; should be impossible"
-            flags.append(s < 0)
-        out.append(Cone(tuple(gens[i] for i in cell), tuple(flags)))
-    return out
+    return c is not None and all(_dot(h, c) > 0 for h in normals)

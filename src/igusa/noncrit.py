@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ._linalg import normal, rank, rank_mod
 from .mpoly import Polynomial
@@ -264,14 +264,20 @@ def check_noncritical(
             raise ValueError(f"auxiliary prime {ell} is not a prime with l^2 < 2^63")
     poly = polyhedron if polyhedron is not None else build_polyhedron(f)
     findings: List[FaceFinding] = []
+    # a finding depends only on the meet support (f_tau and the key come
+    # from it), so faces that share one are decided once
+    decided: Dict[FrozenSet, FaceFinding] = {}
     overall = "non_critical"
     for face in poly.faces:
-        f_tau = poly.face_polynomial(f, face)
-        partials = f_tau.partials()
-        if mode == "exact_small":
-            finding = _check_face_exact(f_tau, partials, face, aux_primes)
-        else:
-            finding = _check_face_heuristic(f_tau, partials, face, aux_primes)
+        finding = decided.get(face.meet_support)
+        if finding is None:
+            f_tau = poly.face_polynomial(f, face)
+            partials = f_tau.partials()
+            if mode == "exact_small":
+                finding = _check_face_exact(f_tau, partials, face, aux_primes)
+            else:
+                finding = _check_face_heuristic(f_tau, partials, face, aux_primes)
+            decided[face.meet_support] = finding
         findings.append(finding)
         if finding.verdict == "critical":
             overall = "critical"

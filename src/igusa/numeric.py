@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: primes, p-adic valuations, modular residues.
+"""Exact arithmetic primitives: primes and p-adic valuations.
 
 All arithmetic in this package is exact.  Rational numbers are
 ``fractions.Fraction`` (always in lowest terms with positive
@@ -136,70 +136,6 @@ def valuation_min(values) -> Valuation:
         if best is INFINITE or v < best:
             best = v
     return best
-
-
-@dataclass(frozen=True)
-class ModResidue:
-    """An element of Z / p^level, stored as its canonical representative.
-
-    Arithmetic requires matching prime and level; mixing levels is a
-    programming error and raises rather than silently coercing.
-    """
-
-    value: int
-    prime: int
-    level: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if not _is_prime(self.prime):
-            raise ValueError(f"not a prime: {self.prime!r}")
-        object.__setattr__(self, "value", self.value % self.prime**self.level)
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.level
-
-    def _check(self, other: "ModResidue"):
-        if self.prime != other.prime or self.level != other.level:
-            raise ValueError(
-                f"residue mismatch: mod {self.prime}^{self.level} "
-                f"vs {other.prime}^{other.level}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = ModResidue(other, self.prime, self.level)
-        self._check(other)
-        return ModResidue(self.value + other.value, self.prime, self.level)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModResidue(-self.value, self.prime, self.level)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = ModResidue(other, self.prime, self.level)
-        self._check(other)
-        return ModResidue(self.value - other.value, self.prime, self.level)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = ModResidue(other, self.prime, self.level)
-        self._check(other)
-        return ModResidue(self.value * other.value, self.prime, self.level)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers need explicit inversion")
-        return ModResidue(pow(self.value, k, self.modulus), self.prime, self.level)
-
-    def is_unit(self) -> bool:
-        return self.value % self.prime != 0
 
 
 def as_fraction(x) -> Fraction:

@@ -39,7 +39,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -122,28 +122,6 @@ class ConeDomainSpec:
             dim=polyhedron.n,
             member=lambda vals: polyhedron.first_meet_locus(vals) == face,
         )
-
-    @classmethod
-    def from_generators(
-        cls,
-        generators: Sequence[Sequence[int]],
-        bounds: Sequence[int],
-        name: str = "generated",
-    ) -> "ConeDomainSpec":
-        """A = all sums c_i * g_i with 0 <= c_i <= bounds[i] (finite set)."""
-        gens = [tuple(int(c) for c in g) for g in generators]
-        if not gens:
-            raise ValueError("need at least one generator")
-        dim = len(gens[0])
-        if any(len(g) != dim for g in gens) or len(bounds) != len(gens):
-            raise ValueError("generator/bound arity mismatch")
-        points = set()
-        for combo in itertools.product(*[range(b + 1) for b in bounds]):
-            points.add(
-                tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(dim))
-            )
-        frozen = frozenset(points)
-        return cls(name=name, dim=dim, member=lambda vals: tuple(vals) in frozen)
 
     @classmethod
     def product(cls, left: "ConeDomainSpec", right: "ConeDomainSpec") -> "ConeDomainSpec":

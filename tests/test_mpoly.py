@@ -13,7 +13,6 @@ from igusa.mpoly import (
     shift_scale,
     variable,
 )
-from igusa.numeric import ModResidue
 
 
 def P(text):
@@ -86,10 +85,6 @@ class TestArithmetic:
 
     def test_evaluate_fraction(self):
         assert P("x^2 + y^3").evaluate((Fraction(1, 2), Fraction(1))) == Fraction(5, 4)
-
-    def test_evaluate_mod_residue(self):
-        pt = (ModResidue(1, 5, 1), ModResidue(2, 5, 1))
-        assert P("x^2 + y^3").evaluate(pt).value == 4
 
     def test_variable_mismatch_raises(self):
         with pytest.raises(ValueError):

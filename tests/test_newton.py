@@ -6,20 +6,13 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import affine_dim, poly_in_box, random_sparse_poly, reference_polyhedron
 from igusa import _linalg
 from igusa.cli import main
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
-from igusa.newton import (
-    Cone,
-    build_polyhedron,
-    cone_contains,
-    decompose_simplicial,
-)
+from igusa.newton import Cone, build_polyhedron, cone_contains
 
 
 class TestFacets:
@@ -97,7 +90,11 @@ class TestWeights:
         edge = self.poly.first_meet_locus((3, 2))
         cone = self.poly.cone_of_face(edge)
         assert cone.generators == ((3, 2),)
-        assert cone.strict == (True,)
+        assert cone_contains(cone, (6, 4))
+        vertex = self.poly.cone_of_face(self.poly.first_meet_locus((1, 1)))
+        assert cone_contains(vertex, (1, 1))
+        # the wall shared with the edge's cone is not in the open cone
+        assert not cone_contains(vertex, (3, 2))
 
 
 def _check_h_v_consistency(f):
@@ -190,6 +187,7 @@ class TestPolyhedronGeometry:
             f = random_sparse_poly(rng, rng.randint(1, 3), max_terms=3, max_exp=5)
             _check_h_v_consistency(f)
             _check_cone_dimension(f)
+            _check_cone_partition(f, bound=4)
 
     def test_as_dict_shape(self):
         d = build_polyhedron(P("x^2 + y^3")).as_dict()
@@ -234,6 +232,11 @@ class TestManyVariables:
     @pytest.mark.parametrize("text", POLES_CORPUS)
     def test_cone_dimension(self, text):
         _check_cone_dimension(P(text))
+
+    # each has one to three vertex cones that are not simplicial
+    @pytest.mark.parametrize("text", POLES_CORPUS[:4])
+    def test_cone_partition(self, text):
+        _check_cone_partition(P(text), bound=3)
 
 
 def _random_support_poly(rng, n, nterms):
@@ -312,83 +315,55 @@ def test_cli_output_matches_golden(entry):
     assert out.getvalue() == entry["stdout"]
 
 
-class TestDecompose:
-    def test_already_simplicial(self):
-        cone = Cone(((1, 0), (0, 1)), (False, False))
-        cells = decompose_simplicial(cone)
-        assert [(c.generators, c.strict) for c in cells] == [(((1, 0), (0, 1)), (False, False))]
+class TestConeContains:
+    # (generators, point, inside the open cone)
+    TABLE = [
+        # a single ray
+        (((3, 2),), (3, 2), True),
+        (((3, 2),), (6, 4), True),
+        (((3, 2),), (0, 0), False),
+        (((3, 2),), (1, 1), False),
+        (((3, 2),), (-3, -2), False),
+        # a redundant middle generator
+        (((1, 0), (1, 1), (0, 1)), (1, 1), True),
+        (((1, 0), (1, 1), (0, 1)), (2, 1), True),
+        (((1, 0), (1, 1), (0, 1)), (1, 5), True),
+        (((1, 0), (1, 1), (0, 1)), (1, 0), False),
+        (((1, 0), (1, 1), (0, 1)), (0, 3), False),
+        (((1, 0), (1, 1), (0, 1)), (0, 0), False),
+        (((1, 0), (1, 1), (0, 1)), (2, -1), False),
+        (((2, 1), (1, 1), (1, 3)), (3, 2), True),
+        (((2, 1), (1, 1), (1, 3)), (4, 2), False),
+        (((2, 1), (1, 1), (1, 3)), (1, 4), False),
+        (((2, 1), (1, 1), (1, 3)), (1, 2), True),
+        # four generators in 3-D: the open orthant
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (1, 1, 1), True),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (1, 2, 3), True),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (1, 1, 0), False),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (0, 0, 5), False),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (0, 0, 0), False),
+        # a rank-2 cone in 3-D, with and without a redundant generator
+        (((1, 0, 1), (0, 1, 1)), (1, 1, 2), True),
+        (((1, 0, 1), (0, 1, 1)), (2, 1, 3), True),
+        (((1, 0, 1), (0, 1, 1)), (1, 0, 1), False),
+        (((1, 0, 1), (0, 1, 1)), (1, 1, 1), False),
+        (((1, 0, 1), (0, 1, 1)), (1, 1, 3), False),
+        (((1, 0, 1), (1, 1, 2), (0, 1, 1)), (1, 1, 2), True),
+        (((1, 0, 1), (1, 1, 2), (0, 1, 1)), (0, 2, 2), False),
+        (((1, 0, 1), (1, 1, 2), (0, 1, 1)), (2, 2, 3), False),
+        # an open simplicial cone in 3-D
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1)), (3, 2, 1), True),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1)), (2, 2, 1), True),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1)), (1, 1, 1), False),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1)), (2, 1, 1), False),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1)), (1, 1, 2), False),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 1)), (1, 1, 0), False),
+    ]
 
-    def test_single_ray(self):
-        cone = Cone(((3, 2),), (False,))
-        cells = decompose_simplicial(cone)
-        assert [(c.generators, c.strict) for c in cells] == [(((3, 2),), (False,))]
-
-    def test_redundant_middle_generator(self):
-        cone = Cone(((1, 0), (1, 1), (0, 1)), (False, False, False))
-        cells = decompose_simplicial(cone)
-        gens = [c.generators for c in cells]
-        assert gens == [((1, 0), (1, 1)), ((1, 1), (0, 1))]
-        # the shared ray (1,1) belongs to exactly one cell
-        owners = [c for c in cells if c.contains_lattice_point((2, 2))]
-        assert len(owners) == 1
-
-    def test_mixed_flags_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_simplicial(Cone(((1, 0), (0, 1)), (True, False)))
+    @pytest.mark.parametrize("gens, point, inside", TABLE)
+    def test_membership(self, gens, point, inside):
+        assert cone_contains(Cone(gens), point) == inside
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
-            Cone(((0, 0),), (False,))
-
-    @staticmethod
-    def _partition_check(cone, bound=20):
-        cells = decompose_simplicial(cone)
-        n = cone.ambient_dim
-        for cell in cells:
-            assert cell.is_simplicial()
-        for v in itertools.product(range(bound + 1), repeat=n):
-            if all(x == 0 for x in v):
-                continue
-            inside = cone_contains(cone, v)
-            owners = sum(1 for cell in cells if cell.contains_lattice_point(v))
-            assert owners == (1 if inside else 0), (cone, v, owners)
-
-    def test_partition_closed_2d(self):
-        self._partition_check(Cone(((1, 0), (1, 1), (0, 1)), (False, False, False)))
-
-    def test_partition_closed_2d_interior_rays(self):
-        self._partition_check(Cone(((2, 1), (1, 1), (1, 3)), (False, False, False)))
-
-    def test_partition_open_2d(self):
-        self._partition_check(Cone(((1, 0), (1, 2), (0, 1)), (True, True, True)))
-
-    def test_partition_closed_3d(self):
-        cone = Cone(
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
-            (False, False, False, False),
-        )
-        self._partition_check(cone, bound=8)
-
-    def test_partition_open_3d(self):
-        cone = Cone(
-            ((1, 0, 0), (0, 1, 0), (1, 1, 1)),
-            (True, True, True),
-        )
-        self._partition_check(cone, bound=8)
-
-    @settings(max_examples=20)
-    @given(
-        gens=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=0, max_value=3),
-            ).filter(lambda g: g != (0, 0)),
-            min_size=1,
-            max_size=4,
-            unique=True,
-        ),
-        strict=st.booleans(),
-    )
-    def test_partition_random_2d(self, gens, strict):
-        cone = Cone(tuple(gens), (strict,) * len(gens))
-        self._partition_check(cone, bound=9)
+            Cone(((0, 0),))

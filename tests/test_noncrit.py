@@ -184,6 +184,34 @@ class TestExactWitness:
             check_noncritical(P("x^2 + 2*x*y + y^2 + x^3"), mode="exact_small", aux_primes=(2003,))
 
 
+class TestSharedSupport:
+    # faces with the same meet support share f_tau, so one batch of torus
+    # scans decides them all: 6 faces on 3 supports, and 30 on 15
+    @pytest.mark.parametrize(
+        "text, mode, aux_primes, nfaces, nsupports",
+        [
+            ("x^4 - 4*x^2*y^2 + 4*y^4", "exact_small", (101, 103, 107), 6, 3),
+            ("x^3 + y^3 + z^3 + w^3", "finite_field_heuristic", (11, 13), 30, 15),
+        ],
+    )
+    def test_one_scan_batch_per_support(self, monkeypatch, text, mode, aux_primes, nfaces, nsupports):
+        scans = []
+        scan = noncrit._torus_zeros_mod
+        monkeypatch.setattr(
+            noncrit, "_torus_zeros_mod", lambda ps, ell, *rest: scans.append((tuple(ps), ell)) or scan(ps, ell, *rest)
+        )
+        f = P(text)
+        poly = build_polyhedron(f)
+        report = check_noncritical(f, mode=mode, aux_primes=aux_primes, polyhedron=poly)
+        assert len(poly.faces) == nfaces
+        assert len({face.meet_support for face in poly.faces}) == nsupports
+        assert len(scans) == len(set(scans)) == nsupports * len(aux_primes)
+        faces = report.as_dict()["faces"]
+        assert [fc["support"] for fc in faces] == [
+            [list(w) for w in sorted(face.meet_support)] for face in poly.faces
+        ]
+
+
 class TestHeuristicMode:
     def test_nodal_cubic_certified_critical(self):
         report = check_noncritical(P("x^3 + y^3 - 3x*y"), mode="finite_field_heuristic")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igusa.numeric import INFINITE, ModResidue, PrimeSpec, p_valuation, valuation_min
+from igusa.numeric import INFINITE, PrimeSpec, p_valuation, valuation_min
 
 PRIMES = [2, 3, 5, 7, 11, 101]
 
@@ -88,47 +88,3 @@ class TestPrimeSpec:
     @pytest.mark.parametrize("good", [2, 3, 5, 7, 101, 46337])
     def test_accepts_primes(self, good):
         assert PrimeSpec(good).p == good
-
-
-class TestModResidue:
-    def test_canonical_representative(self):
-        r = ModResidue(27, 5, 2)
-        assert r.value == 2
-        assert r.modulus == 25
-
-    def test_arithmetic(self):
-        a = ModResidue(3, 5, 2)
-        b = ModResidue(24, 5, 2)
-        assert (a + b).value == 2
-        assert (a - b).value == (3 - 24) % 25
-        assert (a * b).value == (3 * 24) % 25
-        assert (a**3).value == 27 % 25
-        assert (-a).value == 22
-
-    def test_is_unit(self):
-        assert ModResidue(3, 5, 2).is_unit()
-        assert not ModResidue(10, 5, 2).is_unit()
-        assert not ModResidue(0, 5, 1).is_unit()
-
-    def test_level_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ModResidue(1, 5, 2) + ModResidue(1, 5, 3)
-        with pytest.raises(ValueError):
-            ModResidue(1, 5, 2) * ModResidue(1, 3, 2)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            ModResidue(1, 4, 2)
-        with pytest.raises(ValueError):
-            ModResidue(1, 5, 0)
-
-    @given(
-        a=st.integers(min_value=-100, max_value=100),
-        b=st.integers(min_value=-100, max_value=100),
-        p=st.sampled_from([2, 3, 5]),
-        k=st.integers(min_value=1, max_value=4),
-    )
-    def test_ring_homomorphism_from_integers(self, a, b, p, k):
-        ra, rb = ModResidue(a, p, k), ModResidue(b, p, k)
-        assert (ra + rb).value == (a + b) % p**k
-        assert (ra * rb).value == (a * b) % p**k

@@ -190,23 +190,6 @@ class TestDomains:
         c = count_mod(P("x^2 + y^3"), P3, 1, domain=ConeDomainSpec.product(zero1, cone1))
         assert c.domain_name == "zero x cone[(1,)]"
 
-    def test_generated_segment_covers_everything(self):
-        # v(x) <= depth always holds for the truncated valuation, so a
-        # generated segment that long is equivalent to no restriction
-        seg = ConeDomainSpec.from_generators([(1,)], [3], name="seg")
-        a = count_mod(P("x^2"), P5, 3, domain=seg)
-        b = count_mod(P("x^2"), P5, 3)
-        assert (a.n0, a.counts) == (b.n0, b.counts)
-        assert a.domain_name == "seg"
-
-    def test_from_generators_validation(self):
-        with pytest.raises(ValueError):
-            ConeDomainSpec.from_generators([], [])
-        with pytest.raises(ValueError):
-            ConeDomainSpec.from_generators([(1, 0), (1,)], [2, 2])
-        with pytest.raises(ValueError):
-            ConeDomainSpec.from_generators([(1, 0)], [2, 2])
-
     def test_zero_cone_membership(self):
         z = ConeDomainSpec.zero_cone(2)
         assert z.member((0, 0))
