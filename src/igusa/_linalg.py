@@ -1,31 +1,15 @@
 """Exact integer linear algebra.
 
-``rank``, ``det`` and ``normal`` share one fraction-free integer
-elimination (Bareiss), with rational rows scaled to integer rows first;
-``rank_mod`` runs the same elimination over F_ell.  Everything is
-written for the desk-scale matrices that arise from Newton polyhedra in
-at most a handful of variables; no attempt is made at asymptotic
-efficiency.
+``rank``, ``det`` and ``normal`` take integer rows and share one
+fraction-free integer elimination (Bareiss); ``rank_mod`` runs the same
+elimination over F_ell.  Everything is written for the desk-scale
+matrices that arise from Newton polyhedra in at most a handful of
+variables; no attempt is made at asymptotic efficiency.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def _int_rows(rows):
-    """Each row scaled by the lcm of its denominators: an integer matrix
-    with the same rank."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in fracs))
-        out.append([int(x * scale) for x in fracs])
-    return out
+from math import gcd
 
 
 def _bareiss(m, ell: int = 0):
@@ -64,8 +48,8 @@ def _bareiss(m, ell: int = 0):
 
 
 def rank(rows) -> int:
-    """Rank of a matrix given as a list of rows."""
-    return _bareiss(_int_rows(rows))[0]
+    """Rank of an integer matrix given as a list of rows."""
+    return _bareiss([list(row) for row in rows])[0]
 
 
 def rank_mod(rows, ell: int) -> int:
@@ -80,14 +64,14 @@ def det(rows) -> int:
 
 
 def normal(rows, ncols: int):
-    """Primitive integer normal of ncols - 1 rational rows, or None.
+    """Primitive integer normal of ncols - 1 integer rows, or None.
 
-    The generalized cross product (signed maximal minors of the rows
-    scaled to integers) is orthogonal to every row and vanishes exactly
+    The generalized cross product (signed maximal minors of the rows)
+    is orthogonal to every row and vanishes exactly
     when the rows are dependent.  The sign is normalised so the first
     nonzero entry is positive.
     """
-    m = _int_rows(rows)
+    m = [list(row) for row in rows]
     cross = [(-1) ** j * det([row[:j] + row[j + 1:] for row in m]) for j in range(ncols)]
     g = gcd(*cross)
     if g == 0:

@@ -14,6 +14,12 @@ The transforms used by the stationary-phase recursion live here:
   way.
 
 Both are exact identities over the integers, tested by re-expansion.
+
+The one vectorised evaluator lives here too, for every caller that needs
+f on many residue classes: ``eval_mod`` reduces f mod m at each row of a
+numpy array, and ``classify_mod_p`` adds the mask of rows where every
+partial vanishes mod p.  They import numpy themselves, so parsing a
+polynomial does not load it.
 """
 
 from __future__ import annotations
@@ -193,10 +199,6 @@ class Polynomial:
     def partials(self) -> Tuple["Polynomial", ...]:
         return tuple(self.partial(i) for i in range(self.nvars))
 
-    def reduce_mod_p(self, p: int) -> "Polynomial":
-        """Coefficients reduced into [0, p)."""
-        return Polynomial(self.variables, {e: c % p for e, c in self.terms.items()})
-
     # -- printing -----------------------------------------------------
 
     def __str__(self):
@@ -333,3 +335,59 @@ def monomial_scale(f: Polynomial, k: Sequence[int], p: int) -> Tuple[int, Polyno
     terms = {exps: coeff * p**w // p**e for exps, (coeff, w) in shifted.items()}
     g = Polynomial(f.variables, terms)
     return e, g
+
+
+def _pow_mod(arr, e: int, modulus: int):
+    if e == 1:
+        return arr % modulus
+    if e == 2:
+        a = arr % modulus
+        return a * a % modulus
+    result = None
+    base = arr % modulus
+    while e:
+        if e & 1:
+            result = base.copy() if result is None else result * base % modulus
+        e >>= 1
+        if e:
+            base = base * base % modulus
+    return result
+
+
+def residue_dtype(modulus: int):
+    """int64 while (modulus - 1)^2 < 2^63, so no product of two residues
+    overflows; beyond that object, for numpy arrays of Python ints."""
+    import numpy as np
+
+    return np.int64 if (modulus - 1) ** 2 < 2**63 else object
+
+
+def eval_mod(f: Polynomial, pts, modulus: int):
+    """f at every row of the integer array pts, reduced into [0, modulus).
+
+    Exact at every modulus: the arithmetic, and the result, are in
+    ``residue_dtype(modulus)``.
+    """
+    import numpy as np
+
+    dtype = residue_dtype(modulus)
+    pts = np.asarray(pts).astype(dtype, copy=False)
+    acc = np.zeros(pts.shape[0], dtype=dtype)
+    for exps, coeff in f.terms.items():
+        term = np.full(pts.shape[0], coeff % modulus, dtype=dtype)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * _pow_mod(pts[:, i], e, modulus) % modulus
+        acc = (acc + term) % modulus
+    return acc
+
+
+def classify_mod_p(f: Polynomial, pts, p: int):
+    """(f mod p at every row of pts, mask of the rows where every partial
+    of f is 0 mod p), both by ``eval_mod``."""
+    import numpy as np
+
+    critical = np.ones(np.asarray(pts).shape[0], dtype=bool)
+    for d in f.partials():
+        critical &= eval_mod(d, pts, p) == 0
+    return eval_mod(f, pts, p), critical

@@ -63,7 +63,7 @@ from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ._linalg import normal, rank, rank_mod
-from .mpoly import Polynomial
+from .mpoly import Polynomial, eval_mod
 from .newton import Face, NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
@@ -212,8 +212,6 @@ def _torus_zeros_mod(partials: Sequence[Polynomial], ell: int, nvars: int, axis:
     lexicographic order; on the slice x_axis = 1 when an axis is given."""
     import numpy as np
 
-    from .oracle import _eval_mod_np
-
     free = nvars - (axis is not None)
     size = (ell - 1) ** free
     if size > _GRID_BUDGET:
@@ -229,7 +227,7 @@ def _torus_zeros_mod(partials: Sequence[Polynomial], ell: int, nvars: int, axis:
     for g in partials:
         if g.is_zero():
             continue
-        pts = pts[_eval_mod_np(g, pts, ell) == 0]
+        pts = pts[eval_mod(g, pts, ell) == 0]
         if not len(pts):
             return []
     return [tuple(int(x) for x in row) for row in pts]

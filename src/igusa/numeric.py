@@ -136,10 +136,3 @@ def valuation_min(values) -> Valuation:
         if best is INFINITE or v < best:
             best = v
     return best
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce an int or Fraction; reject anything inexact."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"exact arithmetic only: got {type(x).__name__}")

@@ -5,20 +5,27 @@ Two counters live here, written independently of each other:
 * ``count_mod`` counts solutions of f = 0 mod p^m by breadth-first
   lifting (survivors mod p^m expand to their p^n children mod p^(m+1)),
   optionally restricted to a valuation-cone domain.  It is deliberately
-  dumb: no Hensel block lifting, no smooth-point shortcuts.  It uses
-  nothing the stationary-phase evaluator uses, which is what makes the
-  cross-checks against ``spf`` and against the value-ball counter
-  meaningful; ``igusa count`` and the cone domains run on it.
+  dumb: no Hensel block lifting, no smooth-point shortcuts.  Each level
+  is one numpy array of survivors, evaluated in blocks by
+  ``mpoly.eval_mod``: int64 while that is exact, object arrays of Python
+  ints beyond.  ``igusa count`` and the cone domains run on it.
 * ``value_balls`` pushes the point count of f mod p^m forward to the
-  values of f, as a list of uniform balls.  A residue class where some
-  partial derivative is a unit maps uniformly onto one ball of radius
-  p^-1 (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
+  values of f, as a list of uniform balls.  Each residue class mod p is
+  sorted by ``mpoly.classify_mod_p``.  A class where some partial
+  derivative is a unit maps uniformly onto one ball of radius p^-1
+  (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
   class recurses through f(r + p x) - f(r) = p^e h(x) (``shift_scale``,
   which ``spf`` shares).
   ``direct_sum_counts`` combines the balls of f and of g into the counts
   of f(x) + g(y): two uniform balls add to one.  ``verify_theorem``
   counts this way, so it leans on Hensel; the tests tie it to
   ``count_mod``.
+
+``count_mod``, ``value_balls`` and ``spf`` share the residue evaluator
+but no algorithm: lifting takes no shortcut that the other two take,
+which is what makes the cross-checks between them meaningful.  The tests
+pin the evaluator to ``Polynomial.evaluate``, and the benchmark's
+cross-check counts with an evaluator of its own.
 
 The counts are converted to the measure series of Z(f; s), and
 ``verify_theorem`` checks that the series satisfies the linear
@@ -36,7 +43,6 @@ the p^n residue classes mod p, and exceeding the budget raises
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -44,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tsden
-from .mpoly import Polynomial, direct_sum, shift_scale
+from .mpoly import Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype, shift_scale
 from .newton import Face, NewtonPolyhedron
 from .numeric import PrimeSpec
 from .ratfun import (
@@ -63,13 +69,6 @@ class BudgetExceeded(RuntimeError):
 
 
 ValueBalls = Dict[Tuple[int, int], int]  # (k, centre mod p^k) -> weight
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("IGUSA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -186,103 +185,41 @@ class CountSeries:
         }
 
 
-def _pow_mod_np(arr: np.ndarray, e: int, modulus: int) -> np.ndarray:
-    if e == 1:
-        return arr % modulus
-    if e == 2:
-        a = arr % modulus
-        return a * a % modulus
-    result = None
-    base = arr % modulus
-    while e:
-        if e & 1:
-            result = base.copy() if result is None else result * base % modulus
-        e >>= 1
-        if e:
-            base = base * base % modulus
-    return result if result is not None else np.ones_like(arr)
-
-
-def _eval_mod_np(f: Polynomial, pts: np.ndarray, modulus: int) -> np.ndarray:
-    acc = np.zeros(pts.shape[0], dtype=np.int64)
-    for exps, coeff in f.terms.items():
-        term = np.full(pts.shape[0], coeff % modulus, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * _pow_mod_np(pts[:, i], e, modulus) % modulus
-        acc = (acc + term) % modulus
-    return acc
-
-
-def _expand_level_np(f: Polynomial, surv: np.ndarray, p: int, m: int) -> np.ndarray:
+def _expand_level(f: Polynomial, surv, p: int, m: int):
+    """The children mod p^(m+1) of the survivors mod p^m that are zeros of f,
+    in ``residue_dtype(p^(m+1))``: int64 rows turn into Python ints when
+    int64 could overflow."""
     n = surv.shape[1]
     modulus = p ** (m + 1)
     step = p**m
-    offsets = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    surv = surv.astype(residue_dtype(modulus), copy=False)
+    offsets = np.array(list(itertools.product(range(p), repeat=n)), dtype=surv.dtype)
     rows = max(1, _CAND_CHUNK // len(offsets))
-    starts = range(0, surv.shape[0], rows)
-
-    def work(start: int) -> np.ndarray:
+    pieces = []
+    for start in range(0, surv.shape[0], rows):
         block = surv[start : start + rows]
         cand = (block[:, None, :] + step * offsets[None, :, :]).reshape(-1, n)
-        return cand[_eval_mod_np(f, cand, modulus) == 0]
-
-    threads = _thread_count()
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(work, starts))
-    else:
-        pieces = [work(s) for s in starts]
-    pieces = [x for x in pieces if x.size]
-    if not pieces:
-        return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(pieces, axis=0)
+        pieces.append(cand[eval_mod(f, cand, modulus) == 0])
+    return np.concatenate(pieces, axis=0) if pieces else surv[:0]
 
 
-def _eval_mod_py(f: Polynomial, point: Tuple[int, ...], modulus: int) -> int:
-    acc = 0
-    for exps, coeff in f.terms.items():
-        term = coeff % modulus
-        for x, e in zip(point, exps):
-            if e:
-                term = term * pow(x, e, modulus) % modulus
-        acc = (acc + term) % modulus
-    return acc
+def _in_domain(surv, domain: ConeDomainSpec, p: int, level: int):
+    """Masks (in A, may re-enter A) of the survivors mod p^level.
 
-
-def _expand_level_py(
-    f: Polynomial, surv: List[Tuple[int, ...]], p: int, m: int
-) -> List[Tuple[int, ...]]:
-    modulus = p ** (m + 1)
-    step = p**m
-    out = []
-    for point in surv:
-        for offset in itertools.product(range(p), repeat=len(point)):
-            child = tuple(a + step * o for a, o in zip(point, offset))
-            if _eval_mod_py(f, child, modulus) == 0:
-                out.append(child)
-    return out
-
-
-def _truncated_valuations(
-    point: Tuple[int, ...], p: int, level: int
-) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
-    vals = []
-    capped = []
-    for x in point:
-        if x == 0:
-            vals.append(level)
-            capped.append(True)
-        else:
-            v = 0
-            while x % p == 0:
-                x //= p
-                v += 1
-            vals.append(v)
-            capped.append(False)
-    return tuple(vals), tuple(capped)
+    The predicates see each distinct truncated valuation vector once:
+    a coordinate divisible by p^level reports level and is capped."""
+    if not len(surv):
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    vals = np.zeros(surv.shape, dtype=np.int64)
+    for j in range(1, level + 1):
+        vals += surv % p**j == 0
+    classes, inverse = np.unique(vals, axis=0, return_inverse=True)
+    member, keep = [], []
+    for row in classes.tolist():
+        member.append(domain.member(tuple(row)))
+        keep.append(not domain.is_out_forever(tuple(row), tuple(v == level for v in row)))
+    inverse = inverse.reshape(-1)
+    return np.array(member, dtype=bool)[inverse], np.array(keep, dtype=bool)[inverse]
 
 
 def count_mod(
@@ -311,42 +248,19 @@ def count_mod(
     counts: List[int] = []
     nodes = 0
     truncated = False
-    surv_np: Optional[np.ndarray] = None
-    surv_py: Optional[List[Tuple[int, ...]]] = None
-    if domain is None:
-        surv_np = np.zeros((1, n), dtype=np.int64)
-    else:
-        surv_py = [(0,) * n]
-
+    surv = np.zeros((1, n), dtype=np.int64)
     for m in range(depth):
-        size = surv_np.shape[0] if surv_np is not None else len(surv_py)
-        if nodes + size > budget:
+        if nodes + len(surv) > budget:
             truncated = True
             break
-        nodes += size
-        modulus = p.p ** (m + 1)
-        if surv_np is not None and modulus * modulus >= 2**63:
-            # int64 products would overflow; fall back to exact big ints
-            surv_py = [tuple(int(c) for c in row) for row in surv_np]
-            surv_np = None
-        if surv_np is not None:
-            surv_np = _expand_level_np(f, surv_np, p.p, m)
-            counts.append(int(surv_np.shape[0]))
+        nodes += len(surv)
+        surv = _expand_level(f, surv, p.p, m)
+        if domain is None:
+            counts.append(len(surv))
         else:
-            surv_py = _expand_level_py(f, surv_py, p.p, m)
-            if domain is not None:
-                in_domain = 0
-                kept = []
-                for point in surv_py:
-                    vals, capped = _truncated_valuations(point, p.p, m + 1)
-                    if domain.member(vals):
-                        in_domain += 1
-                    if not domain.is_out_forever(vals, capped):
-                        kept.append(point)
-                counts.append(in_domain)
-                surv_py = kept
-            else:
-                counts.append(len(surv_py))
+            member, keep = _in_domain(surv, domain, p.p, m + 1)
+            counts.append(int(member.sum()))
+            surv = surv[keep]
 
     n0 = 1 if domain is None else int(bool(domain.member((0,) * n)))
     return CountSeries(
@@ -408,14 +322,12 @@ def value_balls(
             )
         nodes += 1
         out: ValueBalls = {}
-        smooth = np.zeros(len(residues), dtype=bool)
-        for d in g.partials():
-            smooth |= _eval_mod_np(d, residues, q) != 0
-        centres, sizes = np.unique(_eval_mod_np(g, residues[smooth], q), return_counts=True)
+        values, critical = classify_mod_p(g, residues, q)
+        centres, sizes = np.unique(values[~critical], return_counts=True)
         class_weight = q ** (n * (m - 1))
         for c, size in zip(centres.tolist(), sizes.tolist()):
             out[(1, c)] = size * class_weight
-        for row in residues[~smooth].tolist():
+        for row in residues[critical].tolist():
             r = tuple(row)
             base = g.evaluate(r)
             # e >= 2 on a singular class, so at m <= 2 it is one point anyway

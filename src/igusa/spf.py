@@ -11,7 +11,9 @@ points where the reduction fbar is nonzero (measure nu), smooth zeros
 with t = q^(-s) and f(P + p x) = p^(e_P) f_P(x).  Recursing on the
 singular lifts terminates exactly when f has no singular point inside
 D, and the result is a rational function with the single denominator
-factor (1 - t/q).
+factor (1 - t/q).  The classification of Dbar is vectorised: one call of
+``mpoly.classify_mod_p`` per recursion node, over the sorted residue
+array that the domain builds once.
 
 The same residue tree, explored breadth-first with an explicit closure
 rule, certifies finite suprema of the pointwise orders L(f, P) (value
@@ -21,11 +23,13 @@ and gradient) and ell(f, P) (gradient only) over D.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .mpoly import Polynomial, shift_scale
+import numpy as np
+
+from .mpoly import Polynomial, classify_mod_p, residue_dtype, shift_scale
 from .numeric import INFINITE, PrimeSpec, p_valuation
 from .ratfun import RationalZeta
 
@@ -44,11 +48,17 @@ class BoundNotCertified(RuntimeError):
 
 @dataclass(frozen=True)
 class ResidueDomain:
-    """Preimage in Z_p^n of an explicit residue set in (F_p)^n."""
+    """Preimage in Z_p^n of an explicit residue set in (F_p)^n.
+
+    The residues are also kept sorted, as the rows of an array that
+    ``spf_counts`` classifies, and in the memo key of the recursion.
+    """
 
     p: int
     dim: int
     residues: FrozenSet[Tuple[int, ...]]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -59,7 +69,11 @@ class ResidueDomain:
                 raise ValueError(f"residue {r} has wrong arity (dim {self.dim})")
             if any(not 0 <= c < self.p for c in r):
                 raise ValueError(f"residue {r} outside {{0..{self.p - 1}}}^{self.dim}")
+        ordered = tuple(sorted(pts))
+        rows = np.array(ordered, dtype=residue_dtype(self.p)).reshape(-1, self.dim)
         object.__setattr__(self, "residues", pts)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_key", (self.p, self.dim, ordered))
 
     @classmethod
     def full(cls, p: int, dim: int) -> "ResidueDomain":
@@ -85,7 +99,7 @@ class ResidueDomain:
         return self.size == self.p**self.dim
 
     def key(self):
-        return (self.p, self.dim, tuple(sorted(self.residues)))
+        return self._key
 
 
 def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):
@@ -117,26 +131,19 @@ def spf_counts(f: Polynomial, D: ResidueDomain, p: PrimeSpec) -> SPFCounts:
     """Classify every residue of D into nonzero / smooth zero / singular zero.
 
     nu and sigma are the Haar measures of the first two classes; the
-    singular zeros are returned as their canonical lifts in {0..p-1}^n.
+    singular zeros are returned as their canonical lifts in {0..p-1}^n,
+    in sorted order.  One ``classify_mod_p`` pass over D's rows does it.
     """
     _require_matching_prime(D, p)
     if f.nvars != D.dim:
         raise ValueError(f"f has {f.nvars} variables but domain dimension is {D.dim}")
-    q = p.q
-    partials = f.partials()
-    nonzero = 0
-    smooth = 0
-    singular: List[Tuple[int, ...]] = []
-    for r in sorted(D.residues):
-        if f.evaluate(r) % p.p != 0:
-            nonzero += 1
-        elif all(g.evaluate(r) % p.p == 0 for g in partials):
-            singular.append(r)
-        else:
-            smooth += 1
-    scale = Fraction(1, q**D.dim)
+    values, critical = classify_mod_p(f, D.rows, p.p)
+    zero = values == 0
+    scale = Fraction(1, p.q**D.dim)
     return SPFCounts(
-        nu=nonzero * scale, sigma=smooth * scale, singular=tuple(singular)
+        nu=int((~zero).sum()) * scale,
+        sigma=int((zero & ~critical).sum()) * scale,
+        singular=tuple(map(tuple, D.rows[zero & critical].tolist())),
     )
 
 

@@ -12,6 +12,7 @@ from math import gcd
 from typing import List, Sequence, Tuple
 
 from igusa.mpoly import Polynomial, from_terms
+from igusa.spf import ResidueDomain, SPFCounts
 
 
 def _reduce(mat: List[List[Fraction]], ncols: int) -> List[int]:
@@ -135,6 +136,24 @@ def reference_polyhedron(f: Polynomial) -> dict:
         "faces": faces,
         "support": [list(w) for w in support],
     }
+
+
+def reference_spf_counts(f: Polynomial, D: ResidueDomain) -> SPFCounts:
+    """``spf_counts`` by a scalar loop: every residue of D in sorted order,
+    f and each partial evaluated exactly and reduced mod p."""
+    partials = f.partials()
+    nonzero = 0
+    smooth = 0
+    singular = []
+    for r in sorted(D.residues):
+        if f.evaluate(r) % D.p != 0:
+            nonzero += 1
+        elif all(g.evaluate(r) % D.p == 0 for g in partials):
+            singular.append(r)
+        else:
+            smooth += 1
+    scale = Fraction(1, D.p**D.dim)
+    return SPFCounts(nu=nonzero * scale, sigma=smooth * scale, singular=tuple(singular))
 
 
 def affine_dim(points: Sequence[Tuple[int, ...]]) -> int:

@@ -1,13 +1,19 @@
+import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from helpers import random_sparse_poly
 from igusa.mpoly import (
     Polynomial,
+    classify_mod_p,
     constant,
     direct_sum,
+    eval_mod,
     from_terms,
     monomial_scale,
     shift_scale,
@@ -165,22 +171,34 @@ class TestPartials:
             assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
 
 
-class TestReduceModP:
-    def test_examples(self):
-        assert P("5x^2 + 3x").reduce_mod_p(5) == P("3x")
-        f = P("x^2 + y^3")
-        assert f.reduce_mod_p(7) == f
-        assert constant(("x",), 10).reduce_mod_p(5).is_zero()
+class TestEvalMod:
+    # 3^19 is the last modulus the kernel runs in int64, 3^20 the first in
+    # object arrays of Python ints
+    MODULI = (7, 3**19, 3**20, 2**61 - 1)
 
-    @given(f=polynomials(), p=st.sampled_from([2, 3, 5, 7]))
-    def test_commutes_with_partials(self, f, p):
-        for i in range(f.nvars):
-            assert f.partial(i).reduce_mod_p(p) == f.reduce_mod_p(p).partial(i).reduce_mod_p(p)
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_matches_exact_evaluation(self, modulus):
+        rng = random.Random(modulus)
+        for _ in range(25):
+            nvars = rng.randint(1, 3)
+            f = random_sparse_poly(rng, nvars, max_terms=5, max_exp=7, coeff_bound=10**6,
+                                   origin_vanishing=False)
+            pts = [tuple(rng.randint(-10**6, 10**6) for _ in range(nvars)) for _ in range(12)]
+            got = eval_mod(f, np.array(pts, dtype=np.int64), modulus)
+            assert [int(v) for v in got] == [f.evaluate(pt) % modulus for pt in pts]
 
-    @given(f=polynomials(), pt=points, p=st.sampled_from([2, 3, 5, 7]))
-    def test_preserves_evaluation_mod_p(self, f, pt, p):
-        v = pt[: f.nvars]
-        assert f.reduce_mod_p(p).evaluate(v) % p == f.evaluate(v) % p
+    def test_switches_to_object_past_int64(self):
+        pts = np.array([[2], [5]], dtype=np.int64)
+        assert eval_mod(P("x^2"), pts, 3**19).dtype == np.int64
+        assert eval_mod(P("x^2"), pts, 3**20).dtype == object
+
+    def test_classify_marks_common_zeros_of_the_partials(self):
+        f = P("x^2 + y^3 + x*y")
+        pts = np.array(list(itertools.product(range(5), repeat=2)), dtype=np.int64)
+        values, critical = classify_mod_p(f, pts, 5)
+        for pt, v, c in zip(pts.tolist(), values.tolist(), critical.tolist()):
+            assert v == f.evaluate(pt) % 5
+            assert c == all(g.evaluate(pt) % 5 == 0 for g in f.partials())
 
 
 class TestDirectSum:

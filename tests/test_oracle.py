@@ -185,6 +185,21 @@ class TestDomains:
         for m in range(6):
             assert sum(s.coeff(m) for s in parts) == full.coeff(m)
 
+    def test_partition_past_int64(self):
+        # from level 20 on, residues mod 3^m are lifted in object arrays
+        f = P("x^2 + x")
+        poly = build_polyhedron(f)
+        parts = [
+            count_mod(f, P3, 22, domain=dom)
+            for dom in (ConeDomainSpec.zero_cone(1),
+                        ConeDomainSpec.face_cone(poly, poly.proper_faces()[0]))
+        ]
+        full = count_mod(f, P3, 22)
+        assert [c.counts for c in parts] == [(1,) * 22, (1,) * 22]
+        assert full.counts == (2,) * 22
+        for m in range(23):
+            assert sum(c.N(m) for c in parts) == full.N(m)
+
     def test_domain_names_recorded(self):
         zero1, cone1 = _coordinate_domains()
         c = count_mod(P("x^2 + y^3"), P3, 1, domain=ConeDomainSpec.product(zero1, cone1))

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
 from igusa.numeric import PrimeSpec
 from igusa.oracle import count_mod, measure_series
@@ -87,6 +89,23 @@ class TestSpfCounts:
         counts = spf_counts(f, D, spec)
         total = counts.nu + counts.sigma + Fraction(len(counts.singular), p**2)
         assert total == Fraction(D.size, p**2)
+
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_matches_scalar_reference(self, p):
+        rng = random.Random(p)
+        spec = PrimeSpec(p)
+        for n in (1, 2, 3):
+            every = list(itertools.product(range(p), repeat=n))
+            domains = [ResidueDomain.full(p, n), ResidueDomain.unit_torus(p, n)]
+            domains += [ResidueDomain.of(p, rng.sample(every, rng.randint(1, len(every))))
+                        for _ in range(2)]
+            for D in domains:
+                for _ in range(3):
+                    f = random_sparse_poly(rng, n, max_terms=5, max_exp=5, origin_vanishing=False)
+                    got = spf_counts(f, D, spec)
+                    want = reference_spf_counts(f, D)
+                    assert (got.nu, got.sigma, got.singular) == (want.nu, want.sigma, want.singular)
 
 
 class TestPointwiseOrders:
