@@ -19,52 +19,31 @@ Subpackages by role:
 * :mod:`igusa.cli` — the `igusa` command.
 """
 
-from .mpoly import Polynomial, direct_sum
-from .newton import NewtonPolyhedron, build_polyhedron
-from .noncrit import check_noncritical
-from .numeric import INFINITE, PrimeSpec, p_valuation
-from .oracle import ConeDomainSpec, count_mod, measure_series, verify_theorem
-from .ratfun import PowerSeries, RationalZeta, expand, recover_numerator
-from .spf import ResidueDomain, spf_counts, spf_evaluate, sup_bound
-from .tsden import candidate_poles, denominator
-from .euclid import orbit, weight_sums
-
-__all__ = [
-    "Polynomial",
-    "direct_sum",
-    "NewtonPolyhedron",
-    "build_polyhedron",
-    "check_noncritical",
-    "INFINITE",
-    "PrimeSpec",
-    "p_valuation",
-    "ConeDomainSpec",
-    "count_mod",
-    "measure_series",
-    "verify_theorem",
-    "PowerSeries",
-    "RationalZeta",
-    "expand",
-    "recover_numerator",
-    "ResidueDomain",
-    "spf_counts",
-    "spf_evaluate",
-    "sup_bound",
-    "candidate_poles",
-    "denominator",
-    "orbit",
-    "weight_sums",
-    "parse_polynomial",
-]
+from importlib import import_module
 
 __version__ = "0.1.0"
 
 
-def __getattr__(name):
-    # loaded on first use, so that `python -m igusa.cli` does not find
-    # igusa.cli already imported by the package
-    if name == "parse_polynomial":
-        from .cli import parse_polynomial
+# each public name is imported from its module on first use, so that
+# `import igusa` loads nothing (numpy included) until a name is asked for,
+# and `python -m igusa.cli` does not find igusa.cli already imported
+_EXPORTS = {
+    "mpoly": ("Polynomial", "direct_sum"),
+    "newton": ("NewtonPolyhedron", "build_polyhedron"),
+    "noncrit": ("check_noncritical",),
+    "numeric": ("INFINITE", "PrimeSpec", "p_valuation"),
+    "oracle": ("ConeDomainSpec", "count_mod", "measure_series", "verify_theorem"),
+    "ratfun": ("PowerSeries", "RationalZeta", "expand", "recover_numerator"),
+    "spf": ("ResidueDomain", "spf_counts", "spf_evaluate", "sup_bound"),
+    "tsden": ("candidate_poles", "denominator"),
+    "euclid": ("orbit", "weight_sums"),
+    "cli": ("parse_polynomial",),
+}
+_MODULES = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULES)
 
-        return parse_polynomial
+
+def __getattr__(name):
+    if name in _MODULES:
+        return getattr(import_module(f".{_MODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,10 +15,8 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import euclid, noncrit, oracle, spf, tsden
 from .mpoly import Polynomial, from_terms
-from .newton import build_polyhedron
-from .numeric import PrimeSpec
+from .numeric import DEFAULT_BUDGET, PrimeSpec
 
 SCHEMA = 1
 _EXPONENT_LIMIT = 10**6
@@ -160,7 +158,7 @@ class AnalysisRequest:
     prime: int = 5
     depth: Optional[int] = None
     max_deg: Optional[int] = None
-    budget: int = oracle.DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET
     mode: Optional[str] = None  # noncrit: exact | heuristic
     c: Optional[int] = None
     d: Optional[int] = None
@@ -190,9 +188,39 @@ def _noncrit_mode(req: AnalysisRequest, f: Polynomial) -> str:
 
 def run(cmd: str, req: AnalysisRequest) -> Tuple[dict, int]:
     """Execute one subcommand; returns (JSON payload, exit code)."""
+    if cmd == "phi":
+        from . import euclid
+
+        c = _require(req, "c", "-c")
+        d = _require(req, "d", "-d")
+        orb = euclid.orbit(c, d)
+        cw = req.c_weight if req.c_weight is not None else c
+        dw = req.d_weight if req.d_weight is not None else d
+        sums = euclid.weight_sums(orb, cw, dw)
+        payload = {
+            "schema": SCHEMA,
+            "c": c,
+            "d": d,
+            "e": orb.e,
+            "e_prime": orb.e_prime,
+            "period": orb.period,
+            "states": [list(s) for s in orb.states],
+            "c_weight": cw,
+            "d_weight": dw,
+            "mins": list(sums.mins),
+            "picks": list(sums.picks),
+            "min_sum": sums.min_sum,
+            "pick_sum": sums.pick_sum,
+        }
+        return payload, 0
+
+    # the others all need numpy; they load the same modules whichever of
+    # them runs (bench/tracer.py wraps every one of them)
+    from . import newton, noncrit, oracle, spf, tsden
+
     if cmd == "analyze":
         f = parse_polynomial(_require(req, "f_text", "-f"))
-        poly = build_polyhedron(f)
+        poly = newton.build_polyhedron(f)
         report = noncrit.check_noncritical(f, mode=_noncrit_mode(req, f), polyhedron=poly)
         payload = {
             "schema": SCHEMA,
@@ -258,30 +286,6 @@ def run(cmd: str, req: AnalysisRequest) -> Tuple[dict, int]:
         payload = {"schema": SCHEMA, **report.as_dict()}
         return payload, 0 if report.ok else 2
 
-    if cmd == "phi":
-        c = _require(req, "c", "-c")
-        d = _require(req, "d", "-d")
-        orb = euclid.orbit(c, d)
-        cw = req.c_weight if req.c_weight is not None else c
-        dw = req.d_weight if req.d_weight is not None else d
-        sums = euclid.weight_sums(orb, cw, dw)
-        payload = {
-            "schema": SCHEMA,
-            "c": c,
-            "d": d,
-            "e": orb.e,
-            "e_prime": orb.e_prime,
-            "period": orb.period,
-            "states": [list(s) for s in orb.states],
-            "c_weight": cw,
-            "d_weight": dw,
-            "mins": list(sums.mins),
-            "picks": list(sums.picks),
-            "min_sum": sums.min_sum,
-            "pick_sum": sums.pick_sum,
-        }
-        return payload, 0
-
     raise ValueError(f"unknown subcommand {cmd!r}")
 
 
@@ -325,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-p", dest="prime", type=int, default=5, help="prime (default 5)")
         if depthish:
             sp.add_argument("--depth", type=int, default=None, help="levels of p-adic precision")
-            sp.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="node budget (default 10^8); a node is one survivor "
                             "lifted by one level for count, one scan of the p^n "
                             "residues of f or g for verify")

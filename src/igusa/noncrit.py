@@ -10,13 +10,16 @@ Two modes:
 
 * ``exact_small`` (n <= 2): a complete decision.  The common-zero
   locus off the coordinate hyperplanes is empty iff the ideal generated
-  by the partials together with x_1 ... x_n * t - 1 is trivial, which a
-  Groebner basis over Q detects exactly.  This subsumes the
-  resultant/gcd elimination one would do by hand and is immune to its
-  degenerate branches (shared components, leading-coefficient drops,
-  zeros pairing off across the two eliminations).  A monomial face
-  needs no basis: one of its partials is a monomial, a unit on the
-  torus.
+  by the partials together with x_1 ... x_n * t - 1 is (1) over Q.  The
+  first of five rules that applies decides: (1) a nonzero partial with
+  one term is a unit on the torus: non-critical; (2) a single nonzero
+  partial has two terms or more, hence torus zeros: critical (this
+  covers n = 1); (3) support on a line (n = 2): see ``_line_critical``;
+  (4) a witness (below) is a torus zero in characteristic 0: critical;
+  (5) else a Groebner basis over Z, with a budget of reduction steps
+  (``_groebner_trivial``).  Rules 1-4 decide every face in practice:
+  the improper face of a general f has torus critical points, and they
+  carry witnesses.
 * ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n for a
   list of auxiliary primes l.  A common zero whose Hessian is
   invertible mod l lifts to characteristic zero (Hensel), certifying a
@@ -62,18 +65,22 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ._linalg import normal, rank, rank_mod
+from ._linalg import det, normal, rank, rank_mod
 from .mpoly import Polynomial, eval_mod
-from .newton import Face, NewtonPolyhedron, build_polyhedron
+from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
 DEFAULT_AUX_PRIMES = (101, 103, 107)
 _GRID_BUDGET = 4 * 10**6
+_GROEBNER_STEPS = 10**4
 
 
 @dataclass(frozen=True)
 class FaceFinding:
     """Outcome for one face polynomial.
+
+    An exact verdict comes from the first of the module docstring's five
+    rules that applies.
 
     ``witness`` is a torus zero of the face partials, or None:
     * heuristic mode, critical: a zero mod l (``field`` "F_l") with an
@@ -123,32 +130,162 @@ class NonCritReport:
         }
 
 
-def _to_sympy(f: Polynomial, symbols):
-    import sympy
-
-    expr = sympy.Integer(0)
-    for exps, coeff in f.terms.items():
-        term = sympy.Integer(coeff)
-        for s, e in zip(symbols, exps):
-            if e:
-                term *= s**e
-        expr += term
-    return expr
+def _grevlex(m: Tuple[int, ...]):
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _torus_ideal_trivial(partials: Sequence[Polynomial], variables) -> bool:
-    """True iff the partials have no common zero with all coords nonzero
-    over the algebraic closure of Q (weak Nullstellensatz via saturation)."""
-    import sympy
+def _divides(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
-    symbols = sympy.symbols(list(variables) + ["_t"])
-    xs, t = symbols[:-1], symbols[-1]
-    system = [_to_sympy(g, xs) for g in partials if not g.is_zero()]
-    if not system:
-        raise AssertionError("face polynomial with identically zero gradient")
-    sat = sympy.prod(xs) * t - 1
-    gb = sympy.groebner(system + [sat], *xs, t, order="grevlex", domain=sympy.QQ)
-    return list(gb.exprs) == [sympy.Integer(1)]
+
+def _lcm(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _times(p: Dict[Tuple[int, ...], int], m: Tuple[int, ...], lm: Tuple[int, ...]):
+    """p times the monomial m / lm."""
+    return {tuple(x + a - b for x, a, b in zip(e, m, lm)): v for e, v in p.items()}
+
+
+def _combine(a: int, p: Dict, b: int, q: Dict) -> Dict[Tuple[int, ...], int]:
+    """The primitive part of a p + b q, without zero terms."""
+    out = {e: a * v for e, v in p.items()}
+    for e, v in q.items():
+        out[e] = out.get(e, 0) + b * v
+    c = gcd(*out.values())
+    return {e: v // c for e, v in out.items() if v}
+
+
+def _groebner_trivial(partials: Sequence[Polynomial], support: Tuple[Tuple[int, ...], ...]) -> bool:
+    """True iff the partials, all nonzero, and x_1 ... x_n t - 1 generate (1)
+    over Q, i.e. the partials have no common torus zero over the algebraic
+    closure of Q (weak Nullstellensatz via saturation).
+
+    Buchberger's algorithm over Z in grevlex order (Cox, Little & O'Shea,
+    ch. 2): fraction-free reductions to primitive parts, the pair with the
+    least lcm first, and the product and chain criteria in the
+    Gebauer-Moeller update.  It returns as soon as a nonzero constant
+    appears, and raises ValueError naming the face once it has spent
+    _GROEBNER_STEPS reduction steps.
+    """
+    n = partials[0].nvars
+    polys: List[Dict[Tuple[int, ...], int]] = []
+    lms: List[Tuple[int, ...]] = []
+    active: List[int] = []
+    pairs: List[Tuple[int, int]] = []
+    steps = 0
+
+    def reduce(p):
+        nonlocal steps
+        done = None  # the terms from this grevlex key up are irreducible
+        while True:
+            todo = [e for e in p if done is None or _grevlex(e) < done]
+            if not todo:
+                return p
+            m = max(todo, key=_grevlex)
+            i = next((i for i in active if _divides(lms[i], m)), None)
+            if i is None:
+                done = _grevlex(m)
+                continue
+            if steps == _GROEBNER_STEPS:
+                raise ValueError(
+                    f"Groebner basis for the face {[list(w) for w in support]} "
+                    f"exceeded {_GROEBNER_STEPS} reduction steps"
+                )
+            steps += 1
+            lc, c = polys[i][lms[i]], p[m]
+            k = gcd(lc, c)
+            p = _combine(lc // k, p, -(c // k), _times(polys[i], m, lms[i]))
+
+    def update(p) -> bool:
+        # Gebauer-Moeller: a new pair stays unless another new pair's lcm
+        # divides its lcm (chain); then those with coprime leading
+        # monomials go (product); an old pair goes when the new leading
+        # monomial divides its lcm and differs from it on both sides (chain)
+        h = len(polys)
+        polys.append(p)
+        lm = max(p, key=_grevlex)
+        lms.append(lm)
+        if not any(lm):
+            return True  # a nonzero constant
+        new = [(g, _lcm(lms[g], lm)) for g in active]
+        kept = []
+        for k, (g, L) in enumerate(new):
+            coprime = L == tuple(x + y for x, y in zip(lms[g], lm))
+            others = [L2 for _, L2 in new[k + 1:]] + [L2 for _, L2, _ in kept]
+            if coprime or not any(_divides(L2, L) for L2 in others):
+                kept.append((g, L, coprime))
+        pairs[:] = [
+            (i, j) for i, j in pairs
+            if not _divides(lm, _lcm(lms[i], lms[j]))
+            or _lcm(lms[i], lm) == _lcm(lms[i], lms[j])
+            or _lcm(lms[j], lm) == _lcm(lms[i], lms[j])
+        ]
+        pairs.extend((g, h) for g, _, coprime in kept if not coprime)
+        active[:] = [g for g in active if not _divides(lm, lms[g])] + [h]
+        return False
+
+    gens = [{e + (0,): c for e, c in g.terms.items()} for g in partials]
+    gens.append({(1,) * (n + 1): 1, (0,) * (n + 1): -1})
+    if any(update(p) for p in gens):
+        return True
+    while pairs:
+        i, j = pair = min(pairs, key=lambda pr: _grevlex(_lcm(lms[pr[0]], lms[pr[1]])))
+        pairs.remove(pair)
+        L = _lcm(lms[i], lms[j])
+        a, b = polys[i][lms[i]], polys[j][lms[j]]
+        k = gcd(a, b)
+        r = reduce(_combine(b // k, _times(polys[i], L, lms[i]), -(a // k), _times(polys[j], L, lms[j])))
+        if r and update(r):
+            return True
+    return False
+
+
+def _line_critical(f_tau: Polynomial) -> bool:
+    """Whether f_tau in two variables, with at least two terms on a line,
+    has a critical point on the torus.
+
+    Write f_tau = x^w0 h(x^delta) with delta primitive, w0 the first end
+    of the support segment and h(0) != 0; u = x^delta maps the torus onto
+    C^x with nonzero gradient.  If w0 and delta are independent, Euler's
+    relation makes every critical point a zero of f_tau, hence a multiple
+    root of h: gcd(h, h') is not constant.  If w0 = lam delta, f_tau =
+    u^lam h(u) has the derivative u^(lam - 1) (lam h + u h'), which
+    vanishes on C^x iff it has two terms.
+    """
+    support = sorted(f_tau.terms)
+    w0 = support[0]
+    diff = [b - a for a, b in zip(w0, support[-1])]
+    step = gcd(*diff)
+    delta = [d // step for d in diff]
+    axis = 0 if delta[0] else 1
+    h = [0] * (step + 1)
+    for w, c in f_tau.terms.items():
+        h[(w[axis] - w0[axis]) // delta[axis]] = c
+    if w0[0] * delta[1] != w0[1] * delta[0]:
+        # a repeated root: the resultant of h and h', of degrees m and m - 1, is 0
+        m, dh = step, [k * c for k, c in enumerate(h)][1:]
+        sylvester = [[0] * i + h[::-1] + [0] * (m - 2 - i) for i in range(m - 1)]
+        sylvester += [[0] * i + dh[::-1] + [0] * (m - 1 - i) for i in range(m)]
+        return det(sylvester) == 0
+    lam = w0[axis] // delta[axis]
+    return sum((lam + k) * c != 0 for k, c in enumerate(h)) >= 2
+
+
+def _decide_exact(f_tau, partials, weights, scans, support) -> Tuple[bool, Optional[Tuple]]:
+    """(trivial, witness) for a face: whether its partials have no common
+    torus zero in characteristic 0, and a witness when they have one.
+    The first rule that applies decides (see the module docstring)."""
+    nonzero = [g for g in partials if not g.is_zero()]
+    if any(len(g.terms) == 1 for g in nonzero):
+        return True, None
+    line = len(nonzero) > 1 and f_tau.nvars == 2 and bool(weights)
+    if line and not _line_critical(f_tau):
+        return True, None
+    witness = _integer_zero(partials) or _hensel_zero(partials, scans)
+    if witness is None and len(nonzero) > 1 and not line:
+        return _groebner_trivial(nonzero, support), None
+    return False, witness
 
 
 def _integer_zero(partials: Sequence[Polynomial]) -> Optional[Tuple[int, ...]]:
@@ -270,11 +407,8 @@ def check_noncritical(
         finding = decided.get(face.meet_support)
         if finding is None:
             f_tau = poly.face_polynomial(f, face)
-            partials = f_tau.partials()
-            if mode == "exact_small":
-                finding = _check_face_exact(f_tau, partials, face, aux_primes)
-            else:
-                finding = _check_face_heuristic(f_tau, partials, face, aux_primes)
+            check = _check_face_exact if mode == "exact_small" else _check_face_heuristic
+            finding = check(f_tau, f_tau.partials(), tuple(sorted(face.meet_support)), aux_primes)
             decided[face.meet_support] = finding
         findings.append(finding)
         if finding.verdict == "critical":
@@ -290,38 +424,34 @@ def check_noncritical(
     )
 
 
-def _face_key(face: Face):
-    return tuple(sorted(face.meet_support))
-
-
-def _check_face_exact(f_tau, partials, face, aux_primes) -> FaceFinding:
+def _check_face_exact(f_tau, partials, support, aux_primes) -> FaceFinding:
     weights = _weights(f_tau)
     scans = [
         (ell, _torus_zeros_mod(partials, ell, f_tau.nvars, _slice_axis(weights, ell)))
         for ell in aux_primes
     ]
-    trivial = len(f_tau.terms) == 1 or _torus_ideal_trivial(partials, f_tau.variables)
+    trivial, witness = _decide_exact(f_tau, partials, weights, scans, support)
     # a prime disagrees when it has torus zeros on a trivial face or none on a critical one
     disagree = tuple(ell for ell, zeros in scans if bool(zeros) == trivial)
     if trivial:
         return FaceFinding(
-            face_support=_face_key(face),
+            face_support=support,
             verdict="non_critical",
             field="char0",
             certificate="saturated gradient ideal is trivial",
             disagreeing_primes=disagree,
         )
     return FaceFinding(
-        face_support=_face_key(face),
+        face_support=support,
         verdict="critical",
         field="char0",
         certificate="saturated gradient ideal is nontrivial",
-        witness=_integer_zero(partials) or _hensel_zero(partials, scans),
+        witness=witness,
         disagreeing_primes=disagree,
     )
 
 
-def _check_face_heuristic(f_tau, partials, face, aux_primes) -> FaceFinding:
+def _check_face_heuristic(f_tau, partials, support, aux_primes) -> FaceFinding:
     weights = _weights(f_tau)
     if weights:
         # Euler: the Hessian kills a * x at every critical point, so no
@@ -341,7 +471,7 @@ def _check_face_heuristic(f_tau, partials, face, aux_primes) -> FaceFinding:
             for point in zeros[:64]:
                 if _full_rank_mod(hessian, point, ell):
                     return FaceFinding(
-                        face_support=_face_key(face),
+                        face_support=support,
                         verdict="critical",
                         field=f"F_{ell}",
                         certificate="torus zero with invertible Hessian lifts (Hensel)",
@@ -349,13 +479,13 @@ def _check_face_heuristic(f_tau, partials, face, aux_primes) -> FaceFinding:
                     )
     if found_any:
         return FaceFinding(
-            face_support=_face_key(face),
+            face_support=support,
             verdict="inconclusive",
             field=f"F_{aux_primes[0]}" if aux_primes else "none",
             certificate="torus zeros found but none certified liftable",
         )
     return FaceFinding(
-        face_support=_face_key(face),
+        face_support=support,
         verdict="non_critical",
         field=",".join(f"F_{ell}" for ell in aux_primes),
         certificate="no torus zeros modulo any auxiliary prime (heuristic)",

@@ -57,6 +57,9 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
+# node budget of oracle's counters, kept here for the CLI to show without numpy
+DEFAULT_BUDGET = 10**8
+
 Valuation = Union[int, _Infinite]
 
 

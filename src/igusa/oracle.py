@@ -52,7 +52,7 @@ import numpy as np
 from . import tsden
 from .mpoly import Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype, shift_scale
 from .newton import Face, NewtonPolyhedron
-from .numeric import PrimeSpec
+from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import (
     PowerSeries,
     RationalZeta,
@@ -60,7 +60,6 @@ from .ratfun import (
     reduce_factors,
 )
 
-DEFAULT_BUDGET = 10**8
 _CAND_CHUNK = 1 << 20  # candidate rows evaluated per numpy block
 
 

@@ -298,3 +298,19 @@ def poly_in_box(facets, bound: int, n: int):
         if all(sum(a * w for a, w in zip(f.normal, pt)) >= f.m for f in facets):
             out.append(pt)
     return out
+
+
+def sympy_torus_ideal_trivial(partials: Sequence[Polynomial]) -> bool:
+    """Reference for the exact decision: whether the partials and
+    x_1 ... x_n t - 1 generate (1), by sympy's Groebner basis over Q."""
+    import sympy
+
+    symbols = sympy.symbols([f"x{i}" for i in range(partials[0].nvars)] + ["t"])
+    xs, t = symbols[:-1], symbols[-1]
+    system = [
+        sum(c * sympy.prod([s**e for s, e in zip(xs, exps)]) for exps, c in g.terms.items())
+        for g in partials
+        if not g.is_zero()
+    ]
+    gb = sympy.groebner(system + [sympy.prod(xs) * t - 1], *xs, t, order="grevlex", domain=sympy.QQ)
+    return list(gb.exprs) == [sympy.Integer(1)]

@@ -215,21 +215,29 @@ def test_console_script_end_to_end():
     assert json.loads(proc.stdout) == {"schema": SCHEMA, "poles": ["-1", "-5/6"]}
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy serves only the exact non-criticality route; importing the CLI
-    # must not pay for it
+def _loaded_after(code: str) -> str:
+    """The last line printed by `code` in a fresh interpreter."""
     import igusa
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, igusa.cli; print('sympy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_sympy_out():
+    # the subcommands import what they need when they run; importing the
+    # CLI loads neither sympy nor numpy
+    code = "import sys, igusa.cli; print('sympy' in sys.modules, 'numpy' in sys.modules)"
+    assert _loaded_after(code) == "False False"
+
+
+def test_phi_loads_no_numpy():
+    code = (
+        "import sys; from igusa.cli import main; main(['phi', '-c', '3', '-d', '2']); "
+        "print('sympy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    assert _loaded_after(code) == "False False"
 
 
 def test_module_run_prints_no_warning():

@@ -1,13 +1,24 @@
 import json
 import os
 import random
+import re
+import subprocess
+import sys
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lifts_mod, random_sparse_poly, torus_common_zeros, torus_has_common_zero, witness_error
+from helpers import (
+    lifts_mod,
+    random_sparse_poly,
+    sympy_torus_ideal_trivial,
+    torus_common_zeros,
+    torus_has_common_zero,
+    witness_error,
+)
 from igusa import noncrit
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
@@ -150,12 +161,11 @@ class TestExactWitness:
         assert min(seen.values()) >= 10, seen
 
     def test_no_solver_needed(self, monkeypatch):
-        import sympy
+        # the witness rule decides every critical face: no Groebner basis
+        def refuse(*args):
+            raise AssertionError("Groebner fallback called")
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("sympy.solve called")
-
-        monkeypatch.setattr(sympy, "solve", refuse)
+        monkeypatch.setattr(noncrit, "_groebner_trivial", refuse)
         for text in self.SOLVER_INPUTS:
             report = check_noncritical(P(text), mode="exact_small")
             assert report.verdict == "critical", text
@@ -182,6 +192,111 @@ class TestExactWitness:
         # the grid budget, and the prime must not pass as if it agreed
         with pytest.raises(ValueError, match="F_2003"):
             check_noncritical(P("x^2 + 2*x*y + y^2 + x^3"), mode="exact_small", aux_primes=(2003,))
+
+
+def _support(f_tau):
+    return tuple(sorted(f_tau.terms))
+
+
+class TestExactRules:
+    """Exact mode decides a face by the first rule that applies: a monomial
+    partial, a single nonzero partial, the support on a line, a witness,
+    then a budgeted Groebner basis over Z."""
+
+    @pytest.mark.parametrize(
+        "text, critical",
+        [
+            ("x^4 + x^2*y^2 + y^4", False),  # h = 1 + z^2 + z^4 is squarefree
+            ("x^2 - 2*x*y + y^2", True),
+            ("x^2*y^2 - 2*x*y + 1", True),  # weighted degree 0: (u - 1)^2
+            ("x^4 - 4*x^2*y^2 + 4*y^4", True),  # (x^2 - 2y^2)^2
+            ("x*y - x^2*y^2", True),  # u - u^2 is critical at u = 1/2
+            ("x^2*y + x*y^2", False),
+        ],
+    )
+    def test_line_rule(self, text, critical):
+        f = P(text)
+        assert noncrit._line_critical(f) is critical
+        finding = noncrit._check_face_exact(f, f.partials(), _support(f), noncrit.DEFAULT_AUX_PRIMES)
+        assert finding.verdict == ("critical" if critical else "non_critical")
+
+    def test_decision_agrees_with_sympy(self, monkeypatch):
+        pytest.importorskip("sympy")
+        texts = ["x*y + 1", "x^2*y^2 - 2*x*y + 1", "x*y - x^2*y^2", "2*x*y + 2*x^3 - 3*x^3*y^3"]
+        # non-critical faces that the fallback decides wrongly if the chain
+        # criterion drops a pair whose lcm meets the new leading monomial's
+        texts += ["x^6*y^6 + x^6*y^3 - 3*x^2*y", "2*x^6*y^2 + 2*x^3*y^3 - 4*x*y", "3*x^2*y^3 - x^5*y - 2*x^4*y^6"]
+        texts += [f"(x^{a} {s} y^{b})^2" for a in range(1, 4) for b in range(1, 4) for s in "+-"]
+        inputs = []
+        for text in texts:
+            if text.startswith("("):
+                g = P(text[1:-3])
+                inputs.append(g * g)
+            else:
+                inputs.append(P(text))
+        rng = random.Random(9)
+        while len(inputs) < 220:
+            nvars = rng.choice((1, 2, 2))
+            if rng.random() < 0.3:
+                g = random_sparse_poly(rng, nvars, max_terms=3, max_exp=3, coeff_bound=3)
+                inputs.append(g * g)
+            else:
+                inputs.append(random_sparse_poly(rng, nvars, max_terms=4, max_exp=5, coeff_bound=4))
+        faces = {}
+        for f in inputs:
+            if f.constant_term():
+                # a weighted-degree-0 face polynomial on its own
+                faces[f.canonical_key()] = f
+                continue
+            poly = build_polyhedron(f)
+            for face in poly.faces:
+                f_tau = poly.face_polynomial(f, face)
+                faces[f_tau.canonical_key()] = f_tau
+        calls = []
+        for name in ("_line_critical", "_groebner_trivial"):
+            fn = getattr(noncrit, name)
+            monkeypatch.setattr(noncrit, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        rules = Counter()
+        for f_tau in faces.values():
+            calls.clear()
+            partials = f_tau.partials()
+            finding = noncrit._check_face_exact(f_tau, partials, _support(f_tau), noncrit.DEFAULT_AUX_PRIMES)
+            assert (finding.verdict == "non_critical") == sympy_torus_ideal_trivial(partials), str(f_tau)
+            nonzero = [g for g in partials if not g.is_zero()]
+            if any(len(g.terms) == 1 for g in nonzero):
+                rule = "monomial"
+            elif len(nonzero) == 1:
+                rule = "single partial"
+            elif calls:
+                (rule,) = calls
+            else:
+                assert finding.witness is not None, str(f_tau)
+                rule = "witness"
+            assert not calls or rule == calls[0], (str(f_tau), calls)
+            rules[rule] += 1
+        assert len(faces) > 300
+        assert set(rules) == {"monomial", "single partial", "_line_critical", "witness", "_groebner_trivial"}, rules
+
+    def test_fallback_budget(self, monkeypatch):
+        monkeypatch.setattr(noncrit, "_GROEBNER_STEPS", 1)
+        with pytest.raises(ValueError, match=re.escape("face [[1, 1], [3, 0], [3, 3]]")):
+            check_noncritical(P("2*x*y + 2*x^3 - 3*x^3*y^3"), mode="exact_small")
+
+
+def test_exact_mode_leaves_sympy_out():
+    import igusa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
+    code = (
+        "import sys\n"
+        "from igusa import check_noncritical, parse_polynomial\n"
+        "for text in ['x^5 + y^7 + x^2*y^2', '2*x*y + 2*x^3 - 3*x^3*y^3', 'x^2 - 2*x*y + y^2']:\n"
+        "    print(check_noncritical(parse_polynomial(text), mode='exact_small').verdict)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["critical", "non_critical", "critical", "False"]
 
 
 class TestSharedSupport:
@@ -282,24 +397,35 @@ class TestMonomialProperty:
         coeff=st.integers(min_value=-9, max_value=9).filter(bool),
     )
     def test_groebner_agrees_on_monomials(self, exps, coeff):
-        # exact mode decides monomial faces without the Groebner basis
+        # exact mode decides monomial faces without the Groebner fallback,
+        # which agrees with it
         f = from_terms(("x", "y"), [(exps, coeff)])
-        assert noncrit._torus_ideal_trivial(f.partials(), f.variables)
+        nonzero = [g for g in f.partials() if not g.is_zero()]
+        assert noncrit._groebner_trivial(nonzero, (exps,))
 
     def test_monomial_faces_skip_groebner(self, monkeypatch):
         bases = []
-        groebner = noncrit._torus_ideal_trivial
+        groebner = noncrit._groebner_trivial
         monkeypatch.setattr(
-            noncrit, "_torus_ideal_trivial", lambda ps, vs: bases.append(ps) or groebner(ps, vs)
+            noncrit, "_groebner_trivial", lambda ps, support: bases.append(support) or groebner(ps, support)
         )
-        f = P("x^3 + y^4 + x*y^2")
-        report = check_noncritical(f, mode="exact_small")
-        poly = build_polyhedron(f)
-        polys = [poly.face_polynomial(f, face) for face in poly.faces]
-        assert len(bases) == sum(len(g.terms) > 1 for g in polys) == 3
-        assert len(polys) == 8
-        assert all(fnd.verdict == "non_critical" and fnd.field == "char0"
-                   for g, fnd in zip(polys, report.findings) if len(g.terms) == 1)
+        cases = [
+            # the improper face has a Hensel witness
+            ("x^3 + y^4 + x*y^2", []),
+            # the improper face has two parallel exponents and no critical
+            # point, so only the fallback decides it
+            ("2*x*y + 2*x^3 - 3*x^3*y^3", [((1, 1), (3, 0), (3, 3))]),
+        ]
+        for text, fallback in cases:
+            bases.clear()
+            f = P(text)
+            report = check_noncritical(f, mode="exact_small")
+            poly = build_polyhedron(f)
+            polys = [poly.face_polynomial(f, face) for face in poly.faces]
+            assert bases == fallback
+            assert any(len(g.terms) == 1 for g in polys)
+            assert all(fnd.verdict == "non_critical" and fnd.field == "char0"
+                       for g, fnd in zip(polys, report.findings) if len(g.terms) == 1)
 
     @settings(max_examples=15)
     @given(
