@@ -6,14 +6,10 @@ together with an ordered tuple of variable names.  Terms are kept in
 graded lexicographic order for printing and hashing, so equal
 polynomials have equal canonical forms.
 
-The transforms used by the stationary-phase recursion live here:
-
-* ``shift_scale``: rewrite f(P + p x) as p^e * g(x) with g of p-unit
-  content, returning (e, g);
-* ``monomial_scale``: rewrite f(p^{k_1} x_1, ..., p^{k_n} x_n) the same
-  way.
-
-Both are exact identities over the integers, tested by re-expansion.
+The transform used by the stationary-phase recursion lives here:
+``shift_scale`` rewrites f(P + p x) as p^e * g(x) with g of p-unit
+content, returning (e, g), an exact identity over the integers, tested
+by re-expansion.
 
 The one vectorised evaluator lives here too, for every caller that needs
 f on many residue classes: ``eval_mod`` reduces f mod m at each row of a
@@ -308,32 +304,6 @@ def shift_scale(f: Polynomial, point: Sequence[int], p: int) -> Tuple[int, Polyn
     assert e is not INFINITE  # substitution is invertible over Q
     scale = p**e
     g = Polynomial(f.variables, {m: c // scale for m, c in acc.terms.items()})
-    return e, g
-
-
-def monomial_scale(f: Polynomial, k: Sequence[int], p: int) -> Tuple[int, Polynomial]:
-    """Write f(p^{k_1} x_1, ..., p^{k_n} x_n) = p^e * g(x), unit content.
-
-    The exponents k must be naturals.  When k lies in the closed cone of
-    a face and f has p-unit content, e equals the face weight there.
-    """
-    if f.is_zero():
-        raise ValueError("monomial_scale of the zero polynomial")
-    if len(k) != f.nvars:
-        raise ValueError(f"weight arity {len(k)} != {f.nvars}")
-    k = [int(x) for x in k]
-    if any(x < 0 for x in k):
-        raise ValueError("weights must be naturals")
-    shifted = {}
-    vals = []
-    for exps, coeff in f.terms.items():
-        w = sum(a * b for a, b in zip(k, exps))
-        vals.append(p_valuation(coeff, p) + w)
-        shifted[exps] = (coeff, w)
-    e = valuation_min(vals)
-    # e <= v(coeff) + w for every term, so the division is exact
-    terms = {exps: coeff * p**w // p**e for exps, (coeff, w) in shifted.items()}
-    g = Polynomial(f.variables, terms)
     return e, g
 
 

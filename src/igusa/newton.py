@@ -9,10 +9,7 @@ set) determines everything else:
 * faces are the nonempty intersections of facets, each recovered
   exactly from its support points and its coordinate recession rays;
 * the first meet locus F(a) of a weight vector a is the face where the
-  linear form a.x attains its minimum over the polyhedron;
-* the cone of a face tau is spanned (strictly positively) by the
-  normals of the facets containing tau, and those cones together with
-  the origin partition the weight orthant.
+  linear form a.x attains its minimum over the polyhedron.
 
 Facets are found among hyperplanes through k minimal support points
 (no other support point lies below them coordinatewise) and parallel
@@ -21,11 +18,6 @@ and a facet's affine hull is spanned by its vertices and its rays, so
 no facet is missed.  Candidate normals are integer cross products
 (signed maximal minors, ``_linalg.normal``); no rational arithmetic
 enters the enumeration.
-
-Cone membership is decided with integer ranks and facet normals only:
-a vector lies in the span of a cone's generators when adding it keeps
-the rank, and its span coordinates are its entries on axes where the
-generators have full rank.
 """
 
 from __future__ import annotations
@@ -92,31 +84,6 @@ class Face:
         return not self.containing_facets
 
 
-@dataclass(frozen=True)
-class Cone:
-    """The strictly positive span of nonzero integer generators.
-
-    A face cone is open: its points are the positive combinations of
-    the generators, the relative interior of the closed cone.
-    """
-
-    generators: Tuple[IntVec, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("cone needs at least one generator")
-        n = len(self.generators[0])
-        for g in self.generators:
-            if len(g) != n:
-                raise ValueError("mixed generator dimensions")
-            if all(x == 0 for x in g):
-                raise ValueError("zero generator")
-
-    @property
-    def dim(self) -> int:
-        return _linalg.rank(self.generators)
-
-
 class NewtonPolyhedron:
     """Facets, faces, and weight data of conv(supp(f) + orthant)."""
 
@@ -175,14 +142,6 @@ class NewtonPolyhedron:
             f.variables,
             {e: c for e, c in f.terms.items() if e in face.meet_support},
         )
-
-    def cone_of_face(self, face: Face) -> Cone:
-        """Strictly positive span of the normals of the facets containing
-        the face; defined for proper faces only."""
-        if face.is_improper:
-            raise ValueError("the improper face has no cone")
-        gens = tuple(self.facets[i].normal for i in face.containing_facets)
-        return Cone(gens)
 
     def proper_faces(self) -> List[Face]:
         return [f for f in self.faces if not f.is_improper]
@@ -304,60 +263,3 @@ def _face_lattice(support: List[Monomial], facets: List[Facet], n: int) -> List[
     faces.append(Face(frozenset(support), frozenset(range(n)), (), n))
     faces.sort(key=lambda f: (f.dim, sorted(f.meet_support)))
     return faces
-
-
-# -- cone geometry ------------------------------------------------------
-
-
-def _cone_hrep(generators: Sequence[IntVec]):
-    """Facet inequalities of the closed cone, in span coordinates.
-
-    Returns (facet_normals, span_coords): v lies in the closed cone
-    when span_coords(v) is not None and h.span_coords(v) >= 0 for
-    every h.  A vector is in the span when adding it keeps the rank r;
-    its coordinates are its entries on r axes where the generators have
-    rank r, which map the span one to one into Z^r.  Valid for pointed
-    cones, which all cones here are (generators live in the positive
-    orthant).
-    """
-    gens = [tuple(g) for g in generators]
-    r = _linalg.rank(gens)
-    axes: List[int] = []
-    for i in range(len(gens[0])):
-        if len(axes) == r:
-            break
-        if _linalg.rank([[g[j] for j in axes + [i]] for g in gens]) > len(axes):
-            axes.append(i)
-
-    def span_coords(v):
-        if _linalg.rank(gens + [tuple(v)]) != r:
-            return None
-        return tuple(v[i] for i in axes)
-
-    coords = [span_coords(g) for g in gens]
-    if r == 1:
-        # single ray: the "facet" is the origin; use the ray functional itself
-        return [(1 if coords[0][0] > 0 else -1,)], span_coords
-    normals = []
-    for subset in itertools.combinations(range(len(gens)), r - 1):
-        h = _linalg.normal([coords[i] for i in subset], r)
-        if h is None:
-            continue
-        sides = [_dot(h, c) for c in coords]
-        if all(s <= 0 for s in sides):
-            h = tuple(-x for x in h)
-            sides = [-s for s in sides]
-        elif not all(s >= 0 for s in sides):
-            continue
-        tight = [gens[i] for i, s in enumerate(sides) if s == 0]
-        if tight and _linalg.rank(tight) == r - 1 and h not in normals:
-            normals.append(h)
-    return normals, span_coords
-
-
-def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
-    """Whether v is a positive combination of the cone's generators,
-    i.e. lies in the relative interior of the closed cone."""
-    normals, span_coords = _cone_hrep(cone.generators)
-    c = span_coords(v)
-    return c is not None and all(_dot(h, c) > 0 for h in normals)

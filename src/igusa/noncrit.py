@@ -14,14 +14,15 @@ Two modes:
   first of five rules that applies decides: (1) a nonzero partial with
   one term is a unit on the torus: non-critical; (2) a single nonzero
   partial has two terms or more, hence torus zeros: critical (this
-  covers n = 1); (3) support on a line (n = 2): see ``_line_critical``;
+  covers n = 1); (3) support on a line: see ``_line_critical``;
   (4) a witness (below) is a torus zero in characteristic 0: critical;
   (5) else a Groebner basis over Z, with a budget of reduction steps
   (``_groebner_trivial``).  Rules 1-4 decide every face in practice:
   the improper face of a general f has torus critical points, and they
   carry witnesses.
-* ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n for a
-  list of auxiliary primes l.  A common zero whose Hessian is
+* ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n, on
+  each face's hull (below), for a nonempty list of auxiliary primes l.
+  A common zero whose Hessian is
   invertible mod l lifts to characteristic zero (Hensel), certifying a
   critical verdict; finding no zeros for any l supports non-critical,
   flagged as heuristic; anything else is inconclusive.
@@ -42,20 +43,21 @@ The report records the per-face finding in both worlds when available
 and flags auxiliary primes that disagree with the characteristic-0
 verdict.
 
-Torus slices.  When supp(f_tau) lies in an affine hyperplane a.w = d
-(every proper face does), the common torus zeros of its partials are
-stable under x -> lam^a . x, because d_i f_tau(lam^a . x) =
-lam^(d - a_i) d_i f_tau(x).  If some a_j is prime to l - 1, every orbit
-meets x_j = 1, so that slice of (l - 1)^(n-1) points decides whether a
-zero exists.  Existence is all the exact mode's check of its verdict
-uses, and all the heuristic mode can learn from such a face: Euler's
-relation gives H (a * x) = 0 at a critical point, and a * x != 0 mod l
-for a primitive, so the Hessian never certifies it.  Other faces (in
-practice the improper face of a general f) scan the whole torus.  The
-grid budget counts the points scanned, so a sliced face in 4 variables
-fits it at the default primes (10^6 points, not 10^8); the faces of
-homogeneous inputs slice in practice, and those no longer hit it.  A
-scan over the budget raises ValueError in either mode.
+Hulls.  Each face is scanned on the lattice of its own support, by
+the unimodular monomial change behind Kouchnirenko's theorem.
+``_hull`` reduces the support differences w - w0 with extended-gcd
+column steps of determinant 1 to a unimodular V and the affine
+dimension d (V = I when d = n); under x_i = y^(row i of V),
+f_tau = y^v0 h(y_1 .. y_d).  V^T carries the toric gradient
+(x_i d_i f_tau) to y^v0 (v0_j h + y_j d_j h), whose entries past d are
+v0_j h.  V is invertible over every field, so the partials have a
+torus zero mod l iff that system has one on (F_l^x)^d: (l - 1)^d
+points decide, and zeros map back with y_j = 1 for j > d.  When d < n
+only existence matters, to either mode: Euler's relation gives
+H (a * x) = 0 at a critical point for a primitive weight a of the
+face, and a * x != 0 mod l, so the Hessian never certifies it.  The
+grid budget counts the points scanned; a scan over it raises
+ValueError in either mode.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._linalg import det, normal, rank, rank_mod
-from .mpoly import Polynomial, eval_mod
+from ._linalg import det, rank_mod
+from .mpoly import Polynomial, _pow_mod, eval_mod
 from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
@@ -241,46 +243,88 @@ def _groebner_trivial(partials: Sequence[Polynomial], support: Tuple[Tuple[int, 
     return False
 
 
-def _line_critical(f_tau: Polynomial) -> bool:
-    """Whether f_tau in two variables, with at least two terms on a line,
-    has a critical point on the torus.
+class Hull(NamedTuple):
+    """f_tau = y^v0 h(y_1 .. y_d) under x_i = y^(row i of V); d = h.nvars."""
 
-    Write f_tau = x^w0 h(x^delta) with delta primitive, w0 the first end
-    of the support segment and h(0) != 0; u = x^delta maps the torus onto
-    C^x with nonzero gradient.  If w0 and delta are independent, Euler's
-    relation makes every critical point a zero of f_tau, hence a multiple
-    root of h: gcd(h, h') is not constant.  If w0 = lam delta, f_tau =
-    u^lam h(u) has the derivative u^(lam - 1) (lam h + u h'), which
-    vanishes on C^x iff it has two terms.
+    V: Tuple[Tuple[int, ...], ...]
+    v0: Tuple[int, ...]
+    h: Polynomial
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b and g >= 0."""
+    s, t, s1, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s, s1, t, t1 = b, a - q * b, s1, s - q * s1, t1, t - q * t1
+    return (a, s, t) if a >= 0 else (-a, -s, -t)
+
+
+def _hull(f_tau: Polynomial) -> Hull:
+    """The monomial change onto the lattice of supp(f_tau) (module docstring).
+
+    Each support difference w - w0, in the current columns of V, is
+    cleared past the pivot column d by steps that replace columns (d, j)
+    with s col_d + t col_j and (u_d col_j - u_j col_d) / g, where g =
+    s u_d + t u_j = gcd(u_d, u_j): determinant 1.  Differences already
+    reduced keep zeros in the columns from d on, which the steps only mix.
     """
+    n = f_tau.nvars
     support = sorted(f_tau.terms)
-    w0 = support[0]
-    diff = [b - a for a, b in zip(w0, support[-1])]
-    step = gcd(*diff)
-    delta = [d // step for d in diff]
-    axis = 0 if delta[0] else 1
-    h = [0] * (step + 1)
-    for w, c in f_tau.terms.items():
-        h[(w[axis] - w0[axis]) // delta[axis]] = c
-    if w0[0] * delta[1] != w0[1] * delta[0]:
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of V
+    d = 0
+    for w in support[1:]:
+        u = [sum((a - b) * c for a, b, c in zip(w, support[0], col)) for col in cols]
+        for j in range(d + 1, n):
+            if u[j]:
+                g, s, t = _xgcd(u[d], u[j])
+                p, q = u[d] // g, u[j] // g
+                cols[d], cols[j] = (
+                    [s * x + t * y for x, y in zip(cols[d], cols[j])],
+                    [p * y - q * x for x, y in zip(cols[d], cols[j])],
+                )
+                u[d] = g
+        if d < n and u[d]:
+            d += 1
+    if d == n:
+        cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    exps = {w: [sum(a * c for a, c in zip(w, col)) for col in cols] for w in support}
+    v0 = tuple(min(e[j] for e in exps.values()) for j in range(d)) + tuple(exps[support[0]][d:])
+    h = {tuple(x - m for x, m in zip(e, v0[:d])): f_tau.terms[w] for w, e in exps.items()}
+    return Hull(tuple(zip(*cols)), v0, Polynomial(f_tau.variables[:d], h))
+
+
+def _line_critical(v0: Tuple[int, ...], h: Polynomial) -> bool:
+    """Whether f_tau = y^v0 h(y_1), with support on a line (d = 1) and
+    h(0) != 0, has a critical point on the torus.
+
+    Its toric gradient is y^v0 (v0_1 h + y h', v0_2 h, ..., v0_n h).  If
+    some v0_j with j > 1 is nonzero, a critical point is a common root of
+    h and y h', a multiple root of h: the resultant of h and h' is 0.
+    Else it is a nonzero root of sum (v0_1 + k) c_k y^k, which has one
+    iff it has two terms.
+    """
+    coeffs = [0] * (h.total_degree() + 1)
+    for (k,), c in h.terms.items():
+        coeffs[k] = c
+    if any(v0[1:]):
         # a repeated root: the resultant of h and h', of degrees m and m - 1, is 0
-        m, dh = step, [k * c for k, c in enumerate(h)][1:]
-        sylvester = [[0] * i + h[::-1] + [0] * (m - 2 - i) for i in range(m - 1)]
+        m, dh = len(coeffs) - 1, [k * c for k, c in enumerate(coeffs)][1:]
+        sylvester = [[0] * i + coeffs[::-1] + [0] * (m - 2 - i) for i in range(m - 1)]
         sylvester += [[0] * i + dh[::-1] + [0] * (m - 1 - i) for i in range(m)]
         return det(sylvester) == 0
-    lam = w0[axis] // delta[axis]
-    return sum((lam + k) * c != 0 for k, c in enumerate(h)) >= 2
+    return sum((v0[0] + k) * c != 0 for k, c in enumerate(coeffs)) >= 2
 
 
-def _decide_exact(f_tau, partials, weights, scans, support) -> Tuple[bool, Optional[Tuple]]:
+def _decide_exact(hull, partials, scans, support) -> Tuple[bool, Optional[Tuple]]:
     """(trivial, witness) for a face: whether its partials have no common
     torus zero in characteristic 0, and a witness when they have one.
     The first rule that applies decides (see the module docstring)."""
     nonzero = [g for g in partials if not g.is_zero()]
     if any(len(g.terms) == 1 for g in nonzero):
         return True, None
-    line = len(nonzero) > 1 and f_tau.nvars == 2 and bool(weights)
-    if line and not _line_critical(f_tau):
+    line = len(nonzero) > 1 and hull.h.nvars == 1
+    if line and not _line_critical(hull.v0, hull.h):
         return True, None
     witness = _integer_zero(partials) or _hensel_zero(partials, scans)
     if witness is None and len(nonzero) > 1 and not line:
@@ -309,65 +353,37 @@ def _hensel_zero(partials: Sequence[Polynomial], scans) -> Optional[Tuple[str, .
     return None
 
 
-def _weights(f_tau: Polynomial) -> Tuple[Tuple[int, ...], ...]:
-    """Primitive weights a != 0 with a.w the same for every w in
-    supp(f_tau); empty when f_tau is not quasi-homogeneous.
-
-    A basis of the support differences, padded with each choice of
-    coordinate unit vectors to n - 1 independent rows, has such an a as
-    its cross product.
-    """
-    n = f_tau.nvars
-    support = sorted(f_tau.terms)
-    rows: List[Tuple[int, ...]] = []
-    for pt in support[1:]:
-        v = tuple(w - b for w, b in zip(pt, support[0]))
-        if rank(rows + [v]) > len(rows):
-            rows.append(v)
-            if len(rows) == n:
-                return ()
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = {normal(rows + list(pad), n) for pad in itertools.combinations(units, n - 1 - len(rows))}
-    found.discard(None)
-    return tuple(sorted(found))
-
-
-def _slice_axis(weights: Sequence[Tuple[int, ...]], ell: int) -> Optional[int]:
-    """An axis j whose slice x_j = 1 meets every orbit of the weights'
-    torus actions, or None: their j-th coordinates lam^(a_j) fill F_ell^x
-    when gcd(ell - 1, a_j over all the weights) = 1."""
-    if not weights:
-        return None
-    return next(
-        (j for j in range(len(weights[0])) if gcd(ell - 1, *(a[j] for a in weights)) == 1),
-        None,
-    )
-
-
-def _torus_zeros_mod(partials: Sequence[Polynomial], ell: int, nvars: int, axis: Optional[int] = None):
-    """Common zeros of the partials on (F_ell^x)^n, as tuples in
-    lexicographic order; on the slice x_axis = 1 when an axis is given."""
+def _torus_zeros_mod(hull: Hull, ell: int):
+    """Common zeros of the partials of f_tau on (F_ell^x)^n, one in each
+    orbit of the coordinates y_j with j > d: the zeros of the hull's
+    system on (F_ell^x)^d, in lexicographic order of y, mapped back to x
+    with y_j = 1 for j > d."""
     import numpy as np
 
-    free = nvars - (axis is not None)
-    size = (ell - 1) ** free
+    V, v0, h = hull
+    d = h.nvars
+    size = (ell - 1) ** d
     if size > _GRID_BUDGET:
         raise ValueError(
-            f"torus grid of {free} coordinates in F_{ell}^x has {size} points; "
+            f"torus grid of {d} coordinates in F_{ell}^x has {size} points; "
             "supply smaller auxiliary primes"
         )
-    cols = np.ones((nvars, size), dtype=np.int64)
-    cols[[j for j in range(nvars) if j != axis]] = (
-        np.indices((ell - 1,) * free, dtype=np.int64).reshape(free, size) + 1
-    )
-    pts = cols.T
-    for g in partials:
+    system = [Polynomial(h.variables, {e: c * (v0[j] + e[j]) for e, c in h.terms.items()}) for j in range(d)]
+    system.append(gcd(*v0[d:]) * h)
+    pts = np.indices((ell - 1,) * d, dtype=np.int64).reshape(d, size).T + 1
+    for g in system:
         if g.is_zero():
             continue
         pts = pts[eval_mod(g, pts, ell) == 0]
         if not len(pts):
             return []
-    return [tuple(int(x) for x in row) for row in pts]
+    # x_i = prod_j y_j^V_ij, with exponents mod ell - 1 on the torus
+    xs = np.ones((len(pts), len(V)), dtype=np.int64)
+    for i, row in enumerate(V):
+        for j, e in enumerate(row[:d]):
+            if e % (ell - 1):
+                xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
+    return list(map(tuple, xs.tolist()))
 
 
 def _full_rank_mod(jacobian, point, ell: int) -> bool:
@@ -393,6 +409,8 @@ def check_noncritical(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact_small" and f.nvars > 2:
         raise ValueError("exact_small mode is limited to polynomials in <= 2 variables")
+    if mode == "finite_field_heuristic" and not aux_primes:
+        raise ValueError("finite_field_heuristic mode needs at least one auxiliary prime")
     for ell in aux_primes:
         # the torus scan multiplies residues in int64
         if not _is_prime(ell) or ell * ell >= 2**63:
@@ -425,68 +443,34 @@ def check_noncritical(
 
 
 def _check_face_exact(f_tau, partials, support, aux_primes) -> FaceFinding:
-    weights = _weights(f_tau)
-    scans = [
-        (ell, _torus_zeros_mod(partials, ell, f_tau.nvars, _slice_axis(weights, ell)))
-        for ell in aux_primes
-    ]
-    trivial, witness = _decide_exact(f_tau, partials, weights, scans, support)
+    hull = _hull(f_tau)
+    scans = [(ell, _torus_zeros_mod(hull, ell)) for ell in aux_primes]
+    trivial, witness = _decide_exact(hull, partials, scans, support)
     # a prime disagrees when it has torus zeros on a trivial face or none on a critical one
     disagree = tuple(ell for ell, zeros in scans if bool(zeros) == trivial)
-    if trivial:
-        return FaceFinding(
-            face_support=support,
-            verdict="non_critical",
-            field="char0",
-            certificate="saturated gradient ideal is trivial",
-            disagreeing_primes=disagree,
-        )
-    return FaceFinding(
-        face_support=support,
-        verdict="critical",
-        field="char0",
-        certificate="saturated gradient ideal is nontrivial",
-        witness=witness,
-        disagreeing_primes=disagree,
-    )
+    verdict, ideal = ("non_critical", "trivial") if trivial else ("critical", "nontrivial")
+    return FaceFinding(support, verdict, "char0", f"saturated gradient ideal is {ideal}", witness, disagree)
 
 
 def _check_face_heuristic(f_tau, partials, support, aux_primes) -> FaceFinding:
-    weights = _weights(f_tau)
-    if weights:
-        # Euler: the Hessian kills a * x at every critical point, so no
-        # zero is ever certified and only their existence matters
-        found_any = any(
-            _torus_zeros_mod(partials, ell, f_tau.nvars, _slice_axis(weights, ell))
-            for ell in aux_primes
-        )
-    else:
-        found_any = False
-        hessian = [g.partials() for g in partials]
-        for ell in aux_primes:
-            zeros = _torus_zeros_mod(partials, ell, f_tau.nvars)
-            if not zeros:
-                continue
-            found_any = True
-            for point in zeros[:64]:
-                if _full_rank_mod(hessian, point, ell):
-                    return FaceFinding(
-                        face_support=support,
-                        verdict="critical",
-                        field=f"F_{ell}",
-                        certificate="torus zero with invertible Hessian lifts (Hensel)",
-                        witness=point,
-                    )
+    hull = _hull(f_tau)
+    found_any = False
+    hessian = [g.partials() for g in partials]
+    for ell in aux_primes:
+        zeros = _torus_zeros_mod(hull, ell)
+        if not zeros:
+            continue
+        found_any = True
+        if hull.h.nvars < f_tau.nvars:
+            # Euler: the Hessian kills a * x at every critical point, so no
+            # zero is ever certified and only their existence matters
+            break
+        for point in zeros[:64]:
+            if _full_rank_mod(hessian, point, ell):
+                certificate = "torus zero with invertible Hessian lifts (Hensel)"
+                return FaceFinding(support, "critical", f"F_{ell}", certificate, point)
     if found_any:
-        return FaceFinding(
-            face_support=support,
-            verdict="inconclusive",
-            field=f"F_{aux_primes[0]}" if aux_primes else "none",
-            certificate="torus zeros found but none certified liftable",
-        )
-    return FaceFinding(
-        face_support=support,
-        verdict="non_critical",
-        field=",".join(f"F_{ell}" for ell in aux_primes),
-        certificate="no torus zeros modulo any auxiliary prime (heuristic)",
-    )
+        certificate = "torus zeros found but none certified liftable"
+        return FaceFinding(support, "inconclusive", f"F_{aux_primes[0]}", certificate)
+    fields = ",".join(f"F_{ell}" for ell in aux_primes)
+    return FaceFinding(support, "non_critical", fields, "no torus zeros modulo any auxiliary prime (heuristic)")

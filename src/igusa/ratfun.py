@@ -79,11 +79,6 @@ class PowerSeries:
             raise IndexError(f"coefficient {m} outside stored range 0..{self.depth}")
         return self.coefficients[m]
 
-    def truncate(self, depth: int) -> "PowerSeries":
-        if depth > self.depth:
-            raise ValueError(f"cannot extend a series prefix ({self.depth} < {depth})")
-        return PowerSeries(self.coefficients[: depth + 1])
-
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         d = min(self.depth, other.depth)
         return PowerSeries(

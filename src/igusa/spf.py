@@ -94,10 +94,6 @@ class ResidueDomain:
     def size(self) -> int:
         return len(self.residues)
 
-    @property
-    def is_full(self) -> bool:
-        return self.size == self.p**self.dim
-
     def key(self):
         return self._key
 

@@ -7,6 +7,7 @@ implementation.
 
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
@@ -136,6 +137,94 @@ def reference_polyhedron(f: Polynomial) -> dict:
         "faces": faces,
         "support": [list(w) for w in support],
     }
+
+
+@dataclass(frozen=True)
+class Cone:
+    """The strictly positive span of nonzero integer generators.
+
+    A face cone is open: its points are the positive combinations of
+    the generators, the relative interior of the closed cone.
+    """
+
+    generators: Tuple[Tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not self.generators:
+            raise ValueError("cone needs at least one generator")
+        n = len(self.generators[0])
+        for g in self.generators:
+            if len(g) != n:
+                raise ValueError("mixed generator dimensions")
+            if all(x == 0 for x in g):
+                raise ValueError("zero generator")
+
+    @property
+    def dim(self) -> int:
+        return exact_rank(self.generators)
+
+
+def cone_of_face(poly, face) -> Cone:
+    """Strictly positive span of the normals of the facets containing a
+    proper face of the polyhedron."""
+    if face.is_improper:
+        raise ValueError("the improper face has no cone")
+    return Cone(tuple(poly.facets[i].normal for i in face.containing_facets))
+
+
+def _cone_hrep(generators: Sequence[Tuple[int, ...]]):
+    """Facet inequalities of the closed cone, in span coordinates.
+
+    Returns (facet_normals, span_coords): v lies in the closed cone
+    when span_coords(v) is not None and h.span_coords(v) >= 0 for
+    every h.  A vector is in the span when adding it keeps the rank r;
+    its coordinates are its entries on r axes where the generators have
+    rank r, which map the span one to one into Z^r.  Valid for pointed
+    cones, which all cones here are (generators live in the positive
+    orthant).
+    """
+    gens = [tuple(g) for g in generators]
+    r = exact_rank(gens)
+    axes: List[int] = []
+    for i in range(len(gens[0])):
+        if len(axes) == r:
+            break
+        if exact_rank([[g[j] for j in axes + [i]] for g in gens]) > len(axes):
+            axes.append(i)
+
+    def span_coords(v):
+        if exact_rank(gens + [tuple(v)]) != r:
+            return None
+        return tuple(v[i] for i in axes)
+
+    coords = [span_coords(g) for g in gens]
+    if r == 1:
+        # single ray: the "facet" is the origin; use the ray functional itself
+        return [(1 if coords[0][0] > 0 else -1,)], span_coords
+    normals = []
+    for subset in itertools.combinations(range(len(gens)), r - 1):
+        kernel = _nullspace([coords[i] for i in subset], r)
+        if len(kernel) != 1:
+            continue
+        h = _primitive(kernel[0])
+        sides = [sum(a * b for a, b in zip(h, c)) for c in coords]
+        if all(s <= 0 for s in sides):
+            h = tuple(-x for x in h)
+            sides = [-s for s in sides]
+        elif not all(s >= 0 for s in sides):
+            continue
+        tight = [gens[i] for i, s in enumerate(sides) if s == 0]
+        if tight and exact_rank(tight) == r - 1 and h not in normals:
+            normals.append(h)
+    return normals, span_coords
+
+
+def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
+    """Whether v is a positive combination of the cone's generators,
+    i.e. lies in the relative interior of the closed cone."""
+    normals, span_coords = _cone_hrep(cone.generators)
+    c = span_coords(v)
+    return c is not None and all(sum(a * b for a, b in zip(h, c)) > 0 for h in normals)
 
 
 def reference_spf_counts(f: Polynomial, D: ResidueDomain) -> SPFCounts:

@@ -15,7 +15,6 @@ from igusa.mpoly import (
     direct_sum,
     eval_mod,
     from_terms,
-    monomial_scale,
     shift_scale,
     variable,
 )
@@ -248,28 +247,6 @@ class TestShiftScale:
         assume(not f.is_zero())
         _, g = shift_scale(f, a[: f.nvars], p)
         assert g.content() % p != 0
-
-
-class TestMonomialScale:
-    def test_examples(self):
-        assert monomial_scale(P("x^2 + y^3"), (3, 2), 5) == (6, P("x^2 + y^3"))
-        assert monomial_scale(P("x"), (1,), 3) == (1, P("x"))
-        assert monomial_scale(P("x^2 + y^3"), (1, 1), 5) == (2, P("x^2 + 5y^3"))
-
-    @given(
-        f=polynomials(max_vars=2),
-        k=st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
-        pt=points,
-        p=st.sampled_from([3, 5]),
-    )
-    def test_round_trip_identity(self, f, k, pt, p):
-        assume(not f.is_zero())
-        n = f.nvars
-        kk = k[:n]
-        e, g = monomial_scale(f, kk, p)
-        x = pt[:n]
-        scaled = tuple(p**ki * xi for ki, xi in zip(kk, x))
-        assert p**e * g.evaluate(x) == f.evaluate(scaled)
 
 
 class TestCanonicalKey:

@@ -7,12 +7,20 @@ import random
 
 import pytest
 
-from helpers import affine_dim, poly_in_box, random_sparse_poly, reference_polyhedron
+from helpers import (
+    Cone,
+    affine_dim,
+    cone_contains,
+    cone_of_face,
+    poly_in_box,
+    random_sparse_poly,
+    reference_polyhedron,
+)
 from igusa import _linalg
 from igusa.cli import main
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
-from igusa.newton import Cone, build_polyhedron, cone_contains
+from igusa.newton import build_polyhedron
 
 
 class TestFacets:
@@ -88,10 +96,10 @@ class TestWeights:
 
     def test_cone_of_face_is_strict(self):
         edge = self.poly.first_meet_locus((3, 2))
-        cone = self.poly.cone_of_face(edge)
+        cone = cone_of_face(self.poly, edge)
         assert cone.generators == ((3, 2),)
         assert cone_contains(cone, (6, 4))
-        vertex = self.poly.cone_of_face(self.poly.first_meet_locus((1, 1)))
+        vertex = cone_of_face(self.poly, self.poly.first_meet_locus((1, 1)))
         assert cone_contains(vertex, (1, 1))
         # the wall shared with the edge's cone is not in the open cone
         assert not cone_contains(vertex, (3, 2))
@@ -140,7 +148,7 @@ def _check_cone_partition(f, bound=6):
             continue
         owners = []
         for other in poly.proper_faces():
-            cone = poly.cone_of_face(other)
+            cone = cone_of_face(poly, other)
             if cone_contains(cone, a):
                 owners.append(other)
         assert len(owners) == 1, (f, a, owners)
@@ -151,7 +159,7 @@ def _check_cone_dimension(f):
     poly = build_polyhedron(f)
     n = poly.n
     for face in poly.proper_faces():
-        cone = poly.cone_of_face(face)
+        cone = cone_of_face(poly, face)
         assert cone.dim == n - face.dim, (f, face)
 
 

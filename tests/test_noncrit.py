@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    affine_dim,
     lifts_mod,
     random_sparse_poly,
     sympy_torus_ideal_trivial,
@@ -216,7 +219,9 @@ class TestExactRules:
     )
     def test_line_rule(self, text, critical):
         f = P(text)
-        assert noncrit._line_critical(f) is critical
+        hull = noncrit._hull(f)
+        assert hull.h.nvars == 1
+        assert noncrit._line_critical(hull.v0, hull.h) is critical
         finding = noncrit._check_face_exact(f, f.partials(), _support(f), noncrit.DEFAULT_AUX_PRIMES)
         assert finding.verdict == ("critical" if critical else "non_critical")
 
@@ -312,9 +317,7 @@ class TestSharedSupport:
     def test_one_scan_batch_per_support(self, monkeypatch, text, mode, aux_primes, nfaces, nsupports):
         scans = []
         scan = noncrit._torus_zeros_mod
-        monkeypatch.setattr(
-            noncrit, "_torus_zeros_mod", lambda ps, ell, *rest: scans.append((tuple(ps), ell)) or scan(ps, ell, *rest)
-        )
+        monkeypatch.setattr(noncrit, "_torus_zeros_mod", lambda hull, ell: scans.append((hull, ell)) or scan(hull, ell))
         f = P(text)
         poly = build_polyhedron(f)
         report = check_noncritical(f, mode=mode, aux_primes=aux_primes, polyhedron=poly)
@@ -365,6 +368,15 @@ class TestPreconditions:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             check_noncritical(P("x^2"), mode="bogus")
+
+    def test_heuristic_mode_needs_aux_primes(self):
+        # with no prime to scan, no face finds zeros, and a critical input
+        # would read non_critical
+        f = P("x^2 + 2*x*y + y^2 + z^2")
+        with pytest.raises(ValueError, match="auxiliary prime"):
+            check_noncritical(f, mode="finite_field_heuristic", aux_primes=())
+        # exact mode decides without them
+        assert check_noncritical(P("x^2 + 2*x*y + y^2"), mode="exact_small", aux_primes=()).verdict == "critical"
 
     @pytest.mark.parametrize("mode", ["exact_small", "finite_field_heuristic"])
     @pytest.mark.parametrize("ell", [100, 2**61 - 1])
@@ -458,39 +470,74 @@ class TestModeAgreement:
             assert heur == exact
 
 
+def _det(rows):
+    """Determinant by the Leibniz formula (n <= 4 here)."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(row[k] for row, k in zip(rows, perm))
+    return total
+
+
+def _check_hull(f_tau):
+    """_hull(f_tau), checked: V has determinant 1 (the identity when d = n),
+    d is the affine dimension of the support, and x^w = y^(w V) sends each
+    term of f_tau to y^v0 times a term of h, whose exponents start at 0."""
+    hull = noncrit._hull(f_tau)
+    V, v0, h = hull
+    n, d = f_tau.nvars, h.nvars
+    assert d == affine_dim(sorted(f_tau.terms)), str(f_tau)
+    assert _det(V) == 1, (str(f_tau), V)
+    if d == n:
+        assert V == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    image = {tuple(sum(w[i] * V[i][j] for i in range(n)) for j in range(n)): c for w, c in f_tau.terms.items()}
+    pad = (0,) * (n - d)
+    assert image == {tuple(a + b for a, b in zip(v0, e + pad)): c for e, c in h.terms.items()}, str(f_tau)
+    assert all(min(e[j] for e in h.terms) == 0 for j in range(d))
+    return hull
+
+
 class TestTorusSlice:
-    """The slice x_j = 1 decides torus zeros of quasi-homogeneous faces."""
+    """Each face is scanned on the d-torus of its own support lattice."""
 
     PRIMES = (5, 7, 11, 13, 31)
 
-    def test_slice_axis_respects_gcd(self):
-        # f = (y^2 - 3x)^2 has weights a = (2, 1).  At l = 7 its partials
-        # vanish at (5, 1) but nowhere on x = 1, since 3 is no square mod 7;
-        # gcd(2, 6) = 2 rules out that slice.
+    def test_hull(self):
+        assert _check_hull(P("x^3 + y^3 - 3x*y")).V == ((1, 0), (0, 1))
+        hull = _check_hull(P("x^3"))
+        assert (hull.v0, hull.h.terms) == ((3,), {(): 1})
+        hull = _check_hull(P("x^2 + x^3"))
+        assert (hull.V, hull.v0, hull.h.terms) == (((1,),), (2,), {(0,): 1, (1,): 1})
+        hull = _check_hull(P("x*y*z"))
+        assert (hull.v0, hull.h.terms) == ((1, 1, 1), {(): 1})
+        # a face on a coordinate axis: y_1 runs along it with exponent +1, so
+        # its zeros map back to the slice y = 1 (or x = 1) in the same order
+        hull = _check_hull(from_terms(("x", "y"), [((2, 0), 1), ((3, 0), 1)]))
+        assert (hull.V, hull.v0) == (((1, 0), (0, 1)), (2, 0))
+        hull = _check_hull(from_terms(("x", "y"), [((0, 2), 1), ((0, 3), 1)]))
+        assert (hull.V, hull.v0) == (((0, -1), (1, 0)), (2, 0))
+        assert noncrit._torus_zeros_mod(hull, 7) == [(1, 4)]  # 2y + 3y^2 = 0 at y = -2/3
+        # y*w^3 + 2*y^2*z^2: every weight a = (0, 0, 3, 2) shares a factor
+        # with 102, yet its hull is a line of 102 points at l = 103
+        hull = _check_hull(from_terms(("x", "y", "z", "w"), [((0, 1, 0, 3), 1), ((0, 2, 2, 0), 2)]))
+        assert hull.h.nvars == 1
+
+    def test_hull_meets_every_orbit(self):
+        # f = (y^2 - 3x)^2: at l = 7 its partials vanish at (5, 1) but
+        # nowhere on x = 1, since 3 is no square mod 7; the hull scan, a
+        # line, still meets every orbit of zeros
         f = P("y^4 - 6*x*y^2 + 9*x^2")
-        assert noncrit._weights(f) == ((2, 1),)
-        assert noncrit._slice_axis(((2, 1),), 7) == 1
-        assert torus_has_common_zero(f.partials(), 7)
-        assert noncrit._torus_zeros_mod(f.partials(), 7, 2, axis=1)
-        assert not noncrit._torus_zeros_mod(f.partials(), 7, 2, axis=0)
+        zeros = torus_common_zeros(f.partials(), 7)
+        assert (5, 1) in zeros and all(z[0] != 1 for z in zeros)
+        hull = _check_hull(f)
+        assert hull.h.nvars == 1
+        found = noncrit._torus_zeros_mod(hull, 7)
+        assert found and set(found) <= set(zeros)
         heur = check_noncritical(f, mode="finite_field_heuristic", aux_primes=(7,))
         assert heur.verdict == "inconclusive"
         exact = check_noncritical(f, mode="exact_small", aux_primes=(7,))
         assert exact.verdict == "critical"
         assert all(not fnd.disagreeing_primes for fnd in exact.findings)
-
-    def test_weights(self):
-        assert noncrit._weights(P("x^3 + y^3 - 3x*y")) == ()
-        assert noncrit._weights(P("x^2 + x^3")) == ()
-        assert noncrit._weights(P("x^3")) == ((1,),)
-        assert noncrit._weights(P("x*y*z")) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-        # y*w^3 + 2*y^2*z^2: the padding (e_x, e_y) gives a = (0, 0, 3, 2),
-        # which shares a factor with 102 in every coordinate
-        f = from_terms(("x", "y", "z", "w"), [((0, 1, 0, 3), 1), ((0, 2, 2, 0), 2)])
-        weights = noncrit._weights(f)
-        assert weights == ((0, 0, 3, 2), (0, 2, -1, 0), (0, 3, 0, 1), (1, 0, 0, 0))
-        assert noncrit._slice_axis(weights, 103) == 0
-        assert noncrit._slice_axis(((0, 0, 3, 2),), 103) is None
 
     def test_slice_existence_matches_full_grid(self):
         rng = random.Random(31)
@@ -501,19 +548,25 @@ class TestTorusSlice:
             # squares have critical faces, so some scans find zeros
             g = random_sparse_poly(rng, rng.randint(2, 3), max_terms=3, max_exp=2, coeff_bound=3)
             polys.append(g * g)
-        seen = {"slice": 0, "full": 0, "zeros": 0}
+        for _ in range(10):
+            # 4-variable faces, most of them with d < n, at small primes
+            g = random_sparse_poly(rng, 4, max_terms=2, max_exp=2, coeff_bound=3)
+            polys.append(g * g)
+            polys.append(random_sparse_poly(rng, 4, max_terms=3, max_exp=3))
+        seen = Counter()
         for f in polys:
             poly = build_polyhedron(f)
             for face in poly.faces:
                 f_tau = poly.face_polynomial(f, face)
                 partials = f_tau.partials()
-                weights = noncrit._weights(f_tau)
-                for ell in self.PRIMES:
-                    axis = noncrit._slice_axis(weights, ell)
-                    found = bool(noncrit._torus_zeros_mod(partials, ell, f.nvars, axis))
-                    assert found == torus_has_common_zero(partials, ell), (str(f), str(f_tau), ell)
-                    seen["slice" if axis is not None else "full"] += 1
-                    seen["zeros"] += found
+                hull = _check_hull(f_tau)
+                for ell in self.PRIMES if f.nvars < 4 else (2, 3, 5):
+                    zeros = noncrit._torus_zeros_mod(hull, ell)
+                    assert bool(zeros) == torus_has_common_zero(partials, ell), (str(f), str(f_tau), ell)
+                    assert all(g.evaluate(z) % ell == 0 for z in zeros[:8] for g in partials)
+                    seen["d < n" if hull.h.nvars < f.nvars else "d = n"] += 1
+                    seen["4 variables, d < n"] += f.nvars == 4 and hull.h.nvars < 4
+                    seen["zeros"] += bool(zeros)
         assert min(seen.values()) > 20, seen
 
     def test_homogeneous_four_variables(self):
@@ -533,6 +586,25 @@ class TestTorusSlice:
             check_noncritical(
                 P("x^2 + y^3 + z^5 + w^7 + x*y*z*w"), mode="finite_field_heuristic", aux_primes=(11,)
             )
+
+    @pytest.mark.parametrize("mode", ["exact_small", "finite_field_heuristic"])
+    def test_budget_weight_sharing_factors(self, monkeypatch, mode):
+        # x^3 + y^2 has the weight (2, 3), which shares a factor with 6 on
+        # both axes: at l = 7 no slice x_j = 1 meets every orbit, so a slice
+        # scan covers all 36 points; the hull is a line of 6
+        monkeypatch.setattr(noncrit, "_GRID_BUDGET", 10)
+        assert check_noncritical(P("x^3 + y^2"), mode=mode, aux_primes=(7,)).verdict == "non_critical"
+
+    def test_budget_four_variables(self, monkeypatch):
+        # every face of -y^3 z - w^4 + x^2 y^2 has affine dimension <= 2:
+        # at most 106^2 points per default prime, against 10^6 on a slice
+        # of the 4-torus
+        monkeypatch.setattr(noncrit, "_GRID_BUDGET", 106**2)
+        f = P("-y^3*z - w^4 + x^2*y^2")
+        poly = build_polyhedron(f)
+        assert max(noncrit._hull(poly.face_polynomial(f, face)).h.nvars for face in poly.faces) == 2
+        report = check_noncritical(f, mode="finite_field_heuristic", polyhedron=poly)
+        assert report.verdict == "non_critical"
 
 
 # check_noncritical(mode="finite_field_heuristic").as_dict() recorded with the

@@ -29,13 +29,11 @@ class TestResidueDomain:
     def test_full(self):
         D = ResidueDomain.full(5, 2)
         assert D.size == 25
-        assert D.is_full
         assert D.dim == 2
 
     def test_unit_torus(self):
         D = ResidueDomain.unit_torus(3, 2)
         assert D.size == 4
-        assert not D.is_full
         assert all(all(x % 3 != 0 for x in r) for r in D.residues)
 
     def test_of_validates(self):
