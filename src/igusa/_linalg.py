@@ -1,15 +1,13 @@
 """Exact integer linear algebra.
 
-``rank``, ``det`` and ``normal`` take integer rows and share one
-fraction-free integer elimination (Bareiss); ``rank_mod`` runs the same
-elimination over F_ell.  Everything is written for the desk-scale
-matrices that arise from Newton polyhedra in at most a handful of
-variables; no attempt is made at asymptotic efficiency.
+``rank`` and ``det`` take integer rows and share one fraction-free
+integer elimination (Bareiss); ``rank_mod`` runs the same elimination
+over F_ell.  Everything is written for the desk-scale matrices that
+arise from Newton polyhedra in at most a handful of variables; no
+attempt is made at asymptotic efficiency.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def _bareiss(m, ell: int = 0):
@@ -61,21 +59,3 @@ def det(rows) -> int:
     """Determinant of a square integer matrix (1 for the empty matrix)."""
     r, pivot = _bareiss([list(row) for row in rows])
     return pivot if r == len(rows) else 0
-
-
-def normal(rows, ncols: int):
-    """Primitive integer normal of ncols - 1 integer rows, or None.
-
-    The generalized cross product (signed maximal minors of the rows)
-    is orthogonal to every row and vanishes exactly
-    when the rows are dependent.  The sign is normalised so the first
-    nonzero entry is positive.
-    """
-    m = [list(row) for row in rows]
-    cross = [(-1) ** j * det([row[:j] + row[j + 1:] for row in m]) for j in range(ncols)]
-    g = gcd(*cross)
-    if g == 0:
-        return None
-    if next(x for x in cross if x) < 0:
-        g = -g
-    return tuple(x // g for x in cross)

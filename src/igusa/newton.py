@@ -11,19 +11,18 @@ set) determines everything else:
 * the first meet locus F(a) of a weight vector a is the face where the
   linear form a.x attains its minimum over the polyhedron.
 
-Facets are found among hyperplanes through k minimal support points
-(no other support point lies below them coordinatewise) and parallel
-to n - k coordinate rays.  Every vertex of the polyhedron is minimal,
-and a facet's affine hull is spanned by its vertices and its rays, so
-no facet is missed.  Candidate normals are integer cross products
-(signed maximal minors, ``_linalg.normal``); no rational arithmetic
-enters the enumeration.
+Facets are the extreme rays of the cone of valid inequalities, listed
+by the double description method (Motzkin, Raiffa, Thompson & Thrall,
+1953; Fukuda & Prodon, *Double description method revisited*, 1996)
+over the minimal support points (no other support point lies below
+them coordinatewise).  It needs only integer dot products, gcds and set
+operations; no determinant and no rational arithmetic enters it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import _linalg
@@ -178,16 +177,78 @@ def _minimal_points(support: Sequence[Monomial]) -> List[Monomial]:
     ]
 
 
+def _facets(support: List[Monomial], n: int) -> List[Facet]:
+    """The facets of conv(support) + R_{>=0}^n, unsorted.
+
+    Double description on C = {(a, t) : a_i >= 0, a.w - t >= 0 for every
+    minimal point w}.  A ray is kept with its zero set, a bit mask over
+    the constraints: bit i for a_i >= 0, bit n + k for the k-th minimal
+    point.  Each step adds one point constraint h, keeps the rays with
+    h.r >= 0, and joins each adjacent pair on opposite sides of h.  Two
+    extreme rays are adjacent exactly when no third one vanishes on every
+    constraint that both vanish on.  Adjacent rays share at least n - 1
+    zero constraints, so counting them first only saves time.  Every
+    returned facet is checked against the full support.
+    """
+    minimal = _minimal_points(support)
+    w0 = minimal[0]
+    axes = (1 << n) - 1
+    trivial = (0,) * n + (-1,)  # the inequality 0 >= -1
+    rays = [(_unit(n, i) + (w0[i],), axes ^ (1 << i) | 1 << n) for i in range(n)]
+    rays.append((trivial, axes))
+    for k, w in enumerate(minimal[1:], 1):
+        bit = 1 << (n + k)
+        h = w + (-1,)
+        sides = [(_dot(h, r), r, z) for r, z in rays]
+        kept = [(r, z | bit if s == 0 else z) for s, r, z in sides if s >= 0]
+        for i, (sp, rp, zp) in enumerate(sides):
+            if sp <= 0:
+                continue
+            for j, (sn, rn, zn) in enumerate(sides):
+                if sn >= 0:
+                    continue
+                z = zp & zn
+                if z.bit_count() < n - 1 or any(
+                    z & z3 == z for l, (_, _, z3) in enumerate(sides) if l != i and l != j
+                ):
+                    continue
+                v = tuple(sp * y - sn * x for x, y in zip(rp, rn))
+                g = gcd(*v)
+                kept.append((tuple(x // g for x in v), z | bit))
+        rays = kept
+
+    units = [_unit(n, i) for i in range(n)]
+    facets = []
+    for v, _ in rays:
+        if v == trivial:
+            continue
+        a, t = v[:n], v[n]
+        m = min(_dot(a, w) for w in support)
+        meet = frozenset(w for w in support if _dot(a, w) == m)
+        ray_set = [units[i] for i, x in enumerate(a) if x == 0]
+        if min(a) < 0 or t != m or _affine_dim(sorted(meet), ray_set) != n - 1:
+            raise AssertionError(
+                f"double description returned the ray {v}, which is no facet; "
+                "this indicates a facet enumeration bug"
+            )
+        facets.append(Facet(a, m, meet))
+    return facets
+
+
 def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     """Construct the Newton polyhedron of f.
 
     f must be nonzero, vanish at the origin, and stay within the desk
-    scale bounds (<= 4 variables, <= 30 support monomials).  Candidate
-    facet normals are the integer cross products of k - 1 differences
-    of k minimal support points and n - k coordinate rays; a candidate
-    is a facet when its meet set and its rays span a hyperplane.
-    Minimal points suffice because every vertex is one, and a facet's
-    affine hull is spanned by its vertices and its coordinate rays.
+    scale bounds (<= 4 variables, <= 30 support monomials).  The facets
+    are the extreme rays (a, m) of the cone C of valid inequalities
+    a.x >= t of the polyhedron, other than the trivial (0, -1): C is
+    {(a, t) : a >= 0, a.w - t >= 0 for every minimal support point w}.
+    The polyhedron is full-dimensional, so C is pointed and its extreme
+    rays are exactly the facet inequalities and (0, -1); a facet
+    hyperplane passes through lattice points, so its primitive ray
+    carries the primitive normal.  Minimal points suffice because the
+    polyhedron equals conv(minimal points) + R_{>=0}^n: every other
+    support point lies above a minimal one.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no Newton polyhedron")
@@ -200,26 +261,7 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     if len(support) > _MAX_SUPPORT:
         raise ValueError(f"support too large ({len(support)} > {_MAX_SUPPORT})")
 
-    facets: List[Facet] = []
-    seen = set()
-    units = [_unit(n, i) for i in range(n)]
-    minimal = _minimal_points(support)
-
-    for k in range(1, n + 1):
-        for pts in itertools.combinations(minimal, k):
-            base = pts[0]
-            diffs = [tuple(p - q for p, q in zip(pt, base)) for pt in pts[1:]]
-            for rays in itertools.combinations(range(n), n - k):
-                a = _linalg.normal(diffs + [units[i] for i in rays], n)
-                if a is None or any(x < 0 for x in a) or a in seen:
-                    continue  # dependent rows, or mixed signs (no facet has such a normal)
-                seen.add(a)
-                m = min(_dot(a, w) for w in support)
-                meet = frozenset(w for w in support if _dot(a, w) == m)
-                ray_set = [units[i] for i, x in enumerate(a) if x == 0]
-                if _affine_dim(sorted(meet), ray_set) == n - 1:
-                    facets.append(Facet(a, m, meet))
-
+    facets = _facets(support, n)
     facets.sort(key=lambda ft: ft.normal)
     faces = _face_lattice(support, facets, n)
     return NewtonPolyhedron(f.variables, frozenset(support), facets, faces)

@@ -360,10 +360,14 @@ def random_sparse_poly(
     """A random nonzero polynomial with sparse support.
 
     With origin_vanishing, the constant term is excluded so the result
-    is admissible for Newton-polyhedron construction downstream.
+    is admissible for Newton-polyhedron construction downstream.  The
+    number of terms is capped at the number of admissible exponent
+    tuples, after it is drawn, so draws the cap does not bind are as
+    they were.
     """
     names = ("x", "y", "z", "w")[:nvars]
-    nterms = rng.randint(1, max_terms)
+    admissible = (max_exp + 1) ** nvars - (1 if origin_vanishing else 0)
+    nterms = min(rng.randint(1, max_terms), admissible)
     pairs = []
     seen = set()
     while len(pairs) < nterms:

@@ -16,7 +16,7 @@ from helpers import (
     random_sparse_poly,
     reference_polyhedron,
 )
-from igusa import _linalg
+from igusa import _linalg, newton
 from igusa.cli import main
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
@@ -247,8 +247,16 @@ class TestManyVariables:
         _check_cone_partition(P(text), bound=3)
 
 
-def _random_support_poly(rng, n, nterms):
-    """Up to nterms monomials, some of them dominated by others."""
+def test_random_sparse_poly_caps_its_terms():
+    # only x and x^2 are admissible: asking for 3 terms once looped forever
+    for seed in range(50):
+        f = random_sparse_poly(random.Random(seed), 1, max_terms=3, max_exp=2)
+        assert 1 <= len(f.terms) <= 2 and f.constant_term() == 0
+
+
+def _random_support_poly(rng, n, nterms, on_axes=0.0):
+    """Up to nterms monomials, some of them dominated by others, and a
+    share on_axes of the others moved onto a coordinate hyperplane."""
     names = ("x", "y", "z", "w")[:n]
     exps = set()
     while len(exps) < nterms:
@@ -257,6 +265,9 @@ def _random_support_poly(rng, n, nterms):
             e = tuple(b + rng.randint(0, 2) for b in base)
         else:
             e = tuple(rng.randint(0, 5) for _ in range(n))
+            if on_axes and rng.random() < on_axes:
+                i = rng.randrange(n)
+                e = e[:i] + (0,) + e[i + 1:]
         if any(e):
             exps.add(e)
     return from_terms(names, [(e, 1) for e in sorted(exps)])
@@ -274,6 +285,60 @@ class TestAgainstReference:
         for i in range(40):
             f = _random_support_poly(rng, 1 + i % 4, rng.randint(1, 20))
             assert _face_order(build_polyhedron(f).as_dict()) == reference_polyhedron(f), f
+
+    def test_seeded_corpus(self):
+        rng = random.Random(20261019)
+        for i in range(300):
+            f = _random_support_poly(rng, 1 + i % 4, rng.randint(1, 12), on_axes=0.3)
+            assert _face_order(build_polyhedron(f).as_dict()) == reference_polyhedron(f), f
+
+    def test_sum_eight_slice(self):
+        # 20 points of the 165 with w_1 + ... + w_4 = 8: no point is dominated
+        slice8 = [w for w in itertools.product(range(9), repeat=4) if sum(w) == 8]
+        f = from_terms(("x", "y", "z", "w"), [(w, 1) for w in random.Random(8).sample(slice8, 20)])
+        assert _face_order(build_polyhedron(f).as_dict()) == reference_polyhedron(f)
+
+    @pytest.mark.parametrize("text, facets", [
+        ("x^3 + x^5", [((1,), 3)]),
+        ("x*y*z", [((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 0, 0), 1)]),
+        # the non-minimal point x*y lies on the facet x >= 1
+        ("x + x*y", [((0, 1), 0), ((1, 0), 1)]),
+    ])
+    def test_edge_cases(self, text, facets):
+        f = P(text)
+        poly = build_polyhedron(f)
+        assert [(ft.normal, ft.m) for ft in poly.facets] == facets
+        assert _face_order(poly.as_dict()) == reference_polyhedron(f)
+
+    # Three collinear minimal points, such as (1, 0, 2, 0), (1, 1, 1, 1) and
+    # (1, 2, 0, 2), let two rays that are not adjacent share n - 1 zero
+    # constraints: here the count alone does not decide adjacency.
+    @pytest.mark.parametrize("support", [
+        [(0, 1, 2, 2), (1, 0, 2, 0), (1, 1, 1, 1), (1, 2, 0, 2), (2, 0, 1, 2), (2, 1, 2, 1),
+         (2, 2, 0, 1)],
+        [(0, 2, 2, 2), (1, 0, 1, 2), (1, 1, 0, 2), (1, 1, 1, 1), (1, 1, 2, 0), (1, 1, 2, 2),
+         (2, 1, 0, 2), (2, 1, 1, 0), (2, 1, 2, 2), (2, 2, 1, 2)],
+    ])
+    def test_collinear_minimal_points(self, support):
+        f = from_terms(("x", "y", "z", "w"), [(w, 1) for w in support])
+        assert _face_order(build_polyhedron(f).as_dict()) == reference_polyhedron(f)
+
+    def test_missing_vertex_is_refused(self, monkeypatch):
+        """Without the lexicographically first support point, which is
+        always a vertex, the facets found describe a smaller polyhedron;
+        the check of each facet against the full support must refuse
+        them rather than return a wrong polyhedron."""
+        keep = newton._minimal_points
+        monkeypatch.setattr(newton, "_minimal_points", lambda support: keep(support)[1:])
+        rng = random.Random(20261020)
+        tried = 0
+        while tried < 100:
+            f = _random_support_poly(rng, rng.randint(2, 4), rng.randint(2, 12), on_axes=0.3)
+            if len(keep(sorted(f.support()))) < 2:
+                continue
+            tried += 1
+            with pytest.raises(AssertionError):
+                build_polyhedron(f)
 
     def test_integer_kernel_matches_rational_elimination(self):
         from helpers import exact_rank
