@@ -29,7 +29,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f = parse_polynomial(f"x^{a}")
             g = parse_polynomial(f"y^{b}")
             den = denominator(f, g)
-            extra = sorted(set(den.candidate_poles().poles) - {-1}, reverse=True)
+            extra = [r for r in reversed(den.candidate_poles()) if r != -1]
             factors = ", ".join(f"(1 - q^-{qp} t^{tp})" for qp, tp in den.factors()[1:])
             print(f"{a}\t{b}\t{factors or '-'}\t{[str(r) for r in extra] or '-'}")
     return 0

@@ -239,7 +239,7 @@ def run(cmd: str, req: AnalysisRequest) -> Tuple[dict, int]:
         f = parse_polynomial(_require(req, "f_text", "-f"))
         g = parse_polynomial(_require(req, "g_text", "-g"))
         poles = tsden.candidate_poles(f, g)
-        return {"schema": SCHEMA, "poles": poles.as_strings()}, 0
+        return {"schema": SCHEMA, "poles": [str(x) for x in poles]}, 0
 
     if cmd == "spf":
         f = parse_polynomial(_require(req, "f_text", "-f"))

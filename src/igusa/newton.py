@@ -253,7 +253,7 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
     if f.is_zero():
         raise ValueError("zero polynomial has no Newton polyhedron")
     if f.constant_term() != 0:
-        raise ValueError("f(0) must be 0 (no constant term)")
+        raise ValueError(f"polynomial {f} does not vanish at 0 (it has a constant term)")
     n = f.nvars
     if n > _MAX_VARS:
         raise ValueError(f"too many variables ({n} > {_MAX_VARS})")

@@ -12,7 +12,6 @@ absorbs addition.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -63,13 +62,8 @@ DEFAULT_BUDGET = 10**8
 Valuation = Union[int, _Infinite]
 
 
-@functools.lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all 64-bit inputs.
-
-    Cached: `p_valuation` checks its base on every call, and the callers in
-    the recursion hot paths ask about the same few primes over and over.
-    """
+    """Deterministic Miller-Rabin; the witness set covers all 64-bit inputs."""
     if p < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -112,10 +106,11 @@ def p_valuation(x: Union[int, Fraction], p: int) -> Valuation:
     """The exponent of p in x; INFINITE for x = 0.
 
     Accepts integers and Fractions (valuation of a quotient is the
-    difference of the valuations).
+    difference of the valuations).  p is not tested for primality here:
+    ``PrimeSpec`` checks it where it enters the program.
     """
-    if p < 2 or not _is_prime(p):
-        raise ValueError(f"valuation base must be prime, got {p!r}")
+    if p < 2:
+        raise ValueError(f"valuation base must be at least 2, got {p!r}")
     if isinstance(x, Fraction):
         if x == 0:
             return INFINITE

@@ -54,8 +54,10 @@ from .mpoly import Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dty
 from .newton import Face, NewtonPolyhedron
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import (
+    Factor,
     PowerSeries,
     RationalZeta,
+    poles,
     recover_numerator,
     reduce_factors,
 )
@@ -440,16 +442,21 @@ class VerificationReport:
     p: int
     depth: int
     max_deg: int
-    factors: Tuple[Tuple[int, int], ...]
-    candidate_poles: Tuple[Fraction, ...]
+    factors: Tuple[Factor, ...]
     counts: CountSeries
     series: PowerSeries
     numerator: Optional[Tuple[Fraction, ...]]
     residuals: Tuple[Tuple[int, Fraction], ...]
-    cancelled_factors: Tuple[Tuple[int, int], ...]
-    surviving_factors: Tuple[Tuple[int, int], ...]
-    surviving_poles: Tuple[Fraction, ...]
-    noncrit_warnings: Tuple[str, ...] = ()
+    cancelled_factors: Tuple[Factor, ...]
+    surviving_factors: Tuple[Factor, ...]
+
+    @property
+    def candidate_poles(self) -> Tuple[Fraction, ...]:
+        return poles(self.factors)
+
+    @property
+    def surviving_poles(self) -> Tuple[Fraction, ...]:
+        return poles(self.surviving_factors)
 
     def as_dict(self) -> dict:
         return {
@@ -467,7 +474,8 @@ class VerificationReport:
             "residuals": [[m, str(c)] for m, c in self.residuals],
             "cancelled_factors": [list(f) for f in self.cancelled_factors],
             "poles_surviving": [str(x) for x in self.surviving_poles],
-            "noncrit_warnings": list(self.noncrit_warnings),
+            # schema 1 keeps the key; verify does not test non-criticality
+            "noncrit_warnings": [],
         }
 
 
@@ -478,7 +486,6 @@ def verify_theorem(
     depth: Optional[int] = None,
     max_deg: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
-    check_mode: Optional[str] = None,
 ) -> VerificationReport:
     """Check the predicted denominator of Z(f(+)g; s) against true counts.
 
@@ -492,11 +499,11 @@ def verify_theorem(
     checks), else max_deg = sum of t-powers and depth = max_deg + that
     sum + 2.  A failed recovery is returned as a report with ok=False
     and the nonzero residuals — a falsification candidate, not an
-    exception.  The counts come from ``direct_sum_counts``; running out
-    of node budget there raises BudgetExceeded.
+    exception; every factor then counts as surviving.  The counts come
+    from ``direct_sum_counts``; running out of node budget there raises
+    BudgetExceeded.
     """
-    den = tsden.denominator(f, g, check_mode=check_mode)
-    factors = tuple(den.factors())
+    factors = tuple(tsden.denominator(f, g).factors())
     total_b = sum(b for _, b in factors)
     if max_deg is None:
         max_deg = depth - 3 if depth is not None else total_b
@@ -508,39 +515,20 @@ def verify_theorem(
     counts = direct_sum_counts(f, g, p, depth, budget=budget)
     series = measure_series(counts)
     recovery = recover_numerator(series, factors, p.q, max_deg)
-    candidate_poles = tuple(sorted(den.candidate_poles().poles))
-    if not recovery.ok:
-        return VerificationReport(
-            ok=False,
-            p=p.p,
-            depth=depth,
-            max_deg=max_deg,
-            factors=factors,
-            candidate_poles=candidate_poles,
-            counts=counts,
-            series=series,
-            numerator=None,
-            residuals=recovery.residuals,
-            cancelled_factors=(),
-            surviving_factors=factors,
-            surviving_poles=candidate_poles,
-            noncrit_warnings=tuple(den.noncrit_warnings),
-        )
-    zeta = RationalZeta(recovery.numerator, factors, p.q)
-    reduction = reduce_factors(zeta)
+    cancelled, surviving = (), factors
+    if recovery.ok:
+        reduction = reduce_factors(RationalZeta(recovery.numerator, factors, p.q))
+        cancelled, surviving = reduction.cancelled, reduction.surviving
     return VerificationReport(
-        ok=True,
+        ok=recovery.ok,
         p=p.p,
         depth=depth,
         max_deg=max_deg,
         factors=factors,
-        candidate_poles=candidate_poles,
         counts=counts,
         series=series,
         numerator=recovery.numerator,
-        residuals=(),
-        cancelled_factors=reduction.cancelled,
-        surviving_factors=reduction.surviving,
-        surviving_poles=reduction.surviving_poles(),
-        noncrit_warnings=tuple(den.noncrit_warnings),
+        residuals=recovery.residuals,
+        cancelled_factors=cancelled,
+        surviving_factors=surviving,
     )

@@ -2,9 +2,9 @@
 
 A :class:`RationalZeta` is N(t) / prod_(A,B) (1 - q^(-A) t^B) at a
 specialized prime power q, with exact rational coefficients throughout.
-The module provides Maclaurin expansion, verification that a truncated
-series satisfies the linear recurrence a given denominator implies, and
-exact recovery of the numerator from a series.
+The module provides the poles -A/B of the factors, Maclaurin expansion,
+and exact recovery of the numerator from a truncated series, which
+checks the linear recurrence a given denominator implies.
 
 Recovery never reduces the fraction silently: cancellation of
 denominator factors against the numerator is the interesting output,
@@ -46,6 +46,12 @@ def _poly_mul(p: Sequence[Fraction], r: Sequence[Fraction]) -> List[Fraction]:
         for j, b in enumerate(r):
             out[i + j] += a * b
     return out
+
+
+def poles(factors: Sequence[Factor]) -> Tuple[Fraction, ...]:
+    """The distinct real parts -A/B of the poles of prod (1 - q^(-A) t^B),
+    in increasing order."""
+    return tuple(sorted({Fraction(-a, b) for a, b in factors}))
 
 
 def denominator_polynomial(factors: Sequence[Factor], q: int) -> List[Fraction]:
@@ -198,24 +204,6 @@ def series_times_denominator(
     return out
 
 
-def check_recurrence(
-    series: PowerSeries, factors: Sequence[Factor], q: int, start: int
-) -> bool:
-    """True iff series * prod(1 - q^(-A) t^B) vanishes in degrees >= start.
-
-    Checked on the reliable window [start, series.depth]; requires the
-    window to cover at least the total recurrence order sum(B).
-    """
-    factors = [_check_factor(f) for f in factors]
-    order = sum(b for _, b in factors)
-    if series.depth < start + order:
-        raise ValueError(
-            f"series depth {series.depth} < start {start} + total order {order}"
-        )
-    product = series_times_denominator(series, factors, q)
-    return all(product[m] == 0 for m in range(start, series.depth + 1))
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     """Outcome of numerator recovery from a truncated series."""
@@ -223,11 +211,6 @@ class RecoveryResult:
     ok: bool
     numerator: Optional[Tuple[Fraction, ...]]
     residuals: Tuple[Tuple[int, Fraction], ...]  # (degree, nonzero coefficient)
-
-    def rational(self, factors: Sequence[Factor], q: int) -> RationalZeta:
-        if not self.ok or self.numerator is None:
-            raise ValueError("recovery failed; no rational form available")
-        return RationalZeta(self.numerator, tuple(factors), q)
 
 
 def recover_numerator(
@@ -303,7 +286,7 @@ class ReductionResult:
     surviving: Tuple[Factor, ...]
 
     def surviving_poles(self) -> Tuple[Fraction, ...]:
-        return tuple(sorted({Fraction(-a, b) for a, b in self.surviving}))
+        return poles(self.surviving)
 
 
 def reduce_factors(z: RationalZeta) -> ReductionResult:

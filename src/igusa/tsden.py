@@ -8,11 +8,11 @@ with positive facet weights m_f(a) and m_g(b), put
     e' = m_g(b) / gcd(m_f(a), m_g(b)).
 
 The pair contributes the factor 1 - q^{-(e|b| + e'|a|)} t^l with
-t = q^{-s}; pairs where either weight is 0 contribute no factor (the
-affine exponent degenerates to -infinity) and are reported as inert.
-The full denominator is the universal factor 1 - q^{-1} t times the
-product over all facet pairs, and the candidate poles of the quotient
-are -1 together with -(e|b| + e'|a|) / l for each finite factor.
+t = q^{-s}, kept as ratfun's pair (A, B) = (e|b| + e'|a|, l); pairs
+where either weight is 0 contribute no factor and are reported as
+inert.  The full denominator is the universal factor (1, 1), that is
+1 - q^{-1} t, times the product over all facet pairs, and the candidate
+poles of the quotient are -A/B over its factors, -1 among them.
 """
 
 from __future__ import annotations
@@ -24,170 +24,82 @@ from typing import List, Optional, Tuple
 
 from .mpoly import Polynomial, direct_sum
 from .newton import NewtonPolyhedron, build_polyhedron
-from . import noncrit
+from .ratfun import Factor, poles
 
 IntVec = Tuple[int, ...]
 
 
-class _MinusInfinity:
-    """Degenerate affine exponent: the pair contributes no factor."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "MINUS_INFINITY"
-
-
-MINUS_INFINITY = _MinusInfinity()
-
-
-@dataclass(frozen=True)
-class AffineExponent:
-    """Exponent c(s) = -(q_power) - t_power * s, encoded as the factor
-    1 - q^{-q_power} t^{t_power}."""
-
-    t_power: int
-    q_power: int
-
-    def __post_init__(self):
-        if self.t_power < 1 or self.q_power < 1:
-            raise ValueError("affine exponent powers must be positive")
-
-    def pole(self) -> Fraction:
-        return Fraction(-self.q_power, self.t_power)
-
-
-def pair_factor(m_f: int, m_g: int, abs_a: int, abs_b: int):
-    """The factor exponent for facet weights (m_f, m_g) and coordinate
+def pair_factor(m_f: int, m_g: int, abs_a: int, abs_b: int) -> Optional[Factor]:
+    """The factor (A, B) for facet weights (m_f, m_g) and coordinate
     sums |a|, |b| of the primitive normals.
 
-    Returns MINUS_INFINITY when either weight vanishes.
+    Returns None, an inert pair, when either weight vanishes.
     """
     if m_f < 0 or m_g < 0:
         raise ValueError("facet weights are naturals")
     if abs_a < 1 or abs_b < 1:
         raise ValueError("|a| and |b| are positive for primitive normals")
     if m_f == 0 or m_g == 0:
-        return MINUS_INFINITY
+        return None
     g = gcd(m_f, m_g)
-    e = m_f // g
-    e_prime = m_g // g
-    return AffineExponent(t_power=lcm(m_f, m_g), q_power=e * abs_b + e_prime * abs_a)
-
-
-@dataclass(frozen=True)
-class PairFactor:
-    a: IntVec
-    b: IntVec
-    m_f: int
-    m_g: int
-    exponent: object  # AffineExponent or MINUS_INFINITY
-
-    @property
-    def inert(self) -> bool:
-        return self.exponent is MINUS_INFINITY
-
-
-@dataclass(frozen=True)
-class CandidatePoleSet:
-    """Real parts of candidate poles; always contains -1."""
-
-    poles: frozenset
-
-    def sorted(self) -> List[Fraction]:
-        return sorted(self.poles)
-
-    def as_strings(self) -> List[str]:
-        return [str(p) for p in self.sorted()]
+    e, e_prime = m_f // g, m_g // g
+    return (e * abs_b + e_prime * abs_a, lcm(m_f, m_g))
 
 
 @dataclass(frozen=True)
 class Denominator:
     """Factored denominator of Z(f + g; s) in t = q^{-s}.
 
-    ``universal`` is the factor 1 - q^{-1} t.  ``pairs`` lists one
-    entry per facet pair, inert ones included for transparency.
+    ``pairs`` holds one (a, b, factor) per pair of facet normals, inert
+    ones included for transparency with factor None.
     """
 
-    universal: AffineExponent
-    pairs: Tuple[PairFactor, ...]
-    noncrit_warnings: Tuple[str, ...]
+    pairs: Tuple[Tuple[IntVec, IntVec, Optional[Factor]], ...]
 
-    def factors(self) -> List[Tuple[int, int]]:
-        """(q_power, t_power) for the universal and all finite factors."""
-        out = [(self.universal.q_power, self.universal.t_power)]
-        out.extend(
-            (p.exponent.q_power, p.exponent.t_power)
-            for p in self.pairs
-            if not p.inert
-        )
-        return out
+    def factors(self) -> List[Factor]:
+        """The universal factor (1, 1), then the factor of each non-inert pair."""
+        return [(1, 1)] + [fac for _, _, fac in self.pairs if fac is not None]
 
-    def candidate_poles(self) -> CandidatePoleSet:
-        poles = {Fraction(-1)}
-        for p in self.pairs:
-            if not p.inert:
-                poles.add(p.exponent.pole())
-        return CandidatePoleSet(frozenset(poles))
+    def candidate_poles(self) -> Tuple[Fraction, ...]:
+        return poles(self.factors())
 
     def as_dict(self) -> dict:
         return {
-            "universal": {"qpow": self.universal.q_power, "tpow": self.universal.t_power},
+            "universal": {"qpow": 1, "tpow": 1},
             "factors": [
                 {
-                    "a": list(p.a),
-                    "b": list(p.b),
-                    "qpow": p.exponent.q_power if not p.inert else None,
-                    "tpow": p.exponent.t_power if not p.inert else None,
-                    "inert": p.inert,
+                    "a": list(a),
+                    "b": list(b),
+                    "qpow": None if fac is None else fac[0],
+                    "tpow": None if fac is None else fac[1],
+                    "inert": fac is None,
                 }
-                for p in self.pairs
+                for a, b, fac in self.pairs
             ],
-            "poles": self.candidate_poles().as_strings(),
-            "warnings": list(self.noncrit_warnings),
+            "poles": [str(x) for x in self.candidate_poles()],
+            # schema 1 keeps the key; no non-criticality check runs here
+            "warnings": [],
         }
 
 
 def denominator(
-    f: Polynomial,
-    g: Polynomial,
-    check_mode: Optional[str] = None,
-    newton_f: Optional[NewtonPolyhedron] = None,
-    newton_g: Optional[NewtonPolyhedron] = None,
+    f: Polynomial, g: Polynomial, newton_f: Optional[NewtonPolyhedron] = None
 ) -> Denominator:
     """Assemble the factored denominator for the direct sum f + g.
 
     Variables of f and g must be disjoint (checked by forming the sum).
-    When check_mode is given ("exact_small" or "finite_field_heuristic"),
-    each summand is tested for Newton non-criticality and any
-    uncertified verdict becomes a warning on the result; the factors are
-    produced either way.
+    The factors are the generic ones: neither summand is tested for
+    Newton non-criticality.
     """
     direct_sum(f, g)  # raises on variable collision
     nf = newton_f if newton_f is not None else build_polyhedron(f)
-    ng = newton_g if newton_g is not None else build_polyhedron(g)
-    warnings = []
-    if check_mode is not None:
-        for name, poly, newton in (("f", f, nf), ("g", g, ng)):
-            report = noncrit.check_noncritical(poly, mode=check_mode, polyhedron=newton)
-            if report.verdict != "non_critical":
-                warnings.append(
-                    f"{name} = {poly} is not certified Newton non-critical "
-                    f"(verdict: {report.verdict}); the factored denominator "
-                    "is still the generic one"
-                )
-    pairs = []
-    for fa in nf.facets:
-        for fb in ng.facets:
-            exponent = pair_factor(fa.m, fb.m, sum(fa.normal), sum(fb.normal))
-            pairs.append(PairFactor(fa.normal, fb.normal, fa.m, fb.m, exponent))
-    return Denominator(AffineExponent(1, 1), tuple(pairs), tuple(warnings))
+    ng = build_polyhedron(g)
+    return Denominator(tuple(
+        (fa.normal, fb.normal, pair_factor(fa.m, fb.m, sum(fa.normal), sum(fb.normal)))
+        for fa in nf.facets
+        for fb in ng.facets
+    ))
 
 
-def candidate_poles(f: Polynomial, g: Polynomial) -> CandidatePoleSet:
+def candidate_poles(f: Polynomial, g: Polynomial) -> Tuple[Fraction, ...]:
     return denominator(f, g).candidate_poles()

@@ -202,6 +202,14 @@ class TestMain:
         assert rc == 1
         assert "requires" in json.loads(err)["error"]["message"]
 
+    def test_constant_term_error_names_the_polynomial(self):
+        rc, out, err = invoke(["analyze", "-f", "x^2", "-g", "y^2+1"])
+        assert rc == 1
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "y^2 + 1" in message
+        assert "x^2" not in message
+
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")
 def test_console_script_end_to_end():

@@ -16,6 +16,12 @@ class TestPValuation:
         assert p_valuation(1, 7) == 0
         assert p_valuation(-54, 3) == 3
 
+    @pytest.mark.parametrize("base", [1, 0])
+    def test_rejects_base_below_two(self, base):
+        # p = 1 would divide forever and p = 0 would divide by zero
+        with pytest.raises(ValueError):
+            p_valuation(6, base)
+
     def test_zero_is_infinite(self):
         assert p_valuation(0, 5) is INFINITE
         assert p_valuation(Fraction(0), 3) is INFINITE

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from igusa.ratfun import (
     PowerSeries,
     RationalZeta,
-    check_recurrence,
     denominator_polynomial,
     divide_out_factor,
     expand,
+    poles,
     recover_numerator,
     reduce_factors,
     series_times_denominator,
@@ -135,20 +135,6 @@ class TestExpand:
         assert prod == padded
 
 
-class TestCheckRecurrence:
-    def test_accepts_true_expansion(self):
-        z = RationalZeta((Fraction(2), Fraction(-1, 3)), ((1, 1), (2, 1)), 3)
-        s = expand(z, 10)
-        assert check_recurrence(s, z.denominator_factors, 3, start=2)
-
-    def test_rejects_perturbed_expansion(self):
-        z = RationalZeta((Fraction(2),), ((1, 1),), 3)
-        s = expand(z, 10)
-        bad = list(s.coefficients)
-        bad[7] += Fraction(1, 99)
-        assert not check_recurrence(PowerSeries(tuple(bad)), z.denominator_factors, 3, start=1)
-
-
 class TestRecoverNumerator:
     def test_exact_recovery(self):
         z = RationalZeta((Fraction(4, 5), Fraction(1, 25)), ((1, 1), (5, 6)), 5)
@@ -156,7 +142,7 @@ class TestRecoverNumerator:
         res = recover_numerator(s, z.denominator_factors, 5, max_deg=3)
         assert res.ok
         assert res.numerator == (Fraction(4, 5), Fraction(1, 25))
-        assert res.rational(z.denominator_factors, 5) == z
+        assert RationalZeta(res.numerator, z.denominator_factors, 5) == z
 
     def test_failure_reports_residuals(self):
         z = RationalZeta((Fraction(1), Fraction(0), Fraction(1)), ((1, 1),), 5)
@@ -165,6 +151,15 @@ class TestRecoverNumerator:
         assert not res.ok
         assert res.residuals
         assert all(r != 0 for _, r in res.residuals)
+
+    def test_rejects_perturbed_expansion(self):
+        z = RationalZeta((Fraction(2),), ((1, 1),), 3)
+        s = expand(z, 10)
+        bad = list(s.coefficients)
+        bad[7] += Fraction(1, 99)
+        res = recover_numerator(PowerSeries(tuple(bad)), z.denominator_factors, 3, max_deg=0)
+        assert not res.ok
+        assert res.residuals == ((7, Fraction(1, 99)), (8, Fraction(-1, 297)))
 
     def test_requires_residual_window(self):
         with pytest.raises(ValueError):
@@ -185,7 +180,7 @@ class TestRecoverNumerator:
         s = expand(z, depth)
         res = recover_numerator(s, factors, q, max_deg=max_deg)
         assert res.ok
-        assert res.rational(factors, q) == z
+        assert RationalZeta(res.numerator, factors, q) == z
 
 
 class TestDivideOutFactor:
@@ -218,6 +213,16 @@ class TestDivideOutFactor:
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         assert quotient == tuple(trimmed)
+
+
+class TestPoles:
+    def test_distinct_and_increasing(self):
+        assert poles([(5, 6), (1, 1), (2, 2), (3, 1)]) == (
+            Fraction(-3), Fraction(-1), Fraction(-5, 6)
+        )
+
+    def test_no_factors_no_poles(self):
+        assert poles([]) == ()
 
 
 class TestReduceFactors:
