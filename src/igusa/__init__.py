@@ -14,8 +14,8 @@ Subpackages by role:
   expansion, numerator recovery.
 * :mod:`igusa.spf` — stationary-phase recursion: exact evaluation of
   the measure integral over residue domains.
-* :mod:`igusa.oracle` — point counting (brute-force lifting, and value
-  balls for direct sums) and end-to-end denominator verification.
+* :mod:`igusa.oracle` — point counting (value balls, and brute-force
+  lifting as the reference) and end-to-end denominator verification.
 * :mod:`igusa.cli` — the `igusa` command.
 """
 

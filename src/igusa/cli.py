@@ -267,7 +267,7 @@ def run(cmd: str, req: AnalysisRequest) -> Tuple[dict, int]:
         f = parse_polynomial(_require(req, "f_text", "-f"))
         p = PrimeSpec(req.prime)
         depth = req.depth if req.depth is not None else 8
-        counts = oracle.count_mod(f, p, depth, budget=req.budget)
+        counts = oracle.ball_counts(f, p, depth, budget=req.budget)
         series = oracle.measure_series(counts)
         payload = {
             "schema": SCHEMA,
@@ -330,9 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if depthish:
             sp.add_argument("--depth", type=int, default=None, help="levels of p-adic precision")
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="node budget (default 10^8); a node is one survivor "
-                            "lifted by one level for count, one scan of the p^n "
-                            "residues of f or g for verify")
+                            help="node budget (default 10^8); a node is one scan of "
+                            "the p^n residues mod p of f (or g, for verify) or of a "
+                            "polynomial met in its recursion")
         sp.add_argument("--json", dest="fmt", action="store_const", const="json",
                         default="json", help="JSON output (default)")
         sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv",
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", action="store_true", help="include the recursion trace")
     sp.add_argument("--depth-guard", dest="depth_guard", type=int, default=32)
 
-    sp = sub.add_parser("count", help="count solutions mod p^m by lifting")
+    sp = sub.add_parser("count", help="count solutions mod p^m")
     common(sp, f=True, prime=True, depthish=True)
 
     sp = sub.add_parser("verify", help="check the predicted denominator against counts")

@@ -9,7 +9,8 @@ polynomials have equal canonical forms.
 The transform used by the stationary-phase recursion lives here:
 ``shift_scale`` rewrites f(P + p x) as p^e * g(x) with g of p-unit
 content, returning (e, g), an exact identity over the integers, tested
-by re-expansion.
+by re-expansion.  It expands each term by the binomial theorem into one
+map of terms, which the value balls of ``oracle`` read too.
 
 The one vectorised evaluator lives here too, for every caller that needs
 f on many residue classes: ``eval_mod`` reduces f mod m at each row of a
@@ -20,8 +21,9 @@ polynomial does not load it.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .numeric import INFINITE, p_valuation, valuation_min
@@ -264,8 +266,36 @@ def direct_sum(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(variables, terms)
 
 
-def _min_coeff_valuation(f: Polynomial, p: int):
-    return valuation_min(p_valuation(c, p) for c in f.terms.values())
+def _shift_terms(f: Polynomial, point: Sequence[int], p: int) -> dict:
+    """The terms of f(P + p x): each term of f expanded by the binomial
+    theorem, (P_i + p x_i)^k = sum over j of C(k, j) P_i^(k-j) p^j x_i^j."""
+    rows: dict = {}  # (i, k) -> the nonzero (j, coefficient) of (P_i + p x_i)^k
+    out: dict = {}
+    for exps, coeff in f.terms.items():
+        factors = []
+        for i, k in enumerate(exps):
+            row = rows.get((i, k))
+            if row is None:
+                a = point[i]
+                row = rows[(i, k)] = [
+                    (j, comb(k, j) * a ** (k - j) * p**j) for j in range(k + 1) if a or j == k
+                ]
+            factors.append(row)
+        for choice in itertools.product(*factors):
+            c = coeff
+            for _, b in choice:
+                c *= b
+            mono = tuple(j for j, _ in choice)
+            out[mono] = out.get(mono, 0) + c
+    return out
+
+
+def _scale_out(variables: Sequence[str], terms: dict, p: int) -> Tuple[int, Polynomial]:
+    """(e, g) with sum(terms) = p^e * g and g of p-unit content; terms not all 0."""
+    e = valuation_min(p_valuation(c, p) for c in terms.values())
+    assert e is not INFINITE  # substitution is invertible over Q
+    scale = p**e
+    return e, Polynomial(variables, {m: c // scale for m, c in terms.items()})
 
 
 def shift_scale(f: Polynomial, point: Sequence[int], p: int) -> Tuple[int, Polynomial]:
@@ -277,34 +307,7 @@ def shift_scale(f: Polynomial, point: Sequence[int], p: int) -> Tuple[int, Polyn
         raise ValueError("shift_scale of the zero polynomial")
     if len(point) != f.nvars:
         raise ValueError(f"point arity {len(point)} != {f.nvars}")
-    point = [int(x) for x in point]
-    # powers[i][j] = (P_i + p*x_i)^j, built incrementally
-    linears = [
-        constant(f.variables, point[i]) + p * variable(f.variables, f.variables[i])
-        for i in range(f.nvars)
-    ]
-    max_e = [0] * f.nvars
-    for exps in f.terms:
-        for i, e in enumerate(exps):
-            max_e[i] = max(max_e[i], e)
-    powers = []
-    for i in range(f.nvars):
-        row = [constant(f.variables, 1)]
-        for _ in range(max_e[i]):
-            row.append(row[-1] * linears[i])
-        powers.append(row)
-    acc = constant(f.variables, 0)
-    for exps, coeff in f.terms.items():
-        term = constant(f.variables, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * powers[i][e]
-        acc = acc + term
-    e = _min_coeff_valuation(acc, p)
-    assert e is not INFINITE  # substitution is invertible over Q
-    scale = p**e
-    g = Polynomial(f.variables, {m: c // scale for m, c in acc.terms.items()})
-    return e, g
+    return _scale_out(f.variables, _shift_terms(f, [int(x) for x in point], p), p)
 
 
 def _pow_mod(arr, e: int, modulus: int):

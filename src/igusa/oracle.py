@@ -2,24 +2,25 @@
 
 Two counters live here, written independently of each other:
 
+* ``value_balls`` pushes the point count of f mod p^m forward to the
+  values of f, as a list of uniform balls.  Each residue class mod p is
+  sorted by ``mpoly.classify_mod_p``.  A class where some partial
+  derivative is a unit maps uniformly onto one ball of radius p^-1
+  (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
+  class recurses through f(r + p x) - f(r) = p^e h(x), read off the
+  binomial expansion that ``shift_scale`` shares with ``spf``.
+  ``direct_sum_counts`` reads the counts of f(x) + g(y) off the balls
+  of f and of g (two uniform balls add to one), and ``verify_theorem``
+  runs on it.  ``ball_counts`` is the same reader with g the polynomial
+  in no variables, and ``igusa count`` runs on it.
 * ``count_mod`` counts solutions of f = 0 mod p^m by breadth-first
   lifting (survivors mod p^m expand to their p^n children mod p^(m+1)),
   optionally restricted to a valuation-cone domain.  It is deliberately
   dumb: no Hensel block lifting, no smooth-point shortcuts.  Each level
   is one numpy array of survivors, evaluated in blocks by
   ``mpoly.eval_mod``: int64 while that is exact, object arrays of Python
-  ints beyond.  ``igusa count`` and the cone domains run on it.
-* ``value_balls`` pushes the point count of f mod p^m forward to the
-  values of f, as a list of uniform balls.  Each residue class mod p is
-  sorted by ``mpoly.classify_mod_p``.  A class where some partial
-  derivative is a unit maps uniformly onto one ball of radius p^-1
-  (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
-  class recurses through f(r + p x) - f(r) = p^e h(x) (``shift_scale``,
-  which ``spf`` shares).
-  ``direct_sum_counts`` combines the balls of f and of g into the counts
-  of f(x) + g(y): two uniform balls add to one.  ``verify_theorem``
-  counts this way, so it leans on Hensel; the tests tie it to
-  ``count_mod``.
+  ints beyond.  It is the reference the tests tie the value balls to,
+  and the only counter for cone domains.
 
 ``count_mod``, ``value_balls`` and ``spf`` share the residue evaluator
 but no algorithm: lifting takes no shortcut that the other two take,
@@ -37,7 +38,8 @@ explicit node budget.  For ``count_mod`` a node is one survivor expanded
 by one level, and exceeding the budget returns the completed prefix with
 a truncation marker.  For the value-ball counter a node is one scan of
 the p^n residue classes mod p, and exceeding the budget raises
-``BudgetExceeded`` naming the class where it stopped.
+``BudgetExceeded`` naming the class where it stopped; so does a scan of
+more than 4 * 10^6 residues, before they are built.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tsden
-from .mpoly import Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype, shift_scale
+from .mpoly import Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype
+from .mpoly import _scale_out, _shift_terms
 from .newton import Face, NewtonPolyhedron
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import (
@@ -63,10 +66,11 @@ from .ratfun import (
 )
 
 _CAND_CHUNK = 1 << 20  # candidate rows evaluated per numpy block
+_RESIDUE_BUDGET = 4 * 10**6  # residues mod p per value-ball scan, as noncrit's grid
 
 
 class BudgetExceeded(RuntimeError):
-    """The node budget stopped counting before the requested depth."""
+    """A budget (of nodes, or of residues per scan) stopped counting."""
 
 
 ValueBalls = Dict[Tuple[int, int], int]  # (k, centre mod p^k) -> weight
@@ -293,7 +297,8 @@ def value_balls(
     weights add up to p^(n m).  ``nodes`` is ``spent`` (nodes already
     taken from the same budget) plus the scans of the p^n residue classes
     mod p made here, one per polynomial and precision met in the
-    recursion; a scan beyond ``budget`` raises BudgetExceeded.
+    recursion; a scan beyond ``budget`` raises BudgetExceeded, and so do
+    more than 4 * 10^6 residues mod p, before any is built.
 
     A class r where some partial is a unit maps onto f(r) + p Z_p
     uniformly (Hensel).  On any other class f(r + p x) - f(r) = p^e h(x)
@@ -304,7 +309,13 @@ def value_balls(
         raise ValueError("precision must be >= 1")
     q = p.p
     n = f.nvars
+    if q**n > _RESIDUE_BUDGET:
+        raise BudgetExceeded(
+            f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
+            f"over the limit of {_RESIDUE_BUDGET}"
+        )
     residues = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    origin = (0,) * n
     memo: Dict[tuple, ValueBalls] = {}
     nodes = spent
 
@@ -330,9 +341,10 @@ def value_balls(
             out[(1, c)] = size * class_weight
         for row in residues[critical].tolist():
             r = tuple(row)
-            base = g.evaluate(r)
+            terms = _shift_terms(g, r, q)
+            base = terms.pop(origin, 0)
             # e >= 2 on a singular class, so at m <= 2 it is one point anyway
-            e, h = shift_scale(g - base, r, q) if m > 2 else (m, None)
+            e, h = _scale_out(g.variables, terms, q) if m > 2 else (m, None)
             if e >= m:
                 ball = (m, base % q**m)
                 out[ball] = out.get(ball, 0) + class_weight
@@ -378,6 +390,19 @@ def _ball_sum_counts(
             raise ArithmeticError(f"value balls give a fractional N_{j}")
         counts.append(count)
     return counts
+
+
+def ball_counts(
+    f: Polynomial, p: PrimeSpec, depth: int, budget: int = DEFAULT_BUDGET
+) -> CountSeries:
+    """Exact N_m of f on all of Z_p^n, m = 1..depth, from the value balls of f.
+
+    This is ``direct_sum_counts`` with the polynomial in no variables as
+    the second summand: its one value ball is the single point of Z_p^0,
+    with value 0 exactly.  ``nodes_expanded`` counts the residue scans;
+    running out of node budget raises BudgetExceeded.
+    """
+    return direct_sum_counts(f, Polynomial((), {}), p, depth, budget)
 
 
 def direct_sum_counts(

@@ -63,15 +63,17 @@ class ResidueDomain:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("domain dimension must be >= 1")
-        pts = frozenset(tuple(int(c) for c in r) for r in self.residues)
-        for r in pts:
-            if len(r) != self.dim:
-                raise ValueError(f"residue {r} has wrong arity (dim {self.dim})")
-            if any(not 0 <= c < self.p for c in r):
-                raise ValueError(f"residue {r} outside {{0..{self.p - 1}}}^{self.dim}")
-        ordered = tuple(sorted(pts))
-        rows = np.array(ordered, dtype=residue_dtype(self.p)).reshape(-1, self.dim)
-        object.__setattr__(self, "residues", pts)
+        listed = sorted(set(map(tuple, self.residues)))
+        if set(map(len, listed)) - {self.dim}:
+            r = next(tuple(int(c) for c in r) for r in listed if len(r) != self.dim)
+            raise ValueError(f"residue {r} has wrong arity (dim {self.dim})")
+        rows = np.array(listed, dtype=residue_dtype(self.p)).reshape(-1, self.dim)
+        outside = ((rows < 0) | (rows >= self.p)).any(axis=1)
+        if outside.any():
+            r = tuple(rows[outside][0].tolist())
+            raise ValueError(f"residue {r} outside {{0..{self.p - 1}}}^{self.dim}")
+        ordered = tuple(map(tuple, rows.tolist()))
+        object.__setattr__(self, "residues", frozenset(ordered))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_key", (self.p, self.dim, ordered))
 
@@ -301,7 +303,7 @@ def spf_evaluate(
         raise ValueError("the zero polynomial has no finite |f|^s integral")
     q = p.q
     n = f.nvars
-    full = ResidueDomain.full(p.p, n)
+    full = D if D.size == p.q**n else ResidueDomain.full(p.p, n)
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
     on_stack: List[tuple] = []
 

@@ -186,6 +186,31 @@ class TestMain:
         assert lines[0] == "m\tN_m"
         assert [l.split("\t")[1] for l in lines[1:]] == ["1", "5", "5", "25"]
 
+    def test_count_over_budget_exits_1(self):
+        rc, out, err = invoke(
+            ["count", "-f", "x^2+y^3", "-p", "5", "--depth", "9", "--budget", "3"]
+        )
+        assert rc == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "BudgetExceeded"
+        assert "at class (0, 0) -> (0, 0) -> (0, 0) with precision 3/9" in error["message"]
+
+    def test_count_over_the_residue_limit_exits_1(self):
+        # 53^4 = 7,890,481 residues mod 53: refused before they are built
+        rc, out, err = invoke(["count", "-f", "x + y + z + w", "-p", "53"])
+        assert rc == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "BudgetExceeded"
+        assert "53^4 = 7890481 residues" in error["message"]
+
+    def test_count_nodes_are_value_ball_scans(self):
+        rc, out, err = invoke(["count", "-f", "x^2+y^2+z^3", "-p", "3", "--depth", "8"])
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["counts"][-1] == 44109603
+        assert (payload["nodes_expanded"], payload["truncated"]) == (16, False)
+
     def test_poles_tsv(self):
         rc, out, err = invoke(["poles", "-f", "x^2", "-g", "y^3", "--tsv"])
         assert rc == 0
@@ -209,6 +234,21 @@ class TestMain:
         message = json.loads(err)["error"]["message"]
         assert "y^2 + 1" in message
         assert "x^2" not in message
+
+
+# `igusa count` output recorded while it still counted by lifting; the
+# node count and the truncation flag are not part of the comparison
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_count.json")) as fh:
+    GOLDEN_COUNT = json.load(fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN_COUNT, ids=lambda e: " ".join(e["argv"]))
+def test_count_matches_golden(entry):
+    rc, out, err = invoke(entry["argv"])
+    assert rc == entry["code"], err
+    dropped = ('  "nodes_expanded":', '  "truncated":')
+    kept = "".join(line for line in out.splitlines(True) if not line.startswith(dropped))
+    assert kept == entry["stdout"]
 
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")

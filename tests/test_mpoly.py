@@ -238,6 +238,27 @@ class TestShiftScale:
         shifted = tuple(ai + p * xi for ai, xi in zip(point, x))
         assert p**e * g.evaluate(x) == f.evaluate(shifted)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_composition(self, seed):
+        # f(P + p x) built with Polynomial +, * and **; the first coordinate
+        # of P is negative for even seeds and at least p for odd ones
+        rng = random.Random(seed)
+        f = random_sparse_poly(rng, rng.choice([1, 2, 3]), origin_vanishing=rng.random() < 0.5)
+        p = rng.choice([2, 3, 5, 7])
+        first = rng.randint(-3 * p, -1) if seed % 2 == 0 else rng.randint(p, 3 * p)
+        point = (first,) + tuple(rng.randint(-3 * p, 3 * p) for _ in range(f.nvars - 1))
+        names = f.variables
+        lines = [constant(names, a) + p * variable(names, v) for a, v in zip(point, names)]
+        composed = constant(names, 0)
+        for exps, coeff in f.terms.items():
+            term = constant(names, coeff)
+            for line, k in zip(lines, exps):
+                term = term * line**k
+            composed = composed + term
+        e, g = shift_scale(f, point, p)
+        assert p**e * g == composed
+        assert g.content() % p != 0
+
     @given(
         f=polynomials(max_vars=2),
         a=st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),

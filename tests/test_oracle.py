@@ -14,6 +14,7 @@ from igusa.numeric import PrimeSpec
 from igusa.oracle import (
     BudgetExceeded,
     ConeDomainSpec,
+    ball_counts,
     count_mod,
     direct_sum_counts,
     measure_series,
@@ -94,6 +95,45 @@ class TestCountMod:
             assert c.N(m + 1) <= p**n * c.N(m)
         series = measure_series(c)
         assert all(co >= 0 for co in series.coefficients)
+
+
+class TestBallCounts:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_matches_lifting(self, seed):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3, 5])
+        n = rng.choice([1, 2, 3])
+        f = random_sparse_poly(rng, n, max_exp=4, origin_vanishing=rng.random() < 0.5)
+        # the lifting reference holds up to p^(n depth) candidates at the last level
+        deepest = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
+        depth = rng.randint(1, deepest)
+        spec = PrimeSpec(p)
+        fast = ball_counts(f, spec, depth)
+        lifted = count_mod(f, spec, depth)
+        assert fast.counts == lifted.counts
+        assert measure_series(fast) == measure_series(lifted)
+        assert (fast.dim, fast.n0, fast.requested_depth, fast.truncated) == (n, 1, depth, False)
+
+    def test_nodes_are_residue_scans(self):
+        # the deep row of the README's count: its counts, one node per residue scan
+        c = ball_counts(P("x^2 + y^3"), P5, 9)
+        _, nodes = value_balls(P("x^2 + y^3"), P5, 9)
+        assert c.nodes_expanded == nodes
+        assert c.counts == (5, 45, 225, 1125, 5625, 90625, 453125, 3828125, 19140625)
+
+    def test_budget_raises(self):
+        with pytest.raises(BudgetExceeded, match=r"precision 3/9 after 3 nodes \(budget 3\)"):
+            ball_counts(P("x^2 + y^3"), P5, 9, budget=3)
+
+    def test_residue_limit_raises_before_the_scan(self):
+        with pytest.raises(BudgetExceeded, match=r"53\^4 = 7890481 residues mod 53"):
+            ball_counts(P("x + y + z + w"), PrimeSpec(53), 1)
+
+    def test_rejects_bad_depth_and_constants(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            ball_counts(P("x"), P5, 0)
+        with pytest.raises(ValueError, match="need at least one variable"):
+            ball_counts(P("3"), P5, 2)
 
 
 class TestValueBalls:

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,20 @@ class TestResidueDomain:
             ResidueDomain.of(5, [(1, 2), (0,)])
         with pytest.raises(ValueError):
             ResidueDomain.of(5, [(7, 0)])
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match=r"^residue \(0,\) has wrong arity \(dim 2\)$"):
+            ResidueDomain.of(5, [(1, 2), (0,)])
+        with pytest.raises(ValueError, match=r"^residue \(7, 0\) outside \{0\.\.4\}\^2$"):
+            ResidueDomain.of(5, [(1, 2), (7, 0)])
+        with pytest.raises(ValueError, match=r"^residue \(0, -1\) outside \{0\.\.4\}\^2$"):
+            ResidueDomain.of(5, [(0, -1)])
+
+    def test_rows_sorted_unique_and_plain_ints(self):
+        D = ResidueDomain.of(5, [(3, 1), (0, 4), (3, 1), (np.int64(2), 2)])
+        assert D.rows.tolist() == [[0, 4], [2, 2], [3, 1]]
+        assert D.key() == (5, 2, ((0, 4), (2, 2), (3, 1)))
+        assert all(type(c) is int for r in D.residues for c in r)
 
     def test_keys_distinguish(self):
         a = ResidueDomain.full(5, 1)
@@ -214,6 +229,22 @@ class TestSpfEvaluate:
             Fraction(-1, 25),
         )
         assert result.trace.depth == 2
+
+    def test_full_domain_is_built_once(self, monkeypatch):
+        # the singular lifts recurse over the full domain: a full D serves
+        built = []
+        full = ResidueDomain.full.__func__
+
+        def counting_full(cls, p, dim):
+            built.append((p, dim))
+            return full(cls, p, dim)
+
+        D = ResidueDomain.full(5, 1)
+        monkeypatch.setattr(ResidueDomain, "full", classmethod(counting_full))
+        assert spf_evaluate(P("x^2 - 5"), D, P5).trace.depth == 2
+        assert built == []
+        spf_evaluate(P("x^2 - 5"), ResidueDomain.unit_torus(5, 1), P5)
+        assert built == [(5, 1)]
 
     def test_self_similar_recursion_detected(self):
         with pytest.raises(DepthGuardExceeded, match="self-similar"):
