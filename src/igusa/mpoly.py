@@ -231,13 +231,6 @@ def constant(variables: Sequence[str], c: int) -> Polynomial:
     return Polynomial(variables, {(0,) * len(variables): c})
 
 
-def variable(variables: Sequence[str], name: str) -> Polynomial:
-    idx = list(variables).index(name)
-    exps = [0] * len(variables)
-    exps[idx] = 1
-    return Polynomial(variables, {tuple(exps): 1})
-
-
 def from_terms(variables: Sequence[str], pairs: Iterable[Tuple[Monomial, int]]) -> Polynomial:
     terms: dict = {}
     for exps, c in pairs:

@@ -34,12 +34,13 @@ recurrence forced by a claimed factored denominator, recovering the
 numerator polynomial.
 
 Counting is exact; the only concession to cost is an
-explicit node budget.  For ``count_mod`` a node is one survivor expanded
-by one level, and exceeding the budget returns the completed prefix with
-a truncation marker.  For the value-ball counter a node is one scan of
-the p^n residue classes mod p, and exceeding the budget raises
-``BudgetExceeded`` naming the class where it stopped; so does a scan of
-more than 4 * 10^6 residues, before they are built.
+explicit node budget, and both counters stop the same way: exceeding it
+raises ``BudgetExceeded`` naming where the count stopped.  For
+``count_mod`` a node is one survivor expanded by one level, and the
+error names the level it would have built.  For the value-ball counter
+a node is one scan of the p^n residue classes mod p, and the error names
+the class; a scan of more than 4 * 10^6 residues raises before they are
+built.
 """
 
 from __future__ import annotations
@@ -84,36 +85,19 @@ ValueBalls = Dict[Tuple[int, int], int]  # (k, centre mod p^k) -> weight
 class ConeDomainSpec:
     """A subset A of N^n of valuation vectors, with decidable membership.
 
-    ``member`` receives an exact valuation vector (a tuple of naturals).
-    During counting, vectors are truncated at the working level m
-    (a coordinate divisible by p^m reports m); ``decided_out`` receives
-    the truncated vector together with a per-coordinate flag marking
-    truncation ("the true valuation is >= this") and may return True
-    when no completion of the vector can lie in A, allowing the search
-    to drop the branch.  The default rule only prunes fully determined
-    vectors outside A, which is always sound.
+    ``member`` receives a valuation vector (a tuple of naturals).  During
+    counting at level m the vector is truncated there: a coordinate
+    divisible by p^m reports m.
     """
 
     name: str
     dim: int
     member: Callable[[Tuple[int, ...]], bool]
-    decided_out: Optional[Callable[[Tuple[int, ...], Tuple[bool, ...]], bool]] = None
-
-    def is_out_forever(self, vals: Tuple[int, ...], capped: Tuple[bool, ...]) -> bool:
-        if self.decided_out is not None and self.decided_out(vals, capped):
-            return True
-        return not any(capped) and not self.member(vals)
 
     @classmethod
     def zero_cone(cls, dim: int) -> "ConeDomainSpec":
         """A = {0}: all coordinates are units."""
-        return cls(
-            name="zero",
-            dim=dim,
-            member=lambda vals: all(v == 0 for v in vals),
-            # any coordinate with valuation >= 1 (truncated or not) is fatal
-            decided_out=lambda vals, capped: any(v >= 1 for v in vals),
-        )
+        return cls(name="zero", dim=dim, member=lambda vals: all(v == 0 for v in vals))
 
     @classmethod
     def face_cone(
@@ -135,17 +119,7 @@ class ConeDomainSpec:
         def member(vals):
             return left.member(tuple(vals[:d])) and right.member(tuple(vals[d:]))
 
-        def decided_out(vals, capped):
-            return left.is_out_forever(
-                tuple(vals[:d]), tuple(capped[:d])
-            ) or right.is_out_forever(tuple(vals[d:]), tuple(capped[d:]))
-
-        return cls(
-            name=f"{left.name} x {right.name}",
-            dim=left.dim + right.dim,
-            member=member,
-            decided_out=decided_out,
-        )
+        return cls(name=f"{left.name} x {right.name}", dim=left.dim + right.dim, member=member)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +135,6 @@ class CountSeries:
     dim: int
     counts: Tuple[int, ...]  # counts[m-1] = N_m
     n0: int  # N_0: 1 unrestricted; domain membership of the all-zero class otherwise
-    requested_depth: int
-    truncated: bool
     nodes_expanded: int
     domain_name: Optional[str] = None
 
@@ -183,8 +155,9 @@ class CountSeries:
             "p": self.p.p,
             "dim": self.dim,
             "counts": list(self.counts),
-            "requested_depth": self.requested_depth,
-            "truncated": self.truncated,
+            # schema 1 keeps both keys; a count over budget raises instead
+            "requested_depth": self.depth,
+            "truncated": False,
             "nodes_expanded": self.nodes_expanded,
             "domain": self.domain_name,
         }
@@ -208,23 +181,20 @@ def _expand_level(f: Polynomial, surv, p: int, m: int):
     return np.concatenate(pieces, axis=0) if pieces else surv[:0]
 
 
-def _in_domain(surv, domain: ConeDomainSpec, p: int, level: int):
-    """Masks (in A, may re-enter A) of the survivors mod p^level.
+def _in_domain(surv, domain: ConeDomainSpec, p: int, level: int) -> int:
+    """How many survivors mod p^level have their valuation vector in A.
 
-    The predicates see each distinct truncated valuation vector once:
-    a coordinate divisible by p^level reports level and is capped."""
+    The vector is truncated at level (a coordinate divisible by p^level
+    reports level), and ``member`` sees each distinct vector once."""
     if not len(surv):
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+        return 0
     vals = np.zeros(surv.shape, dtype=np.int64)
     for j in range(1, level + 1):
         vals += surv % p**j == 0
-    classes, inverse = np.unique(vals, axis=0, return_inverse=True)
-    member, keep = [], []
-    for row in classes.tolist():
-        member.append(domain.member(tuple(row)))
-        keep.append(not domain.is_out_forever(tuple(row), tuple(v == level for v in row)))
-    inverse = inverse.reshape(-1)
-    return np.array(member, dtype=bool)[inverse], np.array(keep, dtype=bool)[inverse]
+    classes, sizes = np.unique(vals, axis=0, return_counts=True)
+    return sum(
+        size for row, size in zip(classes.tolist(), sizes.tolist()) if domain.member(tuple(row))
+    )
 
 
 def count_mod(
@@ -236,11 +206,11 @@ def count_mod(
 ) -> CountSeries:
     """Exact N_m for m = 1..depth by breadth-first lifting.
 
-    With a domain, N_m counts only survivors whose truncated valuation
-    vector (coordinates divisible by p^m report m) belongs to A, and
-    branches that can never re-enter A are pruned.  The node budget
-    counts survivors expanded by one level; when the next level would
-    exceed it the series is returned truncated.
+    Every zero of f mod p^m is lifted, whatever the domain.  With a
+    domain, N_m counts only the survivors whose valuation vector,
+    truncated at m (a coordinate divisible by p^m reports m), belongs to
+    A.  The node budget counts survivors expanded by one level; when the
+    next level would exceed it, BudgetExceeded names that level.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -252,20 +222,16 @@ def count_mod(
 
     counts: List[int] = []
     nodes = 0
-    truncated = False
     surv = np.zeros((1, n), dtype=np.int64)
     for m in range(depth):
         if nodes + len(surv) > budget:
-            truncated = True
-            break
+            raise BudgetExceeded(
+                f"lifting {f} stopped before level {m + 1}/{depth}: "
+                f"{nodes + len(surv)} nodes over the budget of {budget}"
+            )
         nodes += len(surv)
         surv = _expand_level(f, surv, p.p, m)
-        if domain is None:
-            counts.append(len(surv))
-        else:
-            member, keep = _in_domain(surv, domain, p.p, m + 1)
-            counts.append(int(member.sum()))
-            surv = surv[keep]
+        counts.append(len(surv) if domain is None else _in_domain(surv, domain, p.p, m + 1))
 
     n0 = 1 if domain is None else int(bool(domain.member((0,) * n)))
     return CountSeries(
@@ -274,8 +240,6 @@ def count_mod(
         dim=n,
         counts=tuple(counts),
         n0=n0,
-        requested_depth=depth,
-        truncated=truncated,
         nodes_expanded=nodes,
         domain_name=None if domain is None else domain.name,
     )
@@ -432,8 +396,6 @@ def direct_sum_counts(
         dim=h.nvars,
         counts=tuple(_ball_sum_counts(balls_f, balls_g, p.p, h.nvars, depth)),
         n0=1,
-        requested_depth=depth,
-        truncated=False,
         nodes_expanded=nodes,
     )
 

@@ -85,14 +85,6 @@ class PowerSeries:
             raise IndexError(f"coefficient {m} outside stored range 0..{self.depth}")
         return self.coefficients[m]
 
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        d = min(self.depth, other.depth)
-        return PowerSeries(
-            tuple(
-                self.coefficients[m] - other.coefficients[m] for m in range(d + 1)
-            )
-        )
-
 
 @dataclass(frozen=True)
 class RationalZeta:
@@ -126,17 +118,8 @@ class RationalZeta:
         return _trim(left) == _trim(right)
 
     def __hash__(self):
-        return hash((self.q, self.numerator, self.denominator_factors))
-
-    def evaluate(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        num = sum((c * t**m for m, c in enumerate(self.numerator)), Fraction(0))
-        den = Fraction(1)
-        for a, b in self.denominator_factors:
-            den *= 1 - Fraction(1, self.q**a) * t**b
-        if den == 0:
-            raise ZeroDivisionError("evaluation at a pole of the denominator")
-        return num / den
+        # equal values share q and their Maclaurin coefficients
+        return hash((self.q, expand(self, 3).coefficients))
 
     def __str__(self) -> str:
         num = _poly_str(self.numerator)
@@ -284,9 +267,6 @@ class ReductionResult:
     reduced: RationalZeta
     cancelled: Tuple[Factor, ...]
     surviving: Tuple[Factor, ...]
-
-    def surviving_poles(self) -> Tuple[Fraction, ...]:
-        return poles(self.surviving)
 
 
 def reduce_factors(z: RationalZeta) -> ReductionResult:

@@ -15,9 +15,10 @@ factor (1 - t/q).  The classification of Dbar is vectorised: one call of
 ``mpoly.classify_mod_p`` per recursion node, over the sorted residue
 array that the domain builds once.
 
-The same residue tree, explored breadth-first with an explicit closure
-rule, certifies finite suprema of the pointwise orders L(f, P) (value
-and gradient) and ell(f, P) (gradient only) over D.
+``sup_bound`` walks the same residue tree depth-first with an explicit
+closure rule, and certifies finite suprema over D of the pointwise
+orders L(f, P) (the least order of f and its partials at P) and
+ell(f, P) (of the partials only).
 """
 
 from __future__ import annotations
@@ -151,31 +152,6 @@ def spf_counts(f: Polynomial, D: ResidueDomain, p: PrimeSpec) -> SPFCounts:
 
 def _orders_at(polys: Sequence[Polynomial], P: Sequence[int], p: PrimeSpec):
     return [p_valuation(g.evaluate(tuple(P)), p.p) for g in polys]
-
-
-def L_at(f: Polynomial, P: Sequence[int], p: PrimeSpec) -> int:
-    """min of the p-adic orders of f(P) and all partial derivatives at P.
-
-    Defined only when P is not a singular point of f (some listed value
-    nonzero); otherwise the minimum would be infinite and this errors.
-    """
-    vals = _orders_at((f, *f.partials()), P, p)
-    finite = [v for v in vals if v is not INFINITE]
-    if not finite:
-        raise ValueError(f"L(f, {tuple(P)}) is infinite: singular point of f")
-    return min(finite)
-
-
-def ell_at(f: Polynomial, P: Sequence[int], p: PrimeSpec) -> int:
-    """min of the p-adic orders of the partial derivatives of f at P.
-
-    Defined only when P is not a critical point of f.
-    """
-    vals = _orders_at(f.partials(), P, p)
-    finite = [v for v in vals if v is not INFINITE]
-    if not finite:
-        raise ValueError(f"ell(f, {tuple(P)}) is infinite: critical point of f")
-    return min(finite)
 
 
 def sup_bound(

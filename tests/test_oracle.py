@@ -30,7 +30,6 @@ class TestCountMod:
         c = count_mod(P("x^2"), P5, 4)
         assert c.counts == (1, 5, 5, 25)
         assert c.n0 == 1
-        assert not c.truncated
         assert c.domain_name is None
         assert [c.N(m) for m in range(5)] == [1, 1, 5, 5, 25]
 
@@ -51,12 +50,14 @@ class TestCountMod:
         g = from_terms(f.variables, [(e, 7 * co) for e, co in f.terms.items()])
         assert count_mod(f, P3, 5).counts == count_mod(g, P3, 5).counts
 
-    def test_budget_truncates_in_band(self):
-        c = count_mod(P("x + y"), P3, 6, budget=100)
-        assert c.truncated
-        assert c.counts == (3, 9, 27, 81)
-        assert c.nodes_expanded == 40
-        assert c.requested_depth == 6
+    def test_budget_raises_naming_the_level(self):
+        # 1 + 3 + 9 + 27 = 40 nodes build levels 1-4; level 5 needs 81 more
+        assert count_mod(P("x + y"), P3, 4, budget=40).nodes_expanded == 40
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^lifting x \+ y stopped before level 5/6: 121 nodes over the budget of 100$",
+        ):
+            count_mod(P("x + y"), P3, 6, budget=100)
 
     def test_exact_deep_linear(self):
         # one solution class at every level; residues here exceed 2^63
@@ -112,7 +113,7 @@ class TestBallCounts:
         lifted = count_mod(f, spec, depth)
         assert fast.counts == lifted.counts
         assert measure_series(fast) == measure_series(lifted)
-        assert (fast.dim, fast.n0, fast.requested_depth, fast.truncated) == (n, 1, depth, False)
+        assert (fast.dim, fast.n0, fast.depth) == (n, 1, depth)
 
     def test_nodes_are_residue_scans(self):
         # the deep row of the README's count: its counts, one node per residue scan
@@ -185,6 +186,70 @@ class TestMeasureSeries:
         assert sum(series.coefficients) < 1
 
 
+# Per-domain counts of count_mod on direct sums f(x, y) + g(u, v), recorded
+# while it still dropped branches that could not re-enter the domain:
+# lifting every zero must count the same.  Each row is (f, g, p, depth,
+# counts of every product domain), the factors of each product being the
+# zero cone and then the face cones of the summand's proper faces, in
+# ``proper_faces`` order, with f's factor varying slowest.  The summands
+# are ``random_sparse_poly`` draws of 1 and 2 variables (seeds 0-9,
+# max_exp=4), and depth is the largest with p^(n depth) <= 10^5.
+PINNED_PRODUCT_COUNTS = [
+    ("6*x^2*y^4", "9*u^3*v^2 - 5*u*v^4 - 6*u^2*v", 3, 2, [
+        (0, 0), (0, 0), (4, 0), (8, 216), (0, 0), (8, 0), (0, 0), (0, 0), (1, 81), (2, 54),
+        (0, 0), (2, 162), (0, 0), (0, 0), (2, 162), (4, 108), (0, 0), (4, 324), (0, 0),
+        (0, 0), (2, 162), (4, 108), (0, 0), (4, 324),
+    ]),
+    ("-9*x^4 + 5*x^3 - 6*x", "-6*u*v^4 - 9*v^4 - 9*u^2", 2, 5, [
+        (1, 4, 16, 64, 256), (0, 0, 2, 8, 36), (1, 3, 12, 46, 184), (0, 0, 0, 0, 0),
+        (0, 1, 2, 10, 36), (0, 0, 0, 0, 0), (1, 8, 32, 128, 512), (0, 0, 4, 16, 72),
+        (1, 6, 24, 92, 368), (0, 0, 0, 0, 0), (0, 2, 4, 20, 72), (0, 0, 0, 0, 0),
+    ]),
+    ("-4*x^2", "7*u^3*v^3 + 5*u^2*v^4 - 8*u^4*v", 2, 5, [
+        (1, 4, 16, 64, 256), (0, 2, 0, 0, 0), (1, 6, 0, 0, 0), (1, 8, 32, 0, 0),
+        (0, 0, 0, 0, 0), (1, 8, 0, 0, 0), (1, 4, 16, 64, 256), (0, 2, 16, 144, 592),
+        (1, 6, 44, 352, 1392), (1, 8, 32, 256, 1024), (0, 0, 4, 16, 64),
+        (1, 8, 64, 256, 1024),
+    ]),
+    ("6*x^4 - x^3 - 3*x", "3*u^2*v^3 + 3*u*v^4 - 2*u^3*v - 9*v^2", 2, 5, [
+        (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 4, 14, 56, 224),
+        (0, 0, 0, 4, 16), (0, 0, 0, 0, 0), (0, 0, 2, 4, 16), (1, 4, 16, 64, 256),
+    ]),
+    ("-5*x^3*y^3", "8*u^3", 2, 5, [
+        (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 8, 64, 0, 0), (1, 8, 64, 512, 4096),
+        (1, 8, 64, 256, 1024), (1, 8, 64, 256, 2048), (1, 8, 64, 256, 1024),
+        (1, 8, 64, 256, 2048),
+    ]),
+    ("5*x^4 + 6*y^2 - 4*x", "-6*u^4 - u^3 + u^2 - 9*u", 5, 2, [
+        (14, 350), (4, 100), (0, 0), (0, 0), (2, 46), (1, 21), (2, 50), (0, 0), (0, 4),
+        (0, 4), (2, 50), (0, 0),
+    ]),
+    ("8*x^4 + 2*x^3 - 8*x^2 + 9*x", "8*u^4 - 7*u^2", 5, 3, [
+        (4, 20, 100), (1, 5, 25), (2, 10, 50), (1, 5, 25),
+    ]),
+    ("-6*x^4 + 4*x^3 + 9*x^2 - 8*x", "4*u^4 + 9*u", 3, 5, [
+        (2, 6, 18, 54, 162), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 3, 9, 27, 81),
+    ]),
+    ("3*x^4*y + 6*y^3 - 8*x*y - 2*y", "6*u^4*v^3 - 3*u^3*v^4 + 6*u^3 - u", 2, 4, [
+        (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (1, 8, 64, 512), (1, 16, 128, 1024),
+        (1, 8, 64, 512), (1, 8, 64, 512), (0, 0, 0, 0), (1, 16, 128, 1024),
+        (1, 8, 64, 512), (1, 8, 64, 512), (0, 0, 0, 0), (1, 8, 64, 512), (1, 8, 64, 512),
+        (1, 8, 64, 512), (0, 0, 0, 0),
+    ]),
+    ("5*x^2*y^4 + x^4 - 9*x*y", "9*u^4 - 4*u^3 - 3*u^2 + 5*u", 3, 3, [
+        (0, 0, 0), (4, 36, 324), (0, 0, 0), (1, 9, 75), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+        (2, 18, 162), (0, 0, 0), (0, 0, 6), (2, 18, 162), (0, 0, 0),
+    ]),
+]
+
+
+def _summand_domains(f):
+    poly = build_polyhedron(f)
+    faces = [ConeDomainSpec.face_cone(poly, face) for face in poly.proper_faces()]
+    return [ConeDomainSpec.zero_cone(f.nvars)] + faces
+
+
 def _coordinate_domains():
     polyx = build_polyhedron(P("x"))
     face = polyx.proper_faces()[0]
@@ -245,11 +310,29 @@ class TestDomains:
         c = count_mod(P("x^2 + y^3"), P3, 1, domain=ConeDomainSpec.product(zero1, cone1))
         assert c.domain_name == "zero x cone[(1,)]"
 
+    @pytest.mark.parametrize(
+        "f_text,g_text,p,depth,expected",
+        PINNED_PRODUCT_COUNTS,
+        ids=[f"{f} + {g} mod {p}" for f, g, p, _, _ in PINNED_PRODUCT_COUNTS],
+    )
+    def test_pinned_product_counts(self, f_text, g_text, p, depth, expected):
+        f, g = P(f_text), P(g_text)
+        h = direct_sum(f, g)
+        spec = PrimeSpec(p)
+        per = [
+            count_mod(h, spec, depth, domain=ConeDomainSpec.product(a, b))
+            for a in _summand_domains(f)
+            for b in _summand_domains(g)
+        ]
+        assert [c.counts for c in per] == expected
+        full = count_mod(h, spec, depth)
+        for m in range(depth + 1):
+            assert sum(c.N(m) for c in per) == full.N(m)
+
     def test_zero_cone_membership(self):
         z = ConeDomainSpec.zero_cone(2)
         assert z.member((0, 0))
         assert not z.member((1, 0))
-        assert z.is_out_forever((0, 1), (False, True))
 
 
 class TestVerifyTheorem:

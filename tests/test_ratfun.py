@@ -58,11 +58,6 @@ class TestPowerSeries:
         with pytest.raises(IndexError):
             s.coeff(2)
 
-    def test_subtract(self):
-        s = PowerSeries((Fraction(1), Fraction(2), Fraction(3)))
-        d = s - PowerSeries((Fraction(1), Fraction(1), Fraction(1)))
-        assert d.coefficients == (Fraction(0), Fraction(1), Fraction(2))
-
 
 class TestRationalZeta:
     def test_factor_order_is_canonical(self):
@@ -88,10 +83,13 @@ class TestRationalZeta:
         b = RationalZeta((Fraction(2),), ((1, 1),), 5)
         assert a != b
 
-    def test_evaluate(self):
-        z = RationalZeta((Fraction(4, 5),), ((1, 1),), 5)
-        assert z.evaluate(Fraction(0)) == Fraction(4, 5)
-        assert z.evaluate(Fraction(1)) == Fraction(4, 5) / (1 - Fraction(1, 5))
+    def test_equal_values_hash_equal(self):
+        # 1/(1 - t) and (1 + t)/(1 - t^2): equal, though stored differently
+        a = RationalZeta((1,), ((0, 1),), 5)
+        b = RationalZeta((1, 1), ((0, 2),), 5)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
     def test_as_dict(self):
         z = RationalZeta((Fraction(4, 5),), ((1, 1),), 5)
@@ -234,13 +232,13 @@ class TestReduceFactors:
         assert result.cancelled == ((2, 1),)
         assert result.surviving == ((1, 1),)
         assert result.reduced.numerator == (Fraction(2, 3),)
-        assert result.surviving_poles() == (Fraction(-1),)
+        assert poles(result.surviving) == (Fraction(-1),)
 
     def test_nothing_cancels(self):
         z = RationalZeta((Fraction(4, 5), Fraction(1, 25)), ((1, 1), (5, 6)), 5)
         result = reduce_factors(z)
         assert result.cancelled == ()
-        assert set(result.surviving_poles()) == {Fraction(-1), Fraction(-5, 6)}
+        assert set(poles(result.surviving)) == {Fraction(-1), Fraction(-5, 6)}
 
     def test_reduction_preserves_value(self):
         num = (Fraction(2, 3), Fraction(-2, 27))

@@ -1,16 +1,21 @@
-"""The README's Library example runs, and its asserts hold: a change of
-the public API must not silently leave the documentation behind."""
+"""The README's Library example runs, its asserts hold, and its module
+map names only what exists: a change of the public API must not silently
+leave the documentation behind."""
 
+import importlib
 import os
 import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _library_block() -> str:
+def _readme() -> str:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
-    section = text.split("\n## Library\n", 1)[1]
+        return fh.read()
+
+
+def _library_block() -> str:
+    section = _readme().split("\n## Library\n", 1)[1]
     match = re.search(r"```python\n(.*?)```", section, re.S)
     assert match is not None, "README's Library section has no python block"
     return match.group(1)
@@ -20,3 +25,25 @@ def test_library_example_runs():
     code = _library_block()
     assert code.count("assert ") >= 7
     exec(compile(code, "README.md", "exec"), {})
+
+
+# backticked words in the module map that name CLI commands, not attributes
+CLI_COMMANDS = {"igusa", "igusa count", "verify"}
+
+
+def test_module_map_names_exist():
+    rows = re.findall(r"^\| `(\w+)` *\| (.*) \|$", _readme(), re.M)
+    assert len(rows) >= 10, "README's module map not found"
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(f"igusa.{module_name}")
+        classes = [v for v in vars(module).values() if isinstance(v, type)]
+        for token in re.findall(r"`([^`]+)`", contents):
+            # a name, or a call such as `denominator(f, g)`; `(A, B)` is neither
+            match = re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", token)
+            if token in CLI_COMMANDS or match is None:
+                continue
+            name = match.group(1)
+            if not hasattr(module, name) and not any(hasattr(c, name) for c in classes):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []

@@ -15,9 +15,7 @@ from igusa.ratfun import expand
 from igusa.spf import (
     BoundNotCertified,
     DepthGuardExceeded,
-    L_at,
     ResidueDomain,
-    ell_at,
     spf_counts,
     spf_evaluate,
     sup_bound,
@@ -119,44 +117,6 @@ class TestSpfCounts:
                     got = spf_counts(f, D, spec)
                     want = reference_spf_counts(f, D)
                     assert (got.nu, got.sigma, got.singular) == (want.nu, want.sigma, want.singular)
-
-
-class TestPointwiseOrders:
-    def test_L_with_vanishing_derivative(self):
-        assert L_at(P("x^2 - 5"), (0,), P5) == 1
-
-    def test_ell_of_unit_derivative(self):
-        assert ell_at(P("x"), (0,), P7) == 0
-
-    def test_L_with_unit_derivative(self):
-        assert L_at(P("x^2 + x"), (0,), P5) == 0
-
-    def test_L_rejects_singular_point(self):
-        with pytest.raises(ValueError, match="singular"):
-            L_at(P("x^2"), (0,), P5)
-
-    def test_ell_rejects_critical_point(self):
-        with pytest.raises(ValueError, match="critical"):
-            ell_at(P("x^2"), (0,), P5)
-
-    def test_L_at_most_ell(self):
-        # L minimizes over a superset (f itself and its partials)
-        for text, pt in [("x^2 + x", (3,)), ("x^2 - 5", (1,)), ("x^3 + x", (2,))]:
-            f = P(text)
-            assert L_at(f, pt, P5) <= ell_at(f, pt, P5)
-
-    def test_L_strictly_below_ell(self):
-        # value order 1 at x=5 while the derivative 3x^2 has order 2
-        f = P("x^3 + 5")
-        assert L_at(f, (5,), P5) == 1
-        assert ell_at(f, (5,), P5) == 2
-
-    def test_L_defined_where_ell_is_not(self):
-        # x^2 - 5 at 0: derivative vanishes exactly, but the value is 5
-        f = P("x^2 - 5")
-        assert L_at(f, (0,), P5) == 1
-        with pytest.raises(ValueError, match="critical"):
-            ell_at(f, (0,), P5)
 
 
 class TestSupBound:
