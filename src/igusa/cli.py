@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .mpoly import Polynomial, from_terms
@@ -148,35 +147,17 @@ def _maybe_exponent(tokens, i) -> Tuple[Optional[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# requests and orchestration
+# orchestration
 
 
-@dataclass
-class AnalysisRequest:
-    f_text: Optional[str] = None
-    g_text: Optional[str] = None
-    prime: int = 5
-    depth: Optional[int] = None
-    max_deg: Optional[int] = None
-    budget: int = DEFAULT_BUDGET
-    mode: Optional[str] = None  # noncrit: exact | heuristic
-    c: Optional[int] = None
-    d: Optional[int] = None
-    c_weight: Optional[int] = None
-    d_weight: Optional[int] = None
-    domain: str = "full"
-    trace: bool = False
-    depth_guard: int = 32
-
-
-def _require(req: AnalysisRequest, field: str, flag: str):
+def _require(req: argparse.Namespace, field: str, flag: str):
     value = getattr(req, field)
     if value is None:
         raise ValueError(f"this subcommand requires {flag}")
     return value
 
 
-def _noncrit_mode(req: AnalysisRequest, f: Polynomial) -> str:
+def _noncrit_mode(req: argparse.Namespace, f: Polynomial) -> str:
     if req.mode == "exact":
         return "exact_small"
     if req.mode == "heuristic":
@@ -186,8 +167,9 @@ def _noncrit_mode(req: AnalysisRequest, f: Polynomial) -> str:
     raise ValueError(f"unknown mode {req.mode!r} (use exact or heuristic)")
 
 
-def run(cmd: str, req: AnalysisRequest) -> Tuple[dict, int]:
-    """Execute one subcommand; returns (JSON payload, exit code)."""
+def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
+    """Execute one subcommand on the arguments ``_build_parser`` parsed;
+    returns (JSON payload, exit code)."""
     if cmd == "phi":
         from . import euclid
 
@@ -330,9 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if depthish:
             sp.add_argument("--depth", type=int, default=None, help="levels of p-adic precision")
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="node budget (default 10^8); a node is one scan of "
-                            "the p^n residues mod p of f (or g, for verify) or of a "
-                            "polynomial met in its recursion")
+                            help="node budget (default 10^8) shared by the blocks of "
+                            "disjoint variables; a node is one scan of the p^n residues "
+                            "mod p of a block or of a polynomial met in its recursion")
         sp.add_argument("--json", dest="fmt", action="store_const", const="json",
                         default="json", help="JSON output (default)")
         sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv",
@@ -372,10 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if k in AnalysisRequest.__dataclass_fields__}
-    req = AnalysisRequest(**fields)
     try:
-        payload, code = run(args.cmd, req)
+        payload, code = run(args.cmd, args)
         if args.fmt == "tsv":
             print(_render_tsv(args.cmd, payload))
         else:

@@ -320,6 +320,9 @@ def _pow_mod(arr, e: int, modulus: int):
     return result
 
 
+RESIDUE_LIMIT = 4 * 10**6  # residues in one numpy grid: value-ball scans, spf domains, noncrit tori
+
+
 def residue_dtype(modulus: int):
     """int64 while (modulus - 1)^2 < 2^63, so no product of two residues
     overflows; beyond that object, for numpy arrays of Python ints."""

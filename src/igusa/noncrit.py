@@ -68,12 +68,11 @@ from math import gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import det, rank_mod
-from .mpoly import Polynomial, _pow_mod, eval_mod
+from .mpoly import RESIDUE_LIMIT, Polynomial, _pow_mod, eval_mod
 from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
 DEFAULT_AUX_PRIMES = (101, 103, 107)
-_GRID_BUDGET = 4 * 10**6
 _GROEBNER_STEPS = 10**4
 
 
@@ -363,7 +362,7 @@ def _torus_zeros_mod(hull: Hull, ell: int):
     V, v0, h = hull
     d = h.nvars
     size = (ell - 1) ** d
-    if size > _GRID_BUDGET:
+    if size > RESIDUE_LIMIT:
         raise ValueError(
             f"torus grid of {d} coordinates in F_{ell}^x has {size} points; "
             "supply smaller auxiliary primes"

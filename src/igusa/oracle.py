@@ -9,10 +9,9 @@ Two counters live here, written independently of each other:
   (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
   class recurses through f(r + p x) - f(r) = p^e h(x), read off the
   binomial expansion that ``shift_scale`` shares with ``spf``.
-  ``direct_sum_counts`` reads the counts of f(x) + g(y) off the balls
-  of f and of g (two uniform balls add to one), and ``verify_theorem``
-  runs on it.  ``ball_counts`` is the same reader with g the polynomial
-  in no variables, and ``igusa count`` runs on it.
+  ``ball_counts`` splits f into blocks of disjoint variables and adds
+  their balls up (two uniform balls add to one); ``igusa count`` runs
+  on it, and so does ``verify_theorem``, whose f(x) + g(y) splits.
 * ``count_mod`` counts solutions of f = 0 mod p^m by breadth-first
   lifting (survivors mod p^m expand to their p^n children mod p^(m+1)),
   optionally restricted to a valuation-cone domain.  It is deliberately
@@ -33,14 +32,14 @@ The counts are converted to the measure series of Z(f; s), and
 recurrence forced by a claimed factored denominator, recovering the
 numerator polynomial.
 
-Counting is exact; the only concession to cost is an
-explicit node budget, and both counters stop the same way: exceeding it
-raises ``BudgetExceeded`` naming where the count stopped.  For
-``count_mod`` a node is one survivor expanded by one level, and the
-error names the level it would have built.  For the value-ball counter
-a node is one scan of the p^n residue classes mod p, and the error names
-the class; a scan of more than 4 * 10^6 residues raises before they are
-built.
+Counting is exact; the only concession to cost is an explicit node
+budget, and both counters stop the same way: exceeding it raises
+``BudgetExceeded`` naming where the count stopped.  For ``count_mod`` a
+node is one survivor expanded by one level, and the error names the
+level it would have built.  For the value balls a node is one scan of
+the p^n residue classes mod p of a block (the blocks share the budget),
+and the error names the block and the class; a scan of more than
+``mpoly.RESIDUE_LIMIT`` residues raises before they are built.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tsden
-from .mpoly import Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype
+from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype
 from .mpoly import _scale_out, _shift_terms
 from .newton import Face, NewtonPolyhedron
 from .numeric import DEFAULT_BUDGET, PrimeSpec
@@ -67,7 +66,6 @@ from .ratfun import (
 )
 
 _CAND_CHUNK = 1 << 20  # candidate rows evaluated per numpy block
-_RESIDUE_BUDGET = 4 * 10**6  # residues mod p per value-ball scan, as noncrit's grid
 
 
 class BudgetExceeded(RuntimeError):
@@ -273,10 +271,10 @@ def value_balls(
         raise ValueError("precision must be >= 1")
     q = p.p
     n = f.nvars
-    if q**n > _RESIDUE_BUDGET:
+    if q**n > RESIDUE_LIMIT:
         raise BudgetExceeded(
             f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
-            f"over the limit of {_RESIDUE_BUDGET}"
+            f"over the limit of {RESIDUE_LIMIT}"
         )
     residues = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
     origin = (0,) * n
@@ -323,81 +321,77 @@ def value_balls(
     return balls(f, precision, ()), nodes
 
 
-def _ball_sum_counts(
-    balls_f: ValueBalls, balls_g: ValueBalls, p: int, n: int, depth: int
-) -> List[int]:
-    """N_1..N_depth of f(x) + g(y) from the value balls of f and g at precision depth.
-
-    The sum of the uniform balls (k1, c1) and (k2, c2) is uniform on
-    c1 + c2 + p^k Z with k = min(k1, k2).  Every level j is read from the
-    same precision: hits[j] counts the points mod p^depth whose value is
-    0 mod p^j, and N_j = hits[j] / p^(n (depth - j)).
-    """
-    hits = [0] * (depth + 1)
-    for (k1, c1), w1 in balls_f.items():
-        for (k2, c2), w2 in balls_g.items():
-            k = min(k1, k2)
-            c = (c1 + c2) % p**k
-            w = w1 * w2
-            v = 0
-            while v < k and c % p ** (v + 1) == 0:
-                v += 1
-            for j in range(1, v + 1):
-                hits[j] += w
-            if v == k:
-                for j in range(k + 1, depth + 1):
-                    hits[j] += w // p ** (j - k)
-    counts = []
-    for j in range(1, depth + 1):
-        count, rest = divmod(hits[j], p ** (n * (depth - j)))
-        if rest:
-            raise ArithmeticError(f"value balls give a fractional N_{j}")
-        counts.append(count)
-    return counts
+def _blocks(f: Polynomial) -> List[Polynomial]:
+    """f without its constant term, split into the connected components of
+    its variables: two variables are joined when they share a monomial.
+    A variable that f does not use is a zero block of its own."""
+    parts = [{i} for i in range(f.nvars)]
+    for exps in f.terms:
+        used = {i for i, e in enumerate(exps) if e}
+        if used:
+            joined = set().union(*(s for s in parts if s & used))
+            parts = [s for s in parts if not s & used] + [joined]
+    blocks = []
+    for part in sorted(map(sorted, parts)):
+        terms = {tuple(e[i] for i in part): c for e, c in f.terms.items() if any(e[i] for i in part)}
+        blocks.append(Polynomial([f.variables[i] for i in part], terms))
+    return blocks
 
 
 def ball_counts(
     f: Polynomial, p: PrimeSpec, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CountSeries:
-    """Exact N_m of f on all of Z_p^n, m = 1..depth, from the value balls of f.
+    """Exact N_m of f on all of Z_p^n, m = 1..depth, from value balls.
 
-    This is ``direct_sum_counts`` with the polynomial in no variables as
-    the second summand: its one value ball is the single point of Z_p^0,
-    with value 0 exactly.  ``nodes_expanded`` counts the residue scans;
-    running out of node budget raises BudgetExceeded.
-    """
-    return direct_sum_counts(f, Polynomial((), {}), p, depth, budget)
-
-
-def direct_sum_counts(
-    f: Polynomial,
-    g: Polynomial,
-    p: PrimeSpec,
-    depth: int,
-    budget: int = DEFAULT_BUDGET,
-) -> CountSeries:
-    """Exact N_m of f(x) + g(y), m = 1..depth, from the value balls of f and g.
-
-    f and g are pushed forward one at a time, so the work follows the
-    singular classes of each summand instead of the solutions of the sum.
-    The two pushforwards share the node budget; running out raises
+    The values of f are folded up from its constant term, one point, by
+    adding the value balls of one block of ``_blocks(f)`` at a time: the
+    balls (k1, c1) and (k2, c2) sum to the uniform ball c1 + c2 + p^k Z,
+    k = min(k1, k2).  The blocks go in order of total degree, each pushed
+    only to the precision m = max k of the fold so far: no sum is finer,
+    and a ball with k1 <= m needs the block only mod p^k1.  Its weights,
+    points mod p^m, are scaled to points mod p^depth.  hits[j] then counts
+    the points mod p^depth whose value is 0 mod p^j, and
+    N_j = hits[j] / p^(n (depth - j)).  The blocks share one node budget,
+    and ``nodes_expanded`` counts their residue scans; running out raises
     BudgetExceeded.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    h = direct_sum(f, g)
-    if h.nvars < 1:
+    n = f.nvars
+    if n < 1:
         raise ValueError("need at least one variable")
-    balls_f, nodes = value_balls(f, p, depth, budget)
-    balls_g, nodes = value_balls(g, p, depth, budget, spent=nodes)
-    return CountSeries(
-        f=h,
-        p=p,
-        dim=h.nvars,
-        counts=tuple(_ball_sum_counts(balls_f, balls_g, p.p, h.nvars, depth)),
-        n0=1,
-        nodes_expanded=nodes,
-    )
+    q = p.p
+    fold: ValueBalls = {(depth, f.constant_term() % q**depth): 1}
+    nodes = 0
+    for block in sorted(_blocks(f), key=Polynomial.total_degree):
+        m = max(k for k, _ in fold)
+        balls, nodes = value_balls(block, p, m, budget, spent=nodes)
+        scale = q ** (block.nvars * (depth - m))
+        summed: ValueBalls = {}
+        for (k1, c1), w1 in fold.items():
+            for (k2, c2), w2 in balls.items():
+                k = min(k1, k2)
+                ball = (k, (c1 + c2) % q**k)
+                summed[ball] = summed.get(ball, 0) + w1 * w2 * scale
+        fold = summed
+
+    hits = [0] * (depth + 1)
+    for (k, c), w in fold.items():
+        v = 0
+        while v < k and c % q ** (v + 1) == 0:
+            v += 1
+        for j in range(1, v + 1):
+            hits[j] += w
+        if v == k:
+            for j in range(k + 1, depth + 1):
+                hits[j] += w // q ** (j - k)
+    counts = []
+    for j in range(1, depth + 1):
+        count, rest = divmod(hits[j], q ** (n * (depth - j)))
+        if rest:
+            raise ArithmeticError(f"value balls give a fractional N_{j}")
+        counts.append(count)
+    return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=1, nodes_expanded=nodes)
 
 
 def measure_series(counts: CountSeries) -> PowerSeries:
@@ -486,9 +480,9 @@ def verify_theorem(
     checks), else max_deg = sum of t-powers and depth = max_deg + that
     sum + 2.  A failed recovery is returned as a report with ok=False
     and the nonzero residuals — a falsification candidate, not an
-    exception; every factor then counts as surviving.  The counts come
-    from ``direct_sum_counts``; running out of node budget there raises
-    BudgetExceeded.
+    exception; every factor then counts as surviving.  The counts are
+    ``ball_counts`` of f(x) + g(y), whose blocks split f from g; running
+    out of node budget there raises BudgetExceeded.
     """
     factors = tuple(tsden.denominator(f, g).factors())
     total_b = sum(b for _, b in factors)
@@ -499,7 +493,7 @@ def verify_theorem(
     if max_deg < 0 or depth < 2:
         raise ValueError(f"unusable window: depth={depth}, max_deg={max_deg}")
 
-    counts = direct_sum_counts(f, g, p, depth, budget=budget)
+    counts = ball_counts(direct_sum(f, g), p, depth, budget=budget)
     series = measure_series(counts)
     recovery = recover_numerator(series, factors, p.q, max_deg)
     cancelled, surviving = (), factors

@@ -26,11 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .mpoly import Polynomial, classify_mod_p, residue_dtype, shift_scale
+from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, residue_dtype, shift_scale
 from .numeric import INFINITE, PrimeSpec, p_valuation
 from .ratfun import RationalZeta
 
@@ -80,11 +80,11 @@ class ResidueDomain:
 
     @classmethod
     def full(cls, p: int, dim: int) -> "ResidueDomain":
-        return cls(p, dim, frozenset(itertools.product(range(p), repeat=dim)))
+        return cls(p, dim, frozenset(itertools.product(_digits(p, dim, 0), repeat=dim)))
 
     @classmethod
     def unit_torus(cls, p: int, dim: int) -> "ResidueDomain":
-        return cls(p, dim, frozenset(itertools.product(range(1, p), repeat=dim)))
+        return cls(p, dim, frozenset(itertools.product(_digits(p, dim, 1), repeat=dim)))
 
     @classmethod
     def of(cls, p: int, residues: Sequence[Sequence[int]]) -> "ResidueDomain":
@@ -99,6 +99,17 @@ class ResidueDomain:
 
     def key(self):
         return self._key
+
+
+def _digits(p: int, dim: int, low: int) -> range:
+    """range(low, p), after refusing a grid of more than RESIDUE_LIMIT residues."""
+    size = (p - low) ** dim
+    if size > RESIDUE_LIMIT:
+        raise ValueError(
+            f"a residue domain of dimension {dim} mod {p} has {p - low}^{dim} = {size} "
+            f"residues, over the limit of {RESIDUE_LIMIT}"
+        )
+    return range(low, p)
 
 
 def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):

@@ -11,9 +11,7 @@ import time
 from fractions import Fraction
 from math import gcd, lcm
 
-import pytest
-
-from helpers import poly_in_box, random_sparse_poly
+from helpers import random_sparse_poly
 from igusa.cli import parse_polynomial as P
 from igusa.euclid import orbit, weight_sums
 from igusa.mpoly import direct_sum

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
-from igusa.cli import SCHEMA, AnalysisRequest, ParseError, main, parse_polynomial, run
+from igusa.cli import SCHEMA, ParseError, _build_parser, main, parse_polynomial, run
 
 
 def invoke(argv):
@@ -66,14 +66,19 @@ class TestParse:
         assert parse_polynomial(str(g)) == g
 
 
+def run_argv(*argv):
+    """``run`` on the arguments the command line parser makes of argv."""
+    return run(argv[0], _build_parser().parse_args(argv))
+
+
 class TestRunPayloads:
     def test_poles(self):
-        payload, code = run("poles", AnalysisRequest(f_text="x^2", g_text="y^3", prime=5))
+        payload, code = run_argv("poles", "-f", "x^2", "-g", "y^3")
         assert code == 0
         assert payload == {"schema": SCHEMA, "poles": ["-1", "-5/6"]}
 
     def test_count(self):
-        payload, code = run("count", AnalysisRequest(f_text="x^2", prime=5, depth=4))
+        payload, code = run_argv("count", "-f", "x^2", "-p", "5", "--depth", "4")
         assert code == 0
         assert payload["counts"] == [1, 5, 5, 25]
         assert payload["series"] == ["4/5", "0", "4/25", "0"]
@@ -81,7 +86,7 @@ class TestRunPayloads:
         assert payload["domain"] is None
 
     def test_spf_with_trace(self):
-        payload, code = run("spf", AnalysisRequest(f_text="x^2 - 5", prime=5, trace=True))
+        payload, code = run_argv("spf", "-f", "x^2 - 5", "-p", "5", "--trace")
         assert code == 0
         assert payload["zeta"] == {
             "q": 5,
@@ -92,29 +97,26 @@ class TestRunPayloads:
         assert payload["trace"]["children"][0]["path"] == [[0]]
 
     def test_spf_without_trace(self):
-        payload, _ = run("spf", AnalysisRequest(f_text="x", prime=5))
+        payload, _ = run_argv("spf", "-f", "x", "-p", "5")
         assert payload["text"] == "(4/5) / (1 - q^-1 t)  [q=5]"
         assert "trace" not in payload
 
     def test_verify_pass(self):
-        payload, code = run(
-            "verify", AnalysisRequest(f_text="x^2", g_text="y^2", prime=5, depth=8)
-        )
+        payload, code = run_argv("verify", "-f", "x^2", "-g", "y^2", "-p", "5", "--depth", "8")
         assert code == 0
         assert payload["ok"] is True
         assert payload["poles_surviving"] == ["-1"]
 
     def test_verify_falsification_exits_2(self):
-        payload, code = run(
-            "verify",
-            AnalysisRequest(f_text="x^2", g_text="y^3", prime=5, depth=6, max_deg=0),
+        payload, code = run_argv(
+            "verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "6", "--max-deg", "0"
         )
         assert code == 2
         assert payload["ok"] is False
         assert payload["residuals"] == [[1, "-4/125"], [2, "4/125"], [5, "-4/15625"]]
 
     def test_analyze_single(self):
-        payload, code = run("analyze", AnalysisRequest(f_text="x^2 + y^3", prime=3))
+        payload, code = run_argv("analyze", "-f", "x^2 + y^3")
         assert code == 0
         assert [f["normal"] for f in payload["polyhedron"]["facets"]] == [
             [0, 1],
@@ -125,7 +127,7 @@ class TestRunPayloads:
         assert "denominator" not in payload
 
     def test_analyze_pair(self):
-        payload, code = run("analyze", AnalysisRequest(f_text="x^2", g_text="y^3", prime=5))
+        payload, code = run_argv("analyze", "-f", "x^2", "-g", "y^3")
         assert code == 0
         den = payload["denominator"]
         assert den["universal"] == {"qpow": 1, "tpow": 1}
@@ -135,7 +137,7 @@ class TestRunPayloads:
         assert den["poles"] == ["-1", "-5/6"]
 
     def test_phi(self):
-        payload, code = run("phi", AnalysisRequest(c=2, d=3, c_weight=1, d_weight=1))
+        payload, code = run_argv("phi", "-c", "2", "-d", "3", "--cw", "1", "--dw", "1")
         assert code == 0
         assert payload["period"] == 4
         assert payload["states"] == [[2, 3], [2, 1], [1, 3], [2, 2], [2, 3]]
@@ -194,22 +196,47 @@ class TestMain:
         assert out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "BudgetExceeded"
-        assert "at class (0, 0) -> (0, 0) -> (0, 0) with precision 3/9" in error["message"]
+        # x^2 is the first block: its scans at precisions 9, 7 and 5 spend the budget
+        assert error["message"] == (
+            "value balls of x^2 stopped at class (0,) -> (0,) -> (0,) "
+            "with precision 3/9 after 3 nodes (budget 3)"
+        )
 
     def test_count_over_the_residue_limit_exits_1(self):
-        # 53^4 = 7,890,481 residues mod 53: refused before they are built
-        rc, out, err = invoke(["count", "-f", "x + y + z + w", "-p", "53"])
+        # one block in 4 variables: 53^4 = 7,890,481 residues mod 53,
+        # refused before they are built
+        rc, out, err = invoke(["count", "-f", "x*y*z*w", "-p", "53"])
         assert rc == 1
         error = json.loads(err)["error"]
         assert error["type"] == "BudgetExceeded"
         assert "53^4 = 7890481 residues" in error["message"]
+
+    def test_count_of_small_blocks_passes_the_residue_limit(self):
+        # four blocks of 53 residues each, where the whole would be 53^4
+        rc, out, err = invoke(["count", "-f", "x + y + z + w", "-p", "53", "--depth", "1"])
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["counts"] == [53**3]
+        assert payload["nodes_expanded"] == 4
+
+    def test_spf_over_the_residue_limit_exits_1(self):
+        # the full domain of 53^4 residues is refused before it is built
+        rc, out, err = invoke(["spf", "-f", "x + y + z + w", "-p", "53"])
+        assert rc == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (
+            "a residue domain of dimension 4 mod 53 has 53^4 = 7890481 residues, "
+            "over the limit of 4000000"
+        )
 
     def test_count_nodes_are_value_ball_scans(self):
         rc, out, err = invoke(["count", "-f", "x^2+y^2+z^3", "-p", "3", "--depth", "8"])
         assert rc == 0
         payload = json.loads(out)
         assert payload["counts"][-1] == 44109603
-        assert (payload["nodes_expanded"], payload["truncated"]) == (16, False)
+        # blocks x^2, y^2 (pushed to precision 8) and z^3 share one budget
+        assert (payload["nodes_expanded"], payload["truncated"]) == (15, False)
 
     def test_poles_tsv(self):
         rc, out, err = invoke(["poles", "-f", "x^2", "-g", "y^3", "--tsv"])

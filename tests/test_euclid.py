@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igusa.euclid import Orbit, orbit, step, weight_sums
+from igusa.euclid import orbit, step, weight_sums
 
 pairs = st.tuples(
     st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)

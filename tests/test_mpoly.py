@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
 from igusa.mpoly import (
-    Polynomial,
     classify_mod_p,
     constant,
     direct_sum,

@@ -577,7 +577,7 @@ class TestTorusSlice:
 
     def test_grid_budget_counts_scanned_points(self, monkeypatch):
         # 10^3 points on a slice of (F_11^x)^4, 10^4 on the whole torus
-        monkeypatch.setattr(noncrit, "_GRID_BUDGET", 1000)
+        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 1000)
         homogeneous = check_noncritical(
             P("x^2 + y^2 + z^2 + w^2"), mode="finite_field_heuristic", aux_primes=(11,)
         )
@@ -592,14 +592,14 @@ class TestTorusSlice:
         # x^3 + y^2 has the weight (2, 3), which shares a factor with 6 on
         # both axes: at l = 7 no slice x_j = 1 meets every orbit, so a slice
         # scan covers all 36 points; the hull is a line of 6
-        monkeypatch.setattr(noncrit, "_GRID_BUDGET", 10)
+        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 10)
         assert check_noncritical(P("x^3 + y^2"), mode=mode, aux_primes=(7,)).verdict == "non_critical"
 
     def test_budget_four_variables(self, monkeypatch):
         # every face of -y^3 z - w^4 + x^2 y^2 has affine dimension <= 2:
         # at most 106^2 points per default prime, against 10^6 on a slice
         # of the 4-torus
-        monkeypatch.setattr(noncrit, "_GRID_BUDGET", 106**2)
+        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 106**2)
         f = P("-y^3*z - w^4 + x^2*y^2")
         poly = build_polyhedron(f)
         assert max(noncrit._hull(poly.face_polynomial(f, face)).h.nvars for face in poly.faces) == 2

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -14,9 +13,9 @@ from igusa.numeric import PrimeSpec
 from igusa.oracle import (
     BudgetExceeded,
     ConeDomainSpec,
+    _blocks,
     ball_counts,
     count_mod,
-    direct_sum_counts,
     measure_series,
     value_balls,
     verify_theorem,
@@ -115,20 +114,70 @@ class TestBallCounts:
         assert measure_series(fast) == measure_series(lifted)
         assert (fast.dim, fast.n0, fast.depth) == (n, 1, depth)
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_blocks_match_lifting(self, seed):
+        # 2-3 blocks of disjoint variables: linear ones (a lone c*v), random
+        # ones in 1 or 2 variables, and at times a constant term and a
+        # variable that f does not use
+        rng = random.Random(seed)
+        p = rng.choice([2, 3, 5])
+        f = Polynomial((), {})
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.4:
+                block = Polynomial(("v",), {(1,): rng.choice([-9, -3, -2, -1, 1, 2, 5, 6])})
+            else:
+                block = random_sparse_poly(rng, rng.choice([1, 1, 2]), max_exp=4)
+            names = [f"v{f.nvars + i}" for i in range(block.nvars)]
+            f = direct_sum(f, Polynomial(names, block.terms))
+        if rng.random() < 0.3:
+            f = direct_sum(f, Polynomial(("u",), {}))
+        if rng.random() < 0.5:
+            f = f + rng.randint(-9, 9)
+        n = f.nvars
+        depth = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
+        spec = PrimeSpec(p)
+        assert ball_counts(f, spec, depth).counts == count_mod(f, spec, depth).counts
+
+    def test_blocks_are_the_components_of_the_variables(self):
+        f = Polynomial(("u", "w", "x", "y", "z"), {(0, 0, 2, 1, 0): 1, (0, 0, 0, 0, 3): 2, (0, 0, 0, 0, 0): 7})
+        f = f + Polynomial(f.variables, {(0, 5, 0, 0, 0): -1, (0, 1, 0, 1, 0): 3})
+        assert [str(b) for b in _blocks(f)] == ["0", "-w^5 + x^2*y + 3*w*y", "2*z^3"]
+        assert [b.variables for b in _blocks(f)] == [("u",), ("w", "x", "y"), ("z",)]
+
+    def test_four_blocks_pinned(self):
+        # counts taken from the single-block counter; the four blocks cost
+        # 46 residue scans where the whole cost 1,711
+        c = ball_counts(P("x^2*y + z^3 + w^5 + 7"), P3, 8)
+        assert c.counts == (
+            27, 648, 17496, 472392, 12754584, 344373768, 9298091736, 251048476872
+        )
+        assert c.nodes_expanded == 46
+
     def test_nodes_are_residue_scans(self):
-        # the deep row of the README's count: its counts, one node per residue scan
+        # the deep row of the README's count: its counts, one node per
+        # residue scan of each block, y^3 pushed to the finest ball of x^2
         c = ball_counts(P("x^2 + y^3"), P5, 9)
-        _, nodes = value_balls(P("x^2 + y^3"), P5, 9)
-        assert c.nodes_expanded == nodes
+        nodes = sum(value_balls(P(block), P5, 9)[1] for block in ("x^2", "y^3"))
+        assert c.nodes_expanded == nodes == 8
         assert c.counts == (5, 45, 225, 1125, 5625, 90625, 453125, 3828125, 19140625)
 
     def test_budget_raises(self):
-        with pytest.raises(BudgetExceeded, match=r"precision 3/9 after 3 nodes \(budget 3\)"):
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^value balls of x\^2 stopped at class \(0,\) -> \(0,\) -> \(0,\) "
+            r"with precision 3/9 after 3 nodes \(budget 3\)$",
+        ):
             ball_counts(P("x^2 + y^3"), P5, 9, budget=3)
 
     def test_residue_limit_raises_before_the_scan(self):
         with pytest.raises(BudgetExceeded, match=r"53\^4 = 7890481 residues mod 53"):
-            ball_counts(P("x + y + z + w"), PrimeSpec(53), 1)
+            ball_counts(P("x*y*z*w"), PrimeSpec(53), 1)
+
+    def test_residue_limit_holds_per_block(self):
+        # 53^4 residues in all, 53 in each block; the counts are those of
+        # verify -f x^2+y^2 -g z^2+w^2 -p 53 --depth 4 when only verify split
+        c = ball_counts(P("x^2 + y^2 + z^2 + w^2"), PrimeSpec(53), 4)
+        assert c.counts == (151633, 22582407745, 3362022864018001, 500527939011387206401)
 
     def test_rejects_bad_depth_and_constants(self):
         with pytest.raises(ValueError, match="depth must be >= 1"):
@@ -158,7 +207,7 @@ class TestValueBalls:
             balls, _ = value_balls(poly, spec, depth)
             assert sum(balls.values()) == p ** (poly.nvars * depth)
             assert all(w % p ** (depth - k) == 0 for (k, _), w in balls.items())
-        fast = direct_sum_counts(f, g, spec, depth)
+        fast = ball_counts(direct_sum(f, g), spec, depth)
         assert fast.counts == count_mod(direct_sum(f, g), spec, depth).counts
 
     def test_budget_names_where_it_stopped(self):
@@ -168,7 +217,7 @@ class TestValueBalls:
             match=r"value balls of x\^2 stopped at class \(0,\) -> \(0,\) -> \(0,\) "
             r"with precision 10/16 after 3 nodes \(budget 3\)",
         ):
-            direct_sum_counts(P("x^2"), P("y^3"), P5, 16, budget=3)
+            ball_counts(direct_sum(P("x^2"), P("y^3")), P5, 16, budget=3)
 
 
 class TestMeasureSeries:
@@ -367,7 +416,7 @@ class TestVerifyTheorem:
     def test_budget_exhaustion_raises(self):
         # 4 nodes per summand: a budget of 7 runs out inside y^2 only
         # because f and g draw on the same budget
-        assert direct_sum_counts(P("x^2"), P("y^2"), P5, 8).nodes_expanded == 8
+        assert ball_counts(direct_sum(P("x^2"), P("y^2")), P5, 8).nodes_expanded == 8
         with pytest.raises(BudgetExceeded, match="budget 7"):
             verify_theorem(P("x^2"), P("y^2"), P5, depth=8, budget=7)
 

@@ -35,6 +35,16 @@ class TestResidueDomain:
         assert D.size == 4
         assert all(all(x % 3 != 0 for x in r) for r in D.residues)
 
+    def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
+        # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
+        monkeypatch.setattr(itertools, "product", None)
+        full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
+        with pytest.raises(ValueError, match=full):
+            ResidueDomain.full(53, 4)
+        torus = r"has 52\^4 = 7311616 residues, over the limit of 4000000$"
+        with pytest.raises(ValueError, match=torus):
+            ResidueDomain.unit_torus(53, 4)
+
     def test_of_validates(self):
         D = ResidueDomain.of(5, [(1, 2), (0, 0)])
         assert D.size == 2
