@@ -313,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--depth", type=int, default=None, help="levels of p-adic precision")
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="node budget (default 10^8) shared by the blocks of "
-                            "disjoint variables; a node is one scan of the p^n residues "
-                            "mod p of a block or of a polynomial met in its recursion")
+                            "disjoint variables; a node is one polynomial and precision "
+                            "met in a block's recursion, and nodes with the same "
+                            "reduction mod p share one scan of the p^n residues mod p")
         sp.add_argument("--json", dest="fmt", action="store_const", const="json",
                         default="json", help="JSON output (default)")
         sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv",

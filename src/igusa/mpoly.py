@@ -15,8 +15,10 @@ map of terms, which the value balls of ``oracle`` read too.
 The one vectorised evaluator lives here too, for every caller that needs
 f on many residue classes: ``eval_mod`` reduces f mod m at each row of a
 numpy array, and ``classify_mod_p`` adds the mask of rows where every
-partial vanishes mod p.  They import numpy themselves, so parsing a
-polynomial does not load it.
+partial vanishes mod p.  ``residue_grid`` builds the rows of a full grid
+of residues, and ``reduction_key`` names f mod p, so that a caller can
+share one scan among the polynomials with the same reduction.  They
+import numpy themselves, so parsing a polynomial does not load it.
 """
 
 from __future__ import annotations
@@ -321,6 +323,22 @@ def _pow_mod(arr, e: int, modulus: int):
 
 
 RESIDUE_LIMIT = 4 * 10**6  # residues in one numpy grid: value-ball scans, spf domains, noncrit tori
+
+
+def residue_grid(p: int, n: int, low: int = 0):
+    """Every point of {low..p-1}^n as the rows of an int64 array, in
+    lexicographic order: the order of ``itertools.product``."""
+    import numpy as np
+
+    return np.indices((p - low,) * n, dtype=np.int64).reshape(n, -1).T + low
+
+
+def reduction_key(f: Polynomial, p: int) -> tuple:
+    """The terms of f mod p whose coefficient is nonzero mod p, in canonical
+    order: f and g have equal keys exactly when f = g mod p.  Values mod p
+    and the partials mod p, since d(f mod p) = (df) mod p, depend on this
+    key alone, so a residue scan of f serves every g with the same key."""
+    return tuple((e, c % p) for e, c in f.canonical_key()[1] if c % p)
 
 
 def residue_dtype(modulus: int):

@@ -36,15 +36,16 @@ Counting is exact; the only concession to cost is an explicit node
 budget, and both counters stop the same way: exceeding it raises
 ``BudgetExceeded`` naming where the count stopped.  For ``count_mod`` a
 node is one survivor expanded by one level, and the error names the
-level it would have built.  For the value balls a node is one scan of
-the p^n residue classes mod p of a block (the blocks share the budget),
-and the error names the block and the class; a scan of more than
-``mpoly.RESIDUE_LIMIT`` residues raises before they are built.
+level it would have built.  For the value balls a node is one
+polynomial and precision met in the recursion of a block (the blocks
+share the budget), and the error names the block and the class; nodes
+whose polynomials agree mod p share one scan of the p^n residue classes
+mod p.  Either counter refuses more than ``mpoly.RESIDUE_LIMIT``
+residues mod p, or children of one survivor, before building them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import tsden
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype
-from .mpoly import _scale_out, _shift_terms
+from .mpoly import _scale_out, _shift_terms, reduction_key, residue_grid
 from .newton import Face, NewtonPolyhedron
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import (
@@ -169,7 +170,7 @@ def _expand_level(f: Polynomial, surv, p: int, m: int):
     modulus = p ** (m + 1)
     step = p**m
     surv = surv.astype(residue_dtype(modulus), copy=False)
-    offsets = np.array(list(itertools.product(range(p), repeat=n)), dtype=surv.dtype)
+    offsets = residue_grid(p, n).astype(surv.dtype, copy=False)
     rows = max(1, _CAND_CHUNK // len(offsets))
     pieces = []
     for start in range(0, surv.shape[0], rows):
@@ -208,7 +209,9 @@ def count_mod(
     domain, N_m counts only the survivors whose valuation vector,
     truncated at m (a coordinate divisible by p^m reports m), belongs to
     A.  The node budget counts survivors expanded by one level; when the
-    next level would exceed it, BudgetExceeded names that level.
+    next level would exceed it, BudgetExceeded names that level.  More
+    than ``mpoly.RESIDUE_LIMIT`` children per survivor raise it too,
+    before any is built.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -217,6 +220,11 @@ def count_mod(
         raise ValueError("need at least one variable")
     if domain is not None and domain.dim != n:
         raise ValueError(f"domain dimension {domain.dim} != variable count {n}")
+    if p.p**n > RESIDUE_LIMIT:
+        raise BudgetExceeded(
+            f"lifting {f} expands each survivor into its {p.p}^{n} = {p.p**n} "
+            f"children, over the limit of {RESIDUE_LIMIT}"
+        )
 
     counts: List[int] = []
     nodes = 0
@@ -257,15 +265,19 @@ def value_balls(
     f(x) = c mod p^k; those w points have values mod p^m spread evenly
     over the p^(m-k) residues of c + p^k Z, so p^(m-k) divides w.  The
     weights add up to p^(n m).  ``nodes`` is ``spent`` (nodes already
-    taken from the same budget) plus the scans of the p^n residue classes
-    mod p made here, one per polynomial and precision met in the
-    recursion; a scan beyond ``budget`` raises BudgetExceeded, and so do
-    more than 4 * 10^6 residues mod p, before any is built.
+    taken from the same budget) plus the nodes met here: one per
+    polynomial and precision in the recursion.  A node over ``budget``
+    raises BudgetExceeded, and so do more than 4 * 10^6 residues mod p,
+    before any is built.
 
-    A class r where some partial is a unit maps onto f(r) + p Z_p
-    uniformly (Hensel).  On any other class f(r + p x) - f(r) = p^e h(x)
-    with e >= 2, so the class takes the balls of h at precision m - e,
-    scaled by p^e and moved to f(r); when e >= m it is one point mod p^m.
+    A node sorts the p^n residue classes mod p by ``classify_mod_p``,
+    which reads g mod p alone: the nodes of one call whose polynomials
+    have the same reduction (``mpoly.reduction_key``) share one scan.  A
+    class r where some partial is a unit maps onto g(r) + p Z_p uniformly
+    (Hensel).  On any other class g(r + p x) - g(r) = p^e h(x) with
+    e >= 2, so the class takes the balls of h at precision m - e, scaled
+    by p^e and moved to g(r); when e >= m it is one point mod p^m, and at
+    m = 1 every class is the ball (1, g(r) mod p).
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -276,10 +288,28 @@ def value_balls(
             f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
             f"over the limit of {RESIDUE_LIMIT}"
         )
-    residues = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    residues = residue_grid(q, n)
     origin = (0,) * n
     memo: Dict[tuple, ValueBalls] = {}
+    scans: Dict[tuple, tuple] = {}  # (reduction_key, m == 1) -> scan
     nodes = spent
+
+    def scan(g: Polynomial, m: int):
+        """How g sorts the classes mod p: [(c, the number of classes r with
+        g(r) = c mod p)] over the classes that map onto one ball (1, c), and
+        the singular classes r.  At m = 1 every class maps onto its ball
+        (1, g(r) mod p), so no partial is evaluated."""
+        key = (reduction_key(g, q), m == 1)
+        if key not in scans:
+            if m == 1:
+                values = eval_mod(g, residues, q)
+                critical = np.zeros(len(values), dtype=bool)
+            else:
+                values, critical = classify_mod_p(g, residues, q)
+            centres, sizes = np.unique(values[~critical], return_counts=True)
+            singular = list(map(tuple, residues[critical].tolist()))
+            scans[key] = list(zip(centres.tolist(), sizes.tolist())), singular
+        return scans[key]
 
     def balls(g: Polynomial, m: int, path: Tuple[Tuple[int, ...], ...]) -> ValueBalls:
         nonlocal nodes
@@ -295,17 +325,13 @@ def value_balls(
                 f"precision {m}/{precision} after {nodes} nodes (budget {budget})"
             )
         nodes += 1
-        out: ValueBalls = {}
-        values, critical = classify_mod_p(g, residues, q)
-        centres, sizes = np.unique(values[~critical], return_counts=True)
+        smooth, singular = scan(g, m)
         class_weight = q ** (n * (m - 1))
-        for c, size in zip(centres.tolist(), sizes.tolist()):
-            out[(1, c)] = size * class_weight
-        for row in residues[critical].tolist():
-            r = tuple(row)
+        out: ValueBalls = {(1, c): size * class_weight for c, size in smooth}
+        for r in singular:
             terms = _shift_terms(g, r, q)
             base = terms.pop(origin, 0)
-            # e >= 2 on a singular class, so at m <= 2 it is one point anyway
+            # e >= 2 on a singular class, so at m = 2 it is one point anyway
             e, h = _scale_out(g.variables, terms, q) if m > 2 else (m, None)
             if e >= m:
                 ball = (m, base % q**m)
@@ -352,8 +378,8 @@ def ball_counts(
     points mod p^m, are scaled to points mod p^depth.  hits[j] then counts
     the points mod p^depth whose value is 0 mod p^j, and
     N_j = hits[j] / p^(n (depth - j)).  The blocks share one node budget,
-    and ``nodes_expanded`` counts their residue scans; running out raises
-    BudgetExceeded.
+    and ``nodes_expanded`` counts their nodes, one per polynomial and
+    precision of a block's recursion; running out raises BudgetExceeded.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

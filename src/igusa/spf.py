@@ -12,8 +12,11 @@ with t = q^(-s) and f(P + p x) = p^(e_P) f_P(x).  Recursing on the
 singular lifts terminates exactly when f has no singular point inside
 D, and the result is a rational function with the single denominator
 factor (1 - t/q).  The classification of Dbar is vectorised: one call of
-``mpoly.classify_mod_p`` per recursion node, over the sorted residue
-array that the domain builds once.
+``mpoly.classify_mod_p`` over the sorted residue array of the domain.
+It reads fbar alone, so within one evaluation the nodes whose
+polynomials have the same reduction mod p (``mpoly.reduction_key``) on
+the same domain share one classification: a chain of singular lifts
+whose reductions repeat scans its residues once.
 
 ``sup_bound`` walks the same residue tree depth-first with an explicit
 closure rule, and certifies finite suprema over D of the pointwise
@@ -26,11 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, residue_dtype, shift_scale
+from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_dtype
+from .mpoly import residue_grid, shift_scale
 from .numeric import INFINITE, PrimeSpec, p_valuation
 from .ratfun import RationalZeta
 
@@ -47,69 +52,87 @@ class BoundNotCertified(RuntimeError):
 # domains
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueDomain:
     """Preimage in Z_p^n of an explicit residue set in (F_p)^n.
 
-    The residues are also kept sorted, as the rows of an array that
-    ``spf_counts`` classifies, and in the memo key of the recursion.
+    The residues are the sorted, distinct rows of an array, which
+    ``spf_counts`` classifies; ``full``, ``unit_torus`` and ``of`` build
+    them so.  Two domains are equal when their rows are; the hash reads
+    the rows once and is then kept, so the memo of the recursion can key
+    on the domain itself.
     """
 
     p: int
     dim: int
-    residues: FrozenSet[Tuple[int, ...]]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("domain dimension must be >= 1")
-        listed = sorted(set(map(tuple, self.residues)))
-        if set(map(len, listed)) - {self.dim}:
-            r = next(tuple(int(c) for c in r) for r in listed if len(r) != self.dim)
-            raise ValueError(f"residue {r} has wrong arity (dim {self.dim})")
-        rows = np.array(listed, dtype=residue_dtype(self.p)).reshape(-1, self.dim)
-        outside = ((rows < 0) | (rows >= self.p)).any(axis=1)
-        if outside.any():
-            r = tuple(rows[outside][0].tolist())
-            raise ValueError(f"residue {r} outside {{0..{self.p - 1}}}^{self.dim}")
-        ordered = tuple(map(tuple, rows.tolist()))
-        object.__setattr__(self, "residues", frozenset(ordered))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_key", (self.p, self.dim, ordered))
+        self.rows.flags.writeable = False
 
     @classmethod
     def full(cls, p: int, dim: int) -> "ResidueDomain":
-        return cls(p, dim, frozenset(itertools.product(_digits(p, dim, 0), repeat=dim)))
+        return cls._grid(p, dim, 0)
 
     @classmethod
     def unit_torus(cls, p: int, dim: int) -> "ResidueDomain":
-        return cls(p, dim, frozenset(itertools.product(_digits(p, dim, 1), repeat=dim)))
+        return cls._grid(p, dim, 1)
+
+    @classmethod
+    def _grid(cls, p: int, dim: int, low: int) -> "ResidueDomain":
+        """{low..p-1}^dim, after refusing more than RESIDUE_LIMIT residues."""
+        if dim < 1:
+            raise ValueError("domain dimension must be >= 1")
+        size = (p - low) ** dim
+        if size > RESIDUE_LIMIT:
+            raise ValueError(
+                f"a residue domain of dimension {dim} mod {p} has {p - low}^{dim} = {size} "
+                f"residues, over the limit of {RESIDUE_LIMIT}"
+            )
+        return cls(p, dim, residue_grid(p, dim, low))
 
     @classmethod
     def of(cls, p: int, residues: Sequence[Sequence[int]]) -> "ResidueDomain":
         pts = [tuple(r) for r in residues]
         if not pts:
             raise ValueError("explicit residue domain must be nonempty")
-        return cls(p, len(pts[0]), frozenset(pts))
+        dim = len(pts[0])
+        if dim < 1:
+            raise ValueError("domain dimension must be >= 1")
+        listed = sorted(set(pts))
+        if set(map(len, listed)) - {dim}:
+            r = next(tuple(int(c) for c in r) for r in listed if len(r) != dim)
+            raise ValueError(f"residue {r} has wrong arity (dim {dim})")
+        rows = np.array(listed, dtype=residue_dtype(p)).reshape(-1, dim)
+        outside = ((rows < 0) | (rows >= p)).any(axis=1)
+        if outside.any():
+            r = tuple(rows[outside][0].tolist())
+            raise ValueError(f"residue {r} outside {{0..{p - 1}}}^{dim}")
+        return cls(p, dim, rows)
 
     @property
     def size(self) -> int:
-        return len(self.residues)
+        return self.rows.shape[0]
 
-    def key(self):
-        return self._key
+    @cached_property
+    def residues(self) -> FrozenSet[Tuple[int, ...]]:
+        return frozenset(map(tuple, self.rows.tolist()))
 
-
-def _digits(p: int, dim: int, low: int) -> range:
-    """range(low, p), after refusing a grid of more than RESIDUE_LIMIT residues."""
-    size = (p - low) ** dim
-    if size > RESIDUE_LIMIT:
-        raise ValueError(
-            f"a residue domain of dimension {dim} mod {p} has {p - low}^{dim} = {size} "
-            f"residues, over the limit of {RESIDUE_LIMIT}"
+    def __eq__(self, other):
+        if not isinstance(other, ResidueDomain):
+            return NotImplemented
+        return self is other or (
+            (self.p, self.dim) == (other.p, other.dim) and np.array_equal(self.rows, other.rows)
         )
-    return range(low, p)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        rows = self.rows
+        data = rows.tobytes() if rows.dtype != object else tuple(rows.ravel().tolist())
+        return hash((self.p, self.dim, rows.shape, data))
 
 
 def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):
@@ -282,6 +305,10 @@ def spf_evaluate(
     already on the active stack (self-similar recursion), raises
     DepthGuardExceeded naming the offending path — the signature of a
     singular point of f inside D.
+
+    Each node classifies its residues by ``spf_counts`` only when no
+    earlier node of this call had the same reduction mod p and domain;
+    the classification is shared, never kept beyond the call.
     """
     _require_matching_prime(D, p)
     if f.nvars != D.dim:
@@ -292,6 +319,7 @@ def spf_evaluate(
     n = f.nvars
     full = D if D.size == p.q**n else ResidueDomain.full(p.p, n)
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
+    classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, domain) -> counts
     on_stack: List[tuple] = []
 
     def node(
@@ -301,7 +329,7 @@ def spf_evaluate(
         order_e: int,
         cumulative_E: int,
     ) -> Tuple[Tuple[Fraction, ...], SPFTraceNode]:
-        key = (g.canonical_key(), domain.key())
+        key = (g.canonical_key(), domain)
         if key in memo:
             num, counts = memo[key]
             return num, SPFTraceNode(path, order_e, cumulative_E, counts, True, ())
@@ -317,7 +345,10 @@ def spf_evaluate(
             )
         on_stack.append(key)
         try:
-            counts = spf_counts(g, domain, p)
+            reduction = (reduction_key(g, p.p), domain)
+            counts = classified.get(reduction)
+            if counts is None:
+                counts = classified[reduction] = spf_counts(g, domain, p)
             numerator: List[Fraction] = [
                 counts.nu,
                 counts.sigma * (1 - Fraction(1, q)) - counts.nu * Fraction(1, q),

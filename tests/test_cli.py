@@ -196,7 +196,7 @@ class TestMain:
         assert out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "BudgetExceeded"
-        # x^2 is the first block: its scans at precisions 9, 7 and 5 spend the budget
+        # x^2 is the first block: its nodes at precisions 9, 7 and 5 spend the budget
         assert error["message"] == (
             "value balls of x^2 stopped at class (0,) -> (0,) -> (0,) "
             "with precision 3/9 after 3 nodes (budget 3)"
@@ -276,6 +276,18 @@ def test_count_matches_golden(entry):
     dropped = ('  "nodes_expanded":', '  "truncated":')
     kept = "".join(line for line in out.splitlines(True) if not line.startswith(dropped))
     assert kept == entry["stdout"]
+
+
+# `igusa spf` output recorded before its recursion shared classifications:
+# the README examples, full and torus domains for p in {2, 3, 5, 7, 11,
+# 13} and one to three variables, traces, and each depth-guard exit
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_spf.json")) as fh:
+    GOLDEN_SPF = json.load(fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN_SPF, ids=lambda e: " ".join(e["argv"]))
+def test_spf_matches_golden(entry):
+    assert invoke(entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
 
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")

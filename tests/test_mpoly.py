@@ -14,6 +14,8 @@ from igusa.mpoly import (
     direct_sum,
     eval_mod,
     from_terms,
+    reduction_key,
+    residue_grid,
     shift_scale,
 )
 
@@ -194,6 +196,31 @@ class TestEvalMod:
         for pt, v, c in zip(pts.tolist(), values.tolist(), critical.tolist()):
             assert v == f.evaluate(pt) % 5
             assert c == all(g.evaluate(pt) % 5 == 0 for g in f.partials())
+
+
+class TestResidueGrid:
+    @pytest.mark.parametrize("p, n, low", [(2, 1, 0), (5, 2, 0), (3, 3, 1), (7, 1, 1), (2, 3, 1)])
+    def test_rows_in_product_order(self, p, n, low):
+        grid = residue_grid(p, n, low)
+        assert grid.dtype == np.int64 and grid.shape == ((p - low) ** n, n)
+        assert grid.tolist() == [list(r) for r in itertools.product(range(low, p), repeat=n)]
+
+
+class TestReductionKey:
+    def test_equal_exactly_mod_p(self):
+        rng = random.Random(23)
+        for p in (2, 3, 5, 7):
+            for _ in range(20):
+                n = rng.randint(1, 3)
+                f = random_sparse_poly(rng, n, max_terms=5, max_exp=4, origin_vanishing=False)
+                h = random_sparse_poly(rng, n, max_terms=5, max_exp=4, origin_vanishing=False)
+                assert reduction_key(f, p) == reduction_key(f + p * h, p)
+                differ = any(c % p for c in (f - h).terms.values())
+                assert (reduction_key(f, p) == reduction_key(h, p)) == (not differ)
+
+    def test_drops_multiples_of_p(self):
+        assert reduction_key(P("x^2 + 5*y - 7"), 5) == (((0, 0), 3), ((2, 0), 1))
+        assert reduction_key(P("5*x^2 - 25*y"), 5) == ()
 
 
 class TestDirectSum:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -48,6 +49,21 @@ class TestCountMod:
         f = P("x^2 + y^3")
         g = from_terms(f.variables, [(e, 7 * co) for e, co in f.terms.items()])
         assert count_mod(f, P3, 5).counts == count_mod(g, P3, 5).counts
+
+    def test_residue_limit_raises_before_the_first_level(self, monkeypatch):
+        from igusa import oracle
+
+        monkeypatch.setattr(oracle, "RESIDUE_LIMIT", 26)
+        monkeypatch.setattr(oracle, "residue_grid", None)  # refused before any is built
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^lifting x \+ y \+ z expands each survivor into its 3\^3 = 27 children, "
+            r"over the limit of 26$",
+        ):
+            count_mod(P("x + y + z"), P3, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "RESIDUE_LIMIT", 27)
+        assert count_mod(P("x + y + z"), P3, 2).counts == (9, 81)
 
     def test_budget_raises_naming_the_level(self):
         # 1 + 3 + 9 + 27 = 40 nodes build levels 1-4; level 5 needs 81 more
@@ -146,7 +162,7 @@ class TestBallCounts:
 
     def test_four_blocks_pinned(self):
         # counts taken from the single-block counter; the four blocks cost
-        # 46 residue scans where the whole cost 1,711
+        # 46 nodes where the whole cost 1,711
         c = ball_counts(P("x^2*y + z^3 + w^5 + 7"), P3, 8)
         assert c.counts == (
             27, 648, 17496, 472392, 12754584, 344373768, 9298091736, 251048476872
@@ -155,7 +171,8 @@ class TestBallCounts:
 
     def test_nodes_are_residue_scans(self):
         # the deep row of the README's count: its counts, one node per
-        # residue scan of each block, y^3 pushed to the finest ball of x^2
+        # polynomial and precision of each block, y^3 pushed to the finest
+        # ball of x^2
         c = ball_counts(P("x^2 + y^3"), P5, 9)
         nodes = sum(value_balls(P(block), P5, 9)[1] for block in ("x^2", "y^3"))
         assert c.nodes_expanded == nodes == 8
@@ -210,8 +227,47 @@ class TestValueBalls:
         fast = ball_counts(direct_sum(f, g), spec, depth)
         assert fast.counts == count_mod(direct_sum(f, g), spec, depth).counts
 
+    def test_nodes_with_one_reduction_share_a_scan(self, monkeypatch):
+        from igusa import oracle
+
+        scanned = []
+        classify = oracle.classify_mod_p
+        evaluate = oracle.eval_mod
+
+        def counting_classify(g, pts, p):
+            scanned.append(("classify", str(g)))
+            return classify(g, pts, p)
+
+        def counting_eval(g, pts, p):
+            scanned.append(("values", str(g)))
+            return evaluate(g, pts, p)
+
+        monkeypatch.setattr(oracle, "classify_mod_p", counting_classify)
+        monkeypatch.setattr(oracle, "eval_mod", counting_eval)
+        # x^2 + 5^7 y at precision 9 recurses at (0, 0) to x^2 + 5^6 y,
+        # x^2 + 5^5 y and x^2 + 5^4 y at precisions 7, 5 and 3, whose
+        # reductions are all x^2; the last node, x^2 + 5^3 y at precision
+        # 1, is read off its values
+        balls, nodes = value_balls(P("x^2 + 5^7*y"), P5, 9)
+        assert nodes == 5
+        assert scanned == [("classify", "x^2 + 78125*y"), ("values", "x^2 + 125*y")]
+        assert sum(balls.values()) == 5 ** 18
+
+    def test_precision_one_reads_the_values(self, monkeypatch):
+        from igusa import oracle
+
+        f = P("x^2 + y^2 + x*y*z")  # singular at (0, 0, z) for every z
+        monkeypatch.setattr(oracle, "classify_mod_p", None)
+        balls, nodes = value_balls(f, P3, 1)
+        assert nodes == 1
+        want = {}
+        for r in itertools.product(range(3), repeat=3):
+            ball = (1, f.evaluate(r) % 3)
+            want[ball] = want.get(ball, 0) + 1
+        assert balls == want == {(1, 0): 7, (1, 1): 16, (1, 2): 4}
+
     def test_budget_names_where_it_stopped(self):
-        # x^2 needs one scan at each of the precisions 16, 14, ..., 2
+        # x^2 needs one node at each of the precisions 16, 14, ..., 2
         with pytest.raises(
             BudgetExceeded,
             match=r"value balls of x\^2 stopped at class \(0,\) -> \(0,\) -> \(0,\) "

@@ -37,7 +37,9 @@ class TestResidueDomain:
 
     def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
         # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
-        monkeypatch.setattr(itertools, "product", None)
+        from igusa import spf
+
+        monkeypatch.setattr(spf, "residue_grid", None)
         full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
         with pytest.raises(ValueError, match=full):
             ResidueDomain.full(53, 4)
@@ -64,13 +66,38 @@ class TestResidueDomain:
     def test_rows_sorted_unique_and_plain_ints(self):
         D = ResidueDomain.of(5, [(3, 1), (0, 4), (3, 1), (np.int64(2), 2)])
         assert D.rows.tolist() == [[0, 4], [2, 2], [3, 1]]
-        assert D.key() == (5, 2, ((0, 4), (2, 2), (3, 1)))
+        same = ResidueDomain.of(5, [(0, 4), (2, 2), (3, 1)])
+        assert D == same and hash(D) == hash(same)
         assert all(type(c) is int for r in D.residues for c in r)
 
     def test_keys_distinguish(self):
         a = ResidueDomain.full(5, 1)
         b = ResidueDomain.unit_torus(5, 1)
-        assert a.key() != b.key()
+        assert a != b
+
+    def test_grids_equal_their_explicit_residues(self):
+        every = list(itertools.product(range(5), repeat=2))
+        full, torus = ResidueDomain.full(5, 2), ResidueDomain.unit_torus(5, 2)
+        assert full == ResidueDomain.of(5, every[::-1])
+        assert hash(full) == hash(ResidueDomain.of(5, every[::-1]))
+        units = [r for r in every if 0 not in r]
+        assert torus == ResidueDomain.of(5, units)
+        assert hash(torus) == hash(ResidueDomain.of(5, units))
+        assert full != torus
+        assert full != ResidueDomain.full(7, 2) and full != ResidueDomain.full(5, 1)
+
+    def test_grids_are_sorted_readonly_int64_rows(self):
+        D = ResidueDomain.unit_torus(3, 2)
+        assert D.rows.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+        assert D.rows.dtype == np.int64
+        with pytest.raises(ValueError):
+            D.rows[0, 0] = 0
+
+    def test_domain_dimension_checked(self):
+        with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
+            ResidueDomain.full(5, 0)
+        with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
+            ResidueDomain.of(5, [()])
 
 
 class TestSpfCounts:
@@ -127,6 +154,81 @@ class TestSpfCounts:
                     got = spf_counts(f, D, spec)
                     want = reference_spf_counts(f, D)
                     assert (got.nu, got.sigma, got.singular) == (want.nu, want.sigma, want.singular)
+
+
+class TestSharedClassification:
+    """spf_evaluate classifies each reduction mod p once per domain."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_counts_depend_on_the_reduction_only(self, p):
+        rng = random.Random(100 + p)
+        spec = PrimeSpec(p)
+        for n in (1, 2, 3):
+            every = list(itertools.product(range(p), repeat=n))
+            domains = [ResidueDomain.full(p, n), ResidueDomain.unit_torus(p, n),
+                       ResidueDomain.of(p, rng.sample(every, rng.randint(1, len(every))))]
+            for D in domains:
+                for _ in range(3):
+                    g = random_sparse_poly(rng, n, max_terms=5, max_exp=5, origin_vanishing=False)
+                    h = random_sparse_poly(rng, n, max_terms=4, max_exp=6, origin_vanishing=False)
+                    assert spf_counts(g, D, spec) == spf_counts(g + p * h, D, spec)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        from igusa import spf
+
+        calls = []
+        original = spf.spf_counts
+
+        def counting(f, D, p):
+            calls.append(str(f))
+            return original(f, D, p)
+
+        monkeypatch.setattr(spf, "spf_counts", counting)
+        return calls
+
+    def test_depth_guard_chain_scans_twice(self, monkeypatch):
+        from test_cli import invoke
+
+        # 33 nodes down the chain at (0, 0), whose reductions from the
+        # second node on are all x^2 mod 5; every call scans again
+        calls = self._count_calls(monkeypatch)
+        first = invoke(["spf", "-f", "x^2 + y^3", "-p", "5"])
+        assert first[0] == 1 and "depth_guard=32" in first[2]
+        assert len(calls) == 2
+        assert invoke(["spf", "-f", "x^2 + y^3", "-p", "5"]) == first
+        assert len(calls) == 4
+
+    # (polynomial, p, root domain, classifications, trace nodes); on the
+    # origin alone the root shares its reduction, not its domain, with
+    # the children
+    @pytest.mark.parametrize("text, p, root, calls, nodes", [
+        ("x^2 - 5^12", 5, "full", 2, 7),  # x^2 mod 5 at six nodes, then x^2 - 1
+        ("x^2 - 5^12", 5, "origin", 3, 7),
+        ("x^2 + y^2 - 9*z^2 + 3^9", 3, "full", 3, 16),
+        ("x^2 + y^2 - 9*z^2 + 3^9", 3, "origin", 4, 14),
+        ("x^2 - 4*y^2 + x*y*z - 2^8", 2, "full", 11, 106),
+    ])
+    def test_every_node_keeps_its_own_counts(self, monkeypatch, text, p, root, calls, nodes):
+        from igusa.mpoly import shift_scale
+
+        f, spec = P(text), PrimeSpec(p)
+        full = ResidueDomain.full(p, f.nvars)
+        D = full if root == "full" else ResidueDomain.of(p, [(0,) * f.nvars])
+        made = self._count_calls(monkeypatch)
+        result = spf_evaluate(f, D, spec)
+        assert len(made) == calls
+        monkeypatch.undo()
+        todo = [(result.trace.root, f)]
+        while todo:
+            node, g = todo.pop()
+            nodes -= 1
+            assert node.counts == spf_counts(g, D if node.path == () else full, spec)
+            for child in node.children:
+                e, h = shift_scale(g, child.path[-1], p)
+                assert e == child.order_e
+                todo.append((child, h))
+        assert nodes == 0
 
 
 class TestSupBound:
