@@ -15,7 +15,7 @@ import json
 import sys
 
 from igusa.cli import parse_polynomial
-from igusa.numeric import PrimeSpec
+from igusa.numeric import DEFAULT_BUDGET, PrimeSpec
 from igusa.oracle import BudgetExceeded, verify_theorem
 
 
@@ -27,9 +27,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=8, help="levels of p-adic precision")
     parser.add_argument("--max-deg", type=int, default=None,
                         help="numerator degree cap (default: depth - 3)")
-    parser.add_argument("--budget", type=int, default=10**8,
-                        help="node budget; a node is one scan of the p^n residues "
-                        "of f or g")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="node budget (default %(default)s) shared by the "
+                        "blocks of disjoint variables of f + g; a node is one polynomial "
+                        "and precision met in a block's recursion, and nodes with the "
+                        "same reduction mod p share one scan of the p^n residues mod p")
     parser.add_argument("--json", action="store_true", help="emit the full JSON report")
     return parser
 

@@ -82,7 +82,7 @@ def parse_polynomial(text: str) -> Polynomial:
             if kind == "int":
                 i += 1
                 base = int(value)
-                exp, exp_pos = _maybe_exponent(tokens, i)
+                exp = _maybe_exponent(tokens, i)
                 if exp is not None:
                     i += 2
                     coeff *= base**exp
@@ -91,15 +91,11 @@ def parse_polynomial(text: str) -> Polynomial:
                 saw_factor = True
             elif kind == "name":
                 i += 1
-                exp, exp_pos = _maybe_exponent(tokens, i)
+                exp = _maybe_exponent(tokens, i)
                 if exp is not None:
                     i += 2
                 else:
                     exp = 1
-                if exp > _EXPONENT_LIMIT:
-                    raise ParseError(
-                        f"exponent {exp} exceeds the limit {_EXPONENT_LIMIT}", exp_pos
-                    )
                 powers[value] = powers.get(value, 0) + exp
                 saw_factor = True
             elif kind == "op" and value == "*":
@@ -132,8 +128,8 @@ def parse_polynomial(text: str) -> Polynomial:
     return from_terms(variables, pairs)
 
 
-def _maybe_exponent(tokens, i) -> Tuple[Optional[int], int]:
-    """If tokens[i] is '^', return (exponent value, its position)."""
+def _maybe_exponent(tokens, i) -> Optional[int]:
+    """If tokens[i] is '^', return the exponent after it, else None."""
     if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
         if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
             raise ParseError("'^' must be followed by a natural number", tokens[i][2])
@@ -142,8 +138,8 @@ def _maybe_exponent(tokens, i) -> Tuple[Optional[int], int]:
             raise ParseError(
                 f"exponent {exp} exceeds the limit {_EXPONENT_LIMIT}", tokens[i + 1][2]
             )
-        return exp, tokens[i + 1][2]
-    return None, tokens[i][2] if i < len(tokens) else -1
+        return exp
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +169,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
     if cmd == "phi":
         from . import euclid
 
-        c = _require(req, "c", "-c")
-        d = _require(req, "d", "-d")
+        c, d = req.c, req.d
         orb = euclid.orbit(c, d)
         cw = req.c_weight if req.c_weight is not None else c
         dw = req.d_weight if req.d_weight is not None else d

@@ -327,10 +327,11 @@ RESIDUE_LIMIT = 4 * 10**6  # residues in one numpy grid: value-ball scans, spf d
 
 def residue_grid(p: int, n: int, low: int = 0):
     """Every point of {low..p-1}^n as the rows of an int64 array, in
-    lexicographic order: the order of ``itertools.product``."""
+    lexicographic order: the order of ``itertools.product``.  For n = 0
+    that is one empty row."""
     import numpy as np
 
-    return np.indices((p - low,) * n, dtype=np.int64).reshape(n, -1).T + low
+    return np.indices((p - low,) * n, dtype=np.int64).reshape(n, (p - low) ** n).T + low
 
 
 def reduction_key(f: Polynomial, p: int) -> tuple:

@@ -6,8 +6,9 @@ has a unique primitive inward normal with natural coordinates, and the
 facet data (normal a, weight m = min a.omega over the support, meet
 set) determines everything else:
 
-* faces are the nonempty intersections of facets, each recovered
-  exactly from its support points and its coordinate recession rays;
+* faces are the nonempty intersections of facets, built on first read
+  in one pass that also records each face's facets; a face's dimension
+  is n minus the rank of the normals of its facets;
 * the first meet locus F(a) of a weight vector a is the face where the
   linear form a.x attains its minimum over the polyhedron.
 
@@ -22,6 +23,7 @@ operations; no determinant and no rational arithmetic enters it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -59,7 +61,7 @@ class Facet:
     m: int
     meet_support: FrozenSet[Monomial]
 
-    @property
+    @cached_property
     def rays(self) -> FrozenSet[int]:
         """Indices of coordinate rays lying in the facet."""
         return frozenset(i for i, a in enumerate(self.normal) if a == 0)
@@ -84,18 +86,26 @@ class Face:
 
 
 class NewtonPolyhedron:
-    """Facets, faces, and weight data of conv(supp(f) + orthant)."""
+    """Facets, faces, and weight data of conv(supp(f) + orthant).
+
+    ``faces`` is built from the facets when first read; a face's
+    dimension is n minus the rank of the normals of its facets.
+    """
 
     def __init__(self, variables: Tuple[str, ...], support: FrozenSet[Monomial],
-                 facets: List[Facet], faces: List[Face]):
+                 facets: List[Facet]):
         self.variables = variables
         self.support = support
         self.facets = facets
-        self.faces = faces
         self.n = len(variables)
-        self._face_by_key: Dict[Tuple[FrozenSet[Monomial], FrozenSet[int]], Face] = {
-            (f.meet_support, f.rays): f for f in faces
-        }
+
+    @cached_property
+    def faces(self) -> List[Face]:
+        return _face_lattice(self.support, self.facets, self.n)
+
+    @cached_property
+    def _face_by_key(self) -> Dict[Tuple[FrozenSet[Monomial], FrozenSet[int]], Face]:
+        return {(f.meet_support, f.rays): f for f in self.faces}
 
     # -- weights -------------------------------------------------------
 
@@ -263,45 +273,41 @@ def build_polyhedron(f: Polynomial) -> NewtonPolyhedron:
 
     facets = _facets(support, n)
     facets.sort(key=lambda ft: ft.normal)
-    faces = _face_lattice(support, facets, n)
-    return NewtonPolyhedron(f.variables, frozenset(support), facets, faces)
+    return NewtonPolyhedron(f.variables, frozenset(support), facets)
 
 
-def _face_lattice(support: List[Monomial], facets: List[Facet], n: int) -> List[Face]:
-    """All faces as intersections of facets, plus the improper face."""
-    units = [_unit(n, i) for i in range(n)]
+def _face_lattice(support: FrozenSet[Monomial], facets: List[Facet], n: int) -> List[Face]:
+    """All faces as intersections of facets, plus the improper face.
 
-    def close(meet: FrozenSet[Monomial], rays: FrozenSet[int]) -> Tuple:
-        containing = tuple(
-            i
-            for i, ft in enumerate(facets)
-            if meet <= ft.meet_support and rays <= ft.rays
-        )
-        return containing
-
-    # key -> (meet, rays); seed with facets, close under intersection
-    items: Dict[Tuple[FrozenSet[Monomial], FrozenSet[int]], None] = {}
+    A face lies in the facets whose intersection with it is the face
+    itself.  The polyhedron is full-dimensional, so the face's dimension
+    is n minus the rank of their normals (Schrijver, *Theory of Linear
+    and Integer Programming*, 8.3).
+    """
+    # key -> containing facets, in the order keys are first pushed
     queue = [(ft.meet_support, ft.rays) for ft in facets]
-    for key in queue:
-        items[key] = None
+    items = dict.fromkeys(queue, ())
     while queue:
-        meet, rays = queue.pop()
-        for ft in facets:
+        key = queue.pop()
+        meet, rays = key
+        containing = []
+        for i, ft in enumerate(facets):
             m2 = meet & ft.meet_support
-            r2 = rays & ft.rays
             if not m2:
                 continue
-            key = (m2, r2)
-            if key not in items:
-                items[key] = None
-                queue.append(key)
+            k2 = (m2, rays & ft.rays)
+            if k2 == key:
+                containing.append(i)
+            elif k2 not in items:
+                items[k2] = ()
+                queue.append(k2)
+        items[key] = tuple(containing)
 
-    faces = []
-    for meet, rays in items:
-        containing = close(meet, rays)
-        dim = _affine_dim(sorted(meet), [units[i] for i in rays])
-        faces.append(Face(meet, rays, containing, dim))
+    faces = [
+        Face(meet, rays, containing, n - _linalg.rank([facets[i].normal for i in containing]))
+        for (meet, rays), containing in items.items()
+    ]
     # the polyhedron itself: full support, all rays, no facet constraints
-    faces.append(Face(frozenset(support), frozenset(range(n)), (), n))
+    faces.append(Face(support, frozenset(range(n)), (), n))
     faces.sort(key=lambda f: (f.dim, sorted(f.meet_support)))
     return faces

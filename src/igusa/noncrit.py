@@ -68,7 +68,7 @@ from math import gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import det, rank_mod
-from .mpoly import RESIDUE_LIMIT, Polynomial, _pow_mod, eval_mod
+from .mpoly import RESIDUE_LIMIT, Polynomial, _pow_mod, eval_mod, residue_grid
 from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
@@ -369,7 +369,7 @@ def _torus_zeros_mod(hull: Hull, ell: int):
         )
     system = [Polynomial(h.variables, {e: c * (v0[j] + e[j]) for e, c in h.terms.items()}) for j in range(d)]
     system.append(gcd(*v0[d:]) * h)
-    pts = np.indices((ell - 1,) * d, dtype=np.int64).reshape(d, size).T + 1
+    pts = residue_grid(ell, d, low=1)
     for g in system:
         if g.is_zero():
             continue

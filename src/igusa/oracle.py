@@ -99,13 +99,10 @@ class ConeDomainSpec:
         return cls(name="zero", dim=dim, member=lambda vals: all(v == 0 for v in vals))
 
     @classmethod
-    def face_cone(
-        cls, polyhedron: NewtonPolyhedron, face: Face, name: Optional[str] = None
-    ) -> "ConeDomainSpec":
+    def face_cone(cls, polyhedron: NewtonPolyhedron, face: Face) -> "ConeDomainSpec":
         """A = the cone of weight vectors whose first meet locus is `face`."""
-        label = name if name is not None else f"cone{sorted(face.meet_support)}"
         return cls(
-            name=label,
+            name=f"cone{sorted(face.meet_support)}",
             dim=polyhedron.n,
             member=lambda vals: polyhedron.first_meet_locus(vals) == face,
         )

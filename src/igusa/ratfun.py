@@ -177,14 +177,7 @@ def series_times_denominator(
     series: PowerSeries, factors: Sequence[Factor], q: int
 ) -> List[Fraction]:
     """series * prod(1 - q^(-A) t^B), reliable through degree series.depth."""
-    den = denominator_polynomial(factors, q)
-    out = [Fraction(0)] * (series.depth + 1)
-    for j, d in enumerate(den):
-        if d == 0:
-            continue
-        for m in range(j, series.depth + 1):
-            out[m] += d * series.coefficients[m - j]
-    return out
+    return _poly_mul(denominator_polynomial(factors, q), series.coefficients)[: series.depth + 1]
 
 
 @dataclass(frozen=True)
@@ -252,10 +245,7 @@ def divide_out_factor(
         return None
     quotient = _trim(c[: max(deg - b + 1, 0)])
     # verify: quotient * factor == numerator
-    factor_poly = [Fraction(0)] * (b + 1)
-    factor_poly[0] = Fraction(1)
-    factor_poly[b] = -u
-    if _trim(_poly_mul(quotient, factor_poly)) != num:
+    if _trim(_poly_mul(quotient, denominator_polynomial([factor], q))) != num:
         raise AssertionError("inconsistent exact division")
     return quotient
 

@@ -58,9 +58,7 @@ class ResidueDomain:
 
     The residues are the sorted, distinct rows of an array, which
     ``spf_counts`` classifies; ``full``, ``unit_torus`` and ``of`` build
-    them so.  Two domains are equal when their rows are; the hash reads
-    the rows once and is then kept, so the memo of the recursion can key
-    on the domain itself.
+    them so.
     """
 
     p: int
@@ -117,22 +115,6 @@ class ResidueDomain:
     @cached_property
     def residues(self) -> FrozenSet[Tuple[int, ...]]:
         return frozenset(map(tuple, self.rows.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueDomain):
-            return NotImplemented
-        return self is other or (
-            (self.p, self.dim) == (other.p, other.dim) and np.array_equal(self.rows, other.rows)
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        rows = self.rows
-        data = rows.tobytes() if rows.dtype != object else tuple(rows.ravel().tolist())
-        return hash((self.p, self.dim, rows.shape, data))
 
 
 def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):
@@ -306,9 +288,11 @@ def spf_evaluate(
     DepthGuardExceeded naming the offending path — the signature of a
     singular point of f inside D.
 
-    Each node classifies its residues by ``spf_counts`` only when no
-    earlier node of this call had the same reduction mod p and domain;
-    the classification is shared, never kept beyond the call.
+    A node meets either D (the root) or the full domain, so the keys
+    below record the domain as ``domain is full``.  Each node classifies
+    its residues by ``spf_counts`` only when no earlier node of this call
+    had the same reduction mod p and domain; the classification is
+    shared, never kept beyond the call.
     """
     _require_matching_prime(D, p)
     if f.nvars != D.dim:
@@ -319,7 +303,7 @@ def spf_evaluate(
     n = f.nvars
     full = D if D.size == p.q**n else ResidueDomain.full(p.p, n)
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
-    classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, domain) -> counts
+    classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, domain is full) -> counts
     on_stack: List[tuple] = []
 
     def node(
@@ -329,7 +313,7 @@ def spf_evaluate(
         order_e: int,
         cumulative_E: int,
     ) -> Tuple[Tuple[Fraction, ...], SPFTraceNode]:
-        key = (g.canonical_key(), domain)
+        key = (g.canonical_key(), domain is full)
         if key in memo:
             num, counts = memo[key]
             return num, SPFTraceNode(path, order_e, cumulative_E, counts, True, ())
@@ -345,7 +329,7 @@ def spf_evaluate(
             )
         on_stack.append(key)
         try:
-            reduction = (reduction_key(g, p.p), domain)
+            reduction = (reduction_key(g, p.p), domain is full)
             counts = classified.get(reduction)
             if counts is None:
                 counts = classified[reduction] = spf_counts(g, domain, p)

@@ -199,7 +199,10 @@ class TestEvalMod:
 
 
 class TestResidueGrid:
-    @pytest.mark.parametrize("p, n, low", [(2, 1, 0), (5, 2, 0), (3, 3, 1), (7, 1, 1), (2, 3, 1)])
+    # n = 0 gives one empty row: noncrit's torus scan meets it on a vertex face
+    @pytest.mark.parametrize(
+        "p, n, low", [(2, 1, 0), (5, 2, 0), (3, 3, 1), (7, 1, 1), (2, 3, 1), (101, 0, 1), (2, 0, 0)]
+    )
     def test_rows_in_product_order(self, p, n, low):
         grid = residue_grid(p, n, low)
         assert grid.dtype == np.int64 and grid.shape == ((p - low) ** n, n)

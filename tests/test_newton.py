@@ -388,6 +388,50 @@ def test_cli_output_matches_golden(entry):
     assert out.getvalue() == entry["stdout"]
 
 
+# `igusa analyze` stdout for 3- and 4-variable inputs, recorded while the
+# face lattice was still built with every polyhedron.  Many of their faces
+# tie on dimension and support, so the bytes pin the lattice's discovery
+# order as well as its faces.
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_analyze_many_vars.json")) as fh:
+    GOLDEN_MANY_VARS = json.load(fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN_MANY_VARS, ids=lambda e: " ".join(e["argv"]))
+def test_many_variable_analyze_matches_golden(entry):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(entry["argv"]))
+    assert code == entry["code"]
+    assert out.getvalue() == entry["stdout"]
+
+
+class TestLatticeOnDemand:
+    def _main(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            return main(argv)
+
+    def test_poles_and_verify_build_no_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the face lattice was built")
+
+        monkeypatch.setattr(newton, "_face_lattice", refuse)
+        assert self._main(["poles", "-f", "x^2*y + y^3*z + z^4", "-g", "w^3 + w*v^2"]) == 0
+        assert self._main(["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "8"]) == 0
+
+    def test_analyze_builds_the_lattice_once(self, monkeypatch):
+        calls = []
+        build = newton._face_lattice
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(newton, "_face_lattice", counted)
+        assert self._main(["analyze", "-f", "x^3 + y^4 + x*y^2", "-g", "z^2 + w^5"]) == 0
+        assert len(calls) == 1
+
+
 class TestConeContains:
     # (generators, point, inside the open cone)
     TABLE = [

@@ -24,6 +24,11 @@ from igusa.spf import (
 P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
 
 
+def _rows(D):
+    """A domain's prime, dimension and residue rows, for comparing two domains."""
+    return D.p, D.dim, D.rows.tolist()
+
+
 class TestResidueDomain:
     def test_full(self):
         D = ResidueDomain.full(5, 2)
@@ -67,24 +72,23 @@ class TestResidueDomain:
         D = ResidueDomain.of(5, [(3, 1), (0, 4), (3, 1), (np.int64(2), 2)])
         assert D.rows.tolist() == [[0, 4], [2, 2], [3, 1]]
         same = ResidueDomain.of(5, [(0, 4), (2, 2), (3, 1)])
-        assert D == same and hash(D) == hash(same)
+        assert _rows(D) == _rows(same)
         assert all(type(c) is int for r in D.residues for c in r)
 
     def test_keys_distinguish(self):
         a = ResidueDomain.full(5, 1)
         b = ResidueDomain.unit_torus(5, 1)
-        assert a != b
+        assert _rows(a) != _rows(b)
 
     def test_grids_equal_their_explicit_residues(self):
         every = list(itertools.product(range(5), repeat=2))
         full, torus = ResidueDomain.full(5, 2), ResidueDomain.unit_torus(5, 2)
-        assert full == ResidueDomain.of(5, every[::-1])
-        assert hash(full) == hash(ResidueDomain.of(5, every[::-1]))
+        assert _rows(full) == _rows(ResidueDomain.of(5, every[::-1]))
         units = [r for r in every if 0 not in r]
-        assert torus == ResidueDomain.of(5, units)
-        assert hash(torus) == hash(ResidueDomain.of(5, units))
-        assert full != torus
-        assert full != ResidueDomain.full(7, 2) and full != ResidueDomain.full(5, 1)
+        assert _rows(torus) == _rows(ResidueDomain.of(5, units))
+        assert _rows(full) != _rows(torus)
+        assert _rows(full) != _rows(ResidueDomain.full(7, 2))
+        assert _rows(full) != _rows(ResidueDomain.full(5, 1))
 
     def test_grids_are_sorted_readonly_int64_rows(self):
         D = ResidueDomain.unit_torus(3, 2)
