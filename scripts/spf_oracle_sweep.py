@@ -38,7 +38,6 @@ class SweepConfig:
     primes: List[int]
     depth: int
     corpus: List[str]
-    trace_depth_guard: int = 32
 
 
 def run_sweep(config: SweepConfig) -> int:
@@ -51,7 +50,7 @@ def run_sweep(config: SweepConfig) -> int:
             domain = ResidueDomain.full(p, f.nvars)
             label = f"{text:<{width}}  p={p}"
             try:
-                result = spf_evaluate(f, domain, spec, depth_guard=config.trace_depth_guard)
+                result = spf_evaluate(f, domain, spec)
             except DepthGuardExceeded as exc:
                 print(f"{label}  SKIP  (recursion not finite: {exc})")
                 continue

@@ -1,9 +1,12 @@
 """Command-line front end: parse polynomials, orchestrate the modules,
-emit versioned JSON (or TSV for tabular outputs).
+emit versioned JSON (or TSV from `count`, `poles` and `phi`, the
+subcommands that take `--json`/`--tsv`).
 
 Exit codes: 0 success, 2 falsification candidate (a `verify` run whose
-numerator recovery left nonzero residuals), 1 usage or execution error.
-Errors are rendered as structured JSON on standard error.
+numerator recovery left nonzero residuals), 1 any error, usage errors
+included (a bad value, an unknown flag, a missing flag or subcommand).
+Every error is rendered as structured JSON on standard error; `-h`
+prints help and exits 0.
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .mpoly import Polynomial, from_terms
+from .mpoly import MAX_EXPONENT, Polynomial, from_terms
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 
 SCHEMA = 1
-_EXPONENT_LIMIT = 10**6
 
 
 class ParseError(ValueError):
@@ -134,33 +136,14 @@ def _maybe_exponent(tokens, i) -> Optional[int]:
         if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
             raise ParseError("'^' must be followed by a natural number", tokens[i][2])
         exp = int(tokens[i + 1][1])
-        if exp > _EXPONENT_LIMIT:
-            raise ParseError(
-                f"exponent {exp} exceeds the limit {_EXPONENT_LIMIT}", tokens[i + 1][2]
-            )
+        if exp > MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", tokens[i + 1][2])
         return exp
     return None
 
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-
-def _require(req: argparse.Namespace, field: str, flag: str):
-    value = getattr(req, field)
-    if value is None:
-        raise ValueError(f"this subcommand requires {flag}")
-    return value
-
-
-def _noncrit_mode(req: argparse.Namespace, f: Polynomial) -> str:
-    if req.mode == "exact":
-        return "exact_small"
-    if req.mode == "heuristic":
-        return "finite_field_heuristic"
-    if req.mode is None:
-        return "exact_small" if f.nvars <= 2 else "finite_field_heuristic"
-    raise ValueError(f"unknown mode {req.mode!r} (use exact or heuristic)")
 
 
 def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
@@ -191,14 +174,16 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         }
         return payload, 0
 
-    # the others all need numpy; they load the same modules whichever of
-    # them runs (bench/tracer.py wraps every one of them)
+    # the others load the same modules whichever of them runs
+    # (bench/tracer.py wraps every one of them); numpy loads only with
+    # the first residue array
     from . import newton, noncrit, oracle, spf, tsden
 
+    f = parse_polynomial(req.f_text)
+
     if cmd == "analyze":
-        f = parse_polynomial(_require(req, "f_text", "-f"))
         poly = newton.build_polyhedron(f)
-        report = noncrit.check_noncritical(f, mode=_noncrit_mode(req, f), polyhedron=poly)
+        report = noncrit.check_noncritical(f, polyhedron=poly)
         payload = {
             "schema": SCHEMA,
             "f": str(f),
@@ -213,21 +198,13 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         return payload, 0
 
     if cmd == "poles":
-        f = parse_polynomial(_require(req, "f_text", "-f"))
-        g = parse_polynomial(_require(req, "g_text", "-g"))
-        poles = tsden.candidate_poles(f, g)
+        poles = tsden.candidate_poles(f, parse_polynomial(req.g_text))
         return {"schema": SCHEMA, "poles": [str(x) for x in poles]}, 0
 
     if cmd == "spf":
-        f = parse_polynomial(_require(req, "f_text", "-f"))
         p = PrimeSpec(req.prime)
-        if req.domain == "full":
-            D = spf.ResidueDomain.full(p.p, f.nvars)
-        elif req.domain == "torus":
-            D = spf.ResidueDomain.unit_torus(p.p, f.nvars)
-        else:
-            raise ValueError(f"unknown domain {req.domain!r} (use full or torus)")
-        result = spf.spf_evaluate(f, D, p, depth_guard=req.depth_guard)
+        domain = spf.ResidueDomain.full if req.domain == "full" else spf.ResidueDomain.unit_torus
+        result = spf.spf_evaluate(f, domain(p.p, f.nvars), p, depth_guard=req.depth_guard)
         payload = {
             "schema": SCHEMA,
             "f": str(f),
@@ -241,10 +218,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         return payload, 0
 
     if cmd == "count":
-        f = parse_polynomial(_require(req, "f_text", "-f"))
-        p = PrimeSpec(req.prime)
-        depth = req.depth if req.depth is not None else 8
-        counts = oracle.ball_counts(f, p, depth, budget=req.budget)
+        counts = oracle.ball_counts(f, PrimeSpec(req.prime), req.depth, budget=req.budget)
         series = oracle.measure_series(counts)
         payload = {
             "schema": SCHEMA,
@@ -254,11 +228,9 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         return payload, 0
 
     if cmd == "verify":
-        f = parse_polynomial(_require(req, "f_text", "-f"))
-        g = parse_polynomial(_require(req, "g_text", "-g"))
-        p = PrimeSpec(req.prime)
+        g = parse_polynomial(req.g_text)
         report = oracle.verify_theorem(
-            f, g, p, depth=req.depth, max_deg=req.max_deg, budget=req.budget
+            f, g, PrimeSpec(req.prime), depth=req.depth, max_deg=req.max_deg, budget=req.budget
         )
         payload = {"schema": SCHEMA, **report.as_dict()}
         return payload, 0 if report.ok else 2
@@ -284,73 +256,83 @@ def _render_tsv(cmd: str, payload: dict) -> str:
         lines.append(f"min_sum\t{payload['min_sum']}")
         lines.append(f"pick_sum\t{payload['pick_sum']}")
         return "\n".join(lines)
-    if cmd == "poles":
-        return "\n".join(["pole"] + payload["poles"])
-    raise ValueError(f"--tsv is not available for {cmd!r}; use --json")
+    return "\n".join(["pole"] + payload["poles"])
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so ``main`` reports it as JSON."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="igusa",
         description="Exact local zeta data: Newton polyhedra, candidate poles, "
         "stationary-phase evaluation, and point-counting verification.",
     )
+    parser.set_defaults(fmt="json")  # for the subcommands that print only JSON
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, *, f=False, g=False, prime=False, depthish=False):
-        if f:
-            sp.add_argument("-f", dest="f_text", metavar="POLY", help="polynomial, e.g. 'x^2 + y^3'")
-        if g:
-            sp.add_argument("-g", dest="g_text", metavar="POLY", help="second polynomial (disjoint variables)")
-        if prime:
-            sp.add_argument("-p", dest="prime", type=int, default=5, help="prime (default 5)")
-        if depthish:
-            sp.add_argument("--depth", type=int, default=None, help="levels of p-adic precision")
-            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                            help="node budget (default 10^8) shared by the blocks of "
-                            "disjoint variables; a node is one polynomial and precision "
-                            "met in a block's recursion, and nodes with the same "
-                            "reduction mod p share one scan of the p^n residues mod p")
+    def formats(sp):
         sp.add_argument("--json", dest="fmt", action="store_const", const="json",
                         default="json", help="JSON output (default)")
-        sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv",
-                        help="TSV output (tabular subcommands only)")
+        sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv", help="TSV output")
 
-    sp = sub.add_parser("analyze", help="Newton polyhedron, non-criticality, denominator")
-    common(sp, f=True, g=True)
-    sp.add_argument("--mode", choices=["exact", "heuristic"], default=None,
-                    help="non-criticality decision mode")
+    def command(name: str, help: str, *, g: Optional[bool] = None, prime=False, tsv=False):
+        """A subcommand reading -f; g None takes no -g, else requires it or not."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("-f", dest="f_text", metavar="POLY", required=True,
+                        help="polynomial, e.g. 'x^2 + y^3'")
+        if g is not None:
+            sp.add_argument("-g", dest="g_text", metavar="POLY", required=g,
+                            help="second polynomial (disjoint variables)")
+        if prime:
+            sp.add_argument("-p", dest="prime", type=int, default=5, help="prime (default 5)")
+        if tsv:
+            formats(sp)
+        return sp
 
-    sp = sub.add_parser("poles", help="candidate poles of the direct-sum zeta function")
-    common(sp, f=True, g=True)
+    def budget(sp):
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="node budget (default 10^8) shared by the blocks of "
+                        "disjoint variables; a node is one polynomial and precision "
+                        "met in a block's recursion, and nodes with the same "
+                        "reduction mod p share one scan of the p^n residues mod p")
 
-    sp = sub.add_parser("spf", help="exact stationary-phase evaluation of the integral")
-    common(sp, f=True, prime=True)
+    command("analyze", "Newton polyhedron, non-criticality, denominator", g=False)
+
+    command("poles", "candidate poles of the direct-sum zeta function", g=True, tsv=True)
+
+    sp = command("spf", "exact stationary-phase evaluation of the integral", prime=True)
     sp.add_argument("--domain", choices=["full", "torus"], default="full")
     sp.add_argument("--trace", action="store_true", help="include the recursion trace")
     sp.add_argument("--depth-guard", dest="depth_guard", type=int, default=32)
 
-    sp = sub.add_parser("count", help="count solutions mod p^m")
-    common(sp, f=True, prime=True, depthish=True)
+    sp = command("count", "count solutions mod p^m", prime=True, tsv=True)
+    sp.add_argument("--depth", type=int, default=8, help="levels of p-adic precision (default 8)")
+    budget(sp)
 
-    sp = sub.add_parser("verify", help="check the predicted denominator against counts")
-    common(sp, f=True, g=True, prime=True, depthish=True)
+    sp = command("verify", "check the predicted denominator against counts", g=True, prime=True)
+    sp.add_argument("--depth", type=int, default=None,
+                    help="levels of p-adic precision (default: sized from the denominator)")
+    budget(sp)
     sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
                     help="numerator degree bound (default depth-3)")
 
     sp = sub.add_parser("phi", help="orbit and weight tables of the interleaving map")
-    common(sp)
     sp.add_argument("-c", type=int, required=True)
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("--cw", dest="c_weight", type=int, default=None, help="weight of c-steps")
     sp.add_argument("--dw", dest="d_weight", type=int, default=None, help="weight of d-steps")
+    formats(sp)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = run(args.cmd, args)
         if args.fmt == "tsv":
             print(_render_tsv(args.cmd, payload))

@@ -32,7 +32,7 @@ from .numeric import INFINITE, p_valuation, valuation_min
 
 Monomial = Tuple[int, ...]
 
-_MAX_EXPONENT = 10**6
+MAX_EXPONENT = 10**6  # the largest exponent a polynomial (or the parser) accepts
 
 
 def _term_sort_key(exps: Monomial):
@@ -57,8 +57,8 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if any(e > _MAX_EXPONENT for e in exps):
-                raise OverflowError(f"exponent over limit {_MAX_EXPONENT} in {exps}")
+            if any(e > MAX_EXPONENT for e in exps):
+                raise OverflowError(f"exponent over limit {MAX_EXPONENT} in {exps}")
             if not isinstance(coeff, int):
                 raise TypeError(f"integer coefficients only, got {type(coeff).__name__}")
             if coeff != 0:

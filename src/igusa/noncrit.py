@@ -6,20 +6,21 @@ polynomial f_tau have no common zero with all coordinates nonzero.
 The reading here is geometric: zeros are sought over an algebraically
 closed field of characteristic 0.
 
-Two modes:
+Two modes; with none given, ``check_noncritical`` takes the exact one
+wherever it applies:
 
-* ``exact_small`` (n <= 2): a complete decision.  The common-zero
-  locus off the coordinate hyperplanes is empty iff the ideal generated
-  by the partials together with x_1 ... x_n * t - 1 is (1) over Q.  The
-  first of five rules that applies decides: (1) a nonzero partial with
-  one term is a unit on the torus: non-critical; (2) a single nonzero
-  partial has two terms or more, hence torus zeros: critical (this
-  covers n = 1); (3) support on a line: see ``_line_critical``;
-  (4) a witness (below) is a torus zero in characteristic 0: critical;
-  (5) else a Groebner basis over Z, with a budget of reduction steps
-  (``_groebner_trivial``).  Rules 1-4 decide every face in practice:
-  the improper face of a general f has torus critical points, and they
-  carry witnesses.
+* ``exact_small`` (n <= ``EXACT_MAX_NVARS``, which is 2): a complete
+  decision.  The common-zero locus off the coordinate hyperplanes is
+  empty iff the ideal generated by the partials together with
+  x_1 ... x_n * t - 1 is (1) over Q.  The first of five rules that
+  applies decides: (1) a nonzero partial with one term is a unit on the
+  torus: non-critical; (2) a single nonzero partial has two terms or
+  more, hence torus zeros: critical (this covers n = 1); (3) support
+  on a line: see ``_line_critical``; (4) a witness (below) is a torus
+  zero in characteristic 0: critical; (5) else a Groebner basis over Z,
+  with a budget of reduction steps (``_groebner_trivial``).  Rules 1-4
+  decide every face in practice: the improper face of a general f has
+  torus critical points, and they carry witnesses.
 * ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n, on
   each face's hull (below), for a nonempty list of auxiliary primes l.
   A common zero whose Hessian is
@@ -73,6 +74,7 @@ from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
 DEFAULT_AUX_PRIMES = (101, 103, 107)
+EXACT_MAX_NVARS = 2  # exact_small decides up to this many variables
 _GROEBNER_STEPS = 10**4
 
 
@@ -392,22 +394,27 @@ def _full_rank_mod(jacobian, point, ell: int) -> bool:
 
 def check_noncritical(
     f: Polynomial,
-    mode: str = "exact_small",
+    mode: Optional[str] = None,
     aux_primes: Sequence[int] = DEFAULT_AUX_PRIMES,
     polyhedron: Optional[NewtonPolyhedron] = None,
 ) -> NonCritReport:
     """Decide (exactly or heuristically) whether f is Newton non-critical.
 
     ``exact_small`` is a complete characteristic-0 decision, limited to
-    n <= 2; it additionally scans the auxiliary primes, flags those
-    whose torus zeros disagree with the exact verdict, and draws the
-    witnesses of critical faces from those zeros.
-    ``finite_field_heuristic`` works in any dimension.
+    n <= EXACT_MAX_NVARS; it additionally scans the auxiliary primes,
+    flags those whose torus zeros disagree with the exact verdict, and
+    draws the witnesses of critical faces from those zeros.
+    ``finite_field_heuristic`` works in any dimension.  With no mode,
+    the number of variables picks: exact where it can decide.
     """
+    if mode is None:
+        mode = "exact_small" if f.nvars <= EXACT_MAX_NVARS else "finite_field_heuristic"
     if mode not in ("exact_small", "finite_field_heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_small" and f.nvars > 2:
-        raise ValueError("exact_small mode is limited to polynomials in <= 2 variables")
+    if mode == "exact_small" and f.nvars > EXACT_MAX_NVARS:
+        raise ValueError(
+            f"exact_small mode is limited to polynomials in <= {EXACT_MAX_NVARS} variables"
+        )
     if mode == "finite_field_heuristic" and not aux_primes:
         raise ValueError("finite_field_heuristic mode needs at least one auxiliary prime")
     for ell in aux_primes:

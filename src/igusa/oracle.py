@@ -50,8 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import tsden
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype
 from .mpoly import _scale_out, _shift_terms, reduction_key, residue_grid
@@ -163,6 +161,8 @@ def _expand_level(f: Polynomial, surv, p: int, m: int):
     """The children mod p^(m+1) of the survivors mod p^m that are zeros of f,
     in ``residue_dtype(p^(m+1))``: int64 rows turn into Python ints when
     int64 could overflow."""
+    import numpy as np
+
     n = surv.shape[1]
     modulus = p ** (m + 1)
     step = p**m
@@ -182,6 +182,8 @@ def _in_domain(surv, domain: ConeDomainSpec, p: int, level: int) -> int:
 
     The vector is truncated at level (a coordinate divisible by p^level
     reports level), and ``member`` sees each distinct vector once."""
+    import numpy as np
+
     if not len(surv):
         return 0
     vals = np.zeros(surv.shape, dtype=np.int64)
@@ -210,6 +212,8 @@ def count_mod(
     than ``mpoly.RESIDUE_LIMIT`` children per survivor raise it too,
     before any is built.
     """
+    import numpy as np
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = f.nvars
@@ -276,6 +280,8 @@ def value_balls(
     by p^e and moved to g(r); when e >= m it is one point mod p^m, and at
     m = 1 every class is the ball (1, g(r) mod p).
     """
+    import numpy as np
+
     if precision < 1:
         raise ValueError("precision must be >= 1")
     q = p.p

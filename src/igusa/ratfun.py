@@ -229,19 +229,17 @@ def divide_out_factor(
 ) -> Optional[Tuple[Fraction, ...]]:
     """N / (1 - q^(-A) t^B) when the division is exact, else None.
 
-    The quotient satisfies c[m] = n[m] + q^(-A) c[m-B]; exactness is
-    equivalent to c vanishing in degrees (deg N - B, deg N].
+    The quotient's coefficients c are those of the series N / (1 - q^(-A) t^B)
+    (``expand``); exactness is equivalent to c vanishing in degrees
+    (deg N - B, deg N].
     """
-    a, b = _check_factor(factor)
+    b = _check_factor(factor)[1]
     num = _trim(numerator)
     if not num:
         return ()
-    u = Fraction(1, q**a)
     deg = len(num) - 1
-    c = [Fraction(0)] * (deg + 1)
-    for m in range(deg + 1):
-        c[m] = num[m] + (u * c[m - b] if m >= b else Fraction(0))
-    if any(c[m] != 0 for m in range(max(deg - b + 1, 0), deg + 1)):
+    c = expand(RationalZeta(num, (factor,), q), deg).coefficients
+    if any(c[max(deg - b + 1, 0) :]):
         return None
     quotient = _trim(c[: max(deg - b + 1, 0)])
     # verify: quotient * factor == numerator

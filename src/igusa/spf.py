@@ -30,14 +30,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_dtype
 from .mpoly import residue_grid, shift_scale
 from .numeric import INFINITE, PrimeSpec, p_valuation
 from .ratfun import RationalZeta
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DepthGuardExceeded(RuntimeError):
@@ -91,6 +92,8 @@ class ResidueDomain:
 
     @classmethod
     def of(cls, p: int, residues: Sequence[Sequence[int]]) -> "ResidueDomain":
+        import numpy as np
+
         pts = [tuple(r) for r in residues]
         if not pts:
             raise ValueError("explicit residue domain must be nonempty")

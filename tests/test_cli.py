@@ -252,7 +252,35 @@ class TestMain:
     def test_missing_required_poly(self):
         rc, out, err = invoke(["poles", "-f", "x^2"])
         assert rc == 1
-        assert "requires" in json.loads(err)["error"]["message"]
+        assert "-g" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spf", "-f", "x", "-p", "nope"],
+            ["count", "-f", "x", "--bogus"],
+            ["verify", "-f", "x"],
+            ["analyze"],
+            [],
+            ["spf", "-f", "x", "--json"],
+            ["analyze", "-f", "x", "--mode", "exact"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no subcommand",
+    )
+    def test_usage_error_exits_1_as_json(self, argv):
+        # exit 2 is kept for a verify run with residuals
+        rc, out, err = invoke(argv)
+        assert rc == 1
+        assert out == ""
+        report = json.loads(err)
+        assert report["schema"] == SCHEMA
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"]
+
+    def test_help_exits_0(self):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+            main(["-h"])
+        assert exc.value.code == 0
 
     def test_constant_term_error_names_the_polynomial(self):
         rc, out, err = invoke(["analyze", "-f", "x^2", "-g", "y^2+1"])
@@ -319,12 +347,21 @@ def test_cli_import_leaves_sympy_out():
     assert _loaded_after(code) == "False False"
 
 
-def test_phi_loads_no_numpy():
+def _loaded_after_main(argv) -> str:
     code = (
-        "import sys; from igusa.cli import main; main(['phi', '-c', '3', '-d', '2']); "
+        f"import sys; from igusa.cli import main; main({argv!r}); "
         "print('sympy' in sys.modules, 'numpy' in sys.modules)"
     )
-    assert _loaded_after(code) == "False False"
+    return _loaded_after(code)
+
+
+def test_phi_loads_no_numpy():
+    assert _loaded_after_main(["phi", "-c", "3", "-d", "2"]) == "False False"
+
+
+def test_poles_loads_no_numpy():
+    # poles builds no residue array, so it must not pay numpy's import
+    assert _loaded_after_main(["poles", "-f", "x^2", "-g", "y^3"]) == "False False"
 
 
 def test_module_run_prints_no_warning():

@@ -67,6 +67,12 @@ class TestExactMode:
         with pytest.raises(ValueError):
             check_noncritical(P("x*y*z"), mode="exact_small")
 
+    @pytest.mark.parametrize(
+        "text,mode", [("x^2 + y^3", "exact_small"), ("x*y*z", "finite_field_heuristic")]
+    )
+    def test_number_of_variables_picks_the_mode(self, text, mode):
+        assert check_noncritical(P(text)).mode == mode
+
     def test_exact_witness_kills_face_partials(self):
         f = P("x^3 + y^3 - 3x*y")
         poly = build_polyhedron(f)

@@ -1,10 +1,19 @@
-"""The README's Library example runs, its asserts hold, and its module
-map names only what exists: a change of the public API must not silently
-leave the documentation behind."""
+"""The README's Library example runs, its asserts hold, its module map
+names only what exists, and its command-line examples print what it
+shows: a change of the public API must not silently leave the
+documentation behind."""
 
+import contextlib
 import importlib
+import io
+import json
 import os
 import re
+import shlex
+
+import pytest
+
+from igusa.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,3 +56,40 @@ def test_module_map_names_exist():
             if not hasattr(module, name) and not any(hasattr(c, name) for c in classes):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def _cli_blocks():
+    """(argv, shown output) of each ```-fenced `$ igusa ...` example."""
+    section = _readme().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = []
+    for body in re.findall(r"^```\n(.*?)^```$", section, re.S | re.M):
+        command, _, shown = body.partition("\n")
+        if command.startswith("$ igusa "):
+            argv = shlex.split(command)[2:]
+            blocks.append(pytest.param(argv, shown, id=" ".join(argv)))
+    return blocks
+
+
+CLI_BLOCKS = _cli_blocks()
+
+
+def test_cli_examples_found():
+    assert len(CLI_BLOCKS) >= 5
+
+
+@pytest.mark.parametrize("argv,shown", CLI_BLOCKS)
+def test_cli_example_output(argv, shown):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    if "--tsv" in argv:
+        assert out.getvalue() == shown
+        return
+    # the JSON is compared as values (the README compacts some lists); a
+    # block with an elided "..." line shows some of the keys
+    lines = shown.splitlines()
+    payload = json.loads("\n".join(line for line in lines if line.strip() != "..."))
+    actual = json.loads(out.getvalue())
+    if any(line.strip() == "..." for line in lines):
+        actual = {key: actual[key] for key in payload}
+    assert actual == payload
