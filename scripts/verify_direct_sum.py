@@ -4,8 +4,8 @@
 Counts solutions of f(x) + g(y) = 0 mod p^m from the value balls of f
 and of g, multiplies the measure series by the predicted denominator,
 and reports whether the product truncates to a polynomial (it must, if
-the denominator is right).  Exit code 2 flags a falsification, mirroring
-the CLI.
+the denominator is right).  Exit code 2 flags a falsification, and 1 a
+usage error or a budget stop, mirroring the CLI.
 
     python3 scripts/verify_direct_sum.py -f "x^2" -g "y^3" -p 5 --depth 9
 """
@@ -19,8 +19,16 @@ from igusa.numeric import DEFAULT_BUDGET, PrimeSpec
 from igusa.oracle import BudgetExceeded, verify_theorem
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as the CLI's do: exit 2 is left to a falsification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("-f", required=True, help="first polynomial, e.g. 'x^2'")
     parser.add_argument("-g", required=True, help="second polynomial, disjoint variables")
     parser.add_argument("-p", type=int, default=5, help="prime (default 5)")

@@ -319,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="levels of p-adic precision (default: sized from the denominator)")
     budget(sp)
     sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
-                    help="numerator degree bound (default depth-3)")
+                    help="numerator degree bound (default depth-3); exit 2 can mean "
+                    "it is below the numerator's degree")
 
     sp = sub.add_parser("phi", help="orbit and weight tables of the interleaving map")
     sp.add_argument("-c", type=int, required=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import _linalg
@@ -34,7 +35,7 @@ IntVec = Tuple[int, ...]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _unit(n: int, i: int) -> IntVec:
@@ -304,7 +305,8 @@ def _face_lattice(support: FrozenSet[Monomial], facets: List[Facet], n: int) -> 
         items[key] = tuple(containing)
 
     faces = [
-        Face(meet, rays, containing, n - _linalg.rank([facets[i].normal for i in containing]))
+        Face(meet, rays, containing, 0 if len(meet) == 1 and not rays  # a vertex
+             else n - _linalg.rank([facets[i].normal for i in containing]))
         for (meet, rays), containing in items.items()
     ]
     # the polyhedron itself: full support, all rays, no facet constraints

@@ -57,8 +57,11 @@ points decide, and zeros map back with y_j = 1 for j > d.  When d < n
 only existence matters, to either mode: Euler's relation gives
 H (a * x) = 0 at a critical point for a primitive weight a of the
 face, and a * x != 0 mod l, so the Hessian never certifies it.  The
-grid budget counts the points scanned; a scan over it raises
-ValueError in either mode.
+system is linear in the M monomials of h, which are units on the
+torus: when its (d + 1) x M coefficient matrix has rank M mod l, no
+torus point solves it and no grid is built (for d < n, mostly simplex
+faces, M = d + 1).  The grid budget counts the (l - 1)^d points and is
+checked first; a scan over it raises ValueError in either mode.
 """
 
 from __future__ import annotations
@@ -358,7 +361,10 @@ def _torus_zeros_mod(hull: Hull, ell: int):
     """Common zeros of the partials of f_tau on (F_ell^x)^n, one in each
     orbit of the coordinates y_j with j > d: the zeros of the hull's
     system on (F_ell^x)^d, in lexicographic order of y, mapped back to x
-    with y_j = 1 for j > d."""
+    with y_j = 1 for j > d.  The rank test (module docstring) rules out
+    zeros first; else the first nonzero polynomial of the system is
+    evaluated on the grid by ``_grid_values``, the others on its zeros.
+    """
     import numpy as np
 
     V, v0, h = hull
@@ -369,15 +375,14 @@ def _torus_zeros_mod(hull: Hull, ell: int):
             f"torus grid of {d} coordinates in F_{ell}^x has {size} points; "
             "supply smaller auxiliary primes"
         )
-    system = [Polynomial(h.variables, {e: c * (v0[j] + e[j]) for e, c in h.terms.items()}) for j in range(d)]
-    system.append(gcd(*v0[d:]) * h)
-    pts = residue_grid(ell, d, low=1)
-    for g in system:
-        if g.is_zero():
-            continue
+    rows = [[c * (v0[j] + e[j]) for e, c in h.terms.items()] for j in range(d)]
+    rows.append([gcd(*v0[d:]) * c for c in h.terms.values()])
+    if rank_mod(rows, ell) == len(h.terms):
+        return []
+    system = [Polynomial(h.variables, dict(zip(h.terms, row))) for row in rows if any(row)]
+    pts = np.argwhere(_grid_values(system[0], ell) == 0) + 1
+    for g in system[1:]:
         pts = pts[eval_mod(g, pts, ell) == 0]
-        if not len(pts):
-            return []
     # x_i = prod_j y_j^V_ij, with exponents mod ell - 1 on the torus
     xs = np.ones((len(pts), len(V)), dtype=np.int64)
     for i, row in enumerate(V):
@@ -385,6 +390,27 @@ def _torus_zeros_mod(hull: Hull, ell: int):
             if e % (ell - 1):
                 xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
     return list(map(tuple, xs.tolist()))
+
+
+def _grid_values(g: Polynomial, ell: int):
+    """g mod ell on (F_ell^x)^d, an array of shape (ell - 1,) * d, one axis
+    at a time: a term is the outer product of the powers of 1 .. ell - 1 on
+    its axes, exponents mod ell - 1.  Each factor is reduced first, so a
+    term is at most (ell - 1)^2; the M terms are summed unreduced when
+    M (ell - 1)^2 < 2^63, else reduced after each sum (ell - 1 <=
+    RESIDUE_LIMIT when d > 0), so no int64 value overflows."""
+    import numpy as np
+
+    axis = residue_grid(ell, 1, low=1)[:, 0] if g.nvars else None  # d = 0: no axis
+    powers = {a: _pow_mod(axis, a, ell) if a else axis**0 for a in {x % (ell - 1) for e in g.terms for x in e}}
+    lazy = len(g.terms) * (ell - 1) ** 2 < 2**63
+    values = 0
+    for e, c in g.terms.items():
+        term = c
+        for x in e:
+            term = np.multiply.outer(term % ell, powers[x % (ell - 1)])
+        values = values + term if lazy else (values + term) % ell
+    return values % ell
 
 
 def _full_rank_mod(jacobian, point, ell: int) -> bool:

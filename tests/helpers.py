@@ -286,6 +286,31 @@ def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
     return bool(torus_common_zeros(polys, ell))
 
 
+def reference_torus_zeros(hull, ell: int) -> List[Tuple[int, ...]]:
+    """The zeros of a face's hull system on (F_ell^x)^d mapped back to x,
+    by the plain grid scan that ``noncrit._torus_zeros_mod`` replaced:
+    every point of the grid from ``residue_grid``, each nonzero
+    polynomial of the system by ``eval_mod``, in lexicographic order."""
+    import numpy as np
+
+    from igusa.mpoly import _pow_mod, eval_mod, residue_grid
+
+    V, v0, h = hull
+    d = h.nvars
+    system = [Polynomial(h.variables, {e: c * (v0[j] + e[j]) for e, c in h.terms.items()}) for j in range(d)]
+    system.append(gcd(*v0[d:]) * h)
+    pts = residue_grid(ell, d, low=1)
+    for g in system:
+        if not g.is_zero():
+            pts = pts[eval_mod(g, pts, ell) == 0]
+    xs = np.ones((len(pts), len(V)), dtype=np.int64)
+    for i, row in enumerate(V):
+        for j, e in enumerate(row[:d]):
+            if e % (ell - 1):
+                xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
+    return list(map(tuple, xs.tolist()))
+
+
 def rank_mod(rows: Sequence[Sequence[int]], ell: int) -> int:
     """Rank over F_ell of an integer matrix: Gauss-Jordan elimination,
     inverting pivots by Fermat's little theorem."""

@@ -17,6 +17,7 @@ from helpers import (
     affine_dim,
     lifts_mod,
     random_sparse_poly,
+    reference_torus_zeros,
     sympy_torus_ideal_trivial,
     torus_common_zeros,
     torus_has_common_zero,
@@ -611,6 +612,99 @@ class TestTorusSlice:
         assert max(noncrit._hull(poly.face_polynomial(f, face)).h.nvars for face in poly.faces) == 2
         report = check_noncritical(f, mode="finite_field_heuristic", polyhedron=poly)
         assert report.verdict == "non_critical"
+
+
+class TestRankTest:
+    """A face whose hull system has a coefficient matrix of rank M (the
+    number of monomials of h) mod l has no torus zero, and no grid is
+    built; every other face is scanned one axis at a time."""
+
+    PRIMES = (5, 7, 11, 101)
+
+    @staticmethod
+    def _no_grid(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(noncrit, "residue_grid", refuse)
+
+    def test_scans_equal_the_reference(self, monkeypatch):
+        rng = random.Random(30)
+        polys = [random_sparse_poly(rng, rng.randint(1, 4), max_terms=4, max_exp=4) for _ in range(40)]
+        for _ in range(20):
+            # squares have critical faces, so some scans find zeros
+            g = random_sparse_poly(rng, rng.randint(2, 3), max_terms=3, max_exp=2, coeff_bound=3)
+            polys.append(g * g)
+        hulls, seen = {}, Counter()
+        for f in polys:
+            poly = build_polyhedron(f)
+            for face in poly.faces:
+                hull = noncrit._hull(poly.face_polynomial(f, face))
+                hulls.setdefault(hull.h.nvars, {})[hull] = None
+        grids = []
+        values = noncrit._grid_values
+        monkeypatch.setattr(noncrit, "_grid_values", lambda g, ell: grids.append(ell) or values(g, ell))
+        for d in range(4):
+            # the reference's d = 3 grid at l = 101 has 10^6 points
+            for k, hull in enumerate(list(hulls[d])[:30]):
+                for ell in self.PRIMES if d < 3 or k < 3 else self.PRIMES[:3]:
+                    before = len(grids)
+                    zeros = noncrit._torus_zeros_mod(hull, ell)
+                    assert zeros == reference_torus_zeros(hull, ell), (hull, ell)
+                    kind = "grid, zeros" if zeros else "grid, none" if len(grids) > before else "rank"
+                    seen[d, kind] += 1
+        assert all(seen[d, "rank"] > 2 for d in range(4)), seen
+        assert all(seen[d, "grid, zeros"] > 2 for d in range(1, 4)), seen
+        assert seen[0, "grid, zeros"] and seen[2, "grid, none"], seen
+
+    def test_full_rank_faces_build_no_grid(self, monkeypatch):
+        f = P("x^2 + y^3 + z^5")
+        poly = build_polyhedron(f)
+        hulls = [noncrit._hull(poly.face_polynomial(f, face)) for face in poly.faces]
+        self._no_grid(monkeypatch)
+        # a simplex face, d + 1 monomials: rank M at l = 7 on every face
+        assert [noncrit._torus_zeros_mod(hull, 7) for hull in hulls] == [[]] * len(hulls)
+        report = check_noncritical(f, aux_primes=(7, 11, 101))
+        assert report.verdict == "non_critical"
+        # at l = 5, which divides the exponent of z^5, the edge y^3 + z^5 has
+        # rank 1 < 2 and is scanned
+        with pytest.raises(AssertionError, match="a grid was built"):
+            check_noncritical(f, aux_primes=(5,))
+
+    def test_rank_below_m_without_zeros(self, monkeypatch):
+        # the improper face of x^2 + y^2 + x*y^2: d = n = 2, three monomials,
+        # rank 2; 2 zeros mod 7, none mod 5, 11 or 101
+        hull = noncrit._hull(P("x^2 + y^2 + x*y^2"))
+        rows = [[c * (hull.v0[j] + e[j]) for e, c in hull.h.terms.items()] for j in range(2)]
+        assert [noncrit.rank_mod(rows, ell) for ell in self.PRIMES] == [2] * 4
+        counts = [len(noncrit._torus_zeros_mod(hull, ell)) for ell in self.PRIMES]
+        assert counts == [0, 2, 0, 0]
+        assert [noncrit._torus_zeros_mod(hull, ell) for ell in self.PRIMES] == [
+            reference_torus_zeros(hull, ell) for ell in self.PRIMES
+        ]
+        self._no_grid(monkeypatch)
+        with pytest.raises(AssertionError, match="a grid was built"):
+            noncrit._torus_zeros_mod(hull, 5)
+
+    def test_vertex_at_a_large_prime(self, monkeypatch):
+        # a d = 0 face at l near 3 * 10^9 (l^2 < 2^63): rank 1 unless l
+        # divides gcd(v0) c, and then the one point of the empty grid
+        ell = 3000000019
+        x2y3 = from_terms(("x", "y"), [((2, 3), 1)])
+        scaled = from_terms(("x", "y"), [((2, 3), ell)])
+        assert noncrit._torus_zeros_mod(noncrit._hull(scaled), ell) == [(1, 1)]
+        assert reference_torus_zeros(noncrit._hull(scaled), ell) == [(1, 1)]
+        self._no_grid(monkeypatch)
+        assert noncrit._torus_zeros_mod(noncrit._hull(x2y3), ell) == []
+        report = check_noncritical(x2y3, mode="finite_field_heuristic", aux_primes=(ell,))
+        assert report.verdict == "non_critical"
+
+    def test_grid_limit_comes_first(self, monkeypatch):
+        # the facet of x^2 + y^3 + z^5 has rank M, but its 100^2 points at
+        # l = 101 are over the limit, and the refusal stands
+        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 100)
+        with pytest.raises(ValueError, match="10000 points"):
+            check_noncritical(P("x^2 + y^3 + z^5"), aux_primes=(101,))
 
 
 # check_noncritical(mode="finite_field_heuristic").as_dict() recorded with the
