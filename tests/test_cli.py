@@ -66,6 +66,85 @@ class TestParse:
         assert parse_polynomial(str(g)) == g
 
 
+# `parse_polynomial` on a hand list that reaches each of its raises, then on
+# seeded strings of names, ints, operators, whitespace and a stray character:
+# recorded before the parser became one loop (python tests/test_cli.py
+# writes the file from whatever parser is current)
+GOLDEN_PARSE_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_parse.json")
+PARSE_HAND = [
+    "", "   ", "x$", "3 ( x", "x^2 @",
+    "*x", "x + *y", "3*", "x * + y", "x**y", "x*",
+    "x + ", "-", "+", "x - - y", "x + + 1", "3 -",
+    "x^2^3", "x ^ 2 ^ 3", "x y ^", "2^3^4",
+    "x^", "x^^2", "x^y", "2^-1", "2^",
+    "x^10000001", "2^1000001", "x^1000000 x",
+    "3x", "x y", "xy", "x^2 - 5", "-x", "+x", "- 3 x^2 y + 2", "0", "-0", "x - x",
+    "2^3 x", "x^0", "0^0", "x*y*z", "3 x ^ 2", "x x", "x^2 x^3", "007 x", "x1 + x_1",
+]
+PARSE_ATOMS = ["x", "y", "z", "xy", "y2", "_t", "0", "1", "2", "3", "12", "+", "-", "*", "^", " ", "  ", "\t", "$"]
+
+
+def _fuzz_texts(seed: int = 32, count: int = 2400):
+    """Half random runs of atoms, half signed sums of monomials of which
+    every other has one character replaced, dropped or doubled."""
+    rng = random.Random(seed)
+    texts = []
+    for k in range(count):
+        if k % 2:
+            texts.append("".join(rng.choice(PARSE_ATOMS) for _ in range(rng.randint(0, 10))))
+            continue
+        text = ""
+        for t in range(rng.randint(1, 4)):
+            text += rng.choice(["", "-", "+", " - ", " + "] if t == 0 else ["-", "+", " - ", " + "])
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                factor = rng.choice(["x", "y", "z", "xy", "2", "3", "12"])
+                if rng.random() < 0.4:
+                    factor += rng.choice(["^", " ^ "]) + rng.choice(["0", "1", "2", "3", "12"])
+                factors.append(factor)
+            text += rng.choice(["*", " * ", " "]).join(factors)
+        if k % 4 == 2 and text:
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice([rng.choice(PARSE_ATOMS), "", text[i] * 2]) + text[i + 1:]
+        texts.append(text)
+    return texts
+
+
+def _parse_record(text: str) -> dict:
+    try:
+        f = parse_polynomial(text)
+    except Exception as exc:
+        return {"text": text, "error": f"{type(exc).__name__}: {exc}", "position": getattr(exc, "position", None)}
+    return {"text": text, "canonical": str(f), "variables": list(f.variables)}
+
+
+def _golden_parse_json(texts) -> str:
+    return "[\n" + ",\n".join(json.dumps(_parse_record(t)) for t in texts) + "\n]\n"
+
+
+def test_parse_matches_golden():
+    with open(GOLDEN_PARSE_PATH) as fh:
+        recorded = fh.read()
+    texts = [entry["text"] for entry in json.loads(recorded)]
+    assert texts == PARSE_HAND + _fuzz_texts()
+    assert _golden_parse_json(texts) == recorded
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("*x", "'*' with no left operand", 0),
+        ("x + ", "expected a coefficient or variable", 4),
+        ("x^2^3", "unexpected token '^'", 3),
+    ],
+)
+def test_parse_errors_reached_by_the_hand_list(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert text in PARSE_HAND
+
+
 def run_argv(*argv):
     """``run`` on the arguments the command line parser makes of argv."""
     return run(argv[0], _build_parser().parse_args(argv))
@@ -405,3 +484,8 @@ def test_parse_polynomial_stays_a_package_attribute():
 
     assert "parse_polynomial" in igusa.__all__
     assert igusa.parse_polynomial is parse_polynomial
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PARSE_PATH, "w") as fh:
+        fh.write(_golden_parse_json(PARSE_HAND + _fuzz_texts()))
