@@ -62,84 +62,51 @@ def parse_polynomial(text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial", 0)
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, len(text))
-
+    tokens.append(("end", "", len(text)))
     terms: List[Tuple[int, Dict[str, int]]] = []
-    sign = 1
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        i += 1
-
-    while True:
-        # one term: factors joined by '*' or juxtaposition
-        coeff = sign
+    i = 0
+    while tokens[i][0] != "end":
+        # a sign: optional before the first term, required between terms
+        kind, value, pos = tokens[i]
+        if kind == "op" and value in "+-":
+            i += 1
+        elif terms:
+            raise ParseError(f"unexpected token {value!r}", pos)
+        coeff = -1 if value == "-" else 1
         powers: Dict[str, int] = {}
-        saw_factor = False
+        start = i
+        # one term: factors joined by '*' or juxtaposition
         while True:
-            kind, value, pos = peek()
-            if kind == "int":
-                i += 1
-                base = int(value)
-                exp = _maybe_exponent(tokens, i)
-                if exp is not None:
+            kind, value, pos = tokens[i]
+            if kind in ("int", "name"):
+                exp = 1
+                if tokens[i + 1][1] == "^":
+                    if tokens[i + 2][0] != "int":
+                        raise ParseError("'^' must be followed by a natural number", tokens[i + 1][2])
+                    exp = int(tokens[i + 2][1])
+                    if exp > MAX_EXPONENT:
+                        raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", tokens[i + 2][2])
                     i += 2
-                    coeff *= base**exp
-                else:
-                    coeff *= base
-                saw_factor = True
-            elif kind == "name":
                 i += 1
-                exp = _maybe_exponent(tokens, i)
-                if exp is not None:
-                    i += 2
+                if kind == "int":
+                    coeff *= int(value) ** exp
                 else:
-                    exp = 1
-                powers[value] = powers.get(value, 0) + exp
-                saw_factor = True
+                    powers[value] = powers.get(value, 0) + exp
             elif kind == "op" and value == "*":
-                if not saw_factor:
+                if i == start:
                     raise ParseError("'*' with no left operand", pos)
+                if tokens[i + 1][0] not in ("int", "name"):
+                    raise ParseError("'*' with no right operand", tokens[i + 1][2])
                 i += 1
-                nk, nv, np_ = peek()
-                if nk not in ("int", "name"):
-                    raise ParseError("'*' with no right operand", np_)
             else:
                 break
-        if not saw_factor:
+        if i == start:
             raise ParseError("expected a coefficient or variable", pos)
         terms.append((coeff, powers))
 
-        kind, value, pos = peek()
-        if kind is None:
-            break
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected token {value!r}", pos)
-
     variables = sorted({name for _, powers in terms for name in powers})
-    pairs = []
-    for coeff, powers in terms:
-        exps = tuple(powers.get(v, 0) for v in variables)
-        pairs.append((exps, coeff))
+    pairs = [(tuple(powers.get(v, 0) for v in variables), coeff) for coeff, powers in terms]
     return from_terms(variables, pairs)
-
-
-def _maybe_exponent(tokens, i) -> Optional[int]:
-    """If tokens[i] is '^', return the exponent after it, else None."""
-    if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
-            raise ParseError("'^' must be followed by a natural number", tokens[i][2])
-        exp = int(tokens[i + 1][1])
-        if exp > MAX_EXPONENT:
-            raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", tokens[i + 1][2])
-        return exp
-    return None
 
 
 # ---------------------------------------------------------------------------
