@@ -22,22 +22,27 @@ wherever it applies:
   decide every face in practice: the improper face of a general f has
   torus critical points, and they carry witnesses.
 * ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n, on
-  each face's hull (below), for a nonempty list of auxiliary primes l.
-  A common zero whose Hessian is
-  invertible mod l lifts to characteristic zero (Hensel), certifying a
-  critical verdict; finding no zeros for any l supports non-critical,
-  flagged as heuristic; anything else is inconclusive.
+  each face's hull (below), for a nonempty list of auxiliary primes l,
+  one prime at a time while the face is undecided.  A zero that passes
+  the liftability test (below) certifies a critical verdict; finding no
+  zeros for any l supports non-critical, flagged as heuristic; anything
+  else is inconclusive, in the field of the first l with zeros.  Only a
+  face with d = n is tested: none of its partials is zero, so the
+  Jacobian below is the Hessian, and when d < n Euler's relation
+  (below) makes the Hessian singular at every zero.
+* Liftability, the one test of both modes (``_hensel_zero``): the first
+  of at most 64 zeros per scan, primes in order, at which the Jacobian
+  of the nonzero partials has full row rank mod l.  By Hensel's lemma
+  it lifts to a common zero in Z_l^n whose coordinates are units, a
+  torus zero over Q_l, which has characteristic 0.
 * Witness (exact mode, critical faces).  First a point with small
   integer coordinates that kills the partials exactly, as ints.  Else
-  the first zero of the cross-check's scans (primes in order, at most
-  64 zeros each) at which the Jacobian of the nonzero partials has full
-  row rank mod l, as strings "r mod l": by Hensel's lemma it lifts to a
-  common zero in Z_l^n whose coordinates are units, a torus zero over
-  Q_l, which has characteristic 0.  Else None.  A quasi-homogeneous
-  f_tau whose partials are all nonzero never gets such a witness, since
-  its Jacobian is the Hessian, singular at every critical point by
-  Euler's relation (below); nor do partials with a common factor, such
-  as those of x^2 (3y + 1)^2, along whose zero curve the Jacobian drops
+  the zero of the cross-check's scans that passes the liftability test,
+  as strings "r mod l".  Else None.  A quasi-homogeneous f_tau whose
+  partials are all nonzero never gets such a witness, since its
+  Jacobian is the Hessian, singular at every critical point by Euler's
+  relation (below); nor do partials with a common factor, such as
+  those of x^2 (3y + 1)^2, along whose zero curve the Jacobian drops
   rank.
 
 The report records the per-face finding in both worlds when available
@@ -53,14 +58,14 @@ f_tau = y^v0 h(y_1 .. y_d).  V^T carries the toric gradient
 (x_i d_i f_tau) to y^v0 (v0_j h + y_j d_j h), whose entries past d are
 v0_j h.  V is invertible over every field, so the partials have a
 torus zero mod l iff that system has one on (F_l^x)^d: (l - 1)^d
-points decide, and zeros map back with y_j = 1 for j > d.  When d < n
-only existence matters, to either mode: Euler's relation gives
-H (a * x) = 0 at a critical point for a primitive weight a of the
-face, and a * x != 0 mod l, so the Hessian never certifies it.  The
-system is linear in the M monomials of h, which are units on the
-torus: when its (d + 1) x M coefficient matrix has rank M mod l, no
-torus point solves it and no grid is built (for d < n, mostly simplex
-faces, M = d + 1).  The grid budget counts the (l - 1)^d points and is
+points decide, and zeros map back with y_j = 1 for j > d.  When d < n,
+Euler's relation gives H (a * x) = 0 at a critical point for a
+primitive weight a of the face, and a * x != 0 mod l, so the Hessian
+never certifies it.  The system is linear in the M monomials of h,
+which are units on the torus: its (d + 1) x M coefficient matrix is
+built once per face, and when it has rank M mod l, no torus point
+solves it and no grid is built (for d < n, mostly simplex faces,
+M = d + 1).  The grid budget counts the (l - 1)^d points and is
 checked first; a scan over it raises ValueError in either mode.
 """
 
@@ -89,12 +94,13 @@ class FaceFinding:
     rules that applies.
 
     ``witness`` is a torus zero of the face partials, or None:
-    * heuristic mode, critical: a zero mod l (``field`` "F_l") with an
-      invertible Hessian, as ints;
+    * heuristic mode, critical: a zero mod l (``field`` "F_l") that
+      passes the liftability test (the Hessian is the Jacobian there),
+      as ints;
     * exact mode, critical: a small integer zero, as ints; else a zero
-      mod l at which the Jacobian of the nonzero partials has full row
-      rank, as strings "r mod l" (Hensel lifts it to a torus zero in
-      Z_l^n, so ``field`` stays "char0"); else None.  The mod-l form
+      mod l that passes the liftability test, as strings "r mod l"
+      (Hensel lifts it to a torus zero in Z_l^n, so ``field`` stays
+      "char0"); else None.  The mod-l form
       never certifies a quasi-homogeneous face with no zero partial
       (Euler's relation makes its Hessian singular at every zero) nor
       partials with a common factor (the Jacobian drops rank along it).
@@ -330,7 +336,10 @@ def _decide_exact(hull, partials, scans, support) -> Tuple[bool, Optional[Tuple]
     line = len(nonzero) > 1 and hull.h.nvars == 1
     if line and not _line_critical(hull.v0, hull.h):
         return True, None
-    witness = _integer_zero(partials) or _hensel_zero(partials, scans)
+    witness = _integer_zero(partials)
+    lifted = witness is None and _hensel_zero(partials, scans)
+    if lifted:
+        witness = tuple(f"{x} mod {lifted[0]}" for x in lifted[1])
     if witness is None and len(nonzero) > 1 and not line:
         return _groebner_trivial(nonzero, support), None
     return False, witness
@@ -345,51 +354,68 @@ def _integer_zero(partials: Sequence[Polynomial]) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _hensel_zero(partials: Sequence[Polynomial], scans) -> Optional[Tuple[str, ...]]:
-    """The first of at most 64 torus zeros per (ell, zeros) scan at which
-    the Jacobian of the nonzero partials has full row rank mod ell: Hensel
-    lifts it to a common zero in Z_ell^n, with unit coordinates."""
+def _hensel_zero(partials: Sequence[Polynomial], scans) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(ell, point): the first of at most 64 torus zeros per (ell, zeros)
+    scan at which the Jacobian of the nonzero partials has full row rank
+    mod ell, so that Hensel lifts it to a common zero in Z_ell^n with unit
+    coordinates; else None.  Scans are drawn one at a time."""
     jacobian = [g.partials() for g in partials if not g.is_zero()]
     for ell, zeros in scans:
         for point in zeros[:64]:
-            if _full_rank_mod(jacobian, point, ell):
-                return tuple(f"{x} mod {ell}" for x in point)
+            if rank_mod([[h.evaluate(point) for h in row] for row in jacobian], ell) == len(jacobian):
+                return ell, point
     return None
 
 
-def _torus_zeros_mod(hull: Hull, ell: int):
-    """Common zeros of the partials of f_tau on (F_ell^x)^n, one in each
-    orbit of the coordinates y_j with j > d: the zeros of the hull's
-    system on (F_ell^x)^d, in lexicographic order of y, mapped back to x
-    with y_j = 1 for j > d.  The rank test (module docstring) rules out
-    zeros first; else the first nonzero polynomial of the system is
-    evaluated on the grid by ``_grid_values``, the others on its zeros.
+def _hull_system(hull: Hull) -> List[List[int]]:
+    """The (d + 1) x M coefficient rows of the hull's system (module
+    docstring) in the M monomials of h: v0_j h + y_j d_j h for j < d,
+    then gcd(v0_(j>=d)) h."""
+    _, v0, h = hull
+    d = h.nvars
+    rows = [[c * (v0[j] + e[j]) for e, c in h.terms.items()] for j in range(d)]
+    rows.append([gcd(*v0[d:]) * c for c in h.terms.values()])
+    return rows
+
+
+def _torus_scans(hull: Hull, primes: Sequence[int]):
+    """(ell, zeros) for each prime in turn, computed as it is drawn: the
+    common zeros of the partials of f_tau on (F_ell^x)^n, one in each
+    orbit of the coordinates y_j with j > d, which are the zeros of the
+    hull's system on (F_ell^x)^d, in lexicographic order of y, mapped back
+    to x with y_j = 1 for j > d.  The system is built once for all primes.
+    The rank test (module docstring) rules out zeros first; else the first
+    nonzero polynomial of the system is evaluated on the grid by
+    ``_grid_values``, the others on its zeros.
     """
     import numpy as np
 
     V, v0, h = hull
     d = h.nvars
-    size = (ell - 1) ** d
-    if size > RESIDUE_LIMIT:
-        raise ValueError(
-            f"torus grid of {d} coordinates in F_{ell}^x has {size} points; "
-            "supply smaller auxiliary primes"
-        )
-    rows = [[c * (v0[j] + e[j]) for e, c in h.terms.items()] for j in range(d)]
-    rows.append([gcd(*v0[d:]) * c for c in h.terms.values()])
-    if rank_mod(rows, ell) == len(h.terms):
-        return []
-    system = [Polynomial(h.variables, dict(zip(h.terms, row))) for row in rows if any(row)]
-    pts = np.argwhere(_grid_values(system[0], ell) == 0) + 1
-    for g in system[1:]:
-        pts = pts[eval_mod(g, pts, ell) == 0]
-    # x_i = prod_j y_j^V_ij, with exponents mod ell - 1 on the torus
-    xs = np.ones((len(pts), len(V)), dtype=np.int64)
-    for i, row in enumerate(V):
-        for j, e in enumerate(row[:d]):
-            if e % (ell - 1):
-                xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
-    return list(map(tuple, xs.tolist()))
+    rows = _hull_system(hull)
+    system = None
+    for ell in primes:
+        size = (ell - 1) ** d
+        if size > RESIDUE_LIMIT:
+            raise ValueError(
+                f"torus grid of {d} coordinates in F_{ell}^x has {size} points; "
+                "supply smaller auxiliary primes"
+            )
+        if rank_mod(rows, ell) == len(h.terms):
+            yield ell, []
+            continue
+        if system is None:
+            system = [Polynomial(h.variables, dict(zip(h.terms, row))) for row in rows if any(row)]
+        pts = np.argwhere(_grid_values(system[0], ell) == 0) + 1
+        for g in system[1:]:
+            pts = pts[eval_mod(g, pts, ell) == 0]
+        # x_i = prod_j y_j^V_ij, with exponents mod ell - 1 on the torus
+        xs = np.ones((len(pts), len(V)), dtype=np.int64)
+        for i, row in enumerate(V):
+            for j, e in enumerate(row[:d]):
+                if e % (ell - 1):
+                    xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
+        yield ell, list(map(tuple, xs.tolist()))
 
 
 def _grid_values(g: Polynomial, ell: int):
@@ -411,11 +437,6 @@ def _grid_values(g: Polynomial, ell: int):
             term = np.multiply.outer(term % ell, powers[x % (ell - 1)])
         values = values + term if lazy else (values + term) % ell
     return values % ell
-
-
-def _full_rank_mod(jacobian, point, ell: int) -> bool:
-    """Whether the matrix of polynomials has full row rank mod ell at point."""
-    return rank_mod([[h.evaluate(point) for h in row] for row in jacobian], ell) == len(jacobian)
 
 
 def check_noncritical(
@@ -476,7 +497,7 @@ def check_noncritical(
 
 def _check_face_exact(f_tau, partials, support, aux_primes) -> FaceFinding:
     hull = _hull(f_tau)
-    scans = [(ell, _torus_zeros_mod(hull, ell)) for ell in aux_primes]
+    scans = list(_torus_scans(hull, aux_primes))
     trivial, witness = _decide_exact(hull, partials, scans, support)
     # a prime disagrees when it has torus zeros on a trivial face or none on a critical one
     disagree = tuple(ell for ell, zeros in scans if bool(zeros) == trivial)
@@ -486,23 +507,19 @@ def _check_face_exact(f_tau, partials, support, aux_primes) -> FaceFinding:
 
 def _check_face_heuristic(f_tau, partials, support, aux_primes) -> FaceFinding:
     hull = _hull(f_tau)
-    found_any = False
-    hessian = [g.partials() for g in partials]
-    for ell in aux_primes:
-        zeros = _torus_zeros_mod(hull, ell)
-        if not zeros:
-            continue
-        found_any = True
-        if hull.h.nvars < f_tau.nvars:
-            # Euler: the Hessian kills a * x at every critical point, so no
-            # zero is ever certified and only their existence matters
-            break
-        for point in zeros[:64]:
-            if _full_rank_mod(hessian, point, ell):
-                certificate = "torus zero with invertible Hessian lifts (Hensel)"
-                return FaceFinding(support, "critical", f"F_{ell}", certificate, point)
-    if found_any:
-        certificate = "torus zeros found but none certified liftable"
-        return FaceFinding(support, "inconclusive", f"F_{aux_primes[0]}", certificate)
-    fields = ",".join(f"F_{ell}" for ell in aux_primes)
-    return FaceFinding(support, "non_critical", fields, "no torus zeros modulo any auxiliary prime (heuristic)")
+    # the scans with zeros, prime by prime: a prime is scanned only while
+    # the face is undecided
+    found = ((ell, zeros) for ell, zeros in _torus_scans(hull, aux_primes) if zeros)
+    first = next(found, None)
+    if first is None:
+        fields = ",".join(f"F_{ell}" for ell in aux_primes)
+        return FaceFinding(support, "non_critical", fields, "no torus zeros modulo any auxiliary prime (heuristic)")
+    # d = n: no partial is zero, so the Jacobian of the partials is the
+    # Hessian; d < n: Euler's relation makes it singular at every zero, so
+    # only their existence matters
+    if hull.h.nvars == f_tau.nvars:
+        lifted = _hensel_zero(partials, itertools.chain([first], found))
+        if lifted:
+            ell, point = lifted
+            return FaceFinding(support, "critical", f"F_{ell}", "torus zero with invertible Hessian lifts (Hensel)", point)
+    return FaceFinding(support, "inconclusive", f"F_{first[0]}", "torus zeros found but none certified liftable")

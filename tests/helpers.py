@@ -288,7 +288,7 @@ def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
 
 def reference_torus_zeros(hull, ell: int) -> List[Tuple[int, ...]]:
     """The zeros of a face's hull system on (F_ell^x)^d mapped back to x,
-    by the plain grid scan that ``noncrit._torus_zeros_mod`` replaced:
+    by the plain grid scan that ``noncrit._torus_scans`` replaced:
     every point of the grid from ``residue_grid``, each nonzero
     polynomial of the system by ``eval_mod``, in lexicographic order."""
     import numpy as np

@@ -343,6 +343,8 @@ class TestMain:
             [],
             ["spf", "-f", "x", "--json"],
             ["analyze", "-f", "x", "--mode", "exact"],
+            ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--max-deg", "-1"],
+            ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "1"],
         ],
         ids=lambda argv: " ".join(argv) or "no subcommand",
     )
@@ -355,6 +357,8 @@ class TestMain:
         assert report["schema"] == SCHEMA
         assert report["error"]["type"] == "ValueError"
         assert report["error"]["message"]
+        if "--max-deg" in argv or "--depth" in argv:
+            assert report["error"]["message"].startswith("unusable window")
 
     def test_help_exits_0(self):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
@@ -407,6 +411,23 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"schema": SCHEMA, "poles": ["-1", "-5/6"]}
+
+
+def test_console_script_maps_to_main():
+    # the tier-1 half of the end-to-end test above: the entry point that
+    # installing the package would put on PATH
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["igusa"]
+    assert target == "igusa.cli:main"
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert entry(["poles", "-f", "x^2", "-g", "y^3"]) == 0
+    assert json.loads(out.getvalue()) == {"schema": SCHEMA, "poles": ["-1", "-5/6"]}
 
 
 def _loaded_after(code: str) -> str:

@@ -322,14 +322,19 @@ class TestSharedSupport:
         ],
     )
     def test_one_scan_batch_per_support(self, monkeypatch, text, mode, aux_primes, nfaces, nsupports):
-        scans = []
-        scan = noncrit._torus_zeros_mod
-        monkeypatch.setattr(noncrit, "_torus_zeros_mod", lambda hull, ell: scans.append((hull, ell)) or scan(hull, ell))
+        # and one hull system per support, whatever the number of primes
+        systems, scans = [], []
+        system, scan = noncrit._hull_system, noncrit._torus_scans
+        monkeypatch.setattr(noncrit, "_hull_system", lambda hull: systems.append(hull) or system(hull))
+        monkeypatch.setattr(
+            noncrit, "_torus_scans", lambda hull, primes: ((scans.append((hull, ell)) or (ell, zeros)) for ell, zeros in scan(hull, primes))
+        )
         f = P(text)
         poly = build_polyhedron(f)
         report = check_noncritical(f, mode=mode, aux_primes=aux_primes, polyhedron=poly)
         assert len(poly.faces) == nfaces
         assert len({face.meet_support for face in poly.faces}) == nsupports
+        assert len(systems) == len(set(systems)) == nsupports
         assert len(scans) == len(set(scans)) == nsupports * len(aux_primes)
         faces = report.as_dict()["faces"]
         assert [fc["support"] for fc in faces] == [
@@ -350,6 +355,26 @@ class TestHeuristicMode:
         # Hessian is singular there, so no lifting certificate exists
         report = check_noncritical(P("x^2 + 2x*y + y^2"), mode="finite_field_heuristic")
         assert report.verdict == "inconclusive"
+
+    def test_euler_guard_on_a_lower_dimensional_face(self):
+        # the face x^2 - x^3 has d = 1 < n = 2: the Jacobian of its one
+        # nonzero partial has full rank at x = 2/3, which exact mode lifts,
+        # while the Hessian, with a zero row for y, never certifies a zero
+        f = P("x^2 - x^3 + y^2")
+        face = [[2, 0], [3, 0]]
+        exact = [fc for fc in check_noncritical(f, mode="exact_small").as_dict()["faces"] if fc["support"] == face]
+        assert [(fc["verdict"], fc["witness"]) for fc in exact] == [("critical", ["68 mod 101", "1 mod 101"])]
+        heur = check_noncritical(f, mode="finite_field_heuristic")
+        assert heur.verdict == "inconclusive"
+        assert [fnd.verdict for fnd in heur.findings if [list(w) for w in fnd.face_support] == face] == ["inconclusive"]
+
+    def test_inconclusive_names_the_first_prime_with_zeros(self):
+        # the face scans find 0, 1, 0 and 0 zeros mod 7, 11, 13 and 31
+        f = P("-3*y^2*z^2 - x^3*y^4 - x^4*y*z^3")
+        report = check_noncritical(f, mode="finite_field_heuristic", aux_primes=(7, 11, 13, 31))
+        fields = {fnd.field for fnd in report.findings if fnd.verdict == "inconclusive"}
+        assert report.verdict == "inconclusive"
+        assert fields == {"F_11"}
 
     def test_three_variable_monomial(self):
         report = check_noncritical(P("x*y*z"), mode="finite_field_heuristic")
@@ -486,6 +511,12 @@ def _det(rows):
     return total
 
 
+def _zeros_mod(hull, ell):
+    """The torus zeros of the face's hull scan mod ell alone."""
+    [(_, zeros)] = noncrit._torus_scans(hull, (ell,))
+    return zeros
+
+
 def _check_hull(f_tau):
     """_hull(f_tau), checked: V has determinant 1 (the identity when d = n),
     d is the affine dimension of the support, and x^w = y^(w V) sends each
@@ -523,7 +554,7 @@ class TestTorusSlice:
         assert (hull.V, hull.v0) == (((1, 0), (0, 1)), (2, 0))
         hull = _check_hull(from_terms(("x", "y"), [((0, 2), 1), ((0, 3), 1)]))
         assert (hull.V, hull.v0) == (((0, -1), (1, 0)), (2, 0))
-        assert noncrit._torus_zeros_mod(hull, 7) == [(1, 4)]  # 2y + 3y^2 = 0 at y = -2/3
+        assert _zeros_mod(hull, 7) == [(1, 4)]  # 2y + 3y^2 = 0 at y = -2/3
         # y*w^3 + 2*y^2*z^2: every weight a = (0, 0, 3, 2) shares a factor
         # with 102, yet its hull is a line of 102 points at l = 103
         hull = _check_hull(from_terms(("x", "y", "z", "w"), [((0, 1, 0, 3), 1), ((0, 2, 2, 0), 2)]))
@@ -538,7 +569,7 @@ class TestTorusSlice:
         assert (5, 1) in zeros and all(z[0] != 1 for z in zeros)
         hull = _check_hull(f)
         assert hull.h.nvars == 1
-        found = noncrit._torus_zeros_mod(hull, 7)
+        found = _zeros_mod(hull, 7)
         assert found and set(found) <= set(zeros)
         heur = check_noncritical(f, mode="finite_field_heuristic", aux_primes=(7,))
         assert heur.verdict == "inconclusive"
@@ -568,7 +599,7 @@ class TestTorusSlice:
                 partials = f_tau.partials()
                 hull = _check_hull(f_tau)
                 for ell in self.PRIMES if f.nvars < 4 else (2, 3, 5):
-                    zeros = noncrit._torus_zeros_mod(hull, ell)
+                    zeros = _zeros_mod(hull, ell)
                     assert bool(zeros) == torus_has_common_zero(partials, ell), (str(f), str(f_tau), ell)
                     assert all(g.evaluate(z) % ell == 0 for z in zeros[:8] for g in partials)
                     seen["d < n" if hull.h.nvars < f.nvars else "d = n"] += 1
@@ -649,7 +680,7 @@ class TestRankTest:
             for k, hull in enumerate(list(hulls[d])[:30]):
                 for ell in self.PRIMES if d < 3 or k < 3 else self.PRIMES[:3]:
                     before = len(grids)
-                    zeros = noncrit._torus_zeros_mod(hull, ell)
+                    zeros = _zeros_mod(hull, ell)
                     assert zeros == reference_torus_zeros(hull, ell), (hull, ell)
                     kind = "grid, zeros" if zeros else "grid, none" if len(grids) > before else "rank"
                     seen[d, kind] += 1
@@ -663,7 +694,7 @@ class TestRankTest:
         hulls = [noncrit._hull(poly.face_polynomial(f, face)) for face in poly.faces]
         self._no_grid(monkeypatch)
         # a simplex face, d + 1 monomials: rank M at l = 7 on every face
-        assert [noncrit._torus_zeros_mod(hull, 7) for hull in hulls] == [[]] * len(hulls)
+        assert [_zeros_mod(hull, 7) for hull in hulls] == [[]] * len(hulls)
         report = check_noncritical(f, aux_primes=(7, 11, 101))
         assert report.verdict == "non_critical"
         # at l = 5, which divides the exponent of z^5, the edge y^3 + z^5 has
@@ -677,14 +708,14 @@ class TestRankTest:
         hull = noncrit._hull(P("x^2 + y^2 + x*y^2"))
         rows = [[c * (hull.v0[j] + e[j]) for e, c in hull.h.terms.items()] for j in range(2)]
         assert [noncrit.rank_mod(rows, ell) for ell in self.PRIMES] == [2] * 4
-        counts = [len(noncrit._torus_zeros_mod(hull, ell)) for ell in self.PRIMES]
+        counts = [len(_zeros_mod(hull, ell)) for ell in self.PRIMES]
         assert counts == [0, 2, 0, 0]
-        assert [noncrit._torus_zeros_mod(hull, ell) for ell in self.PRIMES] == [
+        assert [_zeros_mod(hull, ell) for ell in self.PRIMES] == [
             reference_torus_zeros(hull, ell) for ell in self.PRIMES
         ]
         self._no_grid(monkeypatch)
         with pytest.raises(AssertionError, match="a grid was built"):
-            noncrit._torus_zeros_mod(hull, 5)
+            _zeros_mod(hull, 5)
 
     def test_vertex_at_a_large_prime(self, monkeypatch):
         # a d = 0 face at l near 3 * 10^9 (l^2 < 2^63): rank 1 unless l
@@ -692,10 +723,10 @@ class TestRankTest:
         ell = 3000000019
         x2y3 = from_terms(("x", "y"), [((2, 3), 1)])
         scaled = from_terms(("x", "y"), [((2, 3), ell)])
-        assert noncrit._torus_zeros_mod(noncrit._hull(scaled), ell) == [(1, 1)]
+        assert _zeros_mod(noncrit._hull(scaled), ell) == [(1, 1)]
         assert reference_torus_zeros(noncrit._hull(scaled), ell) == [(1, 1)]
         self._no_grid(monkeypatch)
-        assert noncrit._torus_zeros_mod(noncrit._hull(x2y3), ell) == []
+        assert _zeros_mod(noncrit._hull(x2y3), ell) == []
         report = check_noncritical(x2y3, mode="finite_field_heuristic", aux_primes=(ell,))
         assert report.verdict == "non_critical"
 
