@@ -105,7 +105,10 @@ def parse_polynomial(text: str) -> Polynomial:
         terms.append((coeff, powers))
 
     variables = sorted({name for _, powers in terms for name in powers})
-    pairs = [(tuple(powers.get(v, 0) for v in variables), coeff) for coeff, powers in terms]
+    pairs = []
+    for coeff, powers in terms:
+        exps = tuple(powers.get(v, 0) for v in variables)
+        pairs.append((exps, coeff))
     return from_terms(variables, pairs)
 
 

@@ -113,7 +113,7 @@ def _fuzz_texts(seed: int = 32, count: int = 2400):
 def _parse_record(text: str) -> dict:
     try:
         f = parse_polynomial(text)
-    except Exception as exc:
+    except (ValueError, OverflowError) as exc:  # a ParseError, or an exponent sum over the limit
         return {"text": text, "error": f"{type(exc).__name__}: {exc}", "position": getattr(exc, "position", None)}
     return {"text": text, "canonical": str(f), "variables": list(f.variables)}
 
