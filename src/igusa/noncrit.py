@@ -337,7 +337,7 @@ def _decide_exact(hull, partials, scans, support) -> Tuple[bool, Optional[Tuple]
     if line and not _line_critical(hull.v0, hull.h):
         return True, None
     witness = _integer_zero(partials)
-    lifted = witness is None and _hensel_zero(partials, scans)
+    lifted = None if witness else _hensel_zero(partials, scans)
     if lifted:
         witness = tuple(f"{x} mod {lifted[0]}" for x in lifted[1])
     if witness is None and len(nonzero) > 1 and not line:
@@ -521,5 +521,6 @@ def _check_face_heuristic(f_tau, partials, support, aux_primes) -> FaceFinding:
         lifted = _hensel_zero(partials, itertools.chain([first], found))
         if lifted:
             ell, point = lifted
-            return FaceFinding(support, "critical", f"F_{ell}", "torus zero with invertible Hessian lifts (Hensel)", point)
+            certificate = "torus zero with invertible Hessian lifts (Hensel)"
+            return FaceFinding(support, "critical", f"F_{ell}", certificate, point)
     return FaceFinding(support, "inconclusive", f"F_{first[0]}", "torus zeros found but none certified liftable")

@@ -324,11 +324,15 @@ class TestSharedSupport:
     def test_one_scan_batch_per_support(self, monkeypatch, text, mode, aux_primes, nfaces, nsupports):
         # and one hull system per support, whatever the number of primes
         systems, scans = [], []
-        system, scan = noncrit._hull_system, noncrit._torus_scans
+        system, torus_scans = noncrit._hull_system, noncrit._torus_scans
+
+        def recorded_scans(hull, primes):
+            for ell, zeros in torus_scans(hull, primes):
+                scans.append((hull, ell))
+                yield ell, zeros
+
         monkeypatch.setattr(noncrit, "_hull_system", lambda hull: systems.append(hull) or system(hull))
-        monkeypatch.setattr(
-            noncrit, "_torus_scans", lambda hull, primes: ((scans.append((hull, ell)) or (ell, zeros)) for ell, zeros in scan(hull, primes))
-        )
+        monkeypatch.setattr(noncrit, "_torus_scans", recorded_scans)
         f = P(text)
         poly = build_polyhedron(f)
         report = check_noncritical(f, mode=mode, aux_primes=aux_primes, polyhedron=poly)
