@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Cross-check the stationary-phase evaluator against brute-force counting.
+"""Cross-check the stationary-phase evaluator against point counting.
 
 For every polynomial in the corpus (built-in or read one-per-line from a
 file) and every requested prime, evaluates the measure zeta function two
-independent ways — the residue-class recursion and solution counting mod
-p^m — and compares the series coefficient-by-coefficient in exact
-rational arithmetic.
+independent ways — the residue-class recursion and the solution counts
+mod p^m that `igusa count` reads off the value balls — and compares the
+series coefficient-by-coefficient in exact rational arithmetic.
 
     python3 scripts/spf_oracle_sweep.py --primes 3 5 7 --depth 8
 """
@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from igusa.cli import parse_polynomial
 from igusa.numeric import PrimeSpec
-from igusa.oracle import count_mod, measure_series
+from igusa.oracle import ball_counts, measure_series
 from igusa.ratfun import expand
 from igusa.spf import DepthGuardExceeded, ResidueDomain, spf_evaluate
 
@@ -55,7 +55,7 @@ def run_sweep(config: SweepConfig) -> int:
                 print(f"{label}  SKIP  (recursion not finite: {exc})")
                 continue
             via_spf = expand(result.zeta, config.depth - 1)
-            via_counts = measure_series(count_mod(f, spec, config.depth))
+            via_counts = measure_series(ball_counts(f, spec, config.depth))
             bad = [
                 m
                 for m in range(config.depth)

@@ -89,9 +89,17 @@ def parse_polynomial(text: str) -> Polynomial:
                     i += 2
                 i += 1
                 if kind == "int":
-                    coeff *= int(value) ** exp
+                    base = int(value)
+                    # base^exp has over exp * (bits(base) - 1) bits: a sure excess
+                    # is refused before the power is computed, any other after
+                    if coeff and (abs(coeff).bit_length() + exp * (base.bit_length() - 1) > MAX_EXPONENT
+                                  or abs(coeff := coeff * base**exp).bit_length() > MAX_EXPONENT):
+                        raise ParseError(f"coefficient exceeds the limit of {MAX_EXPONENT} bits", pos)
                 else:
                     powers[value] = powers.get(value, 0) + exp
+                    if powers[value] > MAX_EXPONENT:
+                        raise ParseError(
+                            f"exponent {powers[value]} of {value} exceeds the limit {MAX_EXPONENT}", pos)
             elif kind == "op" and value == "*":
                 if i == start:
                     raise ParseError("'*' with no left operand", pos)

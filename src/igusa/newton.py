@@ -4,13 +4,11 @@ The Newton polyhedron of f is the convex hull of supp(f) + R_{>=0}^n.
 Because its recession cone is the whole positive orthant, every facet
 has a unique primitive inward normal with natural coordinates, and the
 facet data (normal a, weight m = min a.omega over the support, meet
-set) determines everything else:
-
-* faces are the nonempty intersections of facets, built on first read
-  in one pass that also records each face's facets; a face's dimension
-  is n minus the rank of the normals of its facets;
-* the first meet locus F(a) of a weight vector a is the face where the
-  linear form a.x attains its minimum over the polyhedron.
+set) determines everything else.  The faces are the nonempty
+intersections of facets, built on first read in one pass that also
+records each face's facets; a face's dimension is n minus the rank of
+the normals of its facets.  The tests read the first meet locus of a
+weight vector off the faces (``tests/reference.py``).
 
 Facets are the extreme rays of the cone of valid inequalities, listed
 by the double description method (Motzkin, Raiffa, Thompson & Thrall,
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from . import _linalg
 from .mpoly import Monomial, Polynomial
@@ -81,13 +79,9 @@ class Face:
     containing_facets: Tuple[int, ...]
     dim: int
 
-    @property
-    def is_improper(self) -> bool:
-        return not self.containing_facets
-
 
 class NewtonPolyhedron:
-    """Facets, faces, and weight data of conv(supp(f) + orthant).
+    """Facets and faces of conv(supp(f) + orthant).
 
     ``faces`` is built from the facets when first read; a face's
     dimension is n minus the rank of the normals of its facets.
@@ -104,44 +98,6 @@ class NewtonPolyhedron:
     def faces(self) -> List[Face]:
         return _face_lattice(self.support, self.facets, self.n)
 
-    @cached_property
-    def _face_by_key(self) -> Dict[Tuple[FrozenSet[Monomial], FrozenSet[int]], Face]:
-        return {(f.meet_support, f.rays): f for f in self.faces}
-
-    # -- weights -------------------------------------------------------
-
-    def m_of(self, a: Sequence[int]) -> int:
-        """min of a.omega over the support; a must have natural entries."""
-        a = tuple(int(x) for x in a)
-        if len(a) != self.n:
-            raise ValueError(f"weight arity {len(a)} != {self.n}")
-        if any(x < 0 for x in a):
-            raise ValueError("weights must be naturals")
-        return min(_dot(a, omega) for omega in self.support)
-
-    def first_meet_locus(self, a: Sequence[int]) -> Face:
-        """The face where a.x is minimal over the polyhedron.
-
-        a = 0 gives the improper face.
-        """
-        a = tuple(int(x) for x in a)
-        if len(a) != self.n:
-            raise ValueError(f"weight arity {len(a)} != {self.n}")
-        if any(x < 0 for x in a):
-            raise ValueError("weights must be naturals")
-        if all(x == 0 for x in a):
-            return next(f for f in self.faces if f.is_improper)
-        m = self.m_of(a)
-        meet = frozenset(w for w in self.support if _dot(a, w) == m)
-        rays = frozenset(i for i, x in enumerate(a) if x == 0)
-        face = self._face_by_key.get((meet, rays))
-        if face is None:
-            raise AssertionError(
-                f"face lattice is missing the meet locus of {a}; "
-                "this indicates a facet enumeration bug"
-            )
-        return face
-
     # -- faces ----------------------------------------------------------
 
     def face_polynomial(self, f: Polynomial, face: Face) -> Polynomial:
@@ -152,9 +108,6 @@ class NewtonPolyhedron:
             f.variables,
             {e: c for e, c in f.terms.items() if e in face.meet_support},
         )
-
-    def proper_faces(self) -> List[Face]:
-        return [f for f in self.faces if not f.is_improper]
 
     # -- serialization ----------------------------------------------------
 

@@ -56,7 +56,7 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-# node budget of oracle's counters, kept here for the CLI to show without numpy
+# node budget of oracle's value-ball counter, kept here for the CLI to show without numpy
 DEFAULT_BUDGET = 10**8
 
 Valuation = Union[int, _Infinite]
@@ -123,14 +123,3 @@ def p_valuation(x: Union[int, Fraction], p: int) -> Valuation:
         x //= p
         v += 1
     return v
-
-
-def valuation_min(values) -> Valuation:
-    """Minimum of a collection of valuations (INFINITE if all infinite)."""
-    best: Valuation = INFINITE
-    for v in values:
-        if v is INFINITE:
-            continue
-        if best is INFINITE or v < best:
-            best = v
-    return best

@@ -1,31 +1,16 @@
 """Exact p-adic point counts and end-to-end denominator checks.
 
-Two counters live here, written independently of each other:
-
-* ``value_balls`` pushes the point count of f mod p^m forward to the
-  values of f, as a list of uniform balls.  Each residue class mod p is
-  sorted by ``mpoly.classify_mod_p``.  A class where some partial
-  derivative is a unit maps uniformly onto one ball of radius p^-1
-  (Hensel's lemma, the same shortcut ``spf`` takes), and a singular
-  class recurses through f(r + p x) - f(r) = p^e h(x), read off the
-  binomial expansion that ``shift_scale`` shares with ``spf``.
-  ``ball_counts`` splits f into blocks of disjoint variables and adds
-  their balls up (two uniform balls add to one); ``igusa count`` runs
-  on it, and so does ``verify_theorem``, whose f(x) + g(y) splits.
-* ``count_mod`` counts solutions of f = 0 mod p^m by breadth-first
-  lifting (survivors mod p^m expand to their p^n children mod p^(m+1)),
-  optionally restricted to a valuation-cone domain.  It is deliberately
-  dumb: no Hensel block lifting, no smooth-point shortcuts.  Each level
-  is one numpy array of survivors, evaluated in blocks by
-  ``mpoly.eval_mod``: int64 while that is exact, object arrays of Python
-  ints beyond.  It is the reference the tests tie the value balls to,
-  and the only counter for cone domains.
-
-``count_mod``, ``value_balls`` and ``spf`` share the residue evaluator
-but no algorithm: lifting takes no shortcut that the other two take,
-which is what makes the cross-checks between them meaningful.  The tests
-pin the evaluator to ``Polynomial.evaluate``, and the benchmark's
-cross-check counts with an evaluator of its own.
+``value_balls`` pushes the point count of f mod p^m forward to the values
+of f, as a list of uniform balls.  Each residue class mod p is sorted by
+``mpoly.classify_mod_p``.  A class where some partial derivative is a
+unit maps uniformly onto one ball of radius p^-1 (Hensel's lemma, the
+same shortcut ``spf`` takes), and a singular class recurses through
+f(r + p x) - f(r) = p^e h(x), read off the binomial expansion that
+``shift_scale`` shares with ``spf``.  ``ball_counts`` splits f into
+blocks of disjoint variables and adds their balls up (two uniform balls
+add to one); ``igusa count`` runs on it, and so does ``verify_theorem``,
+whose f(x) + g(y) splits.  The tests tie these counts to plain
+breadth-first lifting, which lives in ``tests/reference.py``.
 
 The counts are converted to the measure series of Z(f; s), and
 ``verify_theorem`` checks that the series satisfies the linear
@@ -33,27 +18,23 @@ recurrence forced by a claimed factored denominator, recovering the
 numerator polynomial.
 
 Counting is exact; the only concession to cost is an explicit node
-budget, and both counters stop the same way: exceeding it raises
-``BudgetExceeded`` naming where the count stopped.  For ``count_mod`` a
-node is one survivor expanded by one level, and the error names the
-level it would have built.  For the value balls a node is one
-polynomial and precision met in the recursion of a block (the blocks
-share the budget), and the error names the block and the class; nodes
-whose polynomials agree mod p share one scan of the p^n residue classes
-mod p.  Either counter refuses more than ``mpoly.RESIDUE_LIMIT``
-residues mod p, or children of one survivor, before building them.
+budget: a node is one polynomial and precision met in the recursion of
+a block (the blocks share the budget), and exceeding it raises
+``BudgetExceeded`` naming the block, the class and the precision where
+the count stopped.  Nodes whose polynomials agree mod p share one scan
+of the p^n residue classes mod p, and more than ``mpoly.RESIDUE_LIMIT``
+residues mod p are refused before any is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import tsden
-from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod, residue_dtype
+from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod
 from .mpoly import _scale_out, _shift_terms, reduction_key, residue_grid
-from .newton import Face, NewtonPolyhedron
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import (
     Factor,
@@ -64,8 +45,6 @@ from .ratfun import (
     reduce_factors,
 )
 
-_CAND_CHUNK = 1 << 20  # candidate rows evaluated per numpy block
-
 
 class BudgetExceeded(RuntimeError):
     """A budget (of nodes, or of residues per scan) stopped counting."""
@@ -75,62 +54,19 @@ ValueBalls = Dict[Tuple[int, int], int]  # (k, centre mod p^k) -> weight
 
 
 # ---------------------------------------------------------------------------
-# valuation-cone domains
-
-
-@dataclass(frozen=True)
-class ConeDomainSpec:
-    """A subset A of N^n of valuation vectors, with decidable membership.
-
-    ``member`` receives a valuation vector (a tuple of naturals).  During
-    counting at level m the vector is truncated there: a coordinate
-    divisible by p^m reports m.
-    """
-
-    name: str
-    dim: int
-    member: Callable[[Tuple[int, ...]], bool]
-
-    @classmethod
-    def zero_cone(cls, dim: int) -> "ConeDomainSpec":
-        """A = {0}: all coordinates are units."""
-        return cls(name="zero", dim=dim, member=lambda vals: all(v == 0 for v in vals))
-
-    @classmethod
-    def face_cone(cls, polyhedron: NewtonPolyhedron, face: Face) -> "ConeDomainSpec":
-        """A = the cone of weight vectors whose first meet locus is `face`."""
-        return cls(
-            name=f"cone{sorted(face.meet_support)}",
-            dim=polyhedron.n,
-            member=lambda vals: polyhedron.first_meet_locus(vals) == face,
-        )
-
-    @classmethod
-    def product(cls, left: "ConeDomainSpec", right: "ConeDomainSpec") -> "ConeDomainSpec":
-        """A = left x right on split valuation vectors."""
-        d = left.dim
-
-        def member(vals):
-            return left.member(tuple(vals[:d])) and right.member(tuple(vals[d:]))
-
-        return cls(name=f"{left.name} x {right.name}", dim=left.dim + right.dim, member=member)
-
-
-# ---------------------------------------------------------------------------
 # counting
 
 
 @dataclass(frozen=True)
 class CountSeries:
-    """N_m = #{x mod p^m : f(x) = 0 mod p^m (and x's valuation class in A)}."""
+    """N_m = #{x mod p^m : f(x) = 0 mod p^m} for m = 1..depth, and N_0."""
 
     f: Polynomial
     p: PrimeSpec
     dim: int
     counts: Tuple[int, ...]  # counts[m-1] = N_m
-    n0: int  # N_0: 1 unrestricted; domain membership of the all-zero class otherwise
+    n0: int  # N_0: 1 on all of Z_p^n
     nodes_expanded: int
-    domain_name: Optional[str] = None
 
     @property
     def depth(self) -> int:
@@ -149,107 +85,13 @@ class CountSeries:
             "p": self.p.p,
             "dim": self.dim,
             "counts": list(self.counts),
-            # schema 1 keeps both keys; a count over budget raises instead
+            # schema 1 keeps these keys: a count over budget raises, and
+            # every count is on all of Z_p^n
             "requested_depth": self.depth,
             "truncated": False,
             "nodes_expanded": self.nodes_expanded,
-            "domain": self.domain_name,
+            "domain": None,
         }
-
-
-def _expand_level(f: Polynomial, surv, p: int, m: int):
-    """The children mod p^(m+1) of the survivors mod p^m that are zeros of f,
-    in ``residue_dtype(p^(m+1))``: int64 rows turn into Python ints when
-    int64 could overflow."""
-    import numpy as np
-
-    n = surv.shape[1]
-    modulus = p ** (m + 1)
-    step = p**m
-    surv = surv.astype(residue_dtype(modulus), copy=False)
-    offsets = residue_grid(p, n).astype(surv.dtype, copy=False)
-    rows = max(1, _CAND_CHUNK // len(offsets))
-    pieces = []
-    for start in range(0, surv.shape[0], rows):
-        block = surv[start : start + rows]
-        cand = (block[:, None, :] + step * offsets[None, :, :]).reshape(-1, n)
-        pieces.append(cand[eval_mod(f, cand, modulus) == 0])
-    return np.concatenate(pieces, axis=0) if pieces else surv[:0]
-
-
-def _in_domain(surv, domain: ConeDomainSpec, p: int, level: int) -> int:
-    """How many survivors mod p^level have their valuation vector in A.
-
-    The vector is truncated at level (a coordinate divisible by p^level
-    reports level), and ``member`` sees each distinct vector once."""
-    import numpy as np
-
-    if not len(surv):
-        return 0
-    vals = np.zeros(surv.shape, dtype=np.int64)
-    for j in range(1, level + 1):
-        vals += surv % p**j == 0
-    classes, sizes = np.unique(vals, axis=0, return_counts=True)
-    return sum(
-        size for row, size in zip(classes.tolist(), sizes.tolist()) if domain.member(tuple(row))
-    )
-
-
-def count_mod(
-    f: Polynomial,
-    p: PrimeSpec,
-    depth: int,
-    domain: Optional[ConeDomainSpec] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> CountSeries:
-    """Exact N_m for m = 1..depth by breadth-first lifting.
-
-    Every zero of f mod p^m is lifted, whatever the domain.  With a
-    domain, N_m counts only the survivors whose valuation vector,
-    truncated at m (a coordinate divisible by p^m reports m), belongs to
-    A.  The node budget counts survivors expanded by one level; when the
-    next level would exceed it, BudgetExceeded names that level.  More
-    than ``mpoly.RESIDUE_LIMIT`` children per survivor raise it too,
-    before any is built.
-    """
-    import numpy as np
-
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    n = f.nvars
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if domain is not None and domain.dim != n:
-        raise ValueError(f"domain dimension {domain.dim} != variable count {n}")
-    if p.p**n > RESIDUE_LIMIT:
-        raise BudgetExceeded(
-            f"lifting {f} expands each survivor into its {p.p}^{n} = {p.p**n} "
-            f"children, over the limit of {RESIDUE_LIMIT}"
-        )
-
-    counts: List[int] = []
-    nodes = 0
-    surv = np.zeros((1, n), dtype=np.int64)
-    for m in range(depth):
-        if nodes + len(surv) > budget:
-            raise BudgetExceeded(
-                f"lifting {f} stopped before level {m + 1}/{depth}: "
-                f"{nodes + len(surv)} nodes over the budget of {budget}"
-            )
-        nodes += len(surv)
-        surv = _expand_level(f, surv, p.p, m)
-        counts.append(len(surv) if domain is None else _in_domain(surv, domain, p.p, m + 1))
-
-    n0 = 1 if domain is None else int(bool(domain.member((0,) * n)))
-    return CountSeries(
-        f=f,
-        p=p,
-        dim=n,
-        counts=tuple(counts),
-        n0=n0,
-        nodes_expanded=nodes,
-        domain_name=None if domain is None else domain.name,
-    )
 
 
 def value_balls(
@@ -426,9 +268,8 @@ def ball_counts(
 def measure_series(counts: CountSeries) -> PowerSeries:
     """coefficient of t^m = N_m q^(-mn) - N_(m+1) q^(-(m+1)n), m < depth.
 
-    This is the Haar volume of {x : v(f(x)) = m} (intersected with the
-    domain when the counts are restricted); the last usable index is
-    depth - 1.
+    This is the Haar volume of {x : v(f(x)) = m}; the last usable index
+    is depth - 1.
     """
     q = counts.p.q
     n = counts.dim

@@ -17,24 +17,17 @@ It reads fbar alone, so within one evaluation the nodes whose
 polynomials have the same reduction mod p (``mpoly.reduction_key``) on
 the same domain share one classification: a chain of singular lifts
 whose reductions repeat scans its residues once.
-
-``sup_bound`` walks the same residue tree depth-first with an explicit
-closure rule, and certifies finite suprema over D of the pointwise
-orders L(f, P) (the least order of f and its partials at P) and
-ell(f, P) (of the partials only).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_dtype
 from .mpoly import residue_grid, shift_scale
-from .numeric import INFINITE, PrimeSpec, p_valuation
+from .numeric import PrimeSpec
 from .ratfun import RationalZeta
 
 if TYPE_CHECKING:
@@ -43,10 +36,6 @@ if TYPE_CHECKING:
 
 class DepthGuardExceeded(RuntimeError):
     """The SPF recursion did not terminate within the depth guard."""
-
-
-class BoundNotCertified(RuntimeError):
-    """A residue-tree branch stayed open at max_depth; the supremum may be infinite."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +104,6 @@ class ResidueDomain:
     def size(self) -> int:
         return self.rows.shape[0]
 
-    @cached_property
-    def residues(self) -> FrozenSet[Tuple[int, ...]]:
-        return frozenset(map(tuple, self.rows.tolist()))
-
 
 def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):
     if D.p != p.p:
@@ -163,66 +148,6 @@ def spf_counts(f: Polynomial, D: ResidueDomain, p: PrimeSpec) -> SPFCounts:
         sigma=int((zero & ~critical).sum()) * scale,
         singular=tuple(map(tuple, D.rows[zero & critical].tolist())),
     )
-
-
-# ---------------------------------------------------------------------------
-# pointwise orders
-
-
-def _orders_at(polys: Sequence[Polynomial], P: Sequence[int], p: PrimeSpec):
-    return [p_valuation(g.evaluate(tuple(P)), p.p) for g in polys]
-
-
-def sup_bound(
-    f: Polynomial,
-    D: ResidueDomain,
-    p: PrimeSpec,
-    mode: str,
-    max_depth: int = 16,
-) -> int:
-    """Certified supremum of L(f, .) (mode "L") or ell(f, .) (mode "ell") on D.
-
-    The residue tree refines D into cosets a + p^j Z_p^n.  On such a
-    coset every listed polynomial g satisfies v(g(x)) = v(g(a)) whenever
-    v(g(a)) < j, so once min_g v(g(a)) < j the pointwise minimum is
-    constant on the branch and the branch closes with that value.
-    Branches still open at max_depth abort the certificate: the
-    supremum may be finite but larger, or genuinely infinite (a
-    singular/critical point inside D).
-    """
-    _require_matching_prime(D, p)
-    if f.nvars != D.dim:
-        raise ValueError(f"f has {f.nvars} variables but domain dimension is {D.dim}")
-    if mode == "L":
-        polys = (f, *f.partials())
-    elif mode == "ell":
-        polys = f.partials()
-    else:
-        raise ValueError(f"mode must be 'L' or 'ell', got {mode!r}")
-    if all(g.is_zero() for g in polys):
-        raise ValueError("all listed polynomials vanish identically; supremum is infinite")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-
-    best = 0
-    stack: List[Tuple[Tuple[int, ...], int]] = [(r, 1) for r in sorted(D.residues)]
-    while stack:
-        point, depth = stack.pop()
-        vals = [v for v in _orders_at(polys, point, p) if v is not INFINITE]
-        closed = bool(vals) and min(vals) < depth
-        if closed:
-            best = max(best, min(vals))
-            continue
-        if depth >= max_depth:
-            raise BoundNotCertified(
-                f"branch {point} (mod {p.p}^{depth}) is still open at max_depth="
-                f"{max_depth}; sup {mode} on this branch is >= {depth}"
-            )
-        step = p.p**depth
-        for offset in itertools.product(range(p.p), repeat=D.dim):
-            child = tuple(a + step * o for a, o in zip(point, offset))
-            stack.append((child, depth + 1))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ class Cone:
 def cone_of_face(poly, face) -> Cone:
     """Strictly positive span of the normals of the facets containing a
     proper face of the polyhedron."""
-    if face.is_improper:
+    if not face.containing_facets:
         raise ValueError("the improper face has no cone")
     return Cone(tuple(poly.facets[i].normal for i in face.containing_facets))
 
@@ -234,7 +234,7 @@ def reference_spf_counts(f: Polynomial, D: ResidueDomain) -> SPFCounts:
     nonzero = 0
     smooth = 0
     singular = []
-    for r in sorted(D.residues):
+    for r in map(tuple, D.rows.tolist()):
         if f.evaluate(r) % D.p != 0:
             nonzero += 1
         elif all(g.evaluate(r) % D.p == 0 for g in partials):

@@ -1,0 +1,175 @@
+"""Reference routes that the tests check the library's counters against.
+
+No command runs these; they live with the tests so that the library keeps
+one counting route, and they stay plain so that agreeing with them means
+something:
+
+* ``count_mod`` counts the solutions of f = 0 mod p^m by breadth-first
+  lifting: the survivors mod p^m expand to their p^n children mod
+  p^(m+1).  It takes no Hensel shortcut and shares no residue scan.  Each
+  level is one numpy array of survivors, evaluated in blocks by
+  ``mpoly.eval_mod``: int64 while that is exact, object arrays of Python
+  ints beyond.  With a domain it counts only the survivors whose
+  valuation vector lies in a cone domain.
+* Cone domains are membership functions on valuation vectors:
+  ``zero_cone``, ``face_cone`` and ``product``.
+* ``m_of``, ``first_meet_locus`` and ``proper_faces`` read the weight data
+  of a Newton polyhedron off its support and face lattice.
+* ``sup_bound`` certifies the supremum over a residue domain of a
+  pointwise order on a residue tree.
+
+None of them imports a route it checks (``value_balls``, ``ball_counts``,
+``spf_evaluate``, ``spf_counts``, ``shift_scale``); ``test_imports``
+holds this file to that.
+"""
+
+import itertools
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
+
+from igusa.mpoly import Polynomial, eval_mod, residue_dtype, residue_grid
+from igusa.newton import Face, NewtonPolyhedron, _dot
+from igusa.numeric import PrimeSpec, p_valuation
+from igusa.oracle import CountSeries
+from igusa.spf import ResidueDomain
+
+Domain = Callable[[Tuple[int, ...]], bool]  # membership of a valuation vector
+
+_CAND_CHUNK = 1 << 20  # candidate rows evaluated per numpy block
+
+
+# ---------------------------------------------------------------------------
+# Newton polyhedra
+
+
+def m_of(poly: NewtonPolyhedron, a: Sequence[int]) -> int:
+    """min of a.omega over the support, for a weight vector a of naturals."""
+    return min(_dot(a, omega) for omega in poly.support)
+
+
+def first_meet_locus(poly: NewtonPolyhedron, a: Sequence[int]) -> Face:
+    """The face where a.x is minimal over the polyhedron: its meet set is
+    where a.omega = m_of(a), and its rays are the zero coordinates of a, so
+    a = 0 gives the improper face."""
+    m = m_of(poly, a)
+    key = (frozenset(w for w in poly.support if _dot(a, w) == m),
+           frozenset(i for i, x in enumerate(a) if x == 0))
+    return next(face for face in poly.faces if (face.meet_support, face.rays) == key)
+
+
+def proper_faces(poly: NewtonPolyhedron):
+    """Every face but the polyhedron itself, which lies in no facet."""
+    return [face for face in poly.faces if face.containing_facets]
+
+
+# ---------------------------------------------------------------------------
+# cone domains: sets A of valuation vectors.  At level m a vector is
+# truncated there: a coordinate divisible by p^m reports m.
+
+
+def zero_cone(vals: Tuple[int, ...]) -> bool:
+    """A = {0}: all coordinates are units."""
+    return not any(vals)
+
+
+def face_cone(poly: NewtonPolyhedron, face: Face) -> Domain:
+    """A = the weight vectors whose first meet locus is `face`."""
+    return lambda vals: first_meet_locus(poly, vals) == face
+
+
+def product(left: Domain, right: Domain, split: int) -> Domain:
+    """A = left x right, left on the first `split` coordinates."""
+    return lambda vals: left(vals[:split]) and right(vals[split:])
+
+
+# ---------------------------------------------------------------------------
+# counting by lifting
+
+
+def _expand_level(f: Polynomial, surv, p: int, m: int):
+    """The children mod p^(m+1) of the survivors mod p^m that are zeros of f,
+    in ``residue_dtype(p^(m+1))``: int64 rows turn into Python ints when
+    int64 could overflow."""
+    n = surv.shape[1]
+    modulus = p ** (m + 1)
+    surv = surv.astype(residue_dtype(modulus), copy=False)
+    offsets = residue_grid(p, n).astype(surv.dtype, copy=False)
+    rows = max(1, _CAND_CHUNK // len(offsets))
+    pieces = []
+    for start in range(0, surv.shape[0], rows):
+        block = surv[start : start + rows]
+        cand = (block[:, None, :] + p**m * offsets[None, :, :]).reshape(-1, n)
+        pieces.append(cand[eval_mod(f, cand, modulus) == 0])
+    return np.concatenate(pieces, axis=0) if pieces else surv[:0]
+
+
+def _in_domain(surv, domain: Domain, p: int, level: int) -> int:
+    """How many survivors mod p^level have their valuation vector, truncated
+    at level, in A; ``domain`` sees each distinct vector once."""
+    if not len(surv):
+        return 0
+    vals = np.zeros(surv.shape, dtype=np.int64)
+    for j in range(1, level + 1):
+        vals += surv % p**j == 0
+    classes, sizes = np.unique(vals, axis=0, return_counts=True)
+    return sum(size for row, size in zip(classes.tolist(), sizes.tolist()) if domain(tuple(row)))
+
+
+def count_mod(f: Polynomial, p: PrimeSpec, depth: int, domain: Optional[Domain] = None) -> CountSeries:
+    """Exact N_m for m = 1..depth by breadth-first lifting.
+
+    Every zero of f mod p^m is lifted, whatever the domain.  With a
+    domain, N_m counts only the survivors whose valuation vector,
+    truncated at m, belongs to A, and N_0 is whether the all-zero class
+    does.  ``nodes_expanded`` counts survivors expanded by one level.
+    """
+    n = f.nvars
+    counts = []
+    nodes = 0
+    surv = np.zeros((1, n), dtype=np.int64)
+    for m in range(depth):
+        nodes += len(surv)
+        surv = _expand_level(f, surv, p.p, m)
+        counts.append(len(surv) if domain is None else _in_domain(surv, domain, p.p, m + 1))
+    n0 = 1 if domain is None else int(domain((0,) * n))
+    return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=n0, nodes_expanded=nodes)
+
+
+# ---------------------------------------------------------------------------
+# certified suprema of pointwise orders
+
+
+class BoundNotCertified(RuntimeError):
+    """A residue-tree branch stayed open at max_depth; the supremum may be infinite."""
+
+
+def sup_bound(f: Polynomial, D: ResidueDomain, p: PrimeSpec, mode: str, max_depth: int = 16) -> int:
+    """Certified supremum on D of L(f, .), the least order of f and its
+    partials (mode "L"), or of ell(f, .), of the partials only ("ell").
+
+    The residue tree refines D into cosets a + p^j Z_p^n.  On such a coset
+    every listed polynomial g satisfies v(g(x)) = v(g(a)) whenever
+    v(g(a)) < j, so once the least order at a is below j it is constant on
+    the branch, which closes with that value.  A branch still open at
+    max_depth raises BoundNotCertified: the supremum may be finite but
+    larger, or infinite (a singular or critical point inside D).
+    """
+    polys = (f, *f.partials()) if mode == "L" else f.partials()
+    best = 0
+    stack = [(tuple(r), 1) for r in D.rows.tolist()]
+    while stack:
+        point, depth = stack.pop()
+        least = min(p_valuation(g.evaluate(point), p.p) for g in polys)  # INFINITE above every int
+        if least < depth:
+            best = max(best, least)
+            continue
+        if depth >= max_depth:
+            raise BoundNotCertified(
+                f"branch {point} (mod {p.p}^{depth}) is still open at max_depth="
+                f"{max_depth}; sup {mode} on this branch is >= {depth}"
+            )
+        step = p.p**depth
+        for offset in itertools.product(range(p.p), repeat=D.dim):
+            stack.append((tuple(a + step * o for a, o in zip(point, offset)), depth + 1))
+    return best

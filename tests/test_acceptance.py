@@ -17,9 +17,10 @@ from igusa.euclid import orbit, weight_sums
 from igusa.mpoly import direct_sum
 from igusa.newton import build_polyhedron
 from igusa.numeric import PrimeSpec
-from igusa.oracle import ConeDomainSpec, count_mod, measure_series, verify_theorem
+from igusa.oracle import measure_series, verify_theorem
 from igusa.ratfun import expand
-from igusa.spf import ResidueDomain, spf_evaluate, sup_bound
+from igusa.spf import ResidueDomain, spf_evaluate
+from reference import count_mod, face_cone, product, proper_faces, sup_bound, zero_cone
 from test_newton import _check_cone_partition, _check_h_v_consistency
 
 
@@ -120,15 +121,10 @@ def test_c6_cone_partition_of_counts():
         parts = []
         for factor_text in ("x^2", "y^3"):
             poly1 = build_polyhedron(P(factor_text))
-            (face,) = poly1.proper_faces()
-            parts.append(
-                [
-                    ConeDomainSpec.zero_cone(1),
-                    ConeDomainSpec.face_cone(poly1, face),
-                ]
-            )
+            (face,) = proper_faces(poly1)
+            parts.append([zero_cone, face_cone(poly1, face)])
         per = [
-            count_mod(fsum, PrimeSpec(3), 6, domain=ConeDomainSpec.product(a, b))
+            count_mod(fsum, PrimeSpec(3), 6, domain=product(a, b, 1))
             for a in parts[0]
             for b in parts[1]
         ]
