@@ -13,12 +13,13 @@ by re-expansion.  It expands each term by the binomial theorem into one
 map of terms, which the value balls of ``oracle`` read too.
 
 The one vectorised evaluator lives here too, for every caller that needs
-f on many residue classes: ``eval_mod`` reduces f mod m at each row of a
-numpy array, and ``classify_mod_p`` adds the mask of rows where every
-partial vanishes mod p.  ``residue_grid`` builds the rows of a full grid
-of residues, and ``reduction_key`` names f mod p, so that a caller can
-share one scan among the polynomials with the same reduction.  They
-import numpy themselves, so parsing a polynomial does not load it.
+f on many residue classes: ``eval_mod`` reduces f mod m at points given
+by one broadcastable array per variable (the columns of explicit points,
+or the axes of a grid from ``residue_axes``, which is never built), and
+``classify_mod_p`` adds the mask where every partial vanishes mod p.
+``reduction_key`` names f mod p, so that a caller can share one scan
+among the polynomials with the same reduction.  They import numpy
+themselves, so parsing a polynomial does not load it.
 """
 
 from __future__ import annotations
@@ -322,16 +323,16 @@ def _pow_mod(arr, e: int, modulus: int):
     return result
 
 
-RESIDUE_LIMIT = 4 * 10**6  # residues in one numpy grid: value-ball scans, spf domains, noncrit tori
+RESIDUE_LIMIT = 4 * 10**6  # residues in one scan: value balls, spf domains, noncrit tori
 
 
-def residue_grid(p: int, n: int, low: int = 0):
-    """Every point of {low..p-1}^n as the rows of an int64 array, in
-    lexicographic order: the order of ``itertools.product``.  For n = 0
-    that is one empty row."""
+def residue_axes(p: int, n: int, low: int = 0):
+    """n int64 axes of low .. p-1, shaped as by ``np.ix_``: broadcast, they
+    are the grid {low..p-1}^n in C order, the order of
+    ``itertools.product``.  For n = 0 that is () and nothing is built."""
     import numpy as np
 
-    return np.indices((p - low,) * n, dtype=np.int64).reshape(n, (p - low) ** n).T + low
+    return np.ix_(*(np.arange(low, p, dtype=np.int64) for _ in range(n)))
 
 
 def reduction_key(f: Polynomial, p: int) -> tuple:
@@ -350,32 +351,38 @@ def residue_dtype(modulus: int):
     return np.int64 if (modulus - 1) ** 2 < 2**63 else object
 
 
-def eval_mod(f: Polynomial, pts, modulus: int):
-    """f at every row of the integer array pts, reduced into [0, modulus).
-
-    Exact at every modulus: the arithmetic, and the result, are in
-    ``residue_dtype(modulus)``.
-    """
+def eval_mod(f: Polynomial, coords, modulus: int):
+    """f mod modulus, in [0, modulus), at the points of coords: one array
+    per variable, broadcast together (the columns pts.T of explicit points,
+    or ``residue_axes``).  The result has their broadcast shape and, like
+    the arithmetic, ``residue_dtype(modulus)``: exact at every modulus.
+    Each factor of a term is reduced before it multiplies, so a term is at
+    most (m - 1)^2; the M terms are summed unreduced while
+    M (m - 1)^2 < 2^63, else reduced after each sum."""
     import numpy as np
 
     dtype = residue_dtype(modulus)
-    pts = np.asarray(pts).astype(dtype, copy=False)
-    acc = np.zeros(pts.shape[0], dtype=dtype)
+    coords = [np.asarray(c).astype(dtype, copy=False) for c in coords]
+    acc = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=dtype)
+    lazy = len(f.terms) * (modulus - 1) ** 2 < 2**63
     for exps, coeff in f.terms.items():
-        term = np.full(pts.shape[0], coeff % modulus, dtype=dtype)
-        for i, e in enumerate(exps):
+        term = coeff % modulus
+        for c, e in zip(coords, exps):
             if e:
-                term = term * _pow_mod(pts[:, i], e, modulus) % modulus
-        acc = (acc + term) % modulus
-    return acc
+                term = term % modulus * _pow_mod(c, e, modulus)
+        acc += term
+        if not lazy:
+            acc %= modulus
+    return acc % modulus
 
 
-def classify_mod_p(f: Polynomial, pts, p: int):
-    """(f mod p at every row of pts, mask of the rows where every partial
-    of f is 0 mod p), both by ``eval_mod``."""
+def classify_mod_p(f: Polynomial, coords, p: int):
+    """(f mod p at the points of coords, mask of the points where every
+    partial of f is 0 mod p), both by ``eval_mod``."""
     import numpy as np
 
-    critical = np.ones(np.asarray(pts).shape[0], dtype=bool)
+    values = eval_mod(f, coords, p)
+    critical = np.ones(values.shape, dtype=bool)
     for d in f.partials():
-        critical &= eval_mod(d, pts, p) == 0
-    return eval_mod(f, pts, p), critical
+        critical &= eval_mod(d, coords, p) == 0
+    return values, critical

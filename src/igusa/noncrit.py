@@ -64,9 +64,10 @@ primitive weight a of the face, and a * x != 0 mod l, so the Hessian
 never certifies it.  The system is linear in the M monomials of h,
 which are units on the torus: its (d + 1) x M coefficient matrix is
 built once per face, and when it has rank M mod l, no torus point
-solves it and no grid is built (for d < n, mostly simplex faces,
-M = d + 1).  The grid budget counts the (l - 1)^d points and is
-checked first; a scan over it raises ValueError in either mode.
+solves it and no grid is scanned (for d < n, mostly simplex faces,
+M = d + 1); else ``eval_mod`` scans the grid on its d axes.
+``RESIDUE_LIMIT`` counts the (l - 1)^d points and is checked first;
+a scan over it raises ValueError in either mode.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from math import gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import det, rank_mod
-from .mpoly import RESIDUE_LIMIT, Polynomial, _pow_mod, eval_mod, residue_grid
+from .mpoly import RESIDUE_LIMIT, Polynomial, _pow_mod, eval_mod, residue_axes
 from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
@@ -384,9 +385,9 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
     orbit of the coordinates y_j with j > d, which are the zeros of the
     hull's system on (F_ell^x)^d, in lexicographic order of y, mapped back
     to x with y_j = 1 for j > d.  The system is built once for all primes.
-    The rank test (module docstring) rules out zeros first; else the first
-    nonzero polynomial of the system is evaluated on the grid by
-    ``_grid_values``, the others on its zeros.
+    The rank test (module docstring) rules out zeros first; else
+    ``eval_mod`` evaluates the first nonzero polynomial of the system on
+    the axes of ``residue_axes`` and the others at its zeros.
     """
     import numpy as np
 
@@ -406,9 +407,9 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
             continue
         if system is None:
             system = [Polynomial(h.variables, dict(zip(h.terms, row))) for row in rows if any(row)]
-        pts = np.argwhere(_grid_values(system[0], ell) == 0) + 1
+        pts = np.argwhere(eval_mod(system[0], residue_axes(ell, d, 1), ell) == 0) + 1
         for g in system[1:]:
-            pts = pts[eval_mod(g, pts, ell) == 0]
+            pts = pts[eval_mod(g, pts.T, ell) == 0]
         # x_i = prod_j y_j^V_ij, with exponents mod ell - 1 on the torus
         xs = np.ones((len(pts), len(V)), dtype=np.int64)
         for i, row in enumerate(V):
@@ -416,27 +417,6 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
                 if e % (ell - 1):
                     xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
         yield ell, list(map(tuple, xs.tolist()))
-
-
-def _grid_values(g: Polynomial, ell: int):
-    """g mod ell on (F_ell^x)^d, an array of shape (ell - 1,) * d, one axis
-    at a time: a term is the outer product of the powers of 1 .. ell - 1 on
-    its axes, exponents mod ell - 1.  Each factor is reduced first, so a
-    term is at most (ell - 1)^2; the M terms are summed unreduced when
-    M (ell - 1)^2 < 2^63, else reduced after each sum (ell - 1 <=
-    RESIDUE_LIMIT when d > 0), so no int64 value overflows."""
-    import numpy as np
-
-    axis = residue_grid(ell, 1, low=1)[:, 0] if g.nvars else None  # d = 0: no axis
-    powers = {a: _pow_mod(axis, a, ell) if a else axis**0 for a in {x % (ell - 1) for e in g.terms for x in e}}
-    lazy = len(g.terms) * (ell - 1) ** 2 < 2**63
-    values = 0
-    for e, c in g.terms.items():
-        term = c
-        for x in e:
-            term = np.multiply.outer(term % ell, powers[x % (ell - 1)])
-        values = values + term if lazy else (values + term) % ell
-    return values % ell
 
 
 def check_noncritical(

@@ -22,8 +22,8 @@ budget: a node is one polynomial and precision met in the recursion of
 a block (the blocks share the budget), and exceeding it raises
 ``BudgetExceeded`` naming the block, the class and the precision where
 the count stopped.  Nodes whose polynomials agree mod p share one scan
-of the p^n residue classes mod p, and more than ``mpoly.RESIDUE_LIMIT``
-residues mod p are refused before any is built.
+of the p^n residue classes mod p, on ``mpoly.residue_axes``, and a scan
+of more than ``mpoly.RESIDUE_LIMIT`` residues is refused before it starts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import tsden
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod
-from .mpoly import _scale_out, _shift_terms, reduction_key, residue_grid
+from .mpoly import _scale_out, _shift_terms, reduction_key, residue_axes
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import (
     Factor,
@@ -111,7 +111,7 @@ def value_balls(
     taken from the same budget) plus the nodes met here: one per
     polynomial and precision in the recursion.  A node over ``budget``
     raises BudgetExceeded, and so do more than 4 * 10^6 residues mod p,
-    before any is built.
+    before any is scanned.
 
     A node sorts the p^n residue classes mod p by ``classify_mod_p``,
     which reads g mod p alone: the nodes of one call whose polynomials
@@ -133,7 +133,7 @@ def value_balls(
             f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
             f"over the limit of {RESIDUE_LIMIT}"
         )
-    residues = residue_grid(q, n)
+    residues = residue_axes(q, n)
     origin = (0,) * n
     memo: Dict[tuple, ValueBalls] = {}
     scans: Dict[tuple, tuple] = {}  # (reduction_key, m == 1) -> scan
@@ -148,11 +148,11 @@ def value_balls(
         if key not in scans:
             if m == 1:
                 values = eval_mod(g, residues, q)
-                critical = np.zeros(len(values), dtype=bool)
+                critical = np.zeros(values.shape, dtype=bool)
             else:
                 values, critical = classify_mod_p(g, residues, q)
             centres, sizes = np.unique(values[~critical], return_counts=True)
-            singular = list(map(tuple, residues[critical].tolist()))
+            singular = list(map(tuple, np.argwhere(critical).tolist()))
             scans[key] = list(zip(centres.tolist(), sizes.tolist())), singular
         return scans[key]
 

@@ -12,7 +12,8 @@ with t = q^(-s) and f(P + p x) = p^(e_P) f_P(x).  Recursing on the
 singular lifts terminates exactly when f has no singular point inside
 D, and the result is a rational function with the single denominator
 factor (1 - t/q).  The classification of Dbar is vectorised: one call of
-``mpoly.classify_mod_p`` over the sorted residue array of the domain.
+``mpoly.classify_mod_p`` on the coordinates of the domain, the axes of a
+grid or the columns of an explicit residue list.
 It reads fbar alone, so within one evaluation the nodes whose
 polynomials have the same reduction mod p (``mpoly.reduction_key``) on
 the same domain share one classification: a chain of singular lifts
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_dtype
-from .mpoly import residue_grid, shift_scale
+from .mpoly import residue_axes, shift_scale
 from .numeric import PrimeSpec
 from .ratfun import RationalZeta
 
@@ -46,17 +47,19 @@ class DepthGuardExceeded(RuntimeError):
 class ResidueDomain:
     """Preimage in Z_p^n of an explicit residue set in (F_p)^n.
 
-    The residues are the sorted, distinct rows of an array, which
-    ``spf_counts`` classifies; ``full``, ``unit_torus`` and ``of`` build
-    them so.
+    ``coords`` holds one read-only array per coordinate, which broadcast
+    to the sorted, distinct residues in C order: the axes of
+    ``mpoly.residue_axes`` for ``full`` and ``unit_torus``, the columns of
+    the sorted residue list for ``of``.  ``spf_counts`` classifies them.
     """
 
     p: int
     dim: int
-    rows: np.ndarray = field(repr=False)
+    coords: Tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        self.rows.flags.writeable = False
+        for c in self.coords:
+            c.flags.writeable = False
 
     @classmethod
     def full(cls, p: int, dim: int) -> "ResidueDomain":
@@ -77,7 +80,7 @@ class ResidueDomain:
                 f"a residue domain of dimension {dim} mod {p} has {p - low}^{dim} = {size} "
                 f"residues, over the limit of {RESIDUE_LIMIT}"
             )
-        return cls(p, dim, residue_grid(p, dim, low))
+        return cls(p, dim, residue_axes(p, dim, low))
 
     @classmethod
     def of(cls, p: int, residues: Sequence[Sequence[int]]) -> "ResidueDomain":
@@ -98,11 +101,13 @@ class ResidueDomain:
         if outside.any():
             r = tuple(rows[outside][0].tolist())
             raise ValueError(f"residue {r} outside {{0..{p - 1}}}^{dim}")
-        return cls(p, dim, rows)
+        return cls(p, dim, tuple(rows.T))
 
     @property
     def size(self) -> int:
-        return self.rows.shape[0]
+        import numpy as np
+
+        return int(np.prod(np.broadcast_shapes(*(c.shape for c in self.coords))))
 
 
 def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):
@@ -135,18 +140,21 @@ def spf_counts(f: Polynomial, D: ResidueDomain, p: PrimeSpec) -> SPFCounts:
 
     nu and sigma are the Haar measures of the first two classes; the
     singular zeros are returned as their canonical lifts in {0..p-1}^n,
-    in sorted order.  One ``classify_mod_p`` pass over D's rows does it.
+    in sorted order.  One ``classify_mod_p`` pass over D's coords does it.
     """
+    import numpy as np
+
     _require_matching_prime(D, p)
     if f.nvars != D.dim:
         raise ValueError(f"f has {f.nvars} variables but domain dimension is {D.dim}")
-    values, critical = classify_mod_p(f, D.rows, p.p)
+    values, critical = classify_mod_p(f, D.coords, p.p)
     zero = values == 0
+    singular = zero & critical
     scale = Fraction(1, p.q**D.dim)
     return SPFCounts(
         nu=int((~zero).sum()) * scale,
         sigma=int((zero & ~critical).sum()) * scale,
-        singular=tuple(map(tuple, D.rows[zero & critical].tolist())),
+        singular=tuple(zip(*(c[singular].tolist() for c in np.broadcast_arrays(*D.coords)))),
     )
 
 

@@ -9,7 +9,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import List, Sequence, Tuple
 
 from igusa.mpoly import Polynomial, from_terms
@@ -227,6 +227,14 @@ def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
     return c is not None and all(sum(a * b for a, b in zip(h, c)) > 0 for h in normals)
 
 
+def domain_residues(D: ResidueDomain) -> List[Tuple[int, ...]]:
+    """The residues of D as tuples of ints, in the C order of its coords,
+    which is sorted order."""
+    import numpy as np
+
+    return list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*D.coords))))
+
+
 def reference_spf_counts(f: Polynomial, D: ResidueDomain) -> SPFCounts:
     """``spf_counts`` by a scalar loop: every residue of D in sorted order,
     f and each partial evaluated exactly and reduced mod p."""
@@ -234,7 +242,7 @@ def reference_spf_counts(f: Polynomial, D: ResidueDomain) -> SPFCounts:
     nonzero = 0
     smooth = 0
     singular = []
-    for r in map(tuple, D.rows.tolist()):
+    for r in domain_residues(D):
         if f.evaluate(r) % D.p != 0:
             nonzero += 1
         elif all(g.evaluate(r) % D.p == 0 for g in partials):
@@ -288,27 +296,17 @@ def torus_has_common_zero(polys: Sequence[Polynomial], ell: int) -> bool:
 
 def reference_torus_zeros(hull, ell: int) -> List[Tuple[int, ...]]:
     """The zeros of a face's hull system on (F_ell^x)^d mapped back to x,
-    by the plain grid scan that ``noncrit._torus_scans`` replaced:
-    every point of the grid from ``residue_grid``, each nonzero
-    polynomial of the system by ``eval_mod``, in lexicographic order."""
-    import numpy as np
-
-    from igusa.mpoly import _pow_mod, eval_mod, residue_grid
-
+    in lexicographic order: ``torus_common_zeros`` evaluates every
+    polynomial of the system at every point of the torus, and Python's pow
+    maps a zero y back to x_i = prod_j y_j^V_ij, exponents mod ell - 1."""
     V, v0, h = hull
     d = h.nvars
     system = [Polynomial(h.variables, {e: c * (v0[j] + e[j]) for e, c in h.terms.items()}) for j in range(d)]
     system.append(gcd(*v0[d:]) * h)
-    pts = residue_grid(ell, d, low=1)
-    for g in system:
-        if not g.is_zero():
-            pts = pts[eval_mod(g, pts, ell) == 0]
-    xs = np.ones((len(pts), len(V)), dtype=np.int64)
-    for i, row in enumerate(V):
-        for j, e in enumerate(row[:d]):
-            if e % (ell - 1):
-                xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
-    return list(map(tuple, xs.tolist()))
+    return [
+        tuple(prod(pow(y, e % (ell - 1), ell) for y, e in zip(zero, row)) % ell for row in V)
+        for zero in torus_common_zeros(system, ell)
+    ]
 
 
 def rank_mod(rows: Sequence[Sequence[int]], ell: int) -> int:

@@ -7,10 +7,10 @@ something:
 * ``count_mod`` counts the solutions of f = 0 mod p^m by breadth-first
   lifting: the survivors mod p^m expand to their p^n children mod
   p^(m+1).  It takes no Hensel shortcut and shares no residue scan.  Each
-  level is one numpy array of survivors, evaluated in blocks by
-  ``mpoly.eval_mod``: int64 while that is exact, object arrays of Python
-  ints beyond.  With a domain it counts only the survivors whose
-  valuation vector lies in a cone domain.
+  level is one numpy array of survivors, evaluated in blocks by its own
+  plain evaluator, one multiplication at a time: int64 while that is
+  exact, object arrays of Python ints beyond.  With a domain it counts
+  only the survivors whose valuation vector lies in a cone domain.
 * Cone domains are membership functions on valuation vectors:
   ``zero_cone``, ``face_cone`` and ``product``.
 * ``m_of``, ``first_meet_locus`` and ``proper_faces`` read the weight data
@@ -19,8 +19,9 @@ something:
   pointwise order on a residue tree.
 
 None of them imports a route it checks (``value_balls``, ``ball_counts``,
-``spf_evaluate``, ``spf_counts``, ``shift_scale``); ``test_imports``
-holds this file to that.
+``spf_evaluate``, ``spf_counts``, ``shift_scale``, or the evaluation
+kernel ``eval_mod``, ``classify_mod_p``, ``_pow_mod``, ``residue_axes``);
+``test_imports`` holds this file to that.
 """
 
 import itertools
@@ -28,7 +29,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from igusa.mpoly import Polynomial, eval_mod, residue_dtype, residue_grid
+from helpers import domain_residues
+from igusa.mpoly import Polynomial
 from igusa.newton import Face, NewtonPolyhedron, _dot
 from igusa.numeric import PrimeSpec, p_valuation
 from igusa.oracle import CountSeries
@@ -87,20 +89,33 @@ def product(left: Domain, right: Domain, split: int) -> Domain:
 # counting by lifting
 
 
+def _values_mod(f: Polynomial, pts, modulus: int):
+    """f at every row of pts, whose entries lie in [0, modulus), reduced
+    mod modulus in the dtype of pts, one multiplication at a time."""
+    acc = np.zeros(len(pts), dtype=pts.dtype)
+    for exps, coeff in f.terms.items():
+        term = np.full(len(pts), coeff % modulus, dtype=pts.dtype)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * pts[:, i] % modulus
+        acc = (acc + term) % modulus
+    return acc
+
+
 def _expand_level(f: Polynomial, surv, p: int, m: int):
     """The children mod p^(m+1) of the survivors mod p^m that are zeros of f,
-    in ``residue_dtype(p^(m+1))``: int64 rows turn into Python ints when
-    int64 could overflow."""
+    in int64 while (p^(m+1) - 1)^2 < 2^63, so that no product of two
+    residues overflows, else in object arrays of Python ints."""
     n = surv.shape[1]
     modulus = p ** (m + 1)
-    surv = surv.astype(residue_dtype(modulus), copy=False)
-    offsets = residue_grid(p, n).astype(surv.dtype, copy=False)
+    surv = surv.astype(np.int64 if (modulus - 1) ** 2 < 2**63 else object, copy=False)
+    offsets = np.array(list(itertools.product(range(p), repeat=n)), dtype=surv.dtype)
     rows = max(1, _CAND_CHUNK // len(offsets))
     pieces = []
     for start in range(0, surv.shape[0], rows):
         block = surv[start : start + rows]
         cand = (block[:, None, :] + p**m * offsets[None, :, :]).reshape(-1, n)
-        pieces.append(cand[eval_mod(f, cand, modulus) == 0])
+        pieces.append(cand[_values_mod(f, cand, modulus) == 0])
     return np.concatenate(pieces, axis=0) if pieces else surv[:0]
 
 
@@ -157,7 +172,7 @@ def sup_bound(f: Polynomial, D: ResidueDomain, p: PrimeSpec, mode: str, max_dept
     """
     polys = (f, *f.partials()) if mode == "L" else f.partials()
     best = 0
-    stack = [(tuple(r), 1) for r in D.rows.tolist()]
+    stack = [(r, 1) for r in domain_residues(D)]
     while stack:
         point, depth = stack.pop()
         least = min(p_valuation(g.evaluate(point), p.p) for g in polys)  # INFINITE above every int

@@ -50,14 +50,15 @@ def test_every_module_level_import_is_read():
     assert unread == []
 
 
-# the routes that tests/reference.py is the independent check of
-CHECKED_ROUTES = {"value_balls", "ball_counts", "spf_evaluate", "spf_counts", "shift_scale"}
+# the routes that tests/reference.py and the reference_* functions of
+# tests/helpers.py are the independent check of, and the evaluation
+# kernel that those routes share
+CHECKED_ROUTES = {"value_balls", "ball_counts", "spf_evaluate", "spf_counts", "shift_scale",
+                  "eval_mod", "classify_mod_p", "_pow_mod", "residue_axes"}
 
 
-def _imports(path: str):
-    """(module, names) of every import statement in a file."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+def _imports(tree: ast.AST):
+    """(module, names) of every import statement in a syntax tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -66,14 +67,23 @@ def _imports(path: str):
             yield node.module or "", {alias.name for alias in node.names}
 
 
+def _tree(path: str) -> ast.AST:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 def test_reference_stays_independent():
-    imported = set().union(*(names for _, names in _imports(os.path.join(ROOT, "tests", "reference.py"))))
+    trees = [_tree(os.path.join(ROOT, "tests", "reference.py"))]
+    trees += [node for node in _tree(os.path.join(ROOT, "tests", "helpers.py")).body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("reference_")]
+    assert len(trees) > 3  # reference.py and the three reference_* functions at least
+    imported = set().union(*(names for tree in trees for _, names in _imports(tree)))
     assert imported & CHECKED_ROUTES == set()
     importers = [
         os.path.relpath(path, ROOT)
         for path in _sources()
         if not path.startswith(os.path.join(ROOT, "tests"))
         and any(module.split(".")[-1] == "reference" or "reference" in names
-                for module, names in _imports(path))
+                for module, names in _imports(_tree(path)))
     ]
     assert importers == []

@@ -15,7 +15,7 @@ from igusa.mpoly import (
     eval_mod,
     from_terms,
     reduction_key,
-    residue_grid,
+    residue_axes,
     shift_scale,
 )
 
@@ -181,32 +181,80 @@ class TestEvalMod:
             f = random_sparse_poly(rng, nvars, max_terms=5, max_exp=7, coeff_bound=10**6,
                                    origin_vanishing=False)
             pts = [tuple(rng.randint(-10**6, 10**6) for _ in range(nvars)) for _ in range(12)]
-            got = eval_mod(f, np.array(pts, dtype=np.int64), modulus)
+            got = eval_mod(f, np.array(pts, dtype=np.int64).T, modulus)
             assert [int(v) for v in got] == [f.evaluate(pt) % modulus for pt in pts]
 
     def test_switches_to_object_past_int64(self):
-        pts = np.array([[2], [5]], dtype=np.int64)
-        assert eval_mod(P("x^2"), pts, 3**19).dtype == np.int64
-        assert eval_mod(P("x^2"), pts, 3**20).dtype == object
+        coords = (np.array([2, 5], dtype=np.int64),)
+        assert eval_mod(P("x^2"), coords, 3**19).dtype == np.int64
+        assert eval_mod(P("x^2"), coords, 3**20).dtype == object
 
     def test_classify_marks_common_zeros_of_the_partials(self):
         f = P("x^2 + y^3 + x*y")
         pts = np.array(list(itertools.product(range(5), repeat=2)), dtype=np.int64)
-        values, critical = classify_mod_p(f, pts, 5)
+        values, critical = classify_mod_p(f, pts.T, 5)
         for pt, v, c in zip(pts.tolist(), values.tolist(), critical.tolist()):
             assert v == f.evaluate(pt) % 5
             assert c == all(g.evaluate(pt) % 5 == 0 for g in f.partials())
 
 
+    def test_reduces_after_each_sum_near_the_int64_limit(self):
+        # (l - 1)^2 < 2^63 <= 2 (l - 1)^2: a term fits in int64, but two
+        # terms summed unreduced may not, so 2 and 3 terms take the branch
+        # that reduces after each sum
+        ell = 3000000019
+        assert (ell - 1) ** 2 < 2**63 <= 2 * (ell - 1) ** 2
+        rng = random.Random(ell)
+        xs = [1, 2, ell - 1, ell - 2, ell // 2, *(rng.randrange(ell) for _ in range(3))]
+        axes = np.ix_(np.array(xs), np.array(xs[::-1]), np.array(xs[:4]))
+        points = list(itertools.product(xs, xs[::-1], xs[:4]))
+        rows = np.array(points, dtype=np.int64)
+        polys = [P("x*y + z"), P(f"{ell - 1}*x^2*y - z^3 + {ell - 2}")]
+        while len(polys) < 20:
+            f = random_sparse_poly(rng, 3, max_terms=3, max_exp=5, coeff_bound=10**12,
+                                   origin_vanishing=False)
+            if len(f.terms) > 1:
+                polys.append(f)
+        for f in polys:
+            want = [f.evaluate(pt) % ell for pt in points]
+            on_axes, on_rows = eval_mod(f, axes, ell), eval_mod(f, rows.T, ell)
+            assert on_axes.dtype == on_rows.dtype == np.int64
+            assert on_axes.ravel().tolist() == on_rows.tolist() == want, str(f)
+
+
 class TestResidueGrid:
-    # n = 0 gives one empty row: noncrit's torus scan meets it on a vertex face
+    # the axes broadcast to the grid; n = 0 gives no axes and one empty
+    # point: noncrit's torus scan meets it on a vertex face
     @pytest.mark.parametrize(
         "p, n, low", [(2, 1, 0), (5, 2, 0), (3, 3, 1), (7, 1, 1), (2, 3, 1), (101, 0, 1), (2, 0, 0)]
     )
     def test_rows_in_product_order(self, p, n, low):
-        grid = residue_grid(p, n, low)
-        assert grid.dtype == np.int64 and grid.shape == ((p - low) ** n, n)
-        assert grid.tolist() == [list(r) for r in itertools.product(range(low, p), repeat=n)]
+        axes = residue_axes(p, n, low)
+        assert [(a.dtype, a.shape) for a in axes] == [
+            (np.int64, tuple(p - low if j == i else 1 for j in range(n))) for i in range(n)
+        ]
+        shape = np.broadcast_shapes(*(a.shape for a in axes))
+        assert shape == (p - low,) * n
+        grid = np.broadcast_arrays(*axes)
+        rows = [tuple(int(a[idx]) for a in grid) for idx in np.ndindex(shape)]
+        assert rows == list(itertools.product(range(low, p), repeat=n))
+
+    @pytest.mark.parametrize("p", [2, 5, 101])
+    @pytest.mark.parametrize("low", [0, 1])
+    def test_axes_and_rows_give_equal_values(self, p, low):
+        rng = random.Random(2 * p + low)
+        for n in range(4):
+            axes = residue_axes(p, n, low)
+            cols = np.array(list(itertools.product(range(low, p), repeat=n)), dtype=np.int64).T
+            for _ in range(8 if p < 101 else 2):  # 101^3 rows are slow to evaluate
+                f = random_sparse_poly(rng, n, max_terms=5, max_exp=6, coeff_bound=10**4,
+                                       origin_vanishing=False)
+                assert np.array_equal(eval_mod(f, axes, p).ravel(), eval_mod(f, cols, p).ravel())
+                values, critical = classify_mod_p(f, axes, p)
+                want_values, want_critical = classify_mod_p(f, cols, p)
+                assert values.shape == critical.shape == (p - low,) * n
+                assert np.array_equal(values.ravel(), want_values.ravel())
+                assert np.array_equal(critical.ravel(), want_critical.ravel())
 
 
 class TestReductionKey:

@@ -652,7 +652,7 @@ class TestTorusSlice:
 class TestRankTest:
     """A face whose hull system has a coefficient matrix of rank M (the
     number of monomials of h) mod l has no torus zero, and no grid is
-    built; every other face is scanned one axis at a time."""
+    scanned; every other face is scanned on the axes of its grid."""
 
     PRIMES = (5, 7, 11, 101)
 
@@ -661,7 +661,7 @@ class TestRankTest:
         def refuse(*args, **kwargs):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(noncrit, "residue_grid", refuse)
+        monkeypatch.setattr(noncrit, "residue_axes", refuse)
 
     def test_scans_equal_the_reference(self, monkeypatch):
         rng = random.Random(30)
@@ -677,8 +677,8 @@ class TestRankTest:
                 hull = noncrit._hull(poly.face_polynomial(f, face))
                 hulls.setdefault(hull.h.nvars, {})[hull] = None
         grids = []
-        values = noncrit._grid_values
-        monkeypatch.setattr(noncrit, "_grid_values", lambda g, ell: grids.append(ell) or values(g, ell))
+        axes = noncrit.residue_axes
+        monkeypatch.setattr(noncrit, "residue_axes", lambda ell, d, low: grids.append(ell) or axes(ell, d, low))
         for d in range(4):
             # the reference's d = 3 grid at l = 101 has 10^6 points
             for k, hull in enumerate(list(hulls[d])[:30]):

@@ -19,7 +19,6 @@ SRC = os.path.dirname(os.path.dirname(igusa.__file__))
     [
         ["pole_table.py", "--bound", "2"],
         ["spf_oracle_sweep.py", "--primes", "3", "--depth", "3"],
-        ["verify_direct_sum.py", "-f", "x^2", "-g", "y^3", "-p", "3"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -36,32 +35,8 @@ def test_script_exits_zero(argv):
     assert proc.stdout
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["-f", "x", "-g", "y", "-p", "nope"], 1),
-        (["-f", "x"], 1),
-        (["-f", "x", "-g", "y", "--bogus"], 1),
-        (["-h"], 0),
-    ],
-    ids=["bad int", "missing -g", "unknown flag", "help"],
-)
-def test_verify_script_usage_exit_codes(argv, code):
-    # exit 2 means a falsified denominator, so a usage error must not use it
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "verify_direct_sum.py"), *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
-    assert proc.returncode == code, proc.stderr
-    assert ("error:" in proc.stderr) == (code == 1)
-
-
-# `igusa verify` and the two scripts built on tsden and verify_theorem,
-# recorded before the denominator factors became plain (A, B) pairs
+# `igusa verify` and the script built on tsden, recorded before the
+# denominator factors became plain (A, B) pairs
 with open(os.path.join(ROOT, "tests", "data", "golden_verify.json")) as fh:
     GOLDEN_VERIFY = json.load(fh)
 

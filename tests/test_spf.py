@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sparse_poly, reference_spf_counts
+from helpers import domain_residues, random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
 from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series
@@ -19,8 +19,8 @@ P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
 
 
 def _rows(D):
-    """A domain's prime, dimension and residue rows, for comparing two domains."""
-    return D.p, D.dim, D.rows.tolist()
+    """A domain's prime, dimension and residues, for comparing two domains."""
+    return D.p, D.dim, domain_residues(D)
 
 
 class TestResidueDomain:
@@ -32,13 +32,13 @@ class TestResidueDomain:
     def test_unit_torus(self):
         D = ResidueDomain.unit_torus(3, 2)
         assert D.size == 4
-        assert all(all(x % 3 != 0 for x in r) for r in D.rows.tolist())
+        assert all(all(x % 3 != 0 for x in r) for r in domain_residues(D))
 
     def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
         # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
         from igusa import spf
 
-        monkeypatch.setattr(spf, "residue_grid", None)
+        monkeypatch.setattr(spf, "residue_axes", None)
         full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
         with pytest.raises(ValueError, match=full):
             ResidueDomain.full(53, 4)
@@ -64,10 +64,10 @@ class TestResidueDomain:
 
     def test_rows_sorted_unique_and_plain_ints(self):
         D = ResidueDomain.of(5, [(3, 1), (0, 4), (3, 1), (np.int64(2), 2)])
-        assert D.rows.tolist() == [[0, 4], [2, 2], [3, 1]]
+        assert domain_residues(D) == [(0, 4), (2, 2), (3, 1)]
         same = ResidueDomain.of(5, [(0, 4), (2, 2), (3, 1)])
         assert _rows(D) == _rows(same)
-        assert D.rows.dtype == np.int64
+        assert [c.dtype for c in D.coords] == [np.int64] * 2
 
     def test_keys_distinguish(self):
         a = ResidueDomain.full(5, 1)
@@ -86,10 +86,10 @@ class TestResidueDomain:
 
     def test_grids_are_sorted_readonly_int64_rows(self):
         D = ResidueDomain.unit_torus(3, 2)
-        assert D.rows.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
-        assert D.rows.dtype == np.int64
+        assert domain_residues(D) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert [c.dtype for c in D.coords] == [np.int64] * 2
         with pytest.raises(ValueError):
-            D.rows[0, 0] = 0
+            D.coords[0][0, 0] = 0
 
     def test_domain_dimension_checked(self):
         with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
