@@ -20,31 +20,4 @@ Subpackages by role:
 * :mod:`igusa.cli` — the `igusa` command.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-
-# each public name is imported from its module on first use, so that
-# `import igusa` loads nothing (numpy included) until a name is asked for,
-# and `python -m igusa.cli` does not find igusa.cli already imported
-_EXPORTS = {
-    "mpoly": ("Polynomial", "direct_sum"),
-    "newton": ("NewtonPolyhedron", "build_polyhedron"),
-    "noncrit": ("check_noncritical",),
-    "numeric": ("INFINITE", "PrimeSpec", "p_valuation"),
-    "oracle": ("measure_series", "verify_theorem"),
-    "ratfun": ("PowerSeries", "RationalZeta", "expand", "recover_numerator"),
-    "spf": ("ResidueDomain", "spf_counts", "spf_evaluate"),
-    "tsden": ("candidate_poles", "denominator"),
-    "euclid": ("orbit", "weight_sums"),
-    "cli": ("parse_polynomial",),
-}
-_MODULES = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = list(_MODULES)
-
-
-def __getattr__(name):
-    if name in _MODULES:
-        return getattr(import_module(f".{_MODULES[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -237,6 +237,17 @@ def _render_tsv(cmd: str, payload: dict) -> str:
     return "\n".join(["pole"] + payload["poles"])
 
 
+def _natural(text: str) -> int:
+    """The argparse type of an option that takes an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as ValueError, so ``main`` reports it as JSON."""
 
@@ -286,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("spf", "exact stationary-phase evaluation of the integral", prime=True)
     sp.add_argument("--domain", choices=["full", "torus"], default="full")
     sp.add_argument("--trace", action="store_true", help="include the recursion trace")
-    sp.add_argument("--depth-guard", dest="depth_guard", type=int, default=32)
+    sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32)
 
     sp = command("count", "count solutions mod p^m", prime=True, tsv=True)
     sp.add_argument("--depth", type=int, default=8, help="levels of p-adic precision (default 8)")

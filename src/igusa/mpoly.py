@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .numeric import INFINITE, p_valuation
+from .numeric import p_valuation
 
 Monomial = Tuple[int, ...]
 
@@ -289,7 +289,6 @@ def _shift_terms(f: Polynomial, point: Sequence[int], p: int) -> dict:
 def _scale_out(variables: Sequence[str], terms: dict, p: int) -> Tuple[int, Polynomial]:
     """(e, g) with sum(terms) = p^e * g and g of p-unit content; terms not all 0."""
     e = p_valuation(gcd(*terms.values()), p)
-    assert e is not INFINITE  # substitution is invertible over Q
     scale = p**e
     return e, Polynomial(variables, {m: c // scale for m, c in terms.items()})
 

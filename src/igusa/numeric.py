@@ -5,61 +5,16 @@ All arithmetic in this package is exact.  Rational numbers are
 denominator) and integers are Python's arbitrary-precision ``int``.
 Floating point is never used.
 
-The p-adic valuation of 0 is a distinct infinite state ``INFINITE``,
-not a sentinel integer; it compares greater than every integer and
-absorbs addition.
+A p-adic valuation is an ``int`` and is taken of nonzero integers only:
+``p_valuation`` refuses 0 rather than return an infinite state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
-
-
-class _Infinite:
-    """The +infinity valuation.  A singleton; compare against ints freely."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("igusa-infinite-valuation")
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
 
 # node budget of oracle's value-ball counter, kept here for the CLI to show without numpy
 DEFAULT_BUDGET = 10**8
-
-Valuation = Union[int, _Infinite]
 
 
 def _is_prime(p: int) -> bool:
@@ -102,21 +57,16 @@ class PrimeSpec:
         return self.p
 
 
-def p_valuation(x: Union[int, Fraction], p: int) -> Valuation:
-    """The exponent of p in x; INFINITE for x = 0.
+def p_valuation(x: int, p: int) -> int:
+    """The exponent of p in the nonzero integer x.
 
-    Accepts integers and Fractions (valuation of a quotient is the
-    difference of the valuations).  p is not tested for primality here:
-    ``PrimeSpec`` checks it where it enters the program.
+    x = 0 has no finite valuation and raises ValueError.  p is not tested
+    for primality here: ``PrimeSpec`` checks it where it enters the program.
     """
     if p < 2:
         raise ValueError(f"valuation base must be at least 2, got {p!r}")
-    if isinstance(x, Fraction):
-        if x == 0:
-            return INFINITE
-        return p_valuation(x.numerator, p) - p_valuation(x.denominator, p)
     if x == 0:
-        return INFINITE
+        raise ValueError("0 has no finite p-adic valuation")
     x = abs(x)
     v = 0
     while x % p == 0:

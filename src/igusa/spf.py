@@ -225,19 +225,22 @@ def spf_evaluate(
     singular point of f inside D.
 
     A node meets either D (the root) or the full domain, so the keys
-    below record the domain as ``domain is full``.  Each node classifies
-    its residues by ``spf_counts`` only when no earlier node of this call
-    had the same reduction mod p and domain; the classification is
-    shared, never kept beyond the call.
+    below record the domain as ``domain is full``.  The full domain is
+    built at the first singular lift, so its size limit binds only when
+    a lift needs it.  Each node classifies its residues by ``spf_counts``
+    only when no earlier node of this call had the same reduction mod p
+    and domain; the classification is shared, never kept beyond the call.
     """
     _require_matching_prime(D, p)
     if f.nvars != D.dim:
         raise ValueError(f"f has {f.nvars} variables but domain dimension is {D.dim}")
     if f.is_zero():
         raise ValueError("the zero polynomial has no finite |f|^s integral")
+    if depth_guard < 0:
+        raise ValueError(f"depth_guard must be >= 0, got {depth_guard}")
     q = p.q
     n = f.nvars
-    full = D if D.size == p.q**n else ResidueDomain.full(p.p, n)
+    full = D if D.size == q**n else None
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
     classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, domain is full) -> counts
     on_stack: List[tuple] = []
@@ -249,6 +252,7 @@ def spf_evaluate(
         order_e: int,
         cumulative_E: int,
     ) -> Tuple[Tuple[Fraction, ...], SPFTraceNode]:
+        nonlocal full
         key = (g.canonical_key(), domain is full)
         if key in memo:
             num, counts = memo[key]
@@ -274,6 +278,8 @@ def spf_evaluate(
                 counts.sigma * (1 - Fraction(1, q)) - counts.nu * Fraction(1, q),
             ]
             children = []
+            if counts.singular and full is None:
+                full = ResidueDomain.full(p.p, n)
             for P in counts.singular:
                 e, g_child = shift_scale(g, P, p.p)
                 child_num, child_node = node(

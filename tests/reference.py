@@ -175,7 +175,9 @@ def sup_bound(f: Polynomial, D: ResidueDomain, p: PrimeSpec, mode: str, max_dept
     stack = [(r, 1) for r in domain_residues(D)]
     while stack:
         point, depth = stack.pop()
-        least = min(p_valuation(g.evaluate(point), p.p) for g in polys)  # INFINITE above every int
+        # a zero value has infinite order: counting it as depth keeps the branch open
+        values = [g.evaluate(point) for g in polys]
+        least = min(p_valuation(v, p.p) if v else depth for v in values)
         if least < depth:
             best = max(best, least)
             continue

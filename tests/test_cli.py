@@ -319,6 +319,17 @@ class TestMain:
             "over the limit of 4000000"
         )
 
+    def test_spf_torus_under_an_oversized_full_domain(self):
+        # 3^14 residues exceed the limit, but the torus has 2^14 and a smooth f
+        # never lifts to the full domain; nu = (2^14 - 5462)/3^14, with 5462
+        # torus zeros of f
+        f = "+".join("abcdefghijklmn")
+        rc, out, err = invoke(["spf", "-f", f, "-p", "3", "--domain", "torus"])
+        assert rc == 0, err
+        zeta = json.loads(out)["zeta"]
+        assert zeta["numerator"] == ["10922/4782969", "2/14348907"]
+        assert zeta["denominator_factors"] == [[1, 1]]
+
     def test_count_nodes_are_value_ball_scans(self):
         rc, out, err = invoke(["count", "-f", "x^2+y^2+z^3", "-p", "3", "--depth", "8"])
         assert rc == 0
@@ -355,6 +366,7 @@ class TestMain:
             ["analyze", "-f", "x", "--mode", "exact"],
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--max-deg", "-1"],
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "1"],
+            ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "-1"],
         ],
         ids=lambda argv: " ".join(argv) or "no subcommand",
     )
@@ -508,13 +520,6 @@ def test_exact_analyze_finds_witness_quickly():
     assert report["verdict"] == "critical"
     critical = [fc for fc in report["faces"] if fc["verdict"] == "critical"]
     assert critical and all(fc["witness"] is not None for fc in critical)
-
-
-def test_parse_polynomial_stays_a_package_attribute():
-    import igusa
-
-    assert "parse_polynomial" in igusa.__all__
-    assert igusa.parse_polynomial is parse_polynomial
 
 
 if __name__ == "__main__":

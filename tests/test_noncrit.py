@@ -301,7 +301,8 @@ def test_exact_mode_leaves_sympy_out():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
     code = (
         "import sys\n"
-        "from igusa import check_noncritical, parse_polynomial\n"
+        "from igusa.cli import parse_polynomial\n"
+        "from igusa.noncrit import check_noncritical\n"
         "for text in ['x^5 + y^7 + x^2*y^2', '2*x*y + 2*x^3 - 3*x^3*y^3', 'x^2 - 2*x*y + y^2']:\n"
         "    print(check_noncritical(parse_polynomial(text), mode='exact_small').verdict)\n"
         "print('sympy' in sys.modules)\n"

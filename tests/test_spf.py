@@ -297,7 +297,8 @@ class TestSpfEvaluate:
         assert result.trace.depth == 2
 
     def test_full_domain_is_built_once(self, monkeypatch):
-        # the singular lifts recurse over the full domain: a full D serves
+        # the singular lifts recurse over the full domain: a full D serves, and
+        # another root domain builds it at its first singular lift, not before
         built = []
         full = ResidueDomain.full.__func__
 
@@ -309,7 +310,11 @@ class TestSpfEvaluate:
         monkeypatch.setattr(ResidueDomain, "full", classmethod(counting_full))
         assert spf_evaluate(P("x^2 - 5"), D, P5).trace.depth == 2
         assert built == []
-        spf_evaluate(P("x^2 - 5"), ResidueDomain.unit_torus(5, 1), P5)
+        torus = ResidueDomain.unit_torus(5, 1)
+        spf_evaluate(P("x^2 - 5"), torus, P5)  # singular at 0 only, off the torus
+        assert built == []
+        # (x - 1)^2 - 5 is singular at 1
+        assert spf_evaluate(P("x^2 - 2x - 4"), torus, P5).trace.depth == 2
         assert built == [(5, 1)]
 
     def test_self_similar_recursion_detected(self):
@@ -329,6 +334,10 @@ class TestSpfEvaluate:
         # with a generous guard the chain terminates
         result = spf_evaluate(f, ResidueDomain.full(5, 1), P5)
         assert result.trace.depth == 11
+
+    def test_negative_depth_guard_rejected(self):
+        with pytest.raises(ValueError, match="depth_guard"):
+            spf_evaluate(P("x^2 - 5"), ResidueDomain.full(5, 1), P5, depth_guard=-1)
 
     def test_zero_polynomial_rejected(self):
         from igusa.mpoly import from_terms
@@ -350,7 +359,8 @@ class TestSpfEvaluate:
 
     @pytest.mark.parametrize(
         "text,p",
-        [("x^2 + x", 3), ("x + y", 3), ("x^2 - 5", 5), ("x^2 + 3x + y", 5)],
+        [("x^2 + x", 3), ("x + y", 3), ("x^2 - 5", 5), ("x^2 + 3x + y", 5)]
+        + [(text, p) for text in ("3x + 5", "x^2 + 3x + 1", "x^2 + y^2 + x") for p in (3, 5)],
     )
     def test_matches_counting_oracle(self, text, p):
         f = P(text)
