@@ -181,8 +181,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
 
     if cmd == "spf":
         p = PrimeSpec(req.prime)
-        domain = spf.ResidueDomain.full if req.domain == "full" else spf.ResidueDomain.unit_torus
-        result = spf.spf_evaluate(f, domain(p.p, f.nvars), p, depth_guard=req.depth_guard)
+        result = spf.spf_evaluate(f, p, torus=req.domain == "torus", depth_guard=req.depth_guard)
         payload = {
             "schema": SCHEMA,
             "f": str(f),
@@ -284,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     def budget(sp):
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sp.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
                         help="node budget (default 10^8) shared by the blocks of "
                         "disjoint variables; a node is one polynomial and precision "
                         "met in a block's recursion, and nodes with the same "

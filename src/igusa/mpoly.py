@@ -17,6 +17,7 @@ f on many residue classes: ``eval_mod`` reduces f mod m at points given
 by one broadcastable array per variable (the columns of explicit points,
 or the axes of a grid from ``residue_axes``, which is never built), and
 ``classify_mod_p`` adds the mask where every partial vanishes mod p.
+It runs in int64 and refuses a modulus m with (m - 1)^2 >= 2^63.
 ``reduction_key`` names f mod p, so that a caller can share one scan
 among the polynomials with the same reduction.  They import numpy
 themselves, so parsing a polynomial does not load it.
@@ -342,27 +343,20 @@ def reduction_key(f: Polynomial, p: int) -> tuple:
     return tuple((e, c % p) for e, c in f.canonical_key()[1] if c % p)
 
 
-def residue_dtype(modulus: int):
-    """int64 while (modulus - 1)^2 < 2^63, so no product of two residues
-    overflows; beyond that object, for numpy arrays of Python ints."""
-    import numpy as np
-
-    return np.int64 if (modulus - 1) ** 2 < 2**63 else object
-
-
 def eval_mod(f: Polynomial, coords, modulus: int):
     """f mod modulus, in [0, modulus), at the points of coords: one array
     per variable, broadcast together (the columns pts.T of explicit points,
-    or ``residue_axes``).  The result has their broadcast shape and, like
-    the arithmetic, ``residue_dtype(modulus)``: exact at every modulus.
-    Each factor of a term is reduced before it multiplies, so a term is at
-    most (m - 1)^2; the M terms are summed unreduced while
-    M (m - 1)^2 < 2^63, else reduced after each sum."""
+    or ``residue_axes``).  The result has their broadcast shape and dtype
+    int64, which is exact while (modulus - 1)^2 < 2^63; a larger modulus
+    raises ValueError.  Each factor of a term is reduced before it
+    multiplies, so a term is at most (m - 1)^2; the M terms are summed
+    unreduced while M (m - 1)^2 < 2^63, else reduced after each sum."""
     import numpy as np
 
-    dtype = residue_dtype(modulus)
-    coords = [np.asarray(c).astype(dtype, copy=False) for c in coords]
-    acc = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=dtype)
+    if (modulus - 1) ** 2 >= 2**63:
+        raise ValueError(f"eval_mod needs (modulus - 1)^2 < 2^63 for int64, got modulus {modulus}")
+    coords = [np.asarray(c).astype(np.int64, copy=False) for c in coords]
+    acc = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=np.int64)
     lazy = len(f.terms) * (modulus - 1) ** 2 < 2**63
     for exps, coeff in f.terms.items():
         term = coeff % modulus

@@ -67,9 +67,17 @@ def p_valuation(x: int, p: int) -> int:
         raise ValueError(f"valuation base must be at least 2, got {p!r}")
     if x == 0:
         raise ValueError("0 has no finite p-adic valuation")
-    x = abs(x)
+    if x % p:
+        return 0
+    # the squares p^(2^i) that divide x, divided out largest first: about
+    # 2 log2(v) divisions where dividing by p one at a time takes v
+    powers = [p]
+    while x % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
     v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
+    for i in range(len(powers) - 1, -1, -1):
+        quotient, rest = divmod(x, powers[i])
+        if not rest:
+            x = quotient
+            v += 1 << i
     return v

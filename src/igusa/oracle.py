@@ -111,7 +111,7 @@ def value_balls(
     taken from the same budget) plus the nodes met here: one per
     polynomial and precision in the recursion.  A node over ``budget``
     raises BudgetExceeded, and so do more than 4 * 10^6 residues mod p,
-    before any is scanned.
+    before any is scanned; a negative budget raises ValueError.
 
     A node sorts the p^n residue classes mod p by ``classify_mod_p``,
     which reads g mod p alone: the nodes of one call whose polynomials
@@ -126,6 +126,8 @@ def value_balls(
 
     if precision < 1:
         raise ValueError("precision must be >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     q = p.p
     n = f.nvars
     if q**n > RESIDUE_LIMIT:
@@ -224,7 +226,8 @@ def ball_counts(
     the points mod p^depth whose value is 0 mod p^j, and
     N_j = hits[j] / p^(n (depth - j)).  The blocks share one node budget,
     and ``nodes_expanded`` counts their nodes, one per polynomial and
-    precision of a block's recursion; running out raises BudgetExceeded.
+    precision of a block's recursion; running out raises BudgetExceeded,
+    and a negative budget ValueError (from ``value_balls``).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -1,118 +1,53 @@
-"""Stationary-phase evaluation of p-adic integrals over residue domains.
+"""Stationary-phase evaluation of p-adic integrals over residue grids.
 
-Here Z_D(s) = integral over D of |f(x)|^s |dx|, where D is the preimage
-in Z_p^n of a residue set Dbar in (F_p)^n.  Classifying Dbar into
-points where the reduction fbar is nonzero (measure nu), smooth zeros
-(measure sigma), and singular zeros gives the expansion
+Here Z_D(s) = integral over D of |f(x)|^s |dx|, where D is Z_p^n or its
+unit torus (Z_p^x)^n: the preimage of the grid {low..p-1}^n of residues
+in (F_p)^n, low = 0 or 1.  Classifying the grid into points where the
+reduction fbar is nonzero (measure nu), smooth zeros (measure sigma), and
+singular zeros gives the expansion
 
     Z_D = nu + sigma * (1 - 1/q) * t / (1 - t/q)
         + sum over singular lifts P of q^(-n) * t^(e_P) * Z(f_P)
 
-with t = q^(-s) and f(P + p x) = p^(e_P) f_P(x).  Recursing on the
+with t = q^(-s) and f(P + p x) = p^(e_P) f_P(x).  Each Z(f_P) is over
+all of Z_p^n, so only the root can be on the torus.  Recursing on the
 singular lifts terminates exactly when f has no singular point inside
 D, and the result is a rational function with the single denominator
-factor (1 - t/q).  The classification of Dbar is vectorised: one call of
-``mpoly.classify_mod_p`` on the coordinates of the domain, the axes of a
-grid or the columns of an explicit residue list.
+factor (1 - t/q).  The classification is vectorised: one call of
+``mpoly.classify_mod_p`` on the axes of ``mpoly.residue_axes``.
 It reads fbar alone, so within one evaluation the nodes whose
 polynomials have the same reduction mod p (``mpoly.reduction_key``) on
-the same domain share one classification: a chain of singular lifts
+the same grid share one classification: a chain of singular lifts
 whose reductions repeat scans its residues once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_dtype
-from .mpoly import residue_axes, shift_scale
+from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_axes
+from .mpoly import shift_scale
 from .numeric import PrimeSpec
 from .ratfun import RationalZeta
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DepthGuardExceeded(RuntimeError):
     """The SPF recursion did not terminate within the depth guard."""
 
 
-# ---------------------------------------------------------------------------
-# domains
-
-
-@dataclass(frozen=True, eq=False)
-class ResidueDomain:
-    """Preimage in Z_p^n of an explicit residue set in (F_p)^n.
-
-    ``coords`` holds one read-only array per coordinate, which broadcast
-    to the sorted, distinct residues in C order: the axes of
-    ``mpoly.residue_axes`` for ``full`` and ``unit_torus``, the columns of
-    the sorted residue list for ``of``.  ``spf_counts`` classifies them.
-    """
-
-    p: int
-    dim: int
-    coords: Tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        for c in self.coords:
-            c.flags.writeable = False
-
-    @classmethod
-    def full(cls, p: int, dim: int) -> "ResidueDomain":
-        return cls._grid(p, dim, 0)
-
-    @classmethod
-    def unit_torus(cls, p: int, dim: int) -> "ResidueDomain":
-        return cls._grid(p, dim, 1)
-
-    @classmethod
-    def _grid(cls, p: int, dim: int, low: int) -> "ResidueDomain":
-        """{low..p-1}^dim, after refusing more than RESIDUE_LIMIT residues."""
-        if dim < 1:
-            raise ValueError("domain dimension must be >= 1")
-        size = (p - low) ** dim
-        if size > RESIDUE_LIMIT:
-            raise ValueError(
-                f"a residue domain of dimension {dim} mod {p} has {p - low}^{dim} = {size} "
-                f"residues, over the limit of {RESIDUE_LIMIT}"
-            )
-        return cls(p, dim, residue_axes(p, dim, low))
-
-    @classmethod
-    def of(cls, p: int, residues: Sequence[Sequence[int]]) -> "ResidueDomain":
-        import numpy as np
-
-        pts = [tuple(r) for r in residues]
-        if not pts:
-            raise ValueError("explicit residue domain must be nonempty")
-        dim = len(pts[0])
-        if dim < 1:
-            raise ValueError("domain dimension must be >= 1")
-        listed = sorted(set(pts))
-        if set(map(len, listed)) - {dim}:
-            r = next(tuple(int(c) for c in r) for r in listed if len(r) != dim)
-            raise ValueError(f"residue {r} has wrong arity (dim {dim})")
-        rows = np.array(listed, dtype=residue_dtype(p)).reshape(-1, dim)
-        outside = ((rows < 0) | (rows >= p)).any(axis=1)
-        if outside.any():
-            r = tuple(rows[outside][0].tolist())
-            raise ValueError(f"residue {r} outside {{0..{p - 1}}}^{dim}")
-        return cls(p, dim, tuple(rows.T))
-
-    @property
-    def size(self) -> int:
-        import numpy as np
-
-        return int(np.prod(np.broadcast_shapes(*(c.shape for c in self.coords))))
-
-
-def _require_matching_prime(D: ResidueDomain, p: PrimeSpec):
-    if D.p != p.p:
-        raise ValueError(f"domain is mod {D.p} but evaluation prime is {p.p}")
+def _refuse_grid(p: int, n: int, low: int):
+    """Refuse the grid {low..p-1}^n when it has no coordinates or more
+    than RESIDUE_LIMIT residues; a size check that builds nothing."""
+    if n < 1:
+        raise ValueError("domain dimension must be >= 1")
+    size = (p - low) ** n
+    if size > RESIDUE_LIMIT:
+        raise ValueError(
+            f"a residue domain of dimension {n} mod {p} has {p - low}^{n} = {size} "
+            f"residues, over the limit of {RESIDUE_LIMIT}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +70,26 @@ class SPFCounts:
         }
 
 
-def spf_counts(f: Polynomial, D: ResidueDomain, p: PrimeSpec) -> SPFCounts:
-    """Classify every residue of D into nonzero / smooth zero / singular zero.
+def spf_counts(f: Polynomial, p: PrimeSpec, torus: bool = False) -> SPFCounts:
+    """Classify every residue of {0..p-1}^n, or of its torus {1..p-1}^n,
+    into nonzero / smooth zero / singular zero.
 
     nu and sigma are the Haar measures of the first two classes; the
     singular zeros are returned as their canonical lifts in {0..p-1}^n,
-    in sorted order.  One ``classify_mod_p`` pass over D's coords does it.
+    in sorted order.  One ``classify_mod_p`` pass over the grid's axes
+    does it, after ``_refuse_grid``.
     """
     import numpy as np
 
-    _require_matching_prime(D, p)
-    if f.nvars != D.dim:
-        raise ValueError(f"f has {f.nvars} variables but domain dimension is {D.dim}")
-    values, critical = classify_mod_p(f, D.coords, p.p)
+    low = int(torus)
+    _refuse_grid(p.p, f.nvars, low)
+    values, critical = classify_mod_p(f, residue_axes(p.p, f.nvars, low), p.p)
     zero = values == 0
-    singular = zero & critical
-    scale = Fraction(1, p.q**D.dim)
+    scale = Fraction(1, p.q**f.nvars)
     return SPFCounts(
         nu=int((~zero).sum()) * scale,
         sigma=int((zero & ~critical).sum()) * scale,
-        singular=tuple(zip(*(c[singular].tolist() for c in np.broadcast_arrays(*D.coords)))),
+        singular=tuple(map(tuple, (np.argwhere(zero & critical) + low).tolist())),
     )
 
 
@@ -211,49 +146,49 @@ def _path_str(path: Sequence[Tuple[int, ...]]) -> str:
 
 def spf_evaluate(
     f: Polynomial,
-    D: ResidueDomain,
     p: PrimeSpec,
+    torus: bool = False,
     depth_guard: int = 32,
 ) -> SPFEvaluation:
-    """Exact rational value of the integral over D of |f|^s |dx|.
+    """Exact rational value of the integral of |f|^s |dx| over Z_p^n, or
+    over the unit torus when ``torus``.
 
     Recursion terminates iff every singular-lift path eventually reaches
     a polynomial whose reduction has no singular zero on the relevant
     residues; a path exceeding depth_guard, or revisiting a polynomial
     already on the active stack (self-similar recursion), raises
     DepthGuardExceeded naming the offending path — the signature of a
-    singular point of f inside D.
+    singular point of f inside the domain.
 
-    A node meets either D (the root) or the full domain, so the keys
-    below record the domain as ``domain is full``.  The full domain is
-    built at the first singular lift, so its size limit binds only when
-    a lift needs it.  Each node classifies its residues by ``spf_counts``
-    only when no earlier node of this call had the same reduction mod p
-    and domain; the classification is shared, never kept beyond the call.
+    The root classifies the grid {low..p-1}^n, low = 1 on the torus, and
+    every lift the full grid, so the keys below record ``low``.  The
+    root grid's size limit is checked first; on the torus the full
+    grid's is checked once the root has a singular lift, so it binds
+    only when a lift needs it.  Each node classifies its residues by
+    ``spf_counts`` only when no earlier node of this call had the same
+    reduction mod p and grid; the classification is shared, never kept
+    beyond the call.
     """
-    _require_matching_prime(D, p)
-    if f.nvars != D.dim:
-        raise ValueError(f"f has {f.nvars} variables but domain dimension is {D.dim}")
+    q = p.q
+    n = f.nvars
+    low = int(torus)
+    _refuse_grid(p.p, n, low)
     if f.is_zero():
         raise ValueError("the zero polynomial has no finite |f|^s integral")
     if depth_guard < 0:
         raise ValueError(f"depth_guard must be >= 0, got {depth_guard}")
-    q = p.q
-    n = f.nvars
-    full = D if D.size == q**n else None
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
-    classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, domain is full) -> counts
+    classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, low) -> counts
     on_stack: List[tuple] = []
 
     def node(
         g: Polynomial,
-        domain: ResidueDomain,
+        low: int,
         path: Tuple[Tuple[int, ...], ...],
         order_e: int,
         cumulative_E: int,
     ) -> Tuple[Tuple[Fraction, ...], SPFTraceNode]:
-        nonlocal full
-        key = (g.canonical_key(), domain is full)
+        key = (g.canonical_key(), low)
         if key in memo:
             num, counts = memo[key]
             return num, SPFTraceNode(path, order_e, cumulative_E, counts, True, ())
@@ -269,21 +204,21 @@ def spf_evaluate(
             )
         on_stack.append(key)
         try:
-            reduction = (reduction_key(g, p.p), domain is full)
+            reduction = (reduction_key(g, p.p), low)
             counts = classified.get(reduction)
             if counts is None:
-                counts = classified[reduction] = spf_counts(g, domain, p)
+                counts = classified[reduction] = spf_counts(g, p, bool(low))
             numerator: List[Fraction] = [
                 counts.nu,
                 counts.sigma * (1 - Fraction(1, q)) - counts.nu * Fraction(1, q),
             ]
             children = []
-            if counts.singular and full is None:
-                full = ResidueDomain.full(p.p, n)
+            if counts.singular and low:
+                _refuse_grid(p.p, n, 0)  # the torus root's lifts scan the full grid
             for P in counts.singular:
                 e, g_child = shift_scale(g, P, p.p)
                 child_num, child_node = node(
-                    g_child, full, path + (P,), e, cumulative_E + e
+                    g_child, 0, path + (P,), e, cumulative_E + e
                 )
                 children.append(child_node)
                 scale = Fraction(1, q**n)
@@ -298,6 +233,6 @@ def spf_evaluate(
         memo[key] = (num, counts)
         return num, SPFTraceNode(path, order_e, cumulative_E, counts, False, tuple(children))
 
-    numerator, root = node(f, D, (), 0, 0)
+    numerator, root = node(f, low, (), 0, 0)
     zeta = RationalZeta(numerator=numerator, denominator_factors=((1, 1),), q=q)
     return SPFEvaluation(zeta=zeta, trace=SPFTrace(root))

@@ -13,7 +13,7 @@ from math import gcd, prod
 from typing import List, Sequence, Tuple
 
 from igusa.mpoly import Polynomial, from_terms
-from igusa.spf import ResidueDomain, SPFCounts
+from igusa.spf import SPFCounts
 
 
 def _reduce(mat: List[List[Fraction]], ncols: int) -> List[int]:
@@ -227,29 +227,21 @@ def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
     return c is not None and all(sum(a * b for a, b in zip(h, c)) > 0 for h in normals)
 
 
-def domain_residues(D: ResidueDomain) -> List[Tuple[int, ...]]:
-    """The residues of D as tuples of ints, in the C order of its coords,
-    which is sorted order."""
-    import numpy as np
-
-    return list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*D.coords))))
-
-
-def reference_spf_counts(f: Polynomial, D: ResidueDomain) -> SPFCounts:
-    """``spf_counts`` by a scalar loop: every residue of D in sorted order,
-    f and each partial evaluated exactly and reduced mod p."""
+def reference_spf_counts(f: Polynomial, p: int, low: int = 0) -> SPFCounts:
+    """``spf_counts`` by a scalar loop: every residue of {low..p-1}^n in
+    sorted order, f and each partial evaluated exactly and reduced mod p."""
     partials = f.partials()
     nonzero = 0
     smooth = 0
     singular = []
-    for r in domain_residues(D):
-        if f.evaluate(r) % D.p != 0:
+    for r in itertools.product(range(low, p), repeat=f.nvars):
+        if f.evaluate(r) % p != 0:
             nonzero += 1
-        elif all(g.evaluate(r) % D.p == 0 for g in partials):
+        elif all(g.evaluate(r) % p == 0 for g in partials):
             singular.append(r)
         else:
             smooth += 1
-    scale = Fraction(1, D.p**D.dim)
+    scale = Fraction(1, p**f.nvars)
     return SPFCounts(nu=nonzero * scale, sigma=smooth * scale, singular=tuple(singular))
 
 

@@ -15,8 +15,8 @@ something:
   ``zero_cone``, ``face_cone`` and ``product``.
 * ``m_of``, ``first_meet_locus`` and ``proper_faces`` read the weight data
   of a Newton polyhedron off its support and face lattice.
-* ``sup_bound`` certifies the supremum over a residue domain of a
-  pointwise order on a residue tree.
+* ``sup_bound`` certifies the supremum over Z_p^n of a pointwise order
+  on a residue tree.
 
 None of them imports a route it checks (``value_balls``, ``ball_counts``,
 ``spf_evaluate``, ``spf_counts``, ``shift_scale``, or the evaluation
@@ -29,12 +29,10 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from helpers import domain_residues
 from igusa.mpoly import Polynomial
 from igusa.newton import Face, NewtonPolyhedron, _dot
 from igusa.numeric import PrimeSpec, p_valuation
 from igusa.oracle import CountSeries
-from igusa.spf import ResidueDomain
 
 Domain = Callable[[Tuple[int, ...]], bool]  # membership of a valuation vector
 
@@ -159,20 +157,20 @@ class BoundNotCertified(RuntimeError):
     """A residue-tree branch stayed open at max_depth; the supremum may be infinite."""
 
 
-def sup_bound(f: Polynomial, D: ResidueDomain, p: PrimeSpec, mode: str, max_depth: int = 16) -> int:
-    """Certified supremum on D of L(f, .), the least order of f and its
+def sup_bound(f: Polynomial, p: PrimeSpec, mode: str, max_depth: int = 16) -> int:
+    """Certified supremum on Z_p^n of L(f, .), the least order of f and its
     partials (mode "L"), or of ell(f, .), of the partials only ("ell").
 
-    The residue tree refines D into cosets a + p^j Z_p^n.  On such a coset
+    The residue tree refines Z_p^n into cosets a + p^j Z_p^n.  On such a coset
     every listed polynomial g satisfies v(g(x)) = v(g(a)) whenever
     v(g(a)) < j, so once the least order at a is below j it is constant on
     the branch, which closes with that value.  A branch still open at
     max_depth raises BoundNotCertified: the supremum may be finite but
-    larger, or infinite (a singular or critical point inside D).
+    larger, or infinite (a singular or critical point of f).
     """
     polys = (f, *f.partials()) if mode == "L" else f.partials()
     best = 0
-    stack = [(r, 1) for r in domain_residues(D)]
+    stack = [(r, 1) for r in itertools.product(range(p.p), repeat=f.nvars)]
     while stack:
         point, depth = stack.pop()
         # a zero value has infinite order: counting it as depth keeps the branch open
@@ -187,6 +185,6 @@ def sup_bound(f: Polynomial, D: ResidueDomain, p: PrimeSpec, mode: str, max_dept
                 f"{max_depth}; sup {mode} on this branch is >= {depth}"
             )
         step = p.p**depth
-        for offset in itertools.product(range(p.p), repeat=D.dim):
+        for offset in itertools.product(range(p.p), repeat=f.nvars):
             stack.append((tuple(a + step * o for a, o in zip(point, offset)), depth + 1))
     return best

@@ -19,7 +19,7 @@ from igusa.newton import build_polyhedron
 from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series, verify_theorem
 from igusa.ratfun import expand
-from igusa.spf import ResidueDomain, spf_evaluate
+from igusa.spf import spf_evaluate
 from reference import count_mod, face_cone, product, proper_faces, sup_bound, zero_cone
 from test_newton import _check_cone_partition, _check_h_v_consistency
 
@@ -80,7 +80,7 @@ def test_c3_spf_matches_counting_oracle():
             for p in (3, 5):
                 f = P(text)
                 spec = PrimeSpec(p)
-                z = spf_evaluate(f, ResidueDomain.full(p, f.nvars), spec).zeta
+                z = spf_evaluate(f, spec).zeta
                 via_spf = expand(z, 9)
                 via_counts = measure_series(count_mod(f, spec, 10))
                 for m in range(10):
@@ -92,14 +92,13 @@ def test_c4_perturbation_invariance():
         f = P("x^2 + x")
         for p in (3, 5):
             spec = PrimeSpec(p)
-            dom = ResidueDomain.full(p, 1)
-            C = sup_bound(f, dom, spec, "L")
+            C = sup_bound(f, spec, "L")
             assert C == 0  # certified: the pointwise minimum never exceeds 0
             beta = 2 * C + 2
             from igusa.mpoly import from_terms
 
             g = from_terms(("x",), [((2,), 1), ((1,), 1), ((5,), p**beta)])
-            assert spf_evaluate(f, dom, spec).zeta == spf_evaluate(g, dom, spec).zeta
+            assert spf_evaluate(f, spec).zeta == spf_evaluate(g, spec).zeta
 
 
 def test_c5_denominator_verification():

@@ -291,6 +291,13 @@ class TestMain:
             "with precision 3/9 after 3 nodes (budget 3)"
         )
 
+    def test_count_with_budget_0_stops_at_the_root(self):
+        rc, out, err = invoke(["count", "-f", "x", "-p", "5", "--budget", "0"])
+        assert rc == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "BudgetExceeded"
+        assert error["message"].endswith("class (root) with precision 8/8 after 0 nodes (budget 0)")
+
     def test_count_over_the_residue_limit_exits_1(self):
         # one block in 4 variables: 53^4 = 7,890,481 residues mod 53,
         # refused before they are built
@@ -367,6 +374,8 @@ class TestMain:
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--max-deg", "-1"],
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "1"],
             ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "-1"],
+            ["count", "-f", "x", "-p", "5", "--budget", "-1"],
+            ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--budget", "-1"],
         ],
         ids=lambda argv: " ".join(argv) or "no subcommand",
     )
@@ -421,6 +430,23 @@ with open(os.path.join(os.path.dirname(__file__), "data", "golden_spf.json")) as
 @pytest.mark.parametrize("entry", GOLDEN_SPF, ids=lambda e: " ".join(e["argv"]))
 def test_spf_matches_golden(entry):
     assert invoke(entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+# `igusa verify` runs, recorded before the denominator factors became
+# plain (A, B) pairs
+with open(os.path.join(os.path.dirname(__file__), "data", "golden_verify.json")) as fh:
+    GOLDEN_VERIFY = json.load(fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN_VERIFY, ids=lambda e: " ".join(e["argv"]))
+def test_verify_matches_golden(entry):
+    import igusa
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(igusa.__file__)))
+    cmd = [sys.executable, "-m", "igusa.cli", *entry["argv"]]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == entry["code"], proc.stderr
+    assert proc.stdout == entry["stdout"]
 
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")

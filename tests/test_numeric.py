@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -56,6 +58,35 @@ class TestPValuation:
             if u % p == 0:
                 u += p - 1
         assert p_valuation(p**k * u, p) == k
+
+
+    def test_matches_division_one_at_a_time(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7, 101, 2**61 - 1])
+            e = rng.choice([0, 1, 2, 3, rng.randrange(300)])
+            unit = rng.randrange(1, 10**9) * rng.choice([1, -1])
+            x = p**e * unit
+            v, rest = 0, abs(x)
+            while rest % p == 0:
+                rest //= p
+                v += 1
+            assert p_valuation(x, p) == v
+
+    def test_unit_takes_one_modulo(self):
+        class Counted(int):
+            mods = 0
+
+            def __mod__(self, other):
+                Counted.mods += 1
+                return int(self) % other
+
+        assert p_valuation(Counted(12), 5) == 0
+        assert Counted.mods == 1
+
+    def test_large_valuation(self):
+        # a valuation of 2 * 10^5 took 9 s when p was divided out one at a time
+        assert p_valuation(3 * 2**200000, 2) == 200000
 
 
 class TestPrimeSpec:

@@ -153,6 +153,15 @@ class TestBallCounts:
         ):
             ball_counts(P("x^2 + y^3"), P5, 9, budget=3)
 
+    def test_negative_budget_is_refused(self):
+        # budget 0 stops at the root; a negative budget is no budget at all
+        with pytest.raises(BudgetExceeded, match=r"class \(root\) .* after 0 nodes \(budget 0\)$"):
+            ball_counts(P("x"), P5, 3, budget=0)
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            ball_counts(P("x"), P5, 3, budget=-1)
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            value_balls(P("x"), P5, 3, budget=-1)
+
     def test_residue_limit_raises_before_the_scan(self):
         with pytest.raises(BudgetExceeded, match=r"53\^4 = 7890481 residues mod 53"):
             ball_counts(P("x*y*z*w"), PrimeSpec(53), 1)

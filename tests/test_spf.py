@@ -1,119 +1,33 @@
-import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import domain_residues, random_sparse_poly, reference_spf_counts
+from helpers import random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
 from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series
 from igusa.ratfun import expand
-from igusa.spf import DepthGuardExceeded, ResidueDomain, spf_counts, spf_evaluate
+from igusa.spf import DepthGuardExceeded, spf_counts, spf_evaluate
 from reference import BoundNotCertified, count_mod, sup_bound
 
 P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
 
 
-def _rows(D):
-    """A domain's prime, dimension and residues, for comparing two domains."""
-    return D.p, D.dim, domain_residues(D)
-
-
-class TestResidueDomain:
-    def test_full(self):
-        D = ResidueDomain.full(5, 2)
-        assert D.size == 25
-        assert D.dim == 2
-
-    def test_unit_torus(self):
-        D = ResidueDomain.unit_torus(3, 2)
-        assert D.size == 4
-        assert all(all(x % 3 != 0 for x in r) for r in domain_residues(D))
-
-    def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
-        # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
-        from igusa import spf
-
-        monkeypatch.setattr(spf, "residue_axes", None)
-        full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
-        with pytest.raises(ValueError, match=full):
-            ResidueDomain.full(53, 4)
-        torus = r"has 52\^4 = 7311616 residues, over the limit of 4000000$"
-        with pytest.raises(ValueError, match=torus):
-            ResidueDomain.unit_torus(53, 4)
-
-    def test_of_validates(self):
-        D = ResidueDomain.of(5, [(1, 2), (0, 0)])
-        assert D.size == 2
-        with pytest.raises(ValueError):
-            ResidueDomain.of(5, [(1, 2), (0,)])
-        with pytest.raises(ValueError):
-            ResidueDomain.of(5, [(7, 0)])
-
-    def test_validation_messages(self):
-        with pytest.raises(ValueError, match=r"^residue \(0,\) has wrong arity \(dim 2\)$"):
-            ResidueDomain.of(5, [(1, 2), (0,)])
-        with pytest.raises(ValueError, match=r"^residue \(7, 0\) outside \{0\.\.4\}\^2$"):
-            ResidueDomain.of(5, [(1, 2), (7, 0)])
-        with pytest.raises(ValueError, match=r"^residue \(0, -1\) outside \{0\.\.4\}\^2$"):
-            ResidueDomain.of(5, [(0, -1)])
-
-    def test_rows_sorted_unique_and_plain_ints(self):
-        D = ResidueDomain.of(5, [(3, 1), (0, 4), (3, 1), (np.int64(2), 2)])
-        assert domain_residues(D) == [(0, 4), (2, 2), (3, 1)]
-        same = ResidueDomain.of(5, [(0, 4), (2, 2), (3, 1)])
-        assert _rows(D) == _rows(same)
-        assert [c.dtype for c in D.coords] == [np.int64] * 2
-
-    def test_keys_distinguish(self):
-        a = ResidueDomain.full(5, 1)
-        b = ResidueDomain.unit_torus(5, 1)
-        assert _rows(a) != _rows(b)
-
-    def test_grids_equal_their_explicit_residues(self):
-        every = list(itertools.product(range(5), repeat=2))
-        full, torus = ResidueDomain.full(5, 2), ResidueDomain.unit_torus(5, 2)
-        assert _rows(full) == _rows(ResidueDomain.of(5, every[::-1]))
-        units = [r for r in every if 0 not in r]
-        assert _rows(torus) == _rows(ResidueDomain.of(5, units))
-        assert _rows(full) != _rows(torus)
-        assert _rows(full) != _rows(ResidueDomain.full(7, 2))
-        assert _rows(full) != _rows(ResidueDomain.full(5, 1))
-
-    def test_grids_are_sorted_readonly_int64_rows(self):
-        D = ResidueDomain.unit_torus(3, 2)
-        assert domain_residues(D) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert [c.dtype for c in D.coords] == [np.int64] * 2
-        with pytest.raises(ValueError):
-            D.coords[0][0, 0] = 0
-
-    def test_domain_dimension_checked(self):
-        with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
-            ResidueDomain.full(5, 0)
-        with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
-            ResidueDomain.of(5, [()])
-
-
 class TestSpfCounts:
     def test_smooth_line(self):
-        c = spf_counts(P("x"), ResidueDomain.full(5, 1), P5)
+        c = spf_counts(P("x"), P5)
         assert (c.nu, c.sigma, c.singular) == (Fraction(4, 5), Fraction(1, 5), ())
 
     def test_double_zero(self):
-        c = spf_counts(P("x^2"), ResidueDomain.full(5, 1), P5)
+        c = spf_counts(P("x^2"), P5)
         assert (c.nu, c.sigma, c.singular) == (Fraction(4, 5), Fraction(0), ((0,),))
 
     def test_torus_without_zeros(self):
-        c = spf_counts(P("x^2 + y^2"), ResidueDomain.unit_torus(3, 2), P3)
+        c = spf_counts(P("x^2 + y^2"), P3, torus=True)
         assert (c.nu, c.sigma, c.singular) == (Fraction(4, 9), Fraction(0), ())
-
-    def test_prime_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            spf_counts(P("x"), ResidueDomain.full(5, 1), P3)
 
     @settings(max_examples=40)
     @given(
@@ -130,11 +44,9 @@ class TestSpfCounts:
 
         a, b, c = coeffs
         f = from_terms(("x", "y"), [((2, 0), a), ((0, 2), b), ((1, 1), c), ((1, 0), 1)])
-        spec = PrimeSpec(p)
-        D = ResidueDomain.unit_torus(p, 2) if torus else ResidueDomain.full(p, 2)
-        counts = spf_counts(f, D, spec)
+        counts = spf_counts(f, PrimeSpec(p), torus)
         total = counts.nu + counts.sigma + Fraction(len(counts.singular), p**2)
-        assert total == Fraction(D.size, p**2)
+        assert total == Fraction((p - torus) ** 2, p**2)
 
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -142,34 +54,27 @@ class TestSpfCounts:
         rng = random.Random(p)
         spec = PrimeSpec(p)
         for n in (1, 2, 3):
-            every = list(itertools.product(range(p), repeat=n))
-            domains = [ResidueDomain.full(p, n), ResidueDomain.unit_torus(p, n)]
-            domains += [ResidueDomain.of(p, rng.sample(every, rng.randint(1, len(every))))
-                        for _ in range(2)]
-            for D in domains:
+            for torus in (False, True):
                 for _ in range(3):
                     f = random_sparse_poly(rng, n, max_terms=5, max_exp=5, origin_vanishing=False)
-                    got = spf_counts(f, D, spec)
-                    want = reference_spf_counts(f, D)
+                    got = spf_counts(f, spec, torus)
+                    want = reference_spf_counts(f, p, int(torus))
                     assert (got.nu, got.sigma, got.singular) == (want.nu, want.sigma, want.singular)
 
 
 class TestSharedClassification:
-    """spf_evaluate classifies each reduction mod p once per domain."""
+    """spf_evaluate classifies each reduction mod p once per grid."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_counts_depend_on_the_reduction_only(self, p):
         rng = random.Random(100 + p)
         spec = PrimeSpec(p)
         for n in (1, 2, 3):
-            every = list(itertools.product(range(p), repeat=n))
-            domains = [ResidueDomain.full(p, n), ResidueDomain.unit_torus(p, n),
-                       ResidueDomain.of(p, rng.sample(every, rng.randint(1, len(every))))]
-            for D in domains:
+            for torus in (False, True):
                 for _ in range(3):
                     g = random_sparse_poly(rng, n, max_terms=5, max_exp=5, origin_vanishing=False)
                     h = random_sparse_poly(rng, n, max_terms=4, max_exp=6, origin_vanishing=False)
-                    assert spf_counts(g, D, spec) == spf_counts(g + p * h, D, spec)
+                    assert spf_counts(g, spec, torus) == spf_counts(g + p * h, spec, torus)
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -178,9 +83,9 @@ class TestSharedClassification:
         calls = []
         original = spf.spf_counts
 
-        def counting(f, D, p):
+        def counting(f, p, torus=False):
             calls.append(str(f))
-            return original(f, D, p)
+            return original(f, p, torus)
 
         monkeypatch.setattr(spf, "spf_counts", counting)
         return calls
@@ -197,31 +102,30 @@ class TestSharedClassification:
         assert invoke(["spf", "-f", "x^2 + y^3", "-p", "5"]) == first
         assert len(calls) == 4
 
-    # (polynomial, p, root domain, classifications, trace nodes); on the
-    # origin alone the root shares its reduction, not its domain, with
-    # the children
+    # (polynomial, p, root grid, classifications, trace nodes); a torus
+    # root classifies its own grid, and its lifts the full one
     @pytest.mark.parametrize("text, p, root, calls, nodes", [
         ("x^2 - 5^12", 5, "full", 2, 7),  # x^2 mod 5 at six nodes, then x^2 - 1
-        ("x^2 - 5^12", 5, "origin", 3, 7),
+        ("x^2 - 2*x + 1 - 5^12", 5, "torus", 3, 7),  # (x - 1)^2 at the root
         ("x^2 + y^2 - 9*z^2 + 3^9", 3, "full", 3, 16),
-        ("x^2 + y^2 - 9*z^2 + 3^9", 3, "origin", 4, 14),
+        # (x - 1)^2 + (y - 1)^2 - 9 (z - 1)^2 + 3^9: at (1, 1, 1) the lift is
+        # the full row's polynomial over 3^2
+        ("x^2 - 2*x + y^2 - 2*y - 9*z^2 + 18*z - 7 + 3^9", 3, "torus", 4, 15),
         ("x^2 - 4*y^2 + x*y*z - 2^8", 2, "full", 11, 106),
     ])
     def test_every_node_keeps_its_own_counts(self, monkeypatch, text, p, root, calls, nodes):
         from igusa.mpoly import shift_scale
 
-        f, spec = P(text), PrimeSpec(p)
-        full = ResidueDomain.full(p, f.nvars)
-        D = full if root == "full" else ResidueDomain.of(p, [(0,) * f.nvars])
+        f, spec, torus = P(text), PrimeSpec(p), root == "torus"
         made = self._count_calls(monkeypatch)
-        result = spf_evaluate(f, D, spec)
+        result = spf_evaluate(f, spec, torus)
         assert len(made) == calls
         monkeypatch.undo()
         todo = [(result.trace.root, f)]
         while todo:
             node, g = todo.pop()
             nodes -= 1
-            assert node.counts == spf_counts(g, D if node.path == () else full, spec)
+            assert node.counts == spf_counts(g, spec, torus and node.path == ())
             for child in node.children:
                 e, h = shift_scale(g, child.path[-1], p)
                 assert e == child.order_e
@@ -231,29 +135,29 @@ class TestSharedClassification:
 
 class TestSupBound:
     def test_unit_derivative_everywhere(self):
-        assert sup_bound(P("x"), ResidueDomain.full(5, 1), P5, "ell") == 0
+        assert sup_bound(P("x"), P5, "ell") == 0
 
     def test_smooth_parabola(self):
-        assert sup_bound(P("x^2 + x"), ResidueDomain.full(5, 1), P5, "L") == 0
-        assert sup_bound(P("x^2 + x"), ResidueDomain.full(3, 1), P3, "L") == 0
+        assert sup_bound(P("x^2 + x"), P5, "L") == 0
+        assert sup_bound(P("x^2 + x"), P3, "L") == 0
 
     def test_shifted_square(self):
-        assert sup_bound(P("x^2 - 5"), ResidueDomain.full(5, 1), P5, "L") == 1
+        assert sup_bound(P("x^2 - 5"), P5, "L") == 1
 
     def test_interior_critical_point_never_closes(self):
         # 2x + 1 = 0 has a solution in the 3-adic and 5-adic integers, so
         # the derivative-only supremum is infinite and the tree reports
         # the open branch instead of a value
         with pytest.raises(BoundNotCertified, match=r"\(3280,\)"):
-            sup_bound(P("x^2 + x"), ResidueDomain.full(3, 1), P3, "ell", max_depth=8)
+            sup_bound(P("x^2 + x"), P3, "ell", max_depth=8)
         with pytest.raises(BoundNotCertified, match=r"\(195312,\)"):
-            sup_bound(P("x^2 + x"), ResidueDomain.full(5, 1), P5, "ell", max_depth=8)
+            sup_bound(P("x^2 + x"), P5, "ell", max_depth=8)
 
     def test_degenerate_origin_never_closes(self):
         with pytest.raises(BoundNotCertified, match=r"\(0,\)"):
-            sup_bound(P("x^2"), ResidueDomain.full(3, 1), P3, "ell", max_depth=6)
+            sup_bound(P("x^2"), P3, "ell", max_depth=6)
         with pytest.raises(BoundNotCertified):
-            sup_bound(P("x^2"), ResidueDomain.full(3, 1), P3, "L", max_depth=6)
+            sup_bound(P("x^2"), P3, "L", max_depth=6)
 
     @pytest.mark.parametrize(
         "text,mode,p",
@@ -262,7 +166,7 @@ class TestSupBound:
     def test_certified_value_matches_direct_minimization(self, text, mode, p):
         f = P(text)
         spec = PrimeSpec(p)
-        bound = sup_bound(f, ResidueDomain.full(p, 1), spec, mode)
+        bound = sup_bound(f, spec, mode)
         polys = (f, *f.partials()) if mode == "L" else f.partials()
         # direct check at one level past the certified bound: the
         # truncated pointwise minimum must attain the bound and never
@@ -283,12 +187,12 @@ class TestSupBound:
 
 class TestSpfEvaluate:
     def test_smooth_line_closed_form(self):
-        result = spf_evaluate(P("x"), ResidueDomain.full(5, 1), P5)
+        result = spf_evaluate(P("x"), P5)
         assert result.zeta.numerator == (Fraction(4, 5),)
         assert result.zeta.denominator_factors == ((1, 1),)
 
     def test_shifted_square_terminates(self):
-        result = spf_evaluate(P("x^2 - 5"), ResidueDomain.full(5, 1), P5)
+        result = spf_evaluate(P("x^2 - 5"), P5)
         assert result.zeta.numerator == (
             Fraction(4, 5),
             Fraction(1, 25),
@@ -296,57 +200,72 @@ class TestSpfEvaluate:
         )
         assert result.trace.depth == 2
 
-    def test_full_domain_is_built_once(self, monkeypatch):
-        # the singular lifts recurse over the full domain: a full D serves, and
-        # another root domain builds it at its first singular lift, not before
-        built = []
-        full = ResidueDomain.full.__func__
+    def test_full_grid_is_checked_at_the_first_singular_lift(self):
+        # 13^6 residues are over the limit, 12^6 are not: a torus root
+        # refuses the full grid only when one of its lifts needs it
+        P13 = PrimeSpec(13)
+        squares = "x^2 + y^2 + z^2 + u^2 + v^2 + w^2"  # singular at the origin only
+        assert spf_evaluate(P(squares), P13, torus=True).trace.depth == 1
+        shifted = "x^2-2x+y^2-2y+z^2-2z+u^2-2u+v^2-2v+w^2-2w+6"  # singular at (1, ..., 1)
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 6 mod 13 has "
+                                             r"13\^6 = 4826809 residues, over the limit"):
+            spf_evaluate(P(shifted), P13, torus=True)
 
-        def counting_full(cls, p, dim):
-            built.append((p, dim))
-            return full(cls, p, dim)
+    def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
+        # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
+        from igusa import spf
 
-        D = ResidueDomain.full(5, 1)
-        monkeypatch.setattr(ResidueDomain, "full", classmethod(counting_full))
-        assert spf_evaluate(P("x^2 - 5"), D, P5).trace.depth == 2
-        assert built == []
-        torus = ResidueDomain.unit_torus(5, 1)
-        spf_evaluate(P("x^2 - 5"), torus, P5)  # singular at 0 only, off the torus
-        assert built == []
-        # (x - 1)^2 - 5 is singular at 1
-        assert spf_evaluate(P("x^2 - 2x - 4"), torus, P5).trace.depth == 2
-        assert built == [(5, 1)]
+        monkeypatch.setattr(spf, "residue_axes", None)
+        f = P("x + y + z + w")
+        full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
+        with pytest.raises(ValueError, match=full):
+            spf_evaluate(f, PrimeSpec(53))
+        torus = r"has 52\^4 = 7311616 residues, over the limit of 4000000$"
+        with pytest.raises(ValueError, match=torus):
+            spf_evaluate(f, PrimeSpec(53), torus=True)
+
+    def test_refusals_keep_their_order(self):
+        # dimension, then the root grid's size, then the zero polynomial,
+        # then depth_guard
+        with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
+            spf_evaluate(P("5"), P5)
+        with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
+            spf_evaluate(P("0"), P5, depth_guard=-1)
+        with pytest.raises(ValueError, match="53\\^4 = 7890481 residues"):
+            spf_evaluate(P("0*x*y*z*w"), PrimeSpec(53), depth_guard=-1)
+        with pytest.raises(ValueError, match="^the zero polynomial"):
+            spf_evaluate(P("0*x"), P5, depth_guard=-1)
 
     def test_self_similar_recursion_detected(self):
         with pytest.raises(DepthGuardExceeded, match="self-similar"):
-            spf_evaluate(P("x^2"), ResidueDomain.full(5, 1), P5)
+            spf_evaluate(P("x^2"), P5)
 
     def test_singular_direct_sum_detected(self):
         with pytest.raises(DepthGuardExceeded):
-            spf_evaluate(P("x^2 + y^2"), ResidueDomain.full(3, 2), P3)
+            spf_evaluate(P("x^2 + y^2"), P3)
 
     def test_depth_guard_cuts_long_chains(self):
         from igusa.mpoly import from_terms
 
         f = from_terms(("x",), [((2,), 1), ((0,), -(5**20))])
         with pytest.raises(DepthGuardExceeded, match="depth"):
-            spf_evaluate(f, ResidueDomain.full(5, 1), P5, depth_guard=3)
+            spf_evaluate(f, P5, depth_guard=3)
         # with a generous guard the chain terminates
-        result = spf_evaluate(f, ResidueDomain.full(5, 1), P5)
+        result = spf_evaluate(f, P5)
         assert result.trace.depth == 11
 
     def test_negative_depth_guard_rejected(self):
         with pytest.raises(ValueError, match="depth_guard"):
-            spf_evaluate(P("x^2 - 5"), ResidueDomain.full(5, 1), P5, depth_guard=-1)
+            spf_evaluate(P("x^2 - 5"), P5, depth_guard=-1)
 
     def test_zero_polynomial_rejected(self):
         from igusa.mpoly import from_terms
 
         with pytest.raises(ValueError):
-            spf_evaluate(from_terms(("x",), []), ResidueDomain.full(5, 1), P5)
+            spf_evaluate(from_terms(("x",), []), P5)
 
     def test_torus_constant(self):
-        result = spf_evaluate(P("x^2 + y^2"), ResidueDomain.unit_torus(3, 2), P3)
+        result = spf_evaluate(P("x^2 + y^2"), P3, torus=True)
         series = expand(result.zeta, 6)
         assert series.coefficients == (Fraction(4, 9),) + (Fraction(0),) * 6
 
@@ -354,7 +273,7 @@ class TestSpfEvaluate:
         cases = [("x", 3), ("x^2 + x", 3), ("x^2 - 5", 5), ("x + y", 3), ("x^2 + 3x + y", 5)]
         for text, p in cases:
             spec = PrimeSpec(p)
-            result = spf_evaluate(P(text), ResidueDomain.full(p, P(text).nvars), spec)
+            result = spf_evaluate(P(text), spec)
             assert result.zeta.denominator_factors == ((1, 1),)
 
     @pytest.mark.parametrize(
@@ -366,9 +285,7 @@ class TestSpfEvaluate:
         f = P(text)
         spec = PrimeSpec(p)
         depth = 6
-        via_spf = expand(
-            spf_evaluate(f, ResidueDomain.full(p, f.nvars), spec).zeta, depth
-        )
+        via_spf = expand(spf_evaluate(f, spec).zeta, depth)
         via_counts = measure_series(count_mod(f, spec, depth + 1))
         for m in range(depth + 1):
             assert via_spf.coeff(m) == via_counts.coeff(m), (text, p, m)
@@ -377,18 +294,13 @@ class TestSpfEvaluate:
         for text, p, torus in [("x^2 + x", 3, False), ("x^2 - 5", 5, False), ("x", 5, True)]:
             f = P(text)
             spec = PrimeSpec(p)
-            D = (
-                ResidueDomain.unit_torus(p, f.nvars)
-                if torus
-                else ResidueDomain.full(p, f.nvars)
-            )
-            series = expand(spf_evaluate(f, D, spec).zeta, 8)
+            series = expand(spf_evaluate(f, spec, torus).zeta, 8)
             assert all(c >= 0 for c in series.coefficients)
             total = sum(series.coefficients)
-            assert total <= Fraction(D.size, p**f.nvars)
+            assert total <= Fraction((p - torus) ** f.nvars, p**f.nvars)
 
     def test_trace_structure(self):
-        result = spf_evaluate(P("x^2 - 5"), ResidueDomain.full(5, 1), P5)
+        result = spf_evaluate(P("x^2 - 5"), P5)
         root = result.trace.root
         assert root.path == ()
         assert len(root.children) == 1
