@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -187,9 +188,21 @@ class TestEvalMod:
     def test_refuses_moduli_past_int64(self, modulus):
         # (m - 1)^2 >= 2^63: a product of two residues could overflow int64
         coords = (np.array([2, 5], dtype=np.int64),)
-        assert eval_mod(P("x^2"), coords, 3**19).dtype == np.int64
         with pytest.raises(ValueError, match=f"^eval_mod needs .* got modulus {modulus}$"):
             eval_mod(P("x^2"), coords, modulus)
+
+    def test_switches_to_refusal_at_the_int64_bound(self):
+        # 3^19 and the largest m with (m - 1)^2 < 2^63 run in int64; the
+        # next modulus is refused
+        top = math.isqrt(2**63 - 1) + 1
+        assert (top - 1) ** 2 < 2**63 <= top**2
+        for m in (3**19, top):
+            xs = [2, 5, m - 2, m - 1]
+            got = eval_mod(P("x^2"), (np.array(xs, dtype=np.int64),), m)
+            assert got.dtype == np.int64
+            assert got.tolist() == [x * x % m for x in xs]
+        with pytest.raises(ValueError, match=f"^eval_mod needs .* got modulus {top + 1}$"):
+            eval_mod(P("x^2"), (np.array([2], dtype=np.int64),), top + 1)
 
     def test_classify_marks_common_zeros_of_the_partials(self):
         f = P("x^2 + y^3 + x*y")
