@@ -176,7 +176,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         return payload, 0
 
     if cmd == "poles":
-        poles = tsden.candidate_poles(f, parse_polynomial(req.g_text))
+        poles = tsden.denominator(f, parse_polynomial(req.g_text)).candidate_poles()
         return {"schema": SCHEMA, "poles": [str(x) for x in poles]}, 0
 
     if cmd == "spf":
@@ -200,7 +200,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         payload = {
             "schema": SCHEMA,
             **counts.as_dict(),
-            "series": [str(c) for c in series.coefficients],
+            "series": [str(c) for c in series],
         }
         return payload, 0
 

@@ -95,12 +95,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, abs(c))
-        return g
-
     def canonical_key(self):
         return self._key
 

@@ -36,14 +36,7 @@ from . import tsden
 from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod
 from .mpoly import _scale_out, _shift_terms, reduction_key, residue_axes
 from .numeric import DEFAULT_BUDGET, PrimeSpec
-from .ratfun import (
-    Factor,
-    PowerSeries,
-    RationalZeta,
-    poles,
-    recover_numerator,
-    reduce_factors,
-)
+from .ratfun import Factor, RationalZeta, poles, recover_numerator, reduce_factors
 
 
 class BudgetExceeded(RuntimeError):
@@ -268,7 +261,7 @@ def ball_counts(
     return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=1, nodes_expanded=nodes)
 
 
-def measure_series(counts: CountSeries) -> PowerSeries:
+def measure_series(counts: CountSeries) -> Tuple[Fraction, ...]:
     """coefficient of t^m = N_m q^(-mn) - N_(m+1) q^(-(m+1)n), m < depth.
 
     This is the Haar volume of {x : v(f(x)) = m}; the last usable index
@@ -276,12 +269,11 @@ def measure_series(counts: CountSeries) -> PowerSeries:
     """
     q = counts.p.q
     n = counts.dim
-    coeffs = [
+    return tuple(
         Fraction(counts.N(m), q ** (m * n))
         - Fraction(counts.N(m + 1), q ** ((m + 1) * n))
         for m in range(counts.depth)
-    ]
-    return PowerSeries(tuple(coeffs))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +290,11 @@ class VerificationReport:
     max_deg: int
     factors: Tuple[Factor, ...]
     counts: CountSeries
-    series: PowerSeries
+    series: Tuple[Fraction, ...]
     numerator: Optional[Tuple[Fraction, ...]]
     residuals: Tuple[Tuple[int, Fraction], ...]
     cancelled_factors: Tuple[Factor, ...]
     surviving_factors: Tuple[Factor, ...]
-
-    @property
-    def candidate_poles(self) -> Tuple[Fraction, ...]:
-        return poles(self.factors)
-
-    @property
-    def surviving_poles(self) -> Tuple[Fraction, ...]:
-        return poles(self.surviving_factors)
 
     def as_dict(self) -> dict:
         return {
@@ -319,15 +303,15 @@ class VerificationReport:
             "depth": self.depth,
             "max_deg": self.max_deg,
             "factors": [list(f) for f in self.factors],
-            "candidate_poles": [str(x) for x in self.candidate_poles],
+            "candidate_poles": [str(x) for x in poles(self.factors)],
             "counts": list(self.counts.counts),
-            "series": [str(c) for c in self.series.coefficients],
+            "series": [str(c) for c in self.series],
             "numerator": None
             if self.numerator is None
             else [str(c) for c in self.numerator],
             "residuals": [[m, str(c)] for m, c in self.residuals],
             "cancelled_factors": [list(f) for f in self.cancelled_factors],
-            "poles_surviving": [str(x) for x in self.surviving_poles],
+            "poles_surviving": [str(x) for x in poles(self.surviving_factors)],
             # schema 1 keeps the key; verify does not test non-criticality
             "noncrit_warnings": [],
         }

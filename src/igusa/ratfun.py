@@ -66,27 +66,6 @@ def denominator_polynomial(factors: Sequence[Factor], q: int) -> List[Fraction]:
 
 
 @dataclass(frozen=True)
-class PowerSeries:
-    """A finite prefix of a formal power series in t: coefficients[m] = [t^m]."""
-
-    coefficients: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-
-    @property
-    def depth(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coeff(self, m: int) -> Fraction:
-        if not 0 <= m <= self.depth:
-            raise IndexError(f"coefficient {m} outside stored range 0..{self.depth}")
-        return self.coefficients[m]
-
-
-@dataclass(frozen=True)
 class RationalZeta:
     """N(t) / prod (1 - q^(-A) t^B) with exact coefficients, at prime power q."""
 
@@ -104,22 +83,19 @@ class RationalZeta:
             tuple(sorted(_check_factor(f) for f in self.denominator_factors)),
         )
 
-    def denominator_poly(self) -> List[Fraction]:
-        return denominator_polynomial(self.denominator_factors, self.q)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalZeta):
             return NotImplemented
         if self.q != other.q:
             return False
         # cross-multiply: N1 * D2 == N2 * D1 as polynomials in t
-        left = _poly_mul(self.numerator, other.denominator_poly())
-        right = _poly_mul(other.numerator, self.denominator_poly())
+        left = _poly_mul(self.numerator, denominator_polynomial(other.denominator_factors, self.q))
+        right = _poly_mul(other.numerator, denominator_polynomial(self.denominator_factors, self.q))
         return _trim(left) == _trim(right)
 
     def __hash__(self):
         # equal values share q and their Maclaurin coefficients
-        return hash((self.q, expand(self, 3).coefficients))
+        return hash((self.q, expand(self, 3)))
 
     def __str__(self) -> str:
         num = _poly_str(self.numerator)
@@ -154,8 +130,9 @@ def _poly_str(coeffs: Sequence[Fraction]) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def expand(z: RationalZeta, depth: int) -> PowerSeries:
-    """Exact Maclaurin coefficients of z up to t^depth.
+def expand(z: RationalZeta, depth: int) -> Tuple[Fraction, ...]:
+    """Exact Maclaurin coefficients of z up to t^depth: a series, the
+    tuple of its coefficients of t^0 .. t^depth.
 
     Each factor 1/(1 - q^(-A) t^B) turns a series s into s' with
     s'[m] = s[m] + q^(-A) * s'[m - B].
@@ -170,14 +147,7 @@ def expand(z: RationalZeta, depth: int) -> PowerSeries:
         u = Fraction(1, z.q**a)
         for m in range(b, depth + 1):
             coeffs[m] = coeffs[m] + u * coeffs[m - b]
-    return PowerSeries(tuple(coeffs))
-
-
-def series_times_denominator(
-    series: PowerSeries, factors: Sequence[Factor], q: int
-) -> List[Fraction]:
-    """series * prod(1 - q^(-A) t^B), reliable through degree series.depth."""
-    return _poly_mul(denominator_polynomial(factors, q), series.coefficients)[: series.depth + 1]
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -190,7 +160,7 @@ class RecoveryResult:
 
 
 def recover_numerator(
-    series: PowerSeries, factors: Sequence[Factor], q: int, max_deg: int
+    series: Sequence[Fraction], factors: Sequence[Factor], q: int, max_deg: int
 ) -> RecoveryResult:
     """Recover N(t) of degree <= max_deg with series = N / prod(factors).
 
@@ -203,19 +173,18 @@ def recover_numerator(
     full recurrence order) makes the check maximally informative and is
     what the default parameters of the verification pipeline aim for.
     """
-    factors = [_check_factor(f) for f in factors]
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
-    if series.depth < max_deg + 1:
+    depth = len(series) - 1
+    if depth < max_deg + 1:
         raise ValueError(
-            f"series depth {series.depth} leaves no residual coefficients "
+            f"series depth {depth} leaves no residual coefficients "
             f"beyond max_deg {max_deg}"
         )
-    product = series_times_denominator(series, factors, q)
+    # series * prod(1 - q^(-A) t^B), reliable through degree depth
+    product = _poly_mul(denominator_polynomial(factors, q), series)[: depth + 1]
     residuals = tuple(
-        (m, product[m])
-        for m in range(max_deg + 1, series.depth + 1)
-        if product[m] != 0
+        (m, product[m]) for m in range(max_deg + 1, depth + 1) if product[m] != 0
     )
     if residuals:
         return RecoveryResult(ok=False, numerator=None, residuals=residuals)
@@ -238,7 +207,7 @@ def divide_out_factor(
     if not num:
         return ()
     deg = len(num) - 1
-    c = expand(RationalZeta(num, (factor,), q), deg).coefficients
+    c = expand(RationalZeta(num, (factor,), q), deg)
     if any(c[max(deg - b + 1, 0) :]):
         return None
     quotient = _trim(c[: max(deg - b + 1, 0)])

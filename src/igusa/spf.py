@@ -123,13 +123,6 @@ class SPFTraceNode:
 class SPFTrace:
     root: SPFTraceNode
 
-    @property
-    def depth(self) -> int:
-        def walk(node):
-            return 1 + max((walk(c) for c in node.children), default=0)
-
-        return walk(self.root)
-
     def as_dict(self) -> dict:
         return self.root.as_dict()
 

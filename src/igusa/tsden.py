@@ -99,7 +99,3 @@ def denominator(
         for fa in nf.facets
         for fb in ng.facets
     ))
-
-
-def candidate_poles(f: Polynomial, g: Polynomial) -> Tuple[Fraction, ...]:
-    return denominator(f, g).candidate_poles()

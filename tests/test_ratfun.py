@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igusa.ratfun import (
-    PowerSeries,
     RationalZeta,
     denominator_polynomial,
     divide_out_factor,
@@ -13,7 +12,6 @@ from igusa.ratfun import (
     poles,
     recover_numerator,
     reduce_factors,
-    series_times_denominator,
 )
 
 fracs = st.fractions(
@@ -47,16 +45,6 @@ class TestDenominatorPolynomial:
     def test_zero_q_power_is_legal(self):
         # (0, 1) encodes 1 - t, which is a valid factor
         assert denominator_polynomial([(0, 1)], 5) == [Fraction(1), Fraction(-1)]
-
-
-class TestPowerSeries:
-    def test_coeff_and_depth(self):
-        s = PowerSeries((Fraction(1), Fraction(1, 2)))
-        assert s.depth == 1  # highest stored index, not the count
-        assert s.coeff(0) == 1
-        assert s.coeff(1) == Fraction(1, 2)
-        with pytest.raises(IndexError):
-            s.coeff(2)
 
 
 class TestRationalZeta:
@@ -103,7 +91,14 @@ class TestExpand:
     def test_geometric(self):
         z = RationalZeta((Fraction(1),), ((1, 1),), 5)
         s = expand(z, 5)
-        assert s.coefficients == tuple(Fraction(1, 5**m) for m in range(6))
+        assert s == tuple(Fraction(1, 5**m) for m in range(6))
+
+    def test_index_past_depth_raises(self):
+        s = expand(RationalZeta((Fraction(1),), ((1, 1),), 5), 1)
+        assert len(s) - 1 == 1  # the depth is the highest stored index
+        assert s[1] == Fraction(1, 5)
+        with pytest.raises(IndexError):  # no zero is invented past it
+            s[2]
 
     def test_sparse_factor(self):
         z = RationalZeta((Fraction(1),), ((5, 6),), 5)
@@ -112,25 +107,12 @@ class TestExpand:
         expected[0] = Fraction(1)
         expected[6] = Fraction(1, 5**5)
         expected[12] = Fraction(1, 5**10)
-        assert list(s.coefficients) == expected
+        assert list(s) == expected
 
     def test_numerator_shifts(self):
         z = RationalZeta((Fraction(0), Fraction(1),), ((1, 1),), 3)
         s = expand(z, 3)
-        assert list(s.coefficients) == [0, 1, Fraction(1, 3), Fraction(1, 9)]
-
-    @given(
-        num=st.lists(fracs, min_size=1, max_size=4),
-        factors=st.lists(factor_st, min_size=1, max_size=3),
-        q=st.sampled_from([2, 3, 5]),
-    )
-    def test_series_times_denominator_recovers_numerator(self, num, factors, q):
-        z = RationalZeta(tuple(num), tuple(factors), q)
-        depth = len(num) + sum(b for _, b in factors) + 3
-        s = expand(z, depth)
-        prod = series_times_denominator(s, z.denominator_factors, q)
-        padded = list(num) + [Fraction(0)] * (depth + 1 - len(num))
-        assert prod == padded
+        assert list(s) == [0, 1, Fraction(1, 3), Fraction(1, 9)]
 
 
 class TestRecoverNumerator:
@@ -141,6 +123,20 @@ class TestRecoverNumerator:
         assert res.ok
         assert res.numerator == (Fraction(4, 5), Fraction(1, 25))
         assert RationalZeta(res.numerator, z.denominator_factors, 5) == z
+
+    @given(
+        num=st.lists(fracs, min_size=1, max_size=4),
+        factors=st.lists(factor_st, min_size=1, max_size=3),
+        q=st.sampled_from([2, 3, 5]),
+    )
+    def test_times_denominator_gives_the_numerator(self, num, factors, q):
+        # with max_deg = depth - 1 the product is returned through t^(depth-1)
+        # and checked at t^depth, so it must be the numerator, zero-padded
+        z = RationalZeta(tuple(num), tuple(factors), q)
+        depth = len(num) + sum(b for _, b in factors) + 3
+        res = recover_numerator(expand(z, depth), z.denominator_factors, q, max_deg=depth - 1)
+        assert res.ok
+        assert res.numerator == z.numerator
 
     def test_failure_reports_residuals(self):
         z = RationalZeta((Fraction(1), Fraction(0), Fraction(1)), ((1, 1),), 5)
@@ -153,15 +149,15 @@ class TestRecoverNumerator:
     def test_rejects_perturbed_expansion(self):
         z = RationalZeta((Fraction(2),), ((1, 1),), 3)
         s = expand(z, 10)
-        bad = list(s.coefficients)
+        bad = list(s)
         bad[7] += Fraction(1, 99)
-        res = recover_numerator(PowerSeries(tuple(bad)), z.denominator_factors, 3, max_deg=0)
+        res = recover_numerator(tuple(bad), z.denominator_factors, 3, max_deg=0)
         assert not res.ok
         assert res.residuals == ((7, Fraction(1, 99)), (8, Fraction(-1, 297)))
 
     def test_requires_residual_window(self):
         with pytest.raises(ValueError):
-            recover_numerator(PowerSeries((Fraction(1),)), ((1, 1),), 5, max_deg=3)
+            recover_numerator((Fraction(1),), ((1, 1),), 5, max_deg=3)
 
     @settings(max_examples=60)
     @given(

@@ -13,6 +13,12 @@ from igusa.ratfun import expand
 from igusa.spf import DepthGuardExceeded, spf_counts, spf_evaluate
 from reference import BoundNotCertified, count_mod, sup_bound
 
+
+def _trace_depth(node: dict) -> int:
+    """The levels of a recursion trace, walked in its JSON form."""
+    return 1 + max((_trace_depth(c) for c in node["children"]), default=0)
+
+
 P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
 
 
@@ -198,14 +204,14 @@ class TestSpfEvaluate:
             Fraction(1, 25),
             Fraction(-1, 25),
         )
-        assert result.trace.depth == 2
+        assert _trace_depth(result.trace.as_dict()) == 2
 
     def test_full_grid_is_checked_at_the_first_singular_lift(self):
         # 13^6 residues are over the limit, 12^6 are not: a torus root
         # refuses the full grid only when one of its lifts needs it
         P13 = PrimeSpec(13)
         squares = "x^2 + y^2 + z^2 + u^2 + v^2 + w^2"  # singular at the origin only
-        assert spf_evaluate(P(squares), P13, torus=True).trace.depth == 1
+        assert _trace_depth(spf_evaluate(P(squares), P13, torus=True).trace.as_dict()) == 1
         shifted = "x^2-2x+y^2-2y+z^2-2z+u^2-2u+v^2-2v+w^2-2w+6"  # singular at (1, ..., 1)
         with pytest.raises(ValueError, match=r"^a residue domain of dimension 6 mod 13 has "
                                              r"13\^6 = 4826809 residues, over the limit"):
@@ -252,7 +258,7 @@ class TestSpfEvaluate:
             spf_evaluate(f, P5, depth_guard=3)
         # with a generous guard the chain terminates
         result = spf_evaluate(f, P5)
-        assert result.trace.depth == 11
+        assert _trace_depth(result.trace.as_dict()) == 11
 
     def test_negative_depth_guard_rejected(self):
         with pytest.raises(ValueError, match="depth_guard"):
@@ -267,7 +273,7 @@ class TestSpfEvaluate:
     def test_torus_constant(self):
         result = spf_evaluate(P("x^2 + y^2"), P3, torus=True)
         series = expand(result.zeta, 6)
-        assert series.coefficients == (Fraction(4, 9),) + (Fraction(0),) * 6
+        assert series == (Fraction(4, 9),) + (Fraction(0),) * 6
 
     def test_single_denominator_factor_always(self):
         cases = [("x", 3), ("x^2 + x", 3), ("x^2 - 5", 5), ("x + y", 3), ("x^2 + 3x + y", 5)]
@@ -288,15 +294,15 @@ class TestSpfEvaluate:
         via_spf = expand(spf_evaluate(f, spec).zeta, depth)
         via_counts = measure_series(count_mod(f, spec, depth + 1))
         for m in range(depth + 1):
-            assert via_spf.coeff(m) == via_counts.coeff(m), (text, p, m)
+            assert via_spf[m] == via_counts[m], (text, p, m)
 
     def test_partial_sums_bounded_by_domain_measure(self):
         for text, p, torus in [("x^2 + x", 3, False), ("x^2 - 5", 5, False), ("x", 5, True)]:
             f = P(text)
             spec = PrimeSpec(p)
             series = expand(spf_evaluate(f, spec, torus).zeta, 8)
-            assert all(c >= 0 for c in series.coefficients)
-            total = sum(series.coefficients)
+            assert all(c >= 0 for c in series)
+            total = sum(series)
             assert total <= Fraction((p - torus) ** f.nvars, p**f.nvars)
 
     def test_trace_structure(self):
