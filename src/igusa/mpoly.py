@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .numeric import p_valuation
 
@@ -257,9 +257,11 @@ def direct_sum(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(variables, terms)
 
 
-def _shift_terms(f: Polynomial, point: Sequence[int], p: int) -> dict:
+def _shift_terms(f: Polynomial, point: Sequence[int], p: int, below: Optional[int] = None) -> dict:
     """The terms of f(P + p x): each term of f expanded by the binomial
-    theorem, (P_i + p x_i)^k = sum over j of C(k, j) P_i^(k-j) p^j x_i^j."""
+    theorem, (P_i + p x_i)^k = sum over j of C(k, j) P_i^(k-j) p^j x_i^j.
+    With ``below``, only the terms with every j < below: those left out are
+    0 mod p^below."""
     rows: dict = {}  # (i, k) -> the nonzero (j, coefficient) of (P_i + p x_i)^k
     out: dict = {}
     for exps, coeff in f.terms.items():
@@ -268,8 +270,9 @@ def _shift_terms(f: Polynomial, point: Sequence[int], p: int) -> dict:
             row = rows.get((i, k))
             if row is None:
                 a = point[i]
+                top = k if below is None else min(k, below - 1)
                 row = rows[(i, k)] = [
-                    (j, comb(k, j) * a ** (k - j) * p**j) for j in range(k + 1) if a or j == k
+                    (j, comb(k, j) * a ** (k - j) * p**j) for j in range(top + 1) if a or j == k
                 ]
             factors.append(row)
         for choice in itertools.product(*factors):
@@ -318,6 +321,10 @@ def _pow_mod(arr, e: int, modulus: int):
 
 
 RESIDUE_LIMIT = 4 * 10**6  # residues in one scan: value balls, spf domains, noncrit tori
+# nested singular lifts in one recursion (value balls, spf): a lift holds one
+# Python frame, and two while `spf --trace` writes its JSON, so the cap keeps
+# the deepest call well inside the default recursion limit of 1000
+MAX_LIFTS = 300
 
 
 def residue_axes(p: int, n: int, low: int = 0):

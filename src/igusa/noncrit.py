@@ -74,11 +74,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import det, rank_mod
-from .mpoly import RESIDUE_LIMIT, Polynomial, _pow_mod, eval_mod, residue_axes
+from .mpoly import RESIDUE_LIMIT, Polynomial, eval_mod, residue_axes
 from .newton import NewtonPolyhedron, build_polyhedron
 from .numeric import _is_prime
 
@@ -410,13 +410,9 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
         pts = np.argwhere(eval_mod(system[0], residue_axes(ell, d, 1), ell) == 0) + 1
         for g in system[1:]:
             pts = pts[eval_mod(g, pts.T, ell) == 0]
-        # x_i = prod_j y_j^V_ij, with exponents mod ell - 1 on the torus
-        xs = np.ones((len(pts), len(V)), dtype=np.int64)
-        for i, row in enumerate(V):
-            for j, e in enumerate(row[:d]):
-                if e % (ell - 1):
-                    xs[:, i] = xs[:, i] * _pow_mod(pts[:, j], e % (ell - 1), ell) % ell
-        yield ell, list(map(tuple, xs.tolist()))
+        # x_i = prod_j y_j^V_ij mod ell, the y_j units: pow inverts for V_ij < 0
+        yield ell, [tuple(prod(pow(y, e, ell) for y, e in zip(pt, row)) % ell for row in V)
+                    for pt in pts.tolist()]
 
 
 def check_noncritical(

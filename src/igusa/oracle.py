@@ -21,7 +21,8 @@ Counting is exact; the only concession to cost is an explicit node
 budget: a node is one polynomial and precision met in the recursion of
 a block (the blocks share the budget), and exceeding it raises
 ``BudgetExceeded`` naming the block, the class and the precision where
-the count stopped.  Nodes whose polynomials agree mod p share one scan
+the count stopped; so does a class path of more than ``mpoly.MAX_LIFTS``
+nested lifts.  Nodes whose polynomials agree mod p share one scan
 of the p^n residue classes mod p, on ``mpoly.residue_axes``, and a scan
 of more than ``mpoly.RESIDUE_LIMIT`` residues is refused before it starts.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import tsden
-from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod
+from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod
 from .mpoly import _scale_out, _shift_terms, reduction_key, residue_axes
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import Factor, RationalZeta, poles, recover_numerator, reduce_factors
@@ -103,7 +104,8 @@ def value_balls(
     weights add up to p^(n m).  ``nodes`` is ``spent`` (nodes already
     taken from the same budget) plus the nodes met here: one per
     polynomial and precision in the recursion.  A node over ``budget``
-    raises BudgetExceeded, and so do more than 4 * 10^6 residues mod p,
+    raises BudgetExceeded, and so do a class path of more than
+    ``MAX_LIFTS`` lifts and more than 4 * 10^6 residues mod p, the last
     before any is scanned; a negative budget raises ValueError.
 
     A node sorts the p^n residue classes mod p by ``classify_mod_p``,
@@ -113,7 +115,9 @@ def value_balls(
     (Hensel).  On any other class g(r + p x) - g(r) = p^e h(x) with
     e >= 2, so the class takes the balls of h at precision m - e, scaled
     by p^e and moved to g(r); when e >= m it is one point mod p^m, and at
-    m = 1 every class is the ball (1, g(r) mod p).
+    m = 1 every class is the ball (1, g(r) mod p).  The binomial expansion
+    keeps only its terms below p^m: they give g(r) mod p^m, e when e < m,
+    and h mod p^(m - e), all that the balls read.
     """
     import numpy as np
 
@@ -158,21 +162,24 @@ def value_balls(
         key = (g.canonical_key(), m)
         if key in memo:
             return memo[key]
-        if nodes >= budget:
+        if nodes >= budget or len(path) > MAX_LIFTS:
+            cause = (f"after {nodes} nodes (budget {budget})" if nodes >= budget
+                     else f"after {MAX_LIFTS} nested lifts, the most one count takes")
             raise BudgetExceeded(
                 f"value balls of {f} stopped at class "
                 f"{' -> '.join(map(str, path)) or '(root)'} with "
-                f"precision {m}/{precision} after {nodes} nodes (budget {budget})"
+                f"precision {m}/{precision} {cause}"
             )
         nodes += 1
         smooth, singular = scan(g, m)
         class_weight = q ** (n * (m - 1))
         out: ValueBalls = {(1, c): size * class_weight for c, size in smooth}
         for r in singular:
-            terms = _shift_terms(g, r, q)
+            # the terms with some p^j, j >= m, are 0 mod p^m: left out; with
+            # none left the class is one point mod p^m
+            terms = {mono: c for mono, c in _shift_terms(g, r, q, m).items() if c}
             base = terms.pop(origin, 0)
-            # e >= 2 on a singular class, so at m = 2 it is one point anyway
-            e, h = _scale_out(g.variables, terms, q) if m > 2 else (m, None)
+            e, h = _scale_out(g.variables, terms, q) if terms else (m, None)
             if e >= m:
                 ball = (m, base % q**m)
                 out[ball] = out.get(ball, 0) + class_weight

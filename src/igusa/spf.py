@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .mpoly import RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_axes
+from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_axes
 from .mpoly import shift_scale
 from .numeric import PrimeSpec
 from .ratfun import RationalZeta
@@ -151,7 +151,8 @@ def spf_evaluate(
     residues; a path exceeding depth_guard, or revisiting a polynomial
     already on the active stack (self-similar recursion), raises
     DepthGuardExceeded naming the offending path — the signature of a
-    singular point of f inside the domain.
+    singular point of f inside the domain.  A depth_guard outside
+    0..MAX_LIFTS is refused with ValueError: each lift holds a frame.
 
     The root classifies the grid {low..p-1}^n, low = 1 on the torus, and
     every lift the full grid, so the keys below record ``low``.  The
@@ -168,8 +169,8 @@ def spf_evaluate(
     _refuse_grid(p.p, n, low)
     if f.is_zero():
         raise ValueError("the zero polynomial has no finite |f|^s integral")
-    if depth_guard < 0:
-        raise ValueError(f"depth_guard must be >= 0, got {depth_guard}")
+    if not 0 <= depth_guard <= MAX_LIFTS:
+        raise ValueError(f"depth_guard must be in 0..{MAX_LIFTS}, got {depth_guard}")
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
     classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, low) -> counts
     on_stack: List[tuple] = []

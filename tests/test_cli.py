@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
 from igusa.cli import SCHEMA, ParseError, _build_parser, main, parse_polynomial, run
+from igusa.mpoly import MAX_LIFTS
 
 
 def invoke(argv):
@@ -375,6 +376,8 @@ class TestMain:
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "1"],
             ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "-1"],
             ["count", "-f", "x", "-p", "5", "--budget", "-1"],
+            ["count", "-f", "x", "-p", "5", "--budget", "abc"],
+            ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "301"],
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--budget", "-1"],
         ],
         ids=lambda argv: " ".join(argv) or "no subcommand",
@@ -390,6 +393,16 @@ class TestMain:
         assert report["error"]["message"]
         if "--max-deg" in argv or "--depth" in argv:
             assert report["error"]["message"].startswith("unusable window")
+
+    def test_lift_caps_hold_through_main(self):
+        # an spf of MAX_LIFTS nested lifts runs, and a count one lift past
+        # the cap stops in-band
+        rc, out, err = invoke(["spf", "-f", f"x^2 - 5^{2 * MAX_LIFTS}", "-p", "5",
+                               "--depth-guard", str(MAX_LIFTS)])
+        assert rc == 0, err
+        rc, out, err = invoke(["count", "-f", "x^2", "-p", "2", "--depth", str(2 * MAX_LIFTS + 4)])
+        assert rc == 1
+        assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
     def test_help_exits_0(self):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):

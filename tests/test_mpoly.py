@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
 from igusa.mpoly import (
+    MAX_EXPONENT,
+    Polynomial,
     classify_mod_p,
     constant,
     direct_sum,
@@ -74,6 +76,17 @@ class TestConstruction:
         assert c.evaluate((3, 4)) == 7
         v = from_terms(("x", "y"), [((0, 1), 1)])
         assert v.evaluate((3, 4)) == 4
+
+    @pytest.mark.parametrize("variables, terms, error, message", [
+        (("x", "x"), {}, ValueError, r"^duplicate variable names: \('x', 'x'\)$"),
+        (("x", "y"), {(1,): 1}, ValueError, r"^monomial arity 1 != 2 variables$"),
+        (("x",), {(-1,): 1}, ValueError, r"^negative exponent in \(-1,\)$"),
+        (("x",), {(MAX_EXPONENT + 1,): 1}, OverflowError, r"^exponent over limit 1000000 in \(1000001,\)$"),
+        (("x",), {(1,): 1.0}, TypeError, r"^integer coefficients only, got float$"),
+    ])
+    def test_constructor_refusals(self, variables, terms, error, message):
+        with pytest.raises(error, match=message):
+            Polynomial(variables, terms)
 
     def test_basic_attributes(self):
         f = P("x^2 + y^3")

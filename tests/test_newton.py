@@ -51,6 +51,20 @@ class TestFacets:
         with pytest.raises(ValueError):
             build_polyhedron(from_terms(("x",), []))
 
+    @pytest.mark.parametrize("text, message", [
+        ("x + y + z + u + v", r"^too many variables \(5 > 4\)$"),
+        (" + ".join(f"x^{k}" for k in range(1, 32)), r"^support too large \(31 > 30\)$"),
+    ])
+    def test_oversized_input_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            build_polyhedron(P(text))
+
+    @pytest.mark.parametrize("other", ["x^2 + y^5", "a^2 + b^3"])
+    def test_face_polynomial_of_another_polynomial_refused(self, other):
+        poly = build_polyhedron(P("x^2 + y^3"))
+        with pytest.raises(ValueError, match="^polynomial does not match this polyhedron$"):
+            poly.face_polynomial(P(other), poly.faces[0])
+
     def test_normals_are_primitive_naturals(self):
         from math import gcd
 

@@ -735,6 +735,16 @@ class TestRankTest:
         report = check_noncritical(x2y3, mode="finite_field_heuristic", aux_primes=(ell,))
         assert report.verdict == "non_critical"
 
+    def test_zeros_map_back_through_negative_exponents(self):
+        # V has entries -1: x = y^-1 at a prime whose l - 2 exceeds
+        # MAX_EXPONENT, so no one-term polynomial could carry the inverse
+        f_tau = P("x^4 - 4*x^2*y^3 + 4*y^6")
+        ell = 1000003
+        assert noncrit._hull(f_tau).V == ((-1, 3), (-1, 2))
+        zeros = _zeros_mod(noncrit._hull(f_tau), ell)
+        assert zeros == [(500002, 500002)]  # x = y = 1/2 mod l
+        assert all(g.evaluate(zeros[0]) % ell == 0 for g in f_tau.partials())
+
     def test_grid_limit_comes_first(self, monkeypatch):
         # the facet of x^2 + y^3 + z^5 has rank M, but its 100^2 points at
         # l = 101 are over the limit, and the refusal stands

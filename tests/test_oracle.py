@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
 from igusa.cli import parse_polynomial as P
-from igusa.mpoly import Polynomial, direct_sum, from_terms
+from igusa.mpoly import MAX_LIFTS, Polynomial, direct_sum, from_terms
 from igusa.newton import build_polyhedron
 from igusa.numeric import PrimeSpec
 from igusa.oracle import BudgetExceeded, _blocks, ball_counts, measure_series, value_balls, verify_theorem
@@ -162,6 +162,28 @@ class TestBallCounts:
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
             value_balls(P("x"), P5, 3, budget=-1)
 
+    def test_lifts_stop_in_band_at_the_cap(self):
+        # x^2 at p = 2 lifts at the class (0,) once per two levels: depth
+        # 2 * MAX_LIFTS + 2 nests MAX_LIFTS lifts, two levels more one too many
+        P2 = PrimeSpec(2)
+        depth = 2 * MAX_LIFTS + 2
+        counts = ball_counts(P("x^2"), P2, depth).counts
+        assert counts == tuple(2 ** (m // 2) for m in range(1, depth + 1))
+        chain = r"(\(0,\) -> ){%d}\(0,\)" % MAX_LIFTS
+        with pytest.raises(
+            BudgetExceeded,
+            match=rf"^value balls of x\^2 stopped at class {chain} with precision "
+            rf"2/{depth + 2} after {MAX_LIFTS} nested lifts, the most one count takes$",
+        ):
+            ball_counts(P("x^2"), P2, depth + 2)
+
+    def test_lifts_read_only_the_digits_they_keep(self):
+        # (1 + 2x)^100000 is cut to its terms with 2^j, j < 8: the others are
+        # 0 mod 2^8, and the 100001-term expansion is never built
+        c = ball_counts(P("x^100000"), PrimeSpec(2), 8)
+        assert c.counts == (1, 2, 4, 8, 16, 32, 64, 128)
+        assert c.nodes_expanded == 2
+
     def test_residue_limit_raises_before_the_scan(self):
         with pytest.raises(BudgetExceeded, match=r"53\^4 = 7890481 residues mod 53"):
             ball_counts(P("x*y*z*w"), PrimeSpec(53), 1)
@@ -175,6 +197,8 @@ class TestBallCounts:
     def test_rejects_bad_depth_and_constants(self):
         with pytest.raises(ValueError, match="depth must be >= 1"):
             ball_counts(P("x"), P5, 0)
+        with pytest.raises(ValueError, match="^precision must be >= 1$"):
+            value_balls(P("x"), P5, 0)
         with pytest.raises(ValueError, match="need at least one variable"):
             ball_counts(P("3"), P5, 2)
 

@@ -100,6 +100,10 @@ class TestExpand:
         with pytest.raises(IndexError):  # no zero is invented past it
             s[2]
 
+    def test_negative_depth_refused(self):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            expand(RationalZeta((Fraction(1),), ((1, 1),), 5), -1)
+
     def test_sparse_factor(self):
         z = RationalZeta((Fraction(1),), ((5, 6),), 5)
         s = expand(z, 12)
@@ -156,8 +160,10 @@ class TestRecoverNumerator:
         assert res.residuals == ((7, Fraction(1, 99)), (8, Fraction(-1, 297)))
 
     def test_requires_residual_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leaves no residual coefficients"):
             recover_numerator((Fraction(1),), ((1, 1),), 5, max_deg=3)
+        with pytest.raises(ValueError, match="^max_deg must be >= 0$"):
+            recover_numerator((Fraction(1), Fraction(0)), ((1, 1),), 5, max_deg=-1)
 
     @settings(max_examples=60)
     @given(

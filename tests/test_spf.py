@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
+from igusa.mpoly import MAX_LIFTS
 from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series
 from igusa.ratfun import expand
@@ -14,9 +15,14 @@ from igusa.spf import DepthGuardExceeded, spf_counts, spf_evaluate
 from reference import BoundNotCertified, count_mod, sup_bound
 
 
-def _trace_depth(node: dict) -> int:
+def _trace_depth(root: dict) -> int:
     """The levels of a recursion trace, walked in its JSON form."""
-    return 1 + max((_trace_depth(c) for c in node["children"]), default=0)
+    todo, deepest = [(root, 1)], 0
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        todo += [(child, depth + 1) for child in node["children"]]
+    return deepest
 
 
 P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
@@ -259,6 +265,14 @@ class TestSpfEvaluate:
         # with a generous guard the chain terminates
         result = spf_evaluate(f, P5)
         assert _trace_depth(result.trace.as_dict()) == 11
+
+    def test_depth_guard_holds_at_the_cap(self):
+        # x^2 - 5^(2k) lifts k times, at the class (0,), down to y^2 - 1
+        f = P(f"x^2 - 5^{2 * MAX_LIFTS}")
+        result = spf_evaluate(f, P5, depth_guard=MAX_LIFTS)
+        assert _trace_depth(result.trace.as_dict()) == MAX_LIFTS + 1
+        with pytest.raises(ValueError, match=rf"^depth_guard must be in 0..{MAX_LIFTS}, got {MAX_LIFTS + 1}$"):
+            spf_evaluate(f, P5, depth_guard=MAX_LIFTS + 1)
 
     def test_negative_depth_guard_rejected(self):
         with pytest.raises(ValueError, match="depth_guard"):
