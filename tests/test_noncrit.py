@@ -736,8 +736,8 @@ class TestRankTest:
         assert report.verdict == "non_critical"
 
     def test_zeros_map_back_through_negative_exponents(self):
-        # V has entries -1: x = y^-1 at a prime whose l - 2 exceeds
-        # MAX_EXPONENT, so no one-term polynomial could carry the inverse
+        # V has entries -1, so x = y^-1 mod l, at a prime where y^(l - 2)
+        # would need an exponent over MAX_EXPONENT
         f_tau = P("x^4 - 4*x^2*y^3 + 4*y^6")
         ell = 1000003
         assert noncrit._hull(f_tau).V == ((-1, 3), (-1, 2))
