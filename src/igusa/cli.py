@@ -254,7 +254,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="igusa",
         description="Exact local zeta data: Newton polyhedra, candidate poles, "
@@ -268,9 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="json", help="JSON output (default)")
         sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv", help="TSV output")
 
-    def command(name: str, help: str, *, g: Optional[bool] = None, prime=False, tsv=False):
-        """A subcommand reading -f; g None takes no -g, else requires it or not."""
-        sp = sub.add_parser(name, help=help)
+    def polys(sp, *, g: Optional[bool] = None, prime=False, tsv=False):
+        """-f; g None takes no -g, else requires it or not."""
         sp.add_argument("-f", dest="f_text", metavar="POLY", required=True,
                         help="polynomial, e.g. 'x^2 + y^3'")
         if g is not None:
@@ -280,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-p", dest="prime", type=int, default=5, help="prime (default 5)")
         if tsv:
             formats(sp)
-        return sp
 
     def budget(sp):
         sp.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
@@ -289,39 +287,52 @@ def _build_parser() -> argparse.ArgumentParser:
                         "met in a block's recursion, and nodes with the same "
                         "reduction mod p share one scan of the p^n residues mod p")
 
-    command("analyze", "Newton polyhedron, non-criticality, denominator", g=False)
+    def spf(sp):
+        polys(sp, prime=True)
+        sp.add_argument("--domain", choices=["full", "torus"], default="full")
+        sp.add_argument("--trace", action="store_true", help="include the recursion trace")
+        sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32)
 
-    command("poles", "candidate poles of the direct-sum zeta function", g=True, tsv=True)
+    def count(sp):
+        polys(sp, prime=True, tsv=True)
+        sp.add_argument("--depth", type=int, default=8, help="levels of p-adic precision (default 8)")
+        budget(sp)
 
-    sp = command("spf", "exact stationary-phase evaluation of the integral", prime=True)
-    sp.add_argument("--domain", choices=["full", "torus"], default="full")
-    sp.add_argument("--trace", action="store_true", help="include the recursion trace")
-    sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32)
+    def verify(sp):
+        polys(sp, g=True, prime=True)
+        sp.add_argument("--depth", type=int, default=None,
+                        help="levels of p-adic precision (default: sized from the denominator)")
+        budget(sp)
+        sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
+                        help="numerator degree bound (default depth-3); exit 2 can mean "
+                        "it is below the numerator's degree")
 
-    sp = command("count", "count solutions mod p^m", prime=True, tsv=True)
-    sp.add_argument("--depth", type=int, default=8, help="levels of p-adic precision (default 8)")
-    budget(sp)
+    def phi(sp):
+        sp.add_argument("-c", type=int, required=True)
+        sp.add_argument("-d", type=int, required=True)
+        sp.add_argument("--cw", dest="c_weight", type=int, default=None, help="weight of c-steps")
+        sp.add_argument("--dw", dest="d_weight", type=int, default=None, help="weight of d-steps")
+        formats(sp)
 
-    sp = command("verify", "check the predicted denominator against counts", g=True, prime=True)
-    sp.add_argument("--depth", type=int, default=None,
-                    help="levels of p-adic precision (default: sized from the denominator)")
-    budget(sp)
-    sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
-                    help="numerator degree bound (default depth-3); exit 2 can mean "
-                    "it is below the numerator's degree")
-
-    sp = sub.add_parser("phi", help="orbit and weight tables of the interleaving map")
-    sp.add_argument("-c", type=int, required=True)
-    sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--cw", dest="c_weight", type=int, default=None, help="weight of c-steps")
-    sp.add_argument("--dw", dest="d_weight", type=int, default=None, help="weight of d-steps")
-    formats(sp)
+    commands = {  # name: (help, builder of its arguments); cmd's alone, or all if it names none
+        "analyze": ("Newton polyhedron, non-criticality, denominator", lambda sp: polys(sp, g=False)),
+        "poles": ("candidate poles of the direct-sum zeta function",
+                  lambda sp: polys(sp, g=True, tsv=True)),
+        "spf": ("exact stationary-phase evaluation of the integral", spf),
+        "count": ("count solutions mod p^m", count),
+        "verify": ("check the predicted denominator against counts", verify),
+        "phi": ("orbit and weight tables of the interleaving map", phi),
+    }
+    for name, (summary, build) in commands.items():
+        if name == cmd or cmd not in commands:
+            build(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         payload, code = run(args.cmd, args)
         if args.fmt == "tsv":
             print(_render_tsv(args.cmd, payload))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Tuple
 
+from .mpoly import MAX_EXPONENT
+
 State = Tuple[int, int]
 
 
@@ -61,6 +63,8 @@ def orbit(c: int, d: int) -> Orbit:
     """Iterate the step map from (c, d) through one full period."""
     if c < 1 or d < 1:
         raise ValueError("base pair must be positive")
+    if max(c, d) > MAX_EXPONENT:  # the orbit holds up to 2 * MAX_EXPONENT states
+        raise ValueError(f"base pair ({c}, {d}) exceeds the limit {MAX_EXPONENT}")
     g = gcd(c, d)
     period = c // g + d // g - 1
     states: List[State] = [(c, d)]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -236,6 +237,26 @@ class TestRunPayloads:
         assert (payload["min_sum"], payload["pick_sum"]) == (6, 5)
 
 
+SUBCOMMANDS = ["analyze", "poles", "spf", "count", "verify", "phi"]
+
+USAGE_ERRORS = [
+    ["spf", "-f", "x", "-p", "nope"],
+    ["count", "-f", "x", "--bogus"],
+    ["verify", "-f", "x"],
+    ["analyze"],
+    [],
+    ["spf", "-f", "x", "--json"],
+    ["analyze", "-f", "x", "--mode", "exact"],
+    ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--max-deg", "-1"],
+    ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "1"],
+    ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "-1"],
+    ["count", "-f", "x", "-p", "5", "--budget", "-1"],
+    ["count", "-f", "x", "-p", "5", "--budget", "abc"],
+    ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "301"],
+    ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--budget", "-1"],
+]
+
+
 class TestMain:
     def test_json_to_stdout(self):
         rc, out, err = invoke(["poles", "-f", "x^2", "-g", "y^3"])
@@ -364,22 +385,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["spf", "-f", "x", "-p", "nope"],
-            ["count", "-f", "x", "--bogus"],
-            ["verify", "-f", "x"],
-            ["analyze"],
-            [],
-            ["spf", "-f", "x", "--json"],
-            ["analyze", "-f", "x", "--mode", "exact"],
-            ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--max-deg", "-1"],
-            ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "1"],
-            ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "-1"],
-            ["count", "-f", "x", "-p", "5", "--budget", "-1"],
-            ["count", "-f", "x", "-p", "5", "--budget", "abc"],
-            ["spf", "-f", "x^2 - 5", "-p", "5", "--depth-guard", "301"],
-            ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--budget", "-1"],
-        ],
+        USAGE_ERRORS,
         ids=lambda argv: " ".join(argv) or "no subcommand",
     )
     def test_usage_error_exits_1_as_json(self, argv):
@@ -405,9 +411,18 @@ class TestMain:
         assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
     def test_help_exits_0(self):
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()) as out:
             main(["-h"])
         assert exc.value.code == 0
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out.getvalue()
+
+    def test_phi_refuses_a_base_pair_over_the_exponent_limit(self):
+        # the orbit of (10^9 + 7, 998244353) would hold 2 * 10^9 states
+        for c, d in [(10**6 + 1, 2), (1000000007, 998244353)]:
+            rc, out, err = invoke(["phi", "-c", str(c), "-d", str(d)])
+            assert (rc, out) == (1, "")
+            assert json.loads(err)["error"] == {
+                "type": "ValueError", "message": f"base pair ({c}, {d}) exceeds the limit 1000000"}
 
     def test_constant_term_error_names_the_polynomial(self):
         rc, out, err = invoke(["analyze", "-f", "x^2", "-g", "y^2+1"])
@@ -460,6 +475,49 @@ def test_verify_matches_golden(entry):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == entry["code"], proc.stderr
     assert proc.stdout == entry["stdout"]
+
+
+def _parsed(parser, argv):
+    """The namespace `parser` makes of argv, its usage error, or its help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return parser.parse_args(argv)
+    except ValueError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+GOLDEN_ARGVS = [entry["argv"] for entry in GOLDEN_COUNT + GOLDEN_SPF + GOLDEN_VERIFY]
+for name in ("golden_analyze_poles.json", "golden_analyze_many_vars.json"):
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        GOLDEN_ARGVS += [entry["argv"] for entry in json.load(fh)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    GOLDEN_ARGVS + USAGE_ERRORS + [["-h"]] + [[cmd, "-h"] for cmd in SUBCOMMANDS],
+    ids=lambda argv: " ".join(argv) or "no subcommand",
+)
+def test_parser_of_one_subcommand_parses_as_the_full_one(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parsed(_build_parser(), argv)
+    assert _parsed(_build_parser(argv[0] if argv else None), argv) == full
+
+
+def test_a_run_builds_one_subparser(monkeypatch):
+    # the top-level parser and phi's; all six subcommands would make 7
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert invoke(["phi", "-c", "3", "-d", "2"])[0] == 0
+    assert built == ["igusa", "igusa phi"]
 
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from igusa.euclid import orbit, step, weight_sums
+from igusa.mpoly import MAX_EXPONENT
 
 pairs = st.tuples(
     st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)
@@ -46,6 +47,11 @@ class TestOrbit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             orbit(0, 3)
+
+    def test_exponent_limit(self):
+        with pytest.raises(ValueError, match=r"^base pair \(1000001, 1000000\) exceeds the limit 1000000$"):
+            orbit(MAX_EXPONENT + 1, MAX_EXPONENT)
+        assert orbit(MAX_EXPONENT, MAX_EXPONENT).period == 1
 
     @given(cd=pairs)
     def test_period_formula_and_wraparound(self, cd):
