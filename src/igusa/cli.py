@@ -125,7 +125,7 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
-    """Execute one subcommand on the arguments ``_build_parser`` parsed;
+    """Execute one subcommand on the arguments ``_parse_args`` parsed;
     returns (JSON payload, exit code)."""
     if cmd == "phi":
         from . import euclid
@@ -255,13 +255,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="igusa",
-        description="Exact local zeta data: Newton polyhedra, candidate poles, "
-        "stationary-phase evaluation, and point-counting verification.",
-    )
-    parser.set_defaults(fmt="json")  # for the subcommands that print only JSON
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    """The parser of subcommand ``cmd`` alone, as ``add_parser`` would
+    make it, when ``cmd`` names one; else the full ``igusa`` parser."""
 
     def formats(sp):
         sp.add_argument("--json", dest="fmt", action="store_const", const="json",
@@ -314,7 +309,7 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
         sp.add_argument("--dw", dest="d_weight", type=int, default=None, help="weight of d-steps")
         formats(sp)
 
-    commands = {  # name: (help, builder of its arguments); cmd's alone, or all if it names none
+    commands = {  # name: (help, builder of its arguments)
         "analyze": ("Newton polyhedron, non-criticality, denominator", lambda sp: polys(sp, g=False)),
         "poles": ("candidate poles of the direct-sum zeta function",
                   lambda sp: polys(sp, g=True, tsv=True)),
@@ -323,16 +318,35 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
         "verify": ("check the predicted denominator against counts", verify),
         "phi": ("orbit and weight tables of the interleaving map", phi),
     }
+    if cmd in commands:
+        # add_parser's prog is "igusa <name>", and it sets no description
+        parser = _Parser(prog=f"igusa {cmd}")
+        parser.set_defaults(cmd=cmd, fmt="json")
+        commands[cmd][1](parser)
+        return parser
+    parser = _Parser(
+        prog="igusa",
+        description="Exact local zeta data: Newton polyhedra, candidate poles, "
+        "stationary-phase evaluation, and point-counting verification.",
+    )
+    parser.set_defaults(fmt="json")  # for the subcommands that print only JSON
+    sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (summary, build) in commands.items():
-        if name == cmd or cmd not in commands:
-            build(sub.add_parser(name, help=summary))
+        build(sub.add_parser(name, help=summary))
     return parser
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """The namespace of argv, parsed by its subcommand's parser alone
+    when argv[0] names one (it sets ``cmd`` itself), else by the full
+    parser; both give the same namespaces, usage errors and help."""
+    parser = _build_parser(argv[0] if argv else None)
+    return parser.parse_args(argv[1:] if parser.get_default("cmd") else argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         payload, code = run(args.cmd, args)
         if args.fmt == "tsv":
             print(_render_tsv(args.cmd, payload))

@@ -52,14 +52,14 @@ class Polynomial:
             raise ValueError(f"duplicate variable names: {variables}")
         clean = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != len(variables):
                 raise ValueError(
                     f"monomial arity {len(exps)} != {len(variables)} variables"
                 )
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if any(e > MAX_EXPONENT for e in exps):
+            if exps and max(exps) > MAX_EXPONENT:
                 raise OverflowError(f"exponent over limit {MAX_EXPONENT} in {exps}")
             if not isinstance(coeff, int):
                 raise TypeError(f"integer coefficients only, got {type(coeff).__name__}")

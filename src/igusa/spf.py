@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_axes
 from .mpoly import shift_scale
@@ -173,7 +173,8 @@ def spf_evaluate(
         raise ValueError(f"depth_guard must be in 0..{MAX_LIFTS}, got {depth_guard}")
     memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
     classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, low) -> counts
-    on_stack: List[tuple] = []
+    on_stack: Set[tuple] = set()
+    inv_q, scale = Fraction(1, q), Fraction(1, q**n)
 
     def node(
         g: Polynomial,
@@ -196,33 +197,31 @@ def spf_evaluate(
                 f"recursion depth {len(path)} exceeds depth_guard={depth_guard} "
                 f"at path {_path_str(path)}"
             )
-        on_stack.append(key)
+        on_stack.add(key)
         try:
             reduction = (reduction_key(g, p.p), low)
             counts = classified.get(reduction)
             if counts is None:
                 counts = classified[reduction] = spf_counts(g, p, bool(low))
-            numerator: List[Fraction] = [
-                counts.nu,
-                counts.sigma * (1 - Fraction(1, q)) - counts.nu * Fraction(1, q),
-            ]
-            children = []
             if counts.singular and low:
                 _refuse_grid(p.p, n, 0)  # the torus root's lifts scan the full grid
+            lifts = []  # (e, numerator) of each singular lift, in order
+            children = []
             for P in counts.singular:
                 e, g_child = shift_scale(g, P, p.p)
-                child_num, child_node = node(
-                    g_child, 0, path + (P,), e, cumulative_E + e
-                )
+                child_num, child_node = node(g_child, 0, path + (P,), e, cumulative_E + e)
+                lifts.append((e, child_num))
                 children.append(child_node)
-                scale = Fraction(1, q**n)
-                need = e + len(child_num)
-                if len(numerator) < need:
-                    numerator.extend([Fraction(0)] * (need - len(numerator)))
-                for m, c in enumerate(child_num):
-                    numerator[e + m] += scale * c
         finally:
-            on_stack.pop()
+            on_stack.remove(key)
+        # built once the lifts return, so a depth-guard exit builds none
+        numerator: List[Fraction] = [counts.nu, counts.sigma * (1 - inv_q) - counts.nu * inv_q]
+        for e, child_num in lifts:
+            need = e + len(child_num)
+            if len(numerator) < need:
+                numerator.extend([Fraction(0)] * (need - len(numerator)))
+            for m, c in enumerate(child_num):
+                numerator[e + m] += scale * c
         num = tuple(numerator)
         memo[key] = (num, counts)
         return num, SPFTraceNode(path, order_e, cumulative_E, counts, False, tuple(children))

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
-from igusa.cli import SCHEMA, ParseError, _build_parser, main, parse_polynomial, run
+from igusa.cli import (
+    SCHEMA, ParseError, _build_parser, _parse_args, main, parse_polynomial, run,
+)
 from igusa.mpoly import MAX_LIFTS
 
 
@@ -477,12 +479,12 @@ def test_verify_matches_golden(entry):
     assert proc.stdout == entry["stdout"]
 
 
-def _parsed(parser, argv):
-    """The namespace `parser` makes of argv, its usage error, or its help."""
+def _parsed(parse, argv):
+    """The namespace `parse` makes of argv, its usage error, or its help."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return parser.parse_args(argv)
+            return parse(argv)
     except ValueError as exc:
         return str(exc)
     except SystemExit as exc:
@@ -497,17 +499,24 @@ for name in ("golden_analyze_poles.json", "golden_analyze_many_vars.json"):
 
 @pytest.mark.parametrize(
     "argv",
-    GOLDEN_ARGVS + USAGE_ERRORS + [["-h"]] + [[cmd, "-h"] for cmd in SUBCOMMANDS],
+    GOLDEN_ARGVS + USAGE_ERRORS + [["-h"]]
+    + [[cmd, "-h"] for cmd in SUBCOMMANDS]
+    + [[cmd] for cmd in SUBCOMMANDS if [cmd] not in USAGE_ERRORS]
+    + [
+        ["spf", "-f", "x", "--dom", "torus"],  # an abbreviated option
+        ["spf", "-f", "x", "extra"],  # a stray positional
+        ["phi", "--", "-c", "3"],
+    ],
     ids=lambda argv: " ".join(argv) or "no subcommand",
 )
 def test_parser_of_one_subcommand_parses_as_the_full_one(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parsed(_build_parser(), argv)
-    assert _parsed(_build_parser(argv[0] if argv else None), argv) == full
+    full = _parsed(_build_parser().parse_args, argv)
+    assert _parsed(_parse_args, argv) == full
 
 
 def test_a_run_builds_one_subparser(monkeypatch):
-    # the top-level parser and phi's; all six subcommands would make 7
+    # phi's alone; the full parser would make 7
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -517,7 +526,7 @@ def test_a_run_builds_one_subparser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert invoke(["phi", "-c", "3", "-d", "2"])[0] == 0
-    assert built == ["igusa", "igusa phi"]
+    assert built == ["igusa phi"]
 
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")
