@@ -17,7 +17,7 @@ import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .mpoly import MAX_EXPONENT, Polynomial, from_terms
+from .mpoly import MAX_EXPONENT, MAX_LIFTS, Polynomial, from_terms
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 
 SCHEMA = 1
@@ -286,7 +286,8 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
         polys(sp, prime=True)
         sp.add_argument("--domain", choices=["full", "torus"], default="full")
         sp.add_argument("--trace", action="store_true", help="include the recursion trace")
-        sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32)
+        sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32,
+                        help=f"bound on nested singular lifts, 0..{MAX_LIFTS} (default 32)")
 
     def count(sp):
         polys(sp, prime=True, tsv=True)
@@ -296,10 +297,12 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
     def verify(sp):
         polys(sp, g=True, prime=True)
         sp.add_argument("--depth", type=int, default=None,
-                        help="levels of p-adic precision (default: sized from the denominator)")
+                        help="levels of p-adic precision (default: max-deg + the sum of "
+                        "the predicted factors' t-powers + 2)")
         budget(sp)
         sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
-                        help="numerator degree bound (default depth-3); exit 2 can mean "
+                        help="numerator degree bound (default: depth-3 with --depth, else "
+                        "the sum of the predicted factors' t-powers); exit 2 can mean "
                         "it is below the numerator's degree")
 
     def phi(sp):

@@ -16,8 +16,10 @@ The one vectorised evaluator lives here too, for every caller that needs
 f on many residue classes: ``eval_mod`` reduces f mod m at points given
 by one broadcastable array per variable (the columns of explicit points,
 or the axes of a grid from ``residue_axes``, which is never built), and
-``classify_mod_p`` adds the mask where every partial vanishes mod p.
-It runs in int64 and refuses a modulus m with (m - 1)^2 >= 2^63.
+``classify_mod_p`` adds the mask where every partial vanishes mod p,
+reading each partial's terms mod p off f's terms and evaluating them in
+the same loop.  It runs in int64 and refuses a modulus m with
+(m - 1)^2 >= 2^63.
 ``reduction_key`` names f mod p, so that a caller can share one scan
 among the polynomials with the same reduction.  They import numpy
 themselves, so parsing a polynomial does not load it.
@@ -352,14 +354,20 @@ def eval_mod(f: Polynomial, coords, modulus: int):
     raises ValueError.  Each factor of a term is reduced before it
     multiplies, so a term is at most (m - 1)^2; the M terms are summed
     unreduced while M (m - 1)^2 < 2^63, else reduced after each sum."""
+    return _eval_terms(f.terms.items(), coords, modulus)
+
+
+def _eval_terms(terms: Sequence[Tuple[Monomial, int]], coords, modulus: int):
+    """``eval_mod`` of the polynomial with these (monomial, coefficient)
+    terms: the one evaluation loop."""
     import numpy as np
 
     if (modulus - 1) ** 2 >= 2**63:
         raise ValueError(f"eval_mod needs (modulus - 1)^2 < 2^63 for int64, got modulus {modulus}")
     coords = [np.asarray(c).astype(np.int64, copy=False) for c in coords]
     acc = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)), dtype=np.int64)
-    lazy = len(f.terms) * (modulus - 1) ** 2 < 2**63
-    for exps, coeff in f.terms.items():
+    lazy = len(terms) * (modulus - 1) ** 2 < 2**63
+    for exps, coeff in terms:
         term = coeff % modulus
         for c, e in zip(coords, exps):
             if e:
@@ -372,11 +380,18 @@ def eval_mod(f: Polynomial, coords, modulus: int):
 
 def classify_mod_p(f: Polynomial, coords, p: int):
     """(f mod p at the points of coords, mask of the points where every
-    partial of f is 0 mod p), both by ``eval_mod``."""
+    partial of f is 0 mod p), both by ``eval_mod``'s loop.  Each partial
+    is read off the terms of f mod p (``reduction_key``): the term
+    c x^e gives e_i c x^(e - 1_i), kept when e_i c is nonzero mod p, so a
+    partial that is 0 mod p costs no evaluation and builds no Polynomial."""
     import numpy as np
 
-    values = eval_mod(f, coords, p)
+    terms = reduction_key(f, p)
+    values = _eval_terms(terms, coords, p)
     critical = np.ones(values.shape, dtype=bool)
-    for d in f.partials():
-        critical &= eval_mod(d, coords, p) == 0
+    for i in range(f.nvars):
+        partial = [(exps[:i] + (exps[i] - 1,) + exps[i + 1:], exps[i] * c % p)
+                   for exps, c in terms if exps[i] * c % p]
+        if partial:
+            critical &= _eval_terms(partial, coords, p) == 0
     return values, critical

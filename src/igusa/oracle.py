@@ -134,6 +134,7 @@ def value_balls(
         )
     residues = residue_axes(q, n)
     origin = (0,) * n
+    power = [q**k for k in range(max(n, 1) * precision + 1)]  # power[k] = q^k
     memo: Dict[tuple, ValueBalls] = {}
     scans: Dict[tuple, tuple] = {}  # (reduction_key, m == 1) -> scan
     nodes = spent
@@ -150,15 +151,15 @@ def value_balls(
                 critical = np.zeros(values.shape, dtype=bool)
             else:
                 values, critical = classify_mod_p(g, residues, q)
-            centres, sizes = np.unique(values[~critical], return_counts=True)
+            sizes = np.bincount(values[~critical], minlength=q).tolist()
             singular = list(map(tuple, np.argwhere(critical).tolist()))
-            scans[key] = list(zip(centres.tolist(), sizes.tolist())), singular
+            scans[key] = [(c, size) for c, size in enumerate(sizes) if size], singular
         return scans[key]
 
     def balls(g: Polynomial, m: int, path: Tuple[Tuple[int, ...], ...]) -> ValueBalls:
         nonlocal nodes
         if g.total_degree() == 0:
-            return {(m, g.constant_term() % q**m): q ** (n * m)}
+            return {(m, g.constant_term() % power[m]): power[n * m]}
         key = (g.canonical_key(), m)
         if key in memo:
             return memo[key]
@@ -172,7 +173,7 @@ def value_balls(
             )
         nodes += 1
         smooth, singular = scan(g, m)
-        class_weight = q ** (n * (m - 1))
+        class_weight = power[n * (m - 1)]
         out: ValueBalls = {(1, c): size * class_weight for c, size in smooth}
         for r in singular:
             # the terms with some p^j, j >= m, are 0 mod p^m: left out; with
@@ -181,12 +182,12 @@ def value_balls(
             base = terms.pop(origin, 0)
             e, h = _scale_out(g.variables, terms, q) if terms else (m, None)
             if e >= m:
-                ball = (m, base % q**m)
+                ball = (m, base % power[m])
                 out[ball] = out.get(ball, 0) + class_weight
                 continue
-            scale = q ** (n * (e - 1))
+            scale, shift = power[n * (e - 1)], power[e]
             for (k, c), w in balls(h, m - e, path + (r,)).items():
-                ball = (k + e, (base + q**e * c) % q ** (k + e))
+                ball = (k + e, (base + shift * c) % power[k + e])
                 out[ball] = out.get(ball, 0) + w * scale
         memo[key] = out
         return out
@@ -235,7 +236,8 @@ def ball_counts(
     if n < 1:
         raise ValueError("need at least one variable")
     q = p.p
-    fold: ValueBalls = {(depth, f.constant_term() % q**depth): 1}
+    power = [q**k for k in range(depth + 1)]  # power[k] = q^k
+    fold: ValueBalls = {(depth, f.constant_term() % power[depth]): 1}
     nodes = 0
     for block in sorted(_blocks(f), key=Polynomial.total_degree):
         m = max(k for k, _ in fold)
@@ -243,22 +245,23 @@ def ball_counts(
         scale = q ** (block.nvars * (depth - m))
         summed: ValueBalls = {}
         for (k1, c1), w1 in fold.items():
+            w1 *= scale
             for (k2, c2), w2 in balls.items():
-                k = min(k1, k2)
-                ball = (k, (c1 + c2) % q**k)
-                summed[ball] = summed.get(ball, 0) + w1 * w2 * scale
+                k = k1 if k1 < k2 else k2
+                ball = (k, (c1 + c2) % power[k])
+                summed[ball] = summed.get(ball, 0) + w1 * w2
         fold = summed
 
     hits = [0] * (depth + 1)
     for (k, c), w in fold.items():
         v = 0
-        while v < k and c % q ** (v + 1) == 0:
+        while v < k and c % power[v + 1] == 0:
             v += 1
         for j in range(1, v + 1):
             hits[j] += w
         if v == k:
             for j in range(k + 1, depth + 1):
-                hits[j] += w // q ** (j - k)
+                hits[j] += w // power[j - k]
     counts = []
     for j in range(1, depth + 1):
         count, rest = divmod(hits[j], q ** (n * (depth - j)))
@@ -277,8 +280,7 @@ def measure_series(counts: CountSeries) -> Tuple[Fraction, ...]:
     q = counts.p.q
     n = counts.dim
     return tuple(
-        Fraction(counts.N(m), q ** (m * n))
-        - Fraction(counts.N(m + 1), q ** ((m + 1) * n))
+        Fraction(counts.N(m) * q**n - counts.N(m + 1), q ** ((m + 1) * n))
         for m in range(counts.depth)
     )
 

@@ -6,6 +6,12 @@ The module provides the poles -A/B of the factors, Maclaurin expansion,
 and exact recovery of the numerator from a truncated series, which
 checks the linear recurrence a given denominator implies.
 
+Recovery and the division by a factor run on Python ints over one
+common denominator: q^(sum A) prod (1 - q^(-A) t^B) = prod (q^A - t^B)
+has int coefficients, and a series or numerator is scaled by the lcm of
+its denominators.  ``Fraction``s are built only at the edges, for the
+coefficients and residuals that are returned.
+
 Recovery never reduces the fraction silently: cancellation of
 denominator factors against the numerator is the interesting output,
 so it lives in a separate :func:`reduce_factors` pass that reports
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 Factor = Tuple[int, int]  # (A, B): the factor 1 - q^(-A) * t^B
@@ -28,24 +35,43 @@ def _check_factor(factor: Factor) -> Factor:
     return (int(a), int(b))
 
 
-def _trim(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    last = -1
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            last = i
-    return tuple(Fraction(c) for c in coeffs[: last + 1])
-
-
-def _poly_mul(p: Sequence[Fraction], r: Sequence[Fraction]) -> List[Fraction]:
-    if not p or not r:
-        return []
-    out = [Fraction(0)] * (len(p) + len(r) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(r):
-            out[i + j] += a * b
+def _poly_mul(p: Sequence, r: Sequence, size: Optional[int] = None) -> list:
+    """p * r, ints or Fractions, cut to its first ``size`` coefficients if given."""
+    if size is None:
+        size = len(p) + len(r) - 1 if p and r else 0
+    out = [0] * size
+    for i, a in enumerate(p[:size]):
+        if a:
+            for j, b in enumerate(r[: size - i]):
+                out[i + j] += a * b
     return out
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(ints, d) with coeffs = ints / d, d the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _trim(coeffs: Sequence, d: int = 1) -> Tuple[Fraction, ...]:
+    """coeffs / d as Fractions, without trailing zeros."""
+    last = len(coeffs)
+    while last and not coeffs[last - 1]:
+        last -= 1
+    return tuple(Fraction(c, d) for c in coeffs[:last])
+
+
+def _denominator_ints(factors: Sequence[Factor], q: int) -> Tuple[List[int], int]:
+    """(prod (q^A - t^B) as int coefficients, q^(sum A)): the denominator
+    polynomial prod (1 - q^(-A) t^B) is the first over the second."""
+    poly, scale = [1], 1
+    for a, b in map(_check_factor, factors):
+        qa = q**a
+        out = [qa * c for c in poly] + [0] * b
+        for i, c in enumerate(poly):
+            out[i + b] -= c
+        poly, scale = out, scale * qa
+    return poly, scale
 
 
 def poles(factors: Sequence[Factor]) -> Tuple[Fraction, ...]:
@@ -56,13 +82,8 @@ def poles(factors: Sequence[Factor]) -> Tuple[Fraction, ...]:
 
 def denominator_polynomial(factors: Sequence[Factor], q: int) -> List[Fraction]:
     """Coefficients of prod (1 - q^(-A) t^B) as a polynomial in t."""
-    poly: List[Fraction] = [Fraction(1)]
-    for a, b in map(_check_factor, factors):
-        factor_poly = [Fraction(0)] * (b + 1)
-        factor_poly[0] = Fraction(1)
-        factor_poly[b] = -Fraction(1, q**a)
-        poly = _poly_mul(poly, factor_poly)
-    return poly
+    poly, scale = _denominator_ints(factors, q)
+    return [Fraction(c, scale) for c in poly]
 
 
 @dataclass(frozen=True)
@@ -181,40 +202,52 @@ def recover_numerator(
             f"series depth {depth} leaves no residual coefficients "
             f"beyond max_deg {max_deg}"
         )
-    # series * prod(1 - q^(-A) t^B), reliable through degree depth
-    product = _poly_mul(denominator_polynomial(factors, q), series)[: depth + 1]
+    # series * prod(1 - q^(-A) t^B), reliable through degree depth: the
+    # ints (series * d) * prod(q^A - t^B) over d * q^(sum A)
+    ints, d = _scaled(series)
+    den_ints, scale = _denominator_ints(factors, q)
+    d *= scale
+    product = _poly_mul(den_ints, ints, depth + 1)
     residuals = tuple(
-        (m, product[m]) for m in range(max_deg + 1, depth + 1) if product[m] != 0
+        (m, Fraction(product[m], d)) for m in range(max_deg + 1, depth + 1) if product[m]
     )
     if residuals:
         return RecoveryResult(ok=False, numerator=None, residuals=residuals)
     return RecoveryResult(
-        ok=True, numerator=_trim(product[: max_deg + 1]), residuals=()
+        ok=True, numerator=_trim(product[: max_deg + 1], d), residuals=()
     )
+
+
+def _exact_quotient(num: Sequence[int], factor: Factor, q: int) -> Optional[List[int]]:
+    """The ints Q with q^A num = Q (q^A - t^B), num without trailing zeros,
+    else None: num / (1 - q^(-A) t^B) over num's denominator.  Long division
+    from the top stays in the ints (t^B has coefficient -1); the division is
+    exact when the remainder, of degree < B, vanishes."""
+    a, b = _check_factor(factor)
+    qa = q**a
+    rest = list(num)
+    quotient = [0] * max(len(num) - b, 0)
+    for m in range(len(num) - 1, b - 1, -1):
+        quotient[m - b] = -qa * rest[m]
+        rest[m - b] -= quotient[m - b]
+    if any(rest[:b]):
+        return None
+    # verify: quotient * factor == numerator
+    if _poly_mul(quotient, _denominator_ints([factor], q)[0]) != [qa * c for c in num]:
+        raise AssertionError("inconsistent exact division")
+    return quotient
 
 
 def divide_out_factor(
     numerator: Sequence[Fraction], factor: Factor, q: int
 ) -> Optional[Tuple[Fraction, ...]]:
-    """N / (1 - q^(-A) t^B) when the division is exact, else None.
-
-    The quotient's coefficients c are those of the series N / (1 - q^(-A) t^B)
-    (``expand``); exactness is equivalent to c vanishing in degrees
-    (deg N - B, deg N].
-    """
-    b = _check_factor(factor)[1]
-    num = _trim(numerator)
-    if not num:
-        return ()
-    deg = len(num) - 1
-    c = expand(RationalZeta(num, (factor,), q), deg)
-    if any(c[max(deg - b + 1, 0) :]):
-        return None
-    quotient = _trim(c[: max(deg - b + 1, 0)])
-    # verify: quotient * factor == numerator
-    if _trim(_poly_mul(quotient, denominator_polynomial([factor], q))) != num:
-        raise AssertionError("inconsistent exact division")
-    return quotient
+    """N / (1 - q^(-A) t^B) when the division is exact, else None: the
+    division of ``_exact_quotient``, on N scaled to ints."""
+    ints, d = _scaled(numerator)
+    while ints and not ints[-1]:
+        ints.pop()
+    quotient = _exact_quotient(ints, factor, q)
+    return None if quotient is None else _trim(quotient, d)
 
 
 @dataclass(frozen=True)
@@ -233,17 +266,18 @@ def reduce_factors(z: RationalZeta) -> ReductionResult:
     divide twice to disappear twice).  The surviving factors carry the
     candidate poles that the numerator does not cancel.
     """
-    num = z.numerator
+    # the numerator as ints over one denominator d; each quotient keeps d
+    num, d = _scaled(z.numerator)
     cancelled: List[Factor] = []
     surviving: List[Factor] = []
     for fac in z.denominator_factors:
-        quotient = divide_out_factor(num, fac, z.q)
+        quotient = _exact_quotient(num, fac, z.q)
         if quotient is None:
             surviving.append(fac)
         else:
             num = quotient
             cancelled.append(fac)
-    reduced = RationalZeta(num, tuple(surviving), z.q)
+    reduced = RationalZeta(_trim(num, d), tuple(surviving), z.q)
     return ReductionResult(
         reduced=reduced, cancelled=tuple(cancelled), surviving=tuple(surviving)
     )

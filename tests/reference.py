@@ -17,14 +17,20 @@ something:
   of a Newton polyhedron off its support and face lattice.
 * ``sup_bound`` certifies the supremum over Z_p^n of a pointwise order
   on a residue tree.
+* ``recover_numerator`` and ``divide_out_factor`` are the library's
+  numerator recovery and division by a factor as they were on
+  ``Fraction``s throughout, before the library moved them to ints over
+  one common denominator.
 
 None of them imports a route it checks (``value_balls``, ``ball_counts``,
-``spf_evaluate``, ``spf_counts``, ``shift_scale``, or the evaluation
-kernel ``eval_mod``, ``classify_mod_p``, ``_pow_mod``, ``residue_axes``);
-``test_imports`` holds this file to that.
+``spf_evaluate``, ``spf_counts``, ``shift_scale``, the evaluation kernel
+``eval_mod``, ``classify_mod_p``, ``_eval_terms``, ``_pow_mod``,
+``residue_axes``, or ``ratfun``'s int routes); ``test_imports`` holds
+this file to that.
 """
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +39,7 @@ from igusa.mpoly import Polynomial
 from igusa.newton import Face, NewtonPolyhedron, _dot
 from igusa.numeric import PrimeSpec, p_valuation
 from igusa.oracle import CountSeries
+from igusa.ratfun import Factor, RecoveryResult
 
 Domain = Callable[[Tuple[int, ...]], bool]  # membership of a valuation vector
 
@@ -188,3 +195,70 @@ def sup_bound(f: Polynomial, p: PrimeSpec, mode: str, max_depth: int = 16) -> in
         for offset in itertools.product(range(p.p), repeat=f.nvars):
             stack.append((tuple(a + step * o for a, o in zip(point, offset)), depth + 1))
     return best
+
+
+# ---------------------------------------------------------------------------
+# numerator recovery and division by a factor, on Fractions throughout
+
+
+def _poly_mul(p: Sequence[Fraction], r: Sequence[Fraction]) -> list:
+    out = [Fraction(0)] * (len(p) + len(r) - 1) if p and r else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return out
+
+
+def _trim(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    last = -1
+    for i, c in enumerate(coeffs):
+        if c != 0:
+            last = i
+    return tuple(Fraction(c) for c in coeffs[: last + 1])
+
+
+def _denominator(factors: Sequence[Factor], q: int) -> list:
+    """prod (1 - q^(-A) t^B), one factor polynomial at a time."""
+    poly = [Fraction(1)]
+    for a, b in factors:
+        factor_poly = [Fraction(0)] * (b + 1)
+        factor_poly[0] = Fraction(1)
+        factor_poly[b] = -Fraction(1, q**a)
+        poly = _poly_mul(poly, factor_poly)
+    return poly
+
+
+def recover_numerator(series: Sequence[Fraction], factors: Sequence[Factor], q: int,
+                      max_deg: int) -> RecoveryResult:
+    """series * prod (1 - q^(-A) t^B) through degree depth: its terms past
+    max_deg are the residuals, else the rest is the numerator."""
+    depth = len(series) - 1
+    product = _poly_mul(_denominator(factors, q), series)[: depth + 1]
+    residuals = tuple(
+        (m, product[m]) for m in range(max_deg + 1, depth + 1) if product[m] != 0
+    )
+    if residuals:
+        return RecoveryResult(ok=False, numerator=None, residuals=residuals)
+    return RecoveryResult(ok=True, numerator=_trim(product[: max_deg + 1]), residuals=())
+
+
+def divide_out_factor(numerator: Sequence[Fraction], factor: Factor,
+                      q: int) -> Optional[Tuple[Fraction, ...]]:
+    """N / (1 - q^(-A) t^B) when the division is exact, else None.  The
+    quotient's coefficients c are those of the series N / (1 - q^(-A) t^B),
+    c[m] = N[m] + q^(-A) c[m - B]; exactness is equivalent to c vanishing
+    in degrees (deg N - B, deg N]."""
+    a, b = factor
+    num = _trim(numerator)
+    if not num:
+        return ()
+    deg = len(num) - 1
+    c = list(num)
+    for m in range(b, deg + 1):
+        c[m] += Fraction(1, q**a) * c[m - b]
+    if any(c[max(deg - b + 1, 0) :]):
+        return None
+    quotient = _trim(c[: max(deg - b + 1, 0)])
+    if _trim(_poly_mul(quotient, _denominator([factor], q))) != num:
+        raise AssertionError("inconsistent exact division")
+    return quotient

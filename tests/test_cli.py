@@ -418,6 +418,32 @@ class TestMain:
         assert exc.value.code == 0
         assert "{" + ",".join(SUBCOMMANDS) + "}" in out.getvalue()
 
+    @staticmethod
+    def _help(cmd):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()) as out:
+            main([cmd, "-h"])
+        assert exc.value.code == 0
+        return " ".join(out.getvalue().split())
+
+    def test_verify_help_names_both_window_defaults(self):
+        text = self._help("verify")
+        assert ("--max-deg MAX_DEG numerator degree bound (default: depth-3 with --depth, "
+                "else the sum of the predicted factors' t-powers)") in text
+        assert ("--depth DEPTH levels of p-adic precision (default: max-deg + the sum of "
+                "the predicted factors' t-powers + 2)") in text
+        # the README's run: x^2 (+) y^3 at p = 5 has t-powers 1 and 6
+        rc, out, err = invoke(["verify", "-f", "x^2", "-g", "y^3", "-p", "5"])
+        report = json.loads(out)
+        assert rc == 0, err
+        assert sum(b for _, b in report["factors"]) == 7
+        assert (report["max_deg"], report["depth"]) == (7, 7 + 7 + 2)
+        rc, out, err = invoke(["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "9"])
+        assert json.loads(out)["max_deg"] == 9 - 3
+
+    def test_spf_help_states_the_depth_guard_range(self):
+        assert (f"--depth-guard DEPTH_GUARD bound on nested singular lifts, 0..{MAX_LIFTS} "
+                "(default 32)") in self._help("spf")
+
     def test_phi_refuses_a_base_pair_over_the_exponent_limit(self):
         # the orbit of (10^9 + 7, 998244353) would hold 2 * 10^9 states
         for c, d in [(10**6 + 1, 2), (1000000007, 998244353)]:

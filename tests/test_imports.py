@@ -51,10 +51,13 @@ def test_every_module_level_import_is_read():
 
 
 # the routes that tests/reference.py and the reference_* functions of
-# tests/helpers.py are the independent check of, and the evaluation
-# kernel that those routes share
+# tests/helpers.py are the independent check of, the evaluation kernel
+# that those routes share, and ratfun's int kernel
 CHECKED_ROUTES = {"value_balls", "ball_counts", "spf_evaluate", "spf_counts", "shift_scale",
-                  "eval_mod", "classify_mod_p", "_pow_mod", "residue_axes"}
+                  "eval_mod", "classify_mod_p", "_eval_terms", "_pow_mod", "residue_axes",
+                  "recover_numerator", "divide_out_factor", "reduce_factors",
+                  "denominator_polynomial", "_exact_quotient", "_denominator_ints",
+                  "_scaled", "_trim", "_poly_mul"}
 
 
 def _imports(tree: ast.AST):

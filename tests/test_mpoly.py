@@ -284,6 +284,44 @@ class TestResidueGrid:
                 assert np.array_equal(critical.ravel(), want_critical.ravel())
 
 
+class TestClassifyAgainstPartials:
+    """classify_mod_p against Polynomial.partials() and Polynomial.evaluate,
+    on polynomials where p divides a coefficient or an exponent, so that
+    terms of a partial vanish mod p."""
+
+    HAND = [("x^3", 3), ("3*x*y", 3), ("3*x^3", 3), ("x^2", 2), ("x^5*y + 5*y^2 + x", 5),
+            ("7*x*y*z + x^7 + y^14*z", 7), ("2*x^2*y^4 + x^3", 2), ("9*x^3 + 6*y", 3)]
+
+    @staticmethod
+    def _seeded(rng, p):
+        n = rng.randint(1, 3)
+        pairs = [(tuple(rng.choice([0, 1, 2, p, 2 * p, p + 1]) for _ in range(n)),
+                  rng.choice([1, -1, p, 2 * p, p * p, rng.randint(-20, 20)]))
+                 for _ in range(rng.randint(1, 5))]
+        return from_terms("xyz"[:n], pairs)
+
+    @staticmethod
+    def _plain(f, points, p):
+        values = [f.evaluate(pt) % p for pt in points]
+        critical = [all(d.evaluate(pt) % p == 0 for d in f.partials()) for pt in points]
+        return values, critical
+
+    def test_values_and_mask_equal_the_plain_route(self):
+        rng = random.Random(50)
+        cases = [(P(text), p) for text, p in self.HAND]
+        cases += [(self._seeded(rng, p), p) for p in (2, 3, 5, 7) for _ in range(10)]
+        for f, p in cases:
+            n = f.nvars
+            for low in (0, 1):  # the full grid and the torus, as axes
+                points = list(itertools.product(range(low, p), repeat=n))
+                values, critical = classify_mod_p(f, residue_axes(p, n, low), p)
+                got = (values.ravel().tolist(), critical.ravel().tolist())
+                assert got == self._plain(f, points, p), (str(f), p, low)
+            points = [tuple(rng.randint(-60, 60) for _ in range(n)) for _ in range(12)]
+            values, critical = classify_mod_p(f, np.array(points, dtype=np.int64).T, p)
+            assert (values.tolist(), critical.tolist()) == self._plain(f, points, p), (str(f), p)
+
+
 class TestReductionKey:
     def test_equal_exactly_mod_p(self):
         rng = random.Random(23)

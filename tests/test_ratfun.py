@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from igusa.ratfun import (
     RationalZeta,
     denominator_polynomial,
@@ -247,3 +248,74 @@ class TestReduceFactors:
         z = RationalZeta(num, ((1, 1), (2, 1)), 3)
         result = reduce_factors(z)
         assert result.reduced == z
+
+
+class TestAgainstFractionRoutes:
+    """The int routes give what the Fraction routes of tests/reference.py
+    give: equal numerators, residuals and quotients, or None."""
+
+    # A = 0 included; a repeated factor is drawn often, and forced by `twice`
+    factors_st = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3)
+    primes = st.sampled_from([2, 3, 5, 7])
+    # (degree, shift) pairs added to a series or numerator
+    perturb_st = st.lists(st.tuples(st.integers(0, 12), fracs), max_size=2)
+
+    @staticmethod
+    def _times(num, factors, q):
+        """num * prod (1 - q^(-A) t^B), one factor at a time."""
+        for a, b in factors:
+            num = num + [Fraction(0)] * b
+            num = [c - (Fraction(num[m - b], q**a) if m >= b else 0) for m, c in enumerate(num)]
+        return num
+
+    @staticmethod
+    def _perturbed(coeffs, perturb):
+        coeffs = list(coeffs)
+        for m, shift in perturb:
+            if m < len(coeffs):
+                coeffs[m] += shift
+        return coeffs
+
+    @settings(max_examples=150)
+    @given(num=st.lists(fracs, max_size=5), factors=factors_st, twice=st.booleans(),
+           q=primes, max_deg=st.integers(0, 7), extra=st.integers(1, 6), perturb=perturb_st)
+    def test_recover_numerator(self, num, factors, twice, q, max_deg, extra, perturb):
+        factors = factors + factors[:1] if twice else factors
+        series = expand(RationalZeta(tuple(num), tuple(factors), q), max_deg + extra)
+        series = self._perturbed(series, perturb)
+        got = recover_numerator(series, factors, q, max_deg)
+        assert got == reference.recover_numerator(series, factors, q, max_deg)
+        assert all(type(c) is Fraction for c in (got.numerator or ()))
+        assert all(type(c) is Fraction for _, c in got.residuals)
+
+    @settings(max_examples=150)
+    @given(num=st.lists(fracs, max_size=5), factors=factors_st, twice=st.booleans(),
+           q=primes, perturb=perturb_st)
+    def test_divide_out_factor(self, num, factors, twice, q, perturb):
+        # num times some of the factors, perhaps perturbed: exact or not
+        factors = factors + factors[:1] if twice else factors
+        num = self._perturbed(self._times(num, factors, q), perturb)
+        for factor in factors or [(1, 1)]:
+            got = divide_out_factor(num, factor, q)
+            assert got == reference.divide_out_factor(num, factor, q)
+            assert got is None or all(type(c) is Fraction for c in got)
+
+    @settings(max_examples=100)
+    @given(num=st.lists(fracs, max_size=4), factors=factors_st, twice=st.booleans(),
+           cancel=st.integers(0, 3), q=primes)
+    def test_reduce_factors(self, num, factors, twice, cancel, q):
+        # a numerator that carries the first `cancel` factors, retired one by
+        # one by the Fraction division as reduce_factors retires them
+        factors = factors + factors[:1] if twice else factors
+        z = RationalZeta(tuple(self._times(num, factors[:cancel], q)), tuple(factors), q)
+        rest, cancelled, surviving = z.numerator, [], []
+        for factor in z.denominator_factors:
+            quotient = reference.divide_out_factor(rest, factor, q)
+            if quotient is None:
+                surviving.append(factor)
+            else:
+                rest = quotient
+                cancelled.append(factor)
+        result = reduce_factors(z)
+        assert (result.cancelled, result.surviving) == (tuple(cancelled), tuple(surviving))
+        assert result.reduced.numerator == rest
