@@ -28,6 +28,7 @@ themselves, so parsing a polynomial does not load it.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -54,7 +55,7 @@ class Polynomial:
             raise ValueError(f"duplicate variable names: {variables}")
         clean = {}
         for exps, coeff in terms.items():
-            exps = tuple(map(int, exps))
+            exps = tuple(map(operator.index, exps))
             if len(exps) != len(variables):
                 raise ValueError(
                     f"monomial arity {len(exps)} != {len(variables)} variables"
@@ -107,63 +108,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(self._key)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _check_vars(self, other: "Polynomial"):
-        if self.variables != other.variables:
-            raise ValueError(
-                f"variable mismatch: {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = constant(self.variables, other)
-        self._check_vars(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
-        return Polynomial(self.variables, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
-        self._check_vars(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = constant(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     # -- evaluation and calculus --------------------------------------
 
@@ -225,10 +169,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def constant(variables: Sequence[str], c: int) -> Polynomial:
-    return Polynomial(variables, {(0,) * len(variables): c})
 
 
 def from_terms(variables: Sequence[str], pairs: Iterable[Tuple[Monomial, int]]) -> Polynomial:

@@ -52,10 +52,6 @@ class PrimeSpec:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"not a prime: {self.p!r}")
 
-    @property
-    def q(self) -> int:
-        return self.p
-
 
 def p_valuation(x: int, p: int) -> int:
     """The exponent of p in the nonzero integer x.

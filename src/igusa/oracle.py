@@ -277,7 +277,7 @@ def measure_series(counts: CountSeries) -> Tuple[Fraction, ...]:
     This is the Haar volume of {x : v(f(x)) = m}; the last usable index
     is depth - 1.
     """
-    q = counts.p.q
+    q = counts.p.p
     n = counts.dim
     return tuple(
         Fraction(counts.N(m) * q**n - counts.N(m + 1), q ** ((m + 1) * n))
@@ -361,10 +361,10 @@ def verify_theorem(
 
     counts = ball_counts(direct_sum(f, g), p, depth, budget=budget)
     series = measure_series(counts)
-    recovery = recover_numerator(series, factors, p.q, max_deg)
+    recovery = recover_numerator(series, factors, p.p, max_deg)
     cancelled, surviving = (), factors
     if recovery.ok:
-        reduction = reduce_factors(RationalZeta(recovery.numerator, factors, p.q))
+        reduction = reduce_factors(RationalZeta(recovery.numerator, factors, p.p))
         cancelled, surviving = reduction.cancelled, reduction.surviving
     return VerificationReport(
         ok=recovery.ok,

@@ -238,18 +238,6 @@ def _exact_quotient(num: Sequence[int], factor: Factor, q: int) -> Optional[List
     return quotient
 
 
-def divide_out_factor(
-    numerator: Sequence[Fraction], factor: Factor, q: int
-) -> Optional[Tuple[Fraction, ...]]:
-    """N / (1 - q^(-A) t^B) when the division is exact, else None: the
-    division of ``_exact_quotient``, on N scaled to ints."""
-    ints, d = _scaled(numerator)
-    while ints and not ints[-1]:
-        ints.pop()
-    quotient = _exact_quotient(ints, factor, q)
-    return None if quotient is None else _trim(quotient, d)
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     """Which denominator factors survive cancellation against the numerator."""

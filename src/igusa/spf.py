@@ -85,7 +85,7 @@ def spf_counts(f: Polynomial, p: PrimeSpec, torus: bool = False) -> SPFCounts:
     _refuse_grid(p.p, f.nvars, low)
     values, critical = classify_mod_p(f, residue_axes(p.p, f.nvars, low), p.p)
     zero = values == 0
-    scale = Fraction(1, p.q**f.nvars)
+    scale = Fraction(1, p.p**f.nvars)
     return SPFCounts(
         nu=int((~zero).sum()) * scale,
         sigma=int((zero & ~critical).sum()) * scale,
@@ -163,7 +163,7 @@ def spf_evaluate(
     reduction mod p and grid; the classification is shared, never kept
     beyond the call.
     """
-    q = p.q
+    q = p.p
     n = f.nvars
     low = int(torus)
     _refuse_grid(p.p, n, low)

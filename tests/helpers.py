@@ -294,7 +294,8 @@ def reference_torus_zeros(hull, ell: int) -> List[Tuple[int, ...]]:
     V, v0, h = hull
     d = h.nvars
     system = [Polynomial(h.variables, {e: c * (v0[j] + e[j]) for e, c in h.terms.items()}) for j in range(d)]
-    system.append(gcd(*v0[d:]) * h)
+    k = gcd(*v0[d:])
+    system.append(Polynomial(h.variables, {e: k * c for e, c in h.terms.items()}))
     return [
         tuple(prod(pow(y, e % (ell - 1), ell) for y, e in zip(zero, row)) % ell for row in V)
         for zero in torus_common_zeros(system, ell)
@@ -397,6 +398,17 @@ def random_sparse_poly(
             coeff = rng.randint(-coeff_bound, coeff_bound)
         pairs.append((exps, coeff))
     return from_terms(names, pairs)
+
+
+def square(g: Polynomial) -> Polynomial:
+    """g^2, term by term."""
+    items = g.terms.items()
+    return from_terms(g.variables, ((tuple(map(sum, zip(e, f))), c * d) for e, c in items for f, d in items))
+
+
+def plus_multiple(f: Polynomial, k: int, g: Polynomial) -> Polynomial:
+    """f + k g, on f's variables, term by term."""
+    return from_terms(f.variables, [*f.terms.items(), *((e, k * c) for e, c in g.terms.items())])
 
 
 def poly_in_box(facets, bound: int, n: int):

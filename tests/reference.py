@@ -17,10 +17,11 @@ something:
   of a Newton polyhedron off its support and face lattice.
 * ``sup_bound`` certifies the supremum over Z_p^n of a pointwise order
   on a residue tree.
-* ``recover_numerator`` and ``divide_out_factor`` are the library's
-  numerator recovery and division by a factor as they were on
-  ``Fraction``s throughout, before the library moved them to ints over
-  one common denominator.
+* ``recover_numerator`` is the library's numerator recovery as it was on
+  ``Fraction``s throughout, before the library moved it to ints over one
+  common denominator.  ``divide_out_factor`` is the division by one factor
+  on ``Fraction``s, the reference for ``reduce_factors``, which retires
+  the factors that divide exactly.
 
 None of them imports a route it checks (``value_balls``, ``ball_counts``,
 ``spf_evaluate``, ``spf_counts``, ``shift_scale``, the evaluation kernel

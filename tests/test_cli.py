@@ -385,6 +385,18 @@ class TestMain:
         assert rc == 1
         assert "-g" in json.loads(err)["error"]["message"]
 
+    def test_summand_with_a_leading_minus(self):
+        # argparse reads "-x^2" as a flag; "-f=-x^2" hands it to -f
+        rc, out, err = invoke(["count", "-f", "-x^2", "-p", "5"])
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": "argument -f: expected one argument"}
+        rc, out, err = invoke(["count", "-f=-x^2", "-p", "5", "--depth", "3"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["f"] == "-x^2"
+        rc, out, err = invoke(["poles", "-f=-x^2", "-g=-y^3"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["poles"] == ["-1", "-5/6"]
+
     @pytest.mark.parametrize(
         "argv",
         USAGE_ERRORS,

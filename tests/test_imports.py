@@ -55,7 +55,7 @@ def test_every_module_level_import_is_read():
 # that those routes share, and ratfun's int kernel
 CHECKED_ROUTES = {"value_balls", "ball_counts", "spf_evaluate", "spf_counts", "shift_scale",
                   "eval_mod", "classify_mod_p", "_eval_terms", "_pow_mod", "residue_axes",
-                  "recover_numerator", "divide_out_factor", "reduce_factors",
+                  "recover_numerator", "reduce_factors",
                   "denominator_polynomial", "_exact_quotient", "_denominator_ints",
                   "_scaled", "_trim", "_poly_mul"}
 

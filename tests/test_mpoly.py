@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import random_sparse_poly
+from helpers import plus_multiple, random_sparse_poly
 from igusa.mpoly import (
     MAX_EXPONENT,
     Polynomial,
     classify_mod_p,
-    constant,
     direct_sum,
     eval_mod,
     from_terms,
@@ -27,6 +26,13 @@ def P(text):
     from igusa.cli import parse_polynomial
 
     return parse_polynomial(text)
+
+
+def _as_sympy(f, xs):
+    """f as a sympy expression in xs."""
+    import sympy
+
+    return sum(c * sympy.prod([x**k for x, k in zip(xs, exps)]) for exps, c in f.terms.items())
 
 
 @st.composite
@@ -71,7 +77,7 @@ class TestConstruction:
         assert z.support() == frozenset()
 
     def test_constant_and_variable(self):
-        c = constant(("x", "y"), 7)
+        c = Polynomial(("x", "y"), {(0, 0): 7})
         assert c.constant_term() == 7
         assert c.evaluate((3, 4)) == 7
         v = from_terms(("x", "y"), [((0, 1), 1)])
@@ -83,6 +89,7 @@ class TestConstruction:
         (("x",), {(-1,): 1}, ValueError, r"^negative exponent in \(-1,\)$"),
         (("x",), {(MAX_EXPONENT + 1,): 1}, OverflowError, r"^exponent over limit 1000000 in \(1000001,\)$"),
         (("x",), {(1,): 1.0}, TypeError, r"^integer coefficients only, got float$"),
+        (("x",), {(1.5,): 1}, TypeError, r"^'float' object cannot be interpreted as an integer$"),
     ])
     def test_constructor_refusals(self, variables, terms, error, message):
         with pytest.raises(error, match=message):
@@ -102,56 +109,10 @@ class TestArithmetic:
     def test_evaluate_fraction(self):
         assert P("x^2 + y^3").evaluate((Fraction(1, 2), Fraction(1))) == Fraction(5, 4)
 
-    def test_variable_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            P("x") + P("y")
-
     def test_str_canonical_order(self):
         assert str(P("x^2 + y^3")) == "y^3 + x^2"
         assert str(P("x^2 - 5")) == "x^2 - 5"
         assert str(P("-x + 3x^2")) == "3*x^2 - x"
-
-    @given(f=polynomials(), g=polynomials(), h=polynomials())
-    def test_ring_laws(self, f, g, h):
-        names = ("x", "y", "z")
-        n = max(f.nvars, g.nvars, h.nvars)
-
-        def lift(p):
-            return from_terms(
-                names[:n],
-                [(tuple(e) + (0,) * (n - p.nvars), c) for e, c in p.terms.items()],
-            )
-
-        f, g, h = lift(f), lift(g), lift(h)
-        assert f + g == g + f
-        assert f * g == g * f
-        assert (f + g) + h == f + (g + h)
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-        assert f - f == from_terms(names[:n], [])
-
-    @given(f=polynomials(), g=polynomials(), pt=points)
-    def test_evaluate_is_ring_hom(self, f, g, pt):
-        names = ("x", "y", "z")
-        n = max(f.nvars, g.nvars)
-
-        def lift(p):
-            return from_terms(
-                names[:n],
-                [(tuple(e) + (0,) * (n - p.nvars), c) for e, c in p.terms.items()],
-            )
-
-        f, g = lift(f), lift(g)
-        v = pt[:n]
-        assert (f * g).evaluate(v) == f.evaluate(v) * g.evaluate(v)
-        assert (f + g).evaluate(v) == f.evaluate(v) + g.evaluate(v)
-
-    @given(f=polynomials(), k=st.integers(min_value=0, max_value=3))
-    def test_power_matches_repeated_product(self, f, k):
-        expected = constant(f.variables, 1)
-        for _ in range(k):
-            expected = expected * f
-        assert f**k == expected
 
 
 class TestPartials:
@@ -163,22 +124,16 @@ class TestPartials:
         assert str(dx2) == "x1"
 
     def test_constant_derivative_is_zero(self):
-        assert constant(("x",), 5).partial(0).is_zero()
+        assert Polynomial(("x",), {(0,): 5}).partial(0).is_zero()
 
-    @given(f=polynomials(max_vars=2), g=polynomials(max_vars=2))
-    def test_leibniz(self, f, g):
-        names = ("x", "y")
-        n = max(f.nvars, g.nvars)
-
-        def lift(p):
-            return from_terms(
-                names[:n],
-                [(tuple(e) + (0,) * (n - p.nvars), c) for e, c in p.terms.items()],
-            )
-
-        f, g = lift(f), lift(g)
-        for i in range(n):
-            assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
+    def test_matches_sympy_diff(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for _ in range(40):
+            f = random_sparse_poly(rng, rng.choice([1, 2, 3]), max_terms=5, origin_vanishing=False)
+            xs = sympy.symbols(f.variables)
+            for i, x in enumerate(xs):
+                assert f.partial(i).terms == sympy.Poly(sympy.diff(_as_sympy(f, xs), x), *xs).as_dict(), (str(f), i)
 
 
 class TestEvalMod:
@@ -330,8 +285,8 @@ class TestReductionKey:
                 n = rng.randint(1, 3)
                 f = random_sparse_poly(rng, n, max_terms=5, max_exp=4, origin_vanishing=False)
                 h = random_sparse_poly(rng, n, max_terms=5, max_exp=4, origin_vanishing=False)
-                assert reduction_key(f, p) == reduction_key(f + p * h, p)
-                differ = any(c % p for c in (f - h).terms.values())
+                assert reduction_key(f, p) == reduction_key(plus_multiple(f, p, h), p)
+                differ = any(c % p for c in plus_multiple(f, -1, h).terms.values())
                 assert (reduction_key(f, p) == reduction_key(h, p)) == (not differ)
 
     def test_drops_multiples_of_p(self):
@@ -379,24 +334,18 @@ class TestShiftScale:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_the_composition(self, seed):
-        # f(P + p x) built with Polynomial +, * and **; the first coordinate
-        # of P is negative for even seeds and at least p for odd ones
+        # f(P + p x) expanded by sympy; the first coordinate of P is
+        # negative for even seeds and at least p for odd ones
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(seed)
         f = random_sparse_poly(rng, rng.choice([1, 2, 3]), origin_vanishing=rng.random() < 0.5)
         p = rng.choice([2, 3, 5, 7])
         first = rng.randint(-3 * p, -1) if seed % 2 == 0 else rng.randint(p, 3 * p)
         point = (first,) + tuple(rng.randint(-3 * p, 3 * p) for _ in range(f.nvars - 1))
-        names, n = f.variables, f.nvars
-        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        lines = [from_terms(names, [((0,) * n, a), (units[i], p)]) for i, a in enumerate(point)]
-        composed = constant(names, 0)
-        for exps, coeff in f.terms.items():
-            term = constant(names, coeff)
-            for line, k in zip(lines, exps):
-                term = term * line**k
-            composed = composed + term
+        xs = sympy.symbols(f.variables)
+        composed = _as_sympy(f, [a + p * x for a, x in zip(point, xs)])
         e, g = shift_scale(f, point, p)
-        assert p**e * g == composed
+        assert {m: p**e * c for m, c in g.terms.items()} == sympy.Poly(composed, *xs).as_dict()
         assert math.gcd(*g.terms.values()) % p != 0
 
     @given(

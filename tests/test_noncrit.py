@@ -18,6 +18,7 @@ from helpers import (
     lifts_mod,
     random_sparse_poly,
     reference_torus_zeros,
+    square,
     sympy_torus_ideal_trivial,
     torus_common_zeros,
     torus_has_common_zero,
@@ -142,7 +143,7 @@ class TestExactWitness:
         while len(inputs) < 60:
             if rng.random() < 0.5:
                 g = random_sparse_poly(rng, 2, max_terms=3, max_exp=3, coeff_bound=3)
-                f = g * g
+                f = square(g)
             else:
                 f = random_sparse_poly(rng, 2, max_terms=4, max_exp=5, coeff_bound=4)
             try:
@@ -243,7 +244,7 @@ class TestExactRules:
         for text in texts:
             if text.startswith("("):
                 g = P(text[1:-3])
-                inputs.append(g * g)
+                inputs.append(square(g))
             else:
                 inputs.append(P(text))
         rng = random.Random(9)
@@ -251,7 +252,7 @@ class TestExactRules:
             nvars = rng.choice((1, 2, 2))
             if rng.random() < 0.3:
                 g = random_sparse_poly(rng, nvars, max_terms=3, max_exp=3, coeff_bound=3)
-                inputs.append(g * g)
+                inputs.append(square(g))
             else:
                 inputs.append(random_sparse_poly(rng, nvars, max_terms=4, max_exp=5, coeff_bound=4))
         faces = {}
@@ -590,11 +591,11 @@ class TestTorusSlice:
         for _ in range(15):
             # squares have critical faces, so some scans find zeros
             g = random_sparse_poly(rng, rng.randint(2, 3), max_terms=3, max_exp=2, coeff_bound=3)
-            polys.append(g * g)
+            polys.append(square(g))
         for _ in range(10):
             # 4-variable faces, most of them with d < n, at small primes
             g = random_sparse_poly(rng, 4, max_terms=2, max_exp=2, coeff_bound=3)
-            polys.append(g * g)
+            polys.append(square(g))
             polys.append(random_sparse_poly(rng, 4, max_terms=3, max_exp=3))
         seen = Counter()
         for f in polys:
@@ -670,7 +671,7 @@ class TestRankTest:
         for _ in range(20):
             # squares have critical faces, so some scans find zeros
             g = random_sparse_poly(rng, rng.randint(2, 3), max_terms=3, max_exp=2, coeff_bound=3)
-            polys.append(g * g)
+            polys.append(square(g))
         hulls, seen = {}, Counter()
         for f in polys:
             poly = build_polyhedron(f)

@@ -90,11 +90,6 @@ class TestPValuation:
 
 
 class TestPrimeSpec:
-    def test_q_equals_p(self):
-        spec = PrimeSpec(7)
-        assert spec.p == 7
-        assert spec.q == 7
-
     @pytest.mark.parametrize("bad", [0, 1, 4, 9, -3, 100])
     def test_rejects_nonprime(self, bad):
         with pytest.raises(ValueError):

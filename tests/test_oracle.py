@@ -115,15 +115,15 @@ class TestBallCounts:
         if rng.random() < 0.3:
             f = direct_sum(f, Polynomial(("u",), {}))
         if rng.random() < 0.5:
-            f = f + rng.randint(-9, 9)
+            f = from_terms(f.variables, [*f.terms.items(), ((0,) * f.nvars, rng.randint(-9, 9))])
         n = f.nvars
         depth = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
         spec = PrimeSpec(p)
         assert ball_counts(f, spec, depth).counts == count_mod(f, spec, depth).counts
 
     def test_blocks_are_the_components_of_the_variables(self):
-        f = Polynomial(("u", "w", "x", "y", "z"), {(0, 0, 2, 1, 0): 1, (0, 0, 0, 0, 3): 2, (0, 0, 0, 0, 0): 7})
-        f = f + Polynomial(f.variables, {(0, 5, 0, 0, 0): -1, (0, 1, 0, 1, 0): 3})
+        f = Polynomial(("u", "w", "x", "y", "z"), {(0, 0, 2, 1, 0): 1, (0, 0, 0, 0, 3): 2, (0, 0, 0, 0, 0): 7,
+                                                    (0, 5, 0, 0, 0): -1, (0, 1, 0, 1, 0): 3})
         assert [str(b) for b in _blocks(f)] == ["0", "-w^5 + x^2*y + 3*w*y", "2*z^3"]
         assert [b.variables for b in _blocks(f)] == [("u",), ("w", "x", "y"), ("z",)]
 

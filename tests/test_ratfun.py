@@ -8,7 +8,6 @@ import reference
 from igusa.ratfun import (
     RationalZeta,
     denominator_polynomial,
-    divide_out_factor,
     expand,
     poles,
     recover_numerator,
@@ -185,18 +184,24 @@ class TestRecoverNumerator:
 
 
 class TestDivideOutFactor:
+    """reduce_factors on one factor: it cancels exactly when it divides."""
+
     def test_exact_division(self):
         # (4/5)*(1 - t/9) divided by (2,1) at q=3 leaves (4/5)
-        num = (Fraction(4, 5), Fraction(-4, 45))
-        quotient = divide_out_factor(num, (2, 1), 3)
-        assert quotient == (Fraction(4, 5),)
+        result = reduce_factors(RationalZeta((Fraction(4, 5), Fraction(-4, 45)), ((2, 1),), 3))
+        assert result.cancelled == ((2, 1),)
+        assert result.reduced.numerator == (Fraction(4, 5),)
 
-    def test_inexact_returns_none(self):
-        assert divide_out_factor((Fraction(1),), (1, 1), 5) is None
-        assert divide_out_factor((Fraction(1), Fraction(1)), (1, 1), 5) is None
+    @pytest.mark.parametrize("num", [(Fraction(1),), (Fraction(1), Fraction(1))])
+    def test_inexact_survives(self, num):
+        result = reduce_factors(RationalZeta(num, ((1, 1),), 5))
+        assert (result.cancelled, result.surviving) == ((), ((1, 1),))
+        assert result.reduced.numerator == num
 
     def test_zero_numerator(self):
-        assert divide_out_factor((), (1, 1), 5) == ()
+        result = reduce_factors(RationalZeta((), ((1, 1),), 5))
+        assert result.cancelled == ((1, 1),)
+        assert result.reduced.numerator == ()
 
     @given(
         num=st.lists(fracs, min_size=1, max_size=3),
@@ -209,11 +214,12 @@ class TestDivideOutFactor:
         for i, x in enumerate(num):
             for j, y in enumerate(den):
                 prod[i + j] += x * y
-        quotient = divide_out_factor(tuple(prod), factor, q)
+        result = reduce_factors(RationalZeta(tuple(prod), (factor,), q))
         trimmed = list(num)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
-        assert quotient == tuple(trimmed)
+        assert result.cancelled == (factor,)
+        assert result.reduced.numerator == tuple(trimmed)
 
 
 class TestPoles:
@@ -252,7 +258,7 @@ class TestReduceFactors:
 
 class TestAgainstFractionRoutes:
     """The int routes give what the Fraction routes of tests/reference.py
-    give: equal numerators, residuals and quotients, or None."""
+    give: equal numerators and residuals, and the same factors cancelled."""
 
     # A = 0 included; a repeated factor is drawn often, and forced by `twice`
     factors_st = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3)
@@ -289,25 +295,15 @@ class TestAgainstFractionRoutes:
         assert all(type(c) is Fraction for _, c in got.residuals)
 
     @settings(max_examples=150)
-    @given(num=st.lists(fracs, max_size=5), factors=factors_st, twice=st.booleans(),
-           q=primes, perturb=perturb_st)
-    def test_divide_out_factor(self, num, factors, twice, q, perturb):
-        # num times some of the factors, perhaps perturbed: exact or not
-        factors = factors + factors[:1] if twice else factors
-        num = self._perturbed(self._times(num, factors, q), perturb)
-        for factor in factors or [(1, 1)]:
-            got = divide_out_factor(num, factor, q)
-            assert got == reference.divide_out_factor(num, factor, q)
-            assert got is None or all(type(c) is Fraction for c in got)
-
-    @settings(max_examples=100)
     @given(num=st.lists(fracs, max_size=4), factors=factors_st, twice=st.booleans(),
-           cancel=st.integers(0, 3), q=primes)
-    def test_reduce_factors(self, num, factors, twice, cancel, q):
-        # a numerator that carries the first `cancel` factors, retired one by
-        # one by the Fraction division as reduce_factors retires them
+           cancel=st.integers(0, 3), q=primes, perturb=perturb_st)
+    def test_reduce_factors(self, num, factors, twice, cancel, q, perturb):
+        # a numerator that carries the first `cancel` factors, perhaps
+        # perturbed so that a division is inexact, retired one by one by the
+        # Fraction division as reduce_factors retires them
         factors = factors + factors[:1] if twice else factors
-        z = RationalZeta(tuple(self._times(num, factors[:cancel], q)), tuple(factors), q)
+        num = self._perturbed(self._times(num, factors[:cancel], q), perturb)
+        z = RationalZeta(tuple(num), tuple(factors), q)
         rest, cancelled, surviving = z.numerator, [], []
         for factor in z.denominator_factors:
             quotient = reference.divide_out_factor(rest, factor, q)
@@ -319,3 +315,4 @@ class TestAgainstFractionRoutes:
         result = reduce_factors(z)
         assert (result.cancelled, result.surviving) == (tuple(cancelled), tuple(surviving))
         assert result.reduced.numerator == rest
+        assert all(type(c) is Fraction for c in result.reduced.numerator)
