@@ -295,6 +295,23 @@ class TestAgainstFractionRoutes:
         assert all(type(c) is Fraction for _, c in got.residuals)
 
     @settings(max_examples=150)
+    @given(num=st.lists(fracs, max_size=5), factors=factors_st, twice=st.booleans(),
+           q=primes, perturb=perturb_st)
+    def test_divide_out_factor(self, num, factors, twice, q, perturb):
+        # num times some of the factors, perhaps perturbed: exact or not; each
+        # factor alone in the denominator cancels iff the Fraction division
+        # is exact, and leaves its quotient
+        factors = factors + factors[:1] if twice else factors
+        num = self._perturbed(self._times(num, factors, q), perturb)
+        for factor in factors or [(1, 1)]:
+            expected = reference.divide_out_factor(num, factor, q)
+            z = RationalZeta(tuple(num), (factor,), q)
+            result = reduce_factors(z)
+            assert result.cancelled == (() if expected is None else (factor,))
+            assert result.reduced.numerator == (z.numerator if expected is None else expected)
+            assert all(type(c) is Fraction for c in result.reduced.numerator)
+
+    @settings(max_examples=150)
     @given(num=st.lists(fracs, max_size=4), factors=factors_st, twice=st.booleans(),
            cancel=st.integers(0, 3), q=primes, perturb=perturb_st)
     def test_reduce_factors(self, num, factors, twice, cancel, q, perturb):
