@@ -278,9 +278,9 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
     def budget(sp):
         sp.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
                         help="node budget (default 10^8) shared by the blocks of "
-                        "disjoint variables; a node is one polynomial and precision "
-                        "met in a block's recursion, and nodes with the same "
-                        "reduction mod p share one scan of the p^n residues mod p")
+                        "disjoint variables; a node is one polynomial mod p^m up to a "
+                        "unit and precision m, counted once over all blocks, and nodes "
+                        "with one reduction mod p share one scan of the p^n residues")
 
     def spf(sp):
         polys(sp, prime=True)

@@ -6,11 +6,11 @@ together with an ordered tuple of variable names.  Terms are kept in
 graded lexicographic order for printing and hashing, so equal
 polynomials have equal canonical forms.
 
-The transform used by the stationary-phase recursion lives here:
-``shift_scale`` rewrites f(P + p x) as p^e * g(x) with g of p-unit
-content, returning (e, g), an exact identity over the integers, tested
-by re-expansion.  It expands each term by the binomial theorem into one
-map of terms, which the value balls of ``oracle`` read too.
+The one lift kernel lives here: ``_lift`` writes f(P + p x) on term maps
+as f(P) + p^e h(x) with h of p-unit content, and given a precision m it
+keeps only the terms mod p^m that the value balls of ``oracle`` read.
+``shift_scale`` wraps it exactly for the stationary-phase recursion:
+f(P + p x) = p^e g(x), g a ``Polynomial``, tested by re-expansion.
 
 The one vectorised evaluator lives here too, for every caller that needs
 f on many residue classes: ``eval_mod`` reduces f mod m at points given
@@ -18,7 +18,8 @@ by one broadcastable array per variable (the columns of explicit points,
 or the axes of a grid from ``residue_axes``, which is never built), and
 ``classify_mod_p`` adds the mask where every partial vanishes mod p,
 reading each partial's terms mod p off f's terms and evaluating them in
-the same loop.  It runs in int64 and refuses a modulus m with
+the same loop (``_classify``, on term maps, which the value balls call
+too).  It runs in int64 and refuses a modulus m with
 (m - 1)^2 >= 2^63.
 ``reduction_key`` names f mod p, so that a caller can share one scan
 among the polynomials with the same reduction.  They import numpy
@@ -27,7 +28,6 @@ themselves, so parsing a polynomial does not load it.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
 from math import comb, gcd
@@ -199,38 +199,41 @@ def direct_sum(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(variables, terms)
 
 
-def _shift_terms(f: Polynomial, point: Sequence[int], p: int, below: Optional[int] = None) -> dict:
-    """The terms of f(P + p x): each term of f expanded by the binomial
-    theorem, (P_i + p x_i)^k = sum over j of C(k, j) P_i^(k-j) p^j x_i^j.
-    With ``below``, only the terms with every j < below: those left out are
-    0 mod p^below."""
-    rows: dict = {}  # (i, k) -> the nonzero (j, coefficient) of (P_i + p x_i)^k
+def _lift(terms: Iterable[Tuple[Monomial, int]], point: Sequence[int], p: int,
+          precision: Optional[int] = None, rows: Optional[dict] = None) -> Tuple[int, int, dict]:
+    """(base, e, h) with f(P + p x) = base + p^e h(x) for the f with these
+    terms: base = f(P) and h a map of non-constant terms of p-unit content.
+    The binomial rows of (P_i + p x_i)^k are kept per (P_i, k) in ``rows``
+    (one entry j = k when P_i = 0).  With a precision m, only the terms
+    below p^m are kept, taken mod p^m: base is f(P) mod p^m, h is taken mod
+    p^(m - e), and e = m, h = {} when f(P + p x) = f(P) mod p^m.  Without
+    one it is exact, and e = 0, h = {} for a constant f."""
+    modulus = None if precision is None else p**precision
+    rows = {} if rows is None else rows
     out: dict = {}
-    for exps, coeff in f.terms.items():
-        factors = []
-        for i, k in enumerate(exps):
-            row = rows.get((i, k))
+    for exps, coeff in terms:
+        expanded = [((), coeff)]  # the term expanded in the variables so far
+        for key in zip(point, exps):
+            row = rows.get(key)
             if row is None:
-                a = point[i]
-                top = k if below is None else min(k, below - 1)
-                row = rows[(i, k)] = [
-                    (j, comb(k, j) * a ** (k - j) * p**j) for j in range(top + 1) if a or j == k
-                ]
-            factors.append(row)
-        for choice in itertools.product(*factors):
-            c = coeff
-            for _, b in choice:
-                c *= b
-            mono = tuple(j for j, _ in choice)
+                a, k = key
+                top = k if precision is None else min(k, precision - 1)
+                row = rows[key] = [((j,), comb(k, j) * pow(a, k - j, modulus) * p**j)
+                                   for j in range(top + 1) if a or j == k]
+            expanded = [(mono + j, c * b) for mono, c in expanded for j, b in row]
+        for mono, c in expanded:
             out[mono] = out.get(mono, 0) + c
-    return out
-
-
-def _scale_out(variables: Sequence[str], terms: dict, p: int) -> Tuple[int, Polynomial]:
-    """(e, g) with sum(terms) = p^e * g and g of p-unit content; terms not all 0."""
-    e = p_valuation(gcd(*terms.values()), p)
+    base = out.pop((0,) * len(point), 0)
+    if modulus is None:
+        out = {mono: c for mono, c in out.items() if c}
+    else:
+        base %= modulus
+        out = {mono: r for mono, c in out.items() if (r := c % modulus)}
+    if not out:
+        return base, precision or 0, out
+    e = p_valuation(gcd(*out.values()), p)
     scale = p**e
-    return e, Polynomial(variables, {m: c // scale for m, c in terms.items()})
+    return base, e, {mono: c // scale for mono, c in out.items()}
 
 
 def shift_scale(f: Polynomial, point: Sequence[int], p: int) -> Tuple[int, Polynomial]:
@@ -242,7 +245,11 @@ def shift_scale(f: Polynomial, point: Sequence[int], p: int) -> Tuple[int, Polyn
         raise ValueError("shift_scale of the zero polynomial")
     if len(point) != f.nvars:
         raise ValueError(f"point arity {len(point)} != {f.nvars}")
-    return _scale_out(f.variables, _shift_terms(f, [int(x) for x in point], p), p)
+    base, e, h = _lift(f.terms.items(), [int(x) for x in point], p)
+    d = p_valuation(gcd(base, p**e if h else 0), p)  # the valuation of base + p^e h
+    terms = {mono: c * p ** (e - d) for mono, c in h.items()}
+    terms[(0,) * f.nvars] = base // p**d
+    return d, Polynomial(f.variables, terms)
 
 
 def _pow_mod(arr, e: int, modulus: int):
@@ -319,17 +326,22 @@ def _eval_terms(terms: Sequence[Tuple[Monomial, int]], coords, modulus: int):
 
 
 def classify_mod_p(f: Polynomial, coords, p: int):
-    """(f mod p at the points of coords, mask of the points where every
-    partial of f is 0 mod p), both by ``eval_mod``'s loop.  Each partial
-    is read off the terms of f mod p (``reduction_key``): the term
+    """``_classify`` on the terms of f mod p (``reduction_key``)."""
+    return _classify(reduction_key(f, p), coords, p)
+
+
+def _classify(terms: Sequence[Tuple[Monomial, int]], coords, p: int):
+    """(values mod p at the points of coords, mask of the points where every
+    partial is 0 mod p), for the terms mod p, each nonzero mod p, of a
+    polynomial, both by ``_eval_terms``' loop.  Each partial is read off the
+    terms: the term
     c x^e gives e_i c x^(e - 1_i), kept when e_i c is nonzero mod p, so a
     partial that is 0 mod p costs no evaluation and builds no Polynomial."""
     import numpy as np
 
-    terms = reduction_key(f, p)
     values = _eval_terms(terms, coords, p)
     critical = np.ones(values.shape, dtype=bool)
-    for i in range(f.nvars):
+    for i in range(len(coords)):
         partial = [(exps[:i] + (exps[i] - 1,) + exps[i + 1:], exps[i] * c % p)
                    for exps, c in terms if exps[i] * c % p]
         if partial:

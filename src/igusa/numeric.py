@@ -49,6 +49,8 @@ class PrimeSpec:
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, int) and self.p >= 2**64:
+            raise ValueError(f"primality is decided for p < 2^64 only, got {self.p}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"not a prime: {self.p!r}")
 

@@ -2,15 +2,17 @@
 
 ``value_balls`` pushes the point count of f mod p^m forward to the values
 of f, as a list of uniform balls.  Each residue class mod p is sorted by
-``mpoly.classify_mod_p``.  A class where some partial derivative is a
-unit maps uniformly onto one ball of radius p^-1 (Hensel's lemma, the
-same shortcut ``spf`` takes), and a singular class recurses through
-f(r + p x) - f(r) = p^e h(x), read off the binomial expansion that
-``shift_scale`` shares with ``spf``.  ``ball_counts`` splits f into
-blocks of disjoint variables and adds their balls up (two uniform balls
-add to one); ``igusa count`` runs on it, and so does ``verify_theorem``,
-whose f(x) + g(y) splits.  The tests tie these counts to plain
-breadth-first lifting, which lives in ``tests/reference.py``.
+``mpoly._classify``.  A class where some partial derivative is a unit
+maps uniformly onto one ball of radius p^-1 (Hensel's lemma, the same
+shortcut ``spf`` takes), and a singular class recurses through
+f(r + p x) - f(r) = p^e h(x), from the lift kernel ``mpoly._lift``.  A
+node is a term map taken mod p^m and divided by a unit (``_normal_form``).
+``ball_counts`` splits f into blocks of disjoint variables and adds
+their balls up (two uniform balls add to one), its blocks sharing one
+memo of nodes; ``igusa count`` runs on it, and so does
+``verify_theorem``, whose f(x) + g(y) splits.  The tests tie these counts
+to plain lifting and to value balls on exact polynomials, both in
+``tests/reference.py``.
 
 The counts are converted to the measure series of Z(f; s), and
 ``verify_theorem`` checks that the series satisfies the linear
@@ -18,8 +20,8 @@ recurrence forced by a claimed factored denominator, recovering the
 numerator polynomial.
 
 Counting is exact; the only concession to cost is an explicit node
-budget: a node is one polynomial and precision met in the recursion of
-a block (the blocks share the budget), and exceeding it raises
+budget: a node is one normal form and precision met in the recursion
+(the blocks share the nodes and the budget), and exceeding it raises
 ``BudgetExceeded`` naming the block, the class and the precision where
 the count stopped; so does a class path of more than ``mpoly.MAX_LIFTS``
 nested lifts.  Nodes whose polynomials agree mod p share one scan
@@ -34,8 +36,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import tsden
-from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Polynomial, classify_mod_p, direct_sum, eval_mod
-from .mpoly import _scale_out, _shift_terms, reduction_key, residue_axes
+from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, direct_sum, residue_axes
+from .mpoly import _classify, _eval_terms, _lift
 from .numeric import DEFAULT_BUDGET, PrimeSpec
 from .ratfun import Factor, RationalZeta, poles, recover_numerator, reduce_factors
 
@@ -102,97 +104,114 @@ def value_balls(
     f(x) = c mod p^k; those w points have values mod p^m spread evenly
     over the p^(m-k) residues of c + p^k Z, so p^(m-k) divides w.  The
     weights add up to p^(n m).  ``nodes`` is ``spent`` (nodes already
-    taken from the same budget) plus the nodes met here: one per
-    polynomial and precision in the recursion.  A node over ``budget``
-    raises BudgetExceeded, and so do a class path of more than
+    taken from the same budget) plus the nodes met here: one per normal
+    form (``_normal_form``) and precision of the recursion.  A node over
+    ``budget`` raises BudgetExceeded, and so do a class path of more than
     ``MAX_LIFTS`` lifts and more than 4 * 10^6 residues mod p, the last
     before any is scanned; a negative budget raises ValueError.
 
-    A node sorts the p^n residue classes mod p by ``classify_mod_p``,
-    which reads g mod p alone: the nodes of one call whose polynomials
-    have the same reduction (``mpoly.reduction_key``) share one scan.  A
-    class r where some partial is a unit maps onto g(r) + p Z_p uniformly
-    (Hensel).  On any other class g(r + p x) - g(r) = p^e h(x) with
-    e >= 2, so the class takes the balls of h at precision m - e, scaled
-    by p^e and moved to g(r); when e >= m it is one point mod p^m, and at
-    m = 1 every class is the ball (1, g(r) mod p).  The binomial expansion
-    keeps only its terms below p^m: they give g(r) mod p^m, e when e < m,
-    and h mod p^(m - e), all that the balls read.
+    A node g sorts the p^n residue classes mod p by ``mpoly._classify``,
+    which reads g mod p alone, so nodes with one reduction share a scan.
+    A class r where some partial is a unit maps onto g(r) + p Z_p
+    uniformly (Hensel).  On any other class g(r + p x) - g(r) = p^e h(x)
+    with e >= 2, so the class takes the balls of h at precision m - e,
+    scaled by p^e and moved to g(r); when e >= m it is one point mod p^m,
+    and at m = 1 every class is the ball (1, g(r) mod p).  ``_lift`` keeps
+    only the terms below p^m, all that the balls read.
     """
+    return _ball_counter(p.p, budget, spent)(f, precision)
+
+
+def _normal_form(terms: Dict[Monomial, int], p: int, m: int) -> Tuple[int, tuple]:
+    """(u, node), g = u * node mod p^m: the nonzero terms mod p^m in graded-lex
+    order over u, the first unit mod p among them (else 1).  Exact, since the
+    balls of g read g mod p^m, and those of u g are those of g, centres times u."""
+    modulus = p**m
+    ordered = sorted(terms.items(), key=lambda term: (sum(term[0]), term[0]))
+    u = next((c for _, c in ordered if c % p), 1) % modulus
+    inverse = pow(u, -1, modulus)
+    return u, tuple((mono, r) for mono, c in ordered if (r := c * inverse % modulus))
+
+
+def _ball_counter(q: int, budget: int, spent: int = 0):
+    """count(f, precision) = ``value_balls`` for blocks on one budget, nodes
+    counted from ``spent``.  The calls share the memo and the scans, keyed
+    with the arity: blocks equal up to names and a unit are counted once."""
     import numpy as np
 
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    q = p.p
-    n = f.nvars
-    if q**n > RESIDUE_LIMIT:
-        raise BudgetExceeded(
-            f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
-            f"over the limit of {RESIDUE_LIMIT}"
-        )
-    residues = residue_axes(q, n)
-    origin = (0,) * n
-    power = [q**k for k in range(max(n, 1) * precision + 1)]  # power[k] = q^k
-    memo: Dict[tuple, ValueBalls] = {}
-    scans: Dict[tuple, tuple] = {}  # (reduction_key, m == 1) -> scan
+    memo: Dict[tuple, ValueBalls] = {}  # (n, node, m) -> balls
+    scans: Dict[tuple, tuple] = {}  # (n, node mod p, m == 1) -> scan
+    rows: Dict[int, dict] = {}  # m -> the binomial rows of ``_lift`` at precision m
     nodes = spent
 
-    def scan(g: Polynomial, m: int):
-        """How g sorts the classes mod p: [(c, the number of classes r with
-        g(r) = c mod p)] over the classes that map onto one ball (1, c), and
-        the singular classes r.  At m = 1 every class maps onto its ball
-        (1, g(r) mod p), so no partial is evaluated."""
-        key = (reduction_key(g, q), m == 1)
-        if key not in scans:
-            if m == 1:
-                values = eval_mod(g, residues, q)
-                critical = np.zeros(values.shape, dtype=bool)
-            else:
-                values, critical = classify_mod_p(g, residues, q)
-            sizes = np.bincount(values[~critical], minlength=q).tolist()
-            singular = list(map(tuple, np.argwhere(critical).tolist()))
-            scans[key] = [(c, size) for c, size in enumerate(sizes) if size], singular
-        return scans[key]
-
-    def balls(g: Polynomial, m: int, path: Tuple[Tuple[int, ...], ...]) -> ValueBalls:
-        nonlocal nodes
-        if g.total_degree() == 0:
-            return {(m, g.constant_term() % power[m]): power[n * m]}
-        key = (g.canonical_key(), m)
-        if key in memo:
-            return memo[key]
-        if nodes >= budget or len(path) > MAX_LIFTS:
-            cause = (f"after {nodes} nodes (budget {budget})" if nodes >= budget
-                     else f"after {MAX_LIFTS} nested lifts, the most one count takes")
+    def count(f: Polynomial, precision: int) -> Tuple[ValueBalls, int]:
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
+        n = f.nvars
+        if q**n > RESIDUE_LIMIT:
             raise BudgetExceeded(
-                f"value balls of {f} stopped at class "
-                f"{' -> '.join(map(str, path)) or '(root)'} with "
-                f"precision {m}/{precision} {cause}"
+                f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
+                f"over the limit of {RESIDUE_LIMIT}"
             )
-        nodes += 1
-        smooth, singular = scan(g, m)
-        class_weight = power[n * (m - 1)]
-        out: ValueBalls = {(1, c): size * class_weight for c, size in smooth}
-        for r in singular:
-            # the terms with some p^j, j >= m, are 0 mod p^m: left out; with
-            # none left the class is one point mod p^m
-            terms = {mono: c for mono, c in _shift_terms(g, r, q, m).items() if c}
-            base = terms.pop(origin, 0)
-            e, h = _scale_out(g.variables, terms, q) if terms else (m, None)
-            if e >= m:
-                ball = (m, base % power[m])
-                out[ball] = out.get(ball, 0) + class_weight
-                continue
-            scale, shift = power[n * (e - 1)], power[e]
-            for (k, c), w in balls(h, m - e, path + (r,)).items():
-                ball = (k + e, (base + shift * c) % power[k + e])
-                out[ball] = out.get(ball, 0) + w * scale
-        memo[key] = out
-        return out
+        power = [q**k for k in range(max(n, 1) * precision + 1)]  # power[k] = q^k
 
-    return balls(f, precision, ()), nodes
+        def scan(node: tuple, m: int):
+            """([(c, #classes r with node(r) = c mod p)] over the classes that
+            map onto one ball (1, c), the singular classes r).  At m = 1 every
+            class maps onto its ball (1, node(r) mod p): no partial is read."""
+            reduced = tuple((mono, c % q) for mono, c in node if c % q)
+            key = (n, reduced, m == 1)
+            if key not in scans:
+                residues = residue_axes(q, n)
+                if m == 1:
+                    values = _eval_terms(reduced, residues, q)
+                    critical = np.zeros(values.shape, dtype=bool)
+                else:
+                    values, critical = _classify(reduced, residues, q)
+                sizes = np.bincount(values[~critical], minlength=q).tolist()
+                singular = list(map(tuple, np.argwhere(critical).tolist()))
+                scans[key] = [(c, size) for c, size in enumerate(sizes) if size], singular
+            return scans[key]
+
+        def balls(node: tuple, m: int, path: Tuple[Tuple[int, ...], ...]) -> ValueBalls:
+            nonlocal nodes
+            if not any(any(mono) for mono, _ in node):
+                return {(m, sum(c for _, c in node)): power[n * m]}
+            key = (n, node, m)
+            if key in memo:
+                return memo[key]
+            if nodes >= budget or len(path) > MAX_LIFTS:
+                cause = (f"after {nodes} nodes (budget {budget})" if nodes >= budget
+                         else f"after {MAX_LIFTS} nested lifts, the most one count takes")
+                raise BudgetExceeded(
+                    f"value balls of {f} stopped at class "
+                    f"{' -> '.join(map(str, path)) or '(root)'} with "
+                    f"precision {m}/{precision} {cause}"
+                )
+            nodes += 1
+            smooth, singular = scan(node, m)
+            class_weight = power[n * (m - 1)]
+            out: ValueBalls = {(1, c): size * class_weight for c, size in smooth}
+            for r in singular:
+                base, e, h = _lift(node, r, q, m, rows.setdefault(m, {}))
+                if e >= m:
+                    out[(m, base)] = out.get((m, base), 0) + class_weight
+                    continue
+                u, child = _normal_form(h, q, m - e)
+                scale, shift = power[n * (e - 1)], power[e] * u
+                for (k, c), w in balls(child, m - e, path + (r,)).items():
+                    ball = (k + e, (base + shift * c) % power[k + e])
+                    out[ball] = out.get(ball, 0) + w * scale
+            memo[key] = out
+            return out
+
+        u, root = _normal_form(f.terms, q, precision)
+        found = balls(root, precision, ())
+        return {(k, u * c % power[k]): w for (k, c), w in found.items()}, nodes
+
+    return count
 
 
 def _blocks(f: Polynomial) -> List[Polynomial]:
@@ -223,12 +242,13 @@ def ball_counts(
     k = min(k1, k2).  The blocks go in order of total degree, each pushed
     only to the precision m = max k of the fold so far: no sum is finer,
     and a ball with k1 <= m needs the block only mod p^k1.  Its weights,
-    points mod p^m, are scaled to points mod p^depth.  hits[j] then counts
-    the points mod p^depth whose value is 0 mod p^j, and
-    N_j = hits[j] / p^(n (depth - j)).  The blocks share one node budget,
-    and ``nodes_expanded`` counts their nodes, one per polynomial and
-    precision of a block's recursion; running out raises BudgetExceeded,
-    and a negative budget ValueError (from ``value_balls``).
+    points mod p^m, are scaled to points mod p^depth.  The folded balls
+    are tallied by the valuation of their centres, and N_j is the number
+    of points mod p^depth whose value is 0 mod p^j, over p^(n (depth - j)).
+    The blocks share one memo of nodes and one node budget, and
+    ``nodes_expanded`` counts their nodes as ``value_balls`` does, a node
+    shared by two blocks once; running out raises BudgetExceeded, and a
+    negative budget ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -238,10 +258,11 @@ def ball_counts(
     q = p.p
     power = [q**k for k in range(depth + 1)]  # power[k] = q^k
     fold: ValueBalls = {(depth, f.constant_term() % power[depth]): 1}
+    count = _ball_counter(q, budget)
     nodes = 0
     for block in sorted(_blocks(f), key=Polynomial.total_degree):
         m = max(k for k, _ in fold)
-        balls, nodes = value_balls(block, p, m, budget, spent=nodes)
+        balls, nodes = count(block, m)
         scale = q ** (block.nvars * (depth - m))
         summed: ValueBalls = {}
         for (k1, c1), w1 in fold.items():
@@ -252,22 +273,27 @@ def ball_counts(
                 summed[ball] = summed.get(ball, 0) + w1 * w2
         fold = summed
 
-    hits = [0] * (depth + 1)
+    # the values of a ball (k, c), c != 0, have valuation v(c); those of
+    # (k, 0) lie in p^k Z, and a share p^(k-j) of them in p^j Z for j > k
+    exact, zero = [0] * (depth + 2), [0] * (depth + 1)  # weights by v(c), by k of (k, 0)
     for (k, c), w in fold.items():
-        v = 0
-        while v < k and c % power[v + 1] == 0:
-            v += 1
-        for j in range(1, v + 1):
-            hits[j] += w
-        if v == k:
-            for j in range(k + 1, depth + 1):
-                hits[j] += w // power[j - k]
+        if not c:
+            zero[k] += w
+        elif c % q == 0:
+            v = 1
+            while c % power[v + 1] == 0:
+                v += 1
+            exact[v] += w
+    for j in range(depth, 0, -1):  # exact[j]: the points of p^j Z in whole balls
+        exact[j] += exact[j + 1] + zero[j]
     counts = []
+    spread = 0  # the points of p^j Z in the balls (k, 0), k < j
     for j in range(1, depth + 1):
-        count, rest = divmod(hits[j], q ** (n * (depth - j)))
+        count_j, rest = divmod(exact[j] + spread, q ** (n * (depth - j)))
         if rest:
             raise ArithmeticError(f"value balls give a fractional N_{j}")
-        counts.append(count)
+        counts.append(count_j)
+        spread = (spread + zero[j]) // q
     return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=1, nodes_expanded=nodes)
 
 

@@ -17,21 +17,27 @@ something:
   of a Newton polyhedron off its support and face lattice.
 * ``sup_bound`` certifies the supremum over Z_p^n of a pointwise order
   on a residue tree.
+* ``value_balls`` is the value-ball count as it was before its nodes
+  were taken mod p^m up to a unit: memoised on each exact polynomial and
+  precision, its residue classes sorted by plain evaluation of f and its
+  partials, and its lifts expanded in full.
 * ``recover_numerator`` is the library's numerator recovery as it was on
   ``Fraction``s throughout, before the library moved it to ints over one
   common denominator.  ``divide_out_factor`` is the division by one factor
   on ``Fraction``s, the reference for ``reduce_factors``, which retires
   the factors that divide exactly.
 
-None of them imports a route it checks (``value_balls``, ``ball_counts``,
-``spf_evaluate``, ``spf_counts``, ``shift_scale``, the evaluation kernel
-``eval_mod``, ``classify_mod_p``, ``_eval_terms``, ``_pow_mod``,
-``residue_axes``, or ``ratfun``'s int routes); ``test_imports`` holds
-this file to that.
+None of them imports a route it checks (``value_balls``, ``ball_counts``
+and their ``_normal_form`` and ``_ball_counter``, ``spf_evaluate``,
+``spf_counts``, the lift kernel ``_lift`` and ``shift_scale``, the
+evaluation kernel ``eval_mod``, ``classify_mod_p``, ``_classify``,
+``_eval_terms``, ``_pow_mod``, ``residue_axes``, or ``ratfun``'s int
+routes); ``test_imports`` holds this file to that.
 """
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,6 +161,62 @@ def count_mod(f: Polynomial, p: PrimeSpec, depth: int, domain: Optional[Domain] 
         counts.append(len(surv) if domain is None else _in_domain(surv, domain, p.p, m + 1))
     n0 = 1 if domain is None else int(domain((0,) * n))
     return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=n0, nodes_expanded=nodes)
+
+
+# ---------------------------------------------------------------------------
+# value balls on exact polynomials
+
+
+def _shifted(g: Polynomial, r: Tuple[int, ...], p: int) -> dict:
+    """The nonzero terms of g(r + p x) - g(r), each term of g expanded in
+    full by the binomial theorem."""
+    out: dict = {}
+    for exps, c in g.terms.items():
+        for js in itertools.product(*(range(k + 1) for k in exps)):
+            term = c
+            for a, k, j in zip(r, exps, js):
+                term *= comb(k, j) * a ** (k - j) * p**j
+            out[js] = out.get(js, 0) + term
+    out.pop((0,) * len(r), None)
+    return {mono: c for mono, c in out.items() if c}
+
+
+def value_balls(f: Polynomial, p: PrimeSpec, precision: int) -> dict:
+    """The balls of f at a precision, as ``oracle.value_balls`` defines
+    them, with a node memoised on its exact polynomial and precision.  Every
+    class r mod p is classified by evaluating f and its partials at r; a
+    class where some partial is a unit, or any class at precision 1, is
+    the ball (1, g(r) mod p), and any other recurses on the exact
+    g(r + p x) - g(r) = p^e h(x)."""
+    q, n = p.p, f.nvars
+    memo: dict = {}
+
+    def balls(g: Polynomial, m: int) -> dict:
+        if g.total_degree() == 0:
+            return {(m, g.constant_term() % q**m): q ** (n * m)}
+        if (g, m) in memo:
+            return memo[(g, m)]
+        out: dict = {}
+        weight = q ** (n * (m - 1))  # the points mod p^m of one class
+        partials = g.partials()
+        for r in itertools.product(range(q), repeat=n):
+            value = g.evaluate(r)
+            if m == 1 or any(d.evaluate(r) % q for d in partials):
+                out[(1, value % q)] = out.get((1, value % q), 0) + weight
+                continue
+            shifted = _shifted(g, r, q)
+            e = min(p_valuation(c, q) for c in shifted.values())
+            if e >= m:  # one point mod p^m
+                out[(m, value % q**m)] = out.get((m, value % q**m), 0) + weight
+                continue
+            h = Polynomial(g.variables, {mono: c // q**e for mono, c in shifted.items()})
+            for (k, c), w in balls(h, m - e).items():
+                ball = (k + e, (value + q**e * c) % q ** (k + e))
+                out[ball] = out.get(ball, 0) + w * q ** (n * (e - 1))
+        memo[(g, m)] = out
+        return out
+
+    return balls(f, precision)
 
 
 # ---------------------------------------------------------------------------

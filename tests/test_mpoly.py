@@ -12,6 +12,7 @@ from helpers import plus_multiple, random_sparse_poly
 from igusa.mpoly import (
     MAX_EXPONENT,
     Polynomial,
+    _lift,
     classify_mod_p,
     direct_sum,
     eval_mod,
@@ -20,6 +21,7 @@ from igusa.mpoly import (
     residue_axes,
     shift_scale,
 )
+from igusa.numeric import p_valuation
 
 
 def P(text):
@@ -347,6 +349,28 @@ class TestShiftScale:
         e, g = shift_scale(f, point, p)
         assert {m: p**e * c for m, c in g.terms.items()} == sympy.Poly(composed, *xs).as_dict()
         assert math.gcd(*g.terms.values()) % p != 0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_lift_below_a_precision_matches_the_composition(self, seed):
+        # the kernel at precision m against f(P + p x) expanded by sympy,
+        # its terms taken mod p^m: base is the constant term mod p^m, p^e
+        # the content of the rest, and h the rest over p^e mod p^(m - e);
+        # exponents up to 12 reach past m, and P_i = 0 at times
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        f = random_sparse_poly(rng, rng.choice([1, 2, 3]), max_exp=12, origin_vanishing=rng.random() < 0.5)
+        p = rng.choice([2, 3, 5, 7])
+        m = rng.randint(1, 8)
+        point = tuple(rng.choice([0, rng.randint(-3 * p, 3 * p)]) for _ in range(f.nvars))
+        xs = sympy.symbols(f.variables)
+        composed = sympy.Poly(_as_sympy(f, [a + p * x for a, x in zip(point, xs)]), *xs).as_dict()
+        base = composed.pop((0,) * f.nvars, 0) % p**m
+        rest = {mono: int(c) % p**m for mono, c in composed.items() if c % p**m}
+        e = min((p_valuation(c, p) for c in rest.values()), default=m)
+        want = {mono: c // p**e for mono, c in rest.items()}
+        assert _lift(f.terms.items(), point, p, m) == (base, e, want)
+        assert all(0 <= c < p ** (m - e) for c in want.values())
+        assert not want or math.gcd(*want.values()) % p
 
     @given(
         f=polynomials(max_vars=2),

@@ -90,10 +90,20 @@ class TestPValuation:
 
 
 class TestPrimeSpec:
-    @pytest.mark.parametrize("bad", [0, 1, 4, 9, -3, 100])
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to every witness 2..37, which decide only below 2^64
+    @pytest.mark.parametrize("bad", [0, 1, 4, 9, -3, 100, 318665857834031151167461, 2**64])
     def test_rejects_nonprime(self, bad):
         with pytest.raises(ValueError):
             PrimeSpec(bad)
+
+    def test_names_the_range_it_decides(self):
+        pseudoprime = 318665857834031151167461
+        with pytest.raises(ValueError, match=rf"^primality is decided for p < 2\^64 only, got {pseudoprime}$"):
+            PrimeSpec(pseudoprime)
+
+    def test_accepts_the_largest_64_bit_prime(self):
+        assert PrimeSpec(2**64 - 59).p == 2**64 - 59
 
     @pytest.mark.parametrize("good", [2, 3, 5, 7, 101, 46337])
     def test_accepts_primes(self, good):

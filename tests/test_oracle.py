@@ -12,9 +12,27 @@ from igusa.mpoly import MAX_LIFTS, Polynomial, direct_sum, from_terms
 from igusa.newton import build_polyhedron
 from igusa.numeric import PrimeSpec
 from igusa.oracle import BudgetExceeded, _blocks, ball_counts, measure_series, value_balls, verify_theorem
+from igusa.oracle import _ball_counter
 from reference import count_mod, face_cone, product, proper_faces, zero_cone
+from reference import value_balls as exact_value_balls
 
 P3, P5 = PrimeSpec(3), PrimeSpec(5)
+
+
+@st.composite
+def blocks(draw):
+    """(p, f, precision): a block of 1 or 2 variables whose coefficients
+    and exponents p may divide, at times of content divisible by p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.sampled_from([1, 2]))
+    exponent = st.sampled_from([0, 1, 2, 3, 4, p])
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * n), st.tuples(
+        st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=0, max_value=2)),
+        min_size=1, max_size=3))
+    content = p ** draw(st.integers(min_value=0, max_value=1))
+    f = Polynomial(("x", "y")[:n], {e: content * c * p**a for e, (c, a) in terms.items()})
+    precision = draw(st.integers(min_value=1, max_value={2: 8, 3: 5, 5: 4, 7: 3}[p] // n + 1))
+    return p, f, precision
 
 
 class TestCountMod:
@@ -129,12 +147,13 @@ class TestBallCounts:
 
     def test_four_blocks_pinned(self):
         # counts taken from the single-block counter; the four blocks cost
-        # 46 nodes where the whole cost 1,711
+        # 24 nodes in normal form (46 as exact polynomials) where the whole
+        # cost 1,711
         c = ball_counts(P("x^2*y + z^3 + w^5 + 7"), P3, 8)
         assert c.counts == (
             27, 648, 17496, 472392, 12754584, 344373768, 9298091736, 251048476872
         )
-        assert c.nodes_expanded == 46
+        assert c.nodes_expanded == 24
 
     def test_nodes_are_residue_scans(self):
         # the deep row of the README's count: its counts, one node per
@@ -231,33 +250,33 @@ class TestValueBalls:
         from igusa import oracle
 
         scanned = []
-        classify = oracle.classify_mod_p
-        evaluate = oracle.eval_mod
+        classify = oracle._classify
+        evaluate = oracle._eval_terms
 
-        def counting_classify(g, pts, p):
-            scanned.append(("classify", str(g)))
-            return classify(g, pts, p)
+        def counting_classify(terms, coords, p):
+            scanned.append(("classify", terms))
+            return classify(terms, coords, p)
 
-        def counting_eval(g, pts, p):
-            scanned.append(("values", str(g)))
-            return evaluate(g, pts, p)
+        def counting_eval(terms, coords, p):
+            scanned.append(("values", terms))
+            return evaluate(terms, coords, p)
 
-        monkeypatch.setattr(oracle, "classify_mod_p", counting_classify)
-        monkeypatch.setattr(oracle, "eval_mod", counting_eval)
-        # x^2 + 5^7 y at precision 9 recurses at (0, 0) to x^2 + 5^6 y,
-        # x^2 + 5^5 y and x^2 + 5^4 y at precisions 7, 5 and 3, whose
-        # reductions are all x^2; the last node, x^2 + 5^3 y at precision
-        # 1, is read off its values
+        monkeypatch.setattr(oracle, "_classify", counting_classify)
+        monkeypatch.setattr(oracle, "_eval_terms", counting_eval)
+        # x^2 + 5^7 y at precision 9 recurses at (0, r) to x^2 + 5^6 y at
+        # precision 7, and then to x^2 at precisions 5, 3 and 1 (5^5 y is 0
+        # mod 5^5): every reduction is x^2, scanned once with its partials,
+        # and the node at precision 1 is read off its values
         balls, nodes = value_balls(P("x^2 + 5^7*y"), P5, 9)
         assert nodes == 5
-        assert scanned == [("classify", "x^2 + 78125*y"), ("values", "x^2 + 125*y")]
+        assert scanned == [("classify", (((2, 0), 1),)), ("values", (((2, 0), 1),))]
         assert sum(balls.values()) == 5 ** 18
 
     def test_precision_one_reads_the_values(self, monkeypatch):
         from igusa import oracle
 
         f = P("x^2 + y^2 + x*y*z")  # singular at (0, 0, z) for every z
-        monkeypatch.setattr(oracle, "classify_mod_p", None)
+        monkeypatch.setattr(oracle, "_classify", None)
         balls, nodes = value_balls(f, P3, 1)
         assert nodes == 1
         want = {}
@@ -274,6 +293,52 @@ class TestValueBalls:
             r"with precision 10/16 after 3 nodes \(budget 3\)",
         ):
             ball_counts(direct_sum(P("x^2"), P("y^3")), P5, 16, budget=3)
+
+
+class TestNormalForm:
+    """Nodes taken mod p^m up to a unit against the value balls on exact
+    polynomials (``reference.value_balls``) and plain lifting."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=blocks())
+    def test_balls_match_the_exact_route(self, block):
+        p, f, precision = block
+        assert value_balls(f, PrimeSpec(p), precision)[0] == exact_value_balls(f, PrimeSpec(p), precision)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=blocks(), unit=st.integers(min_value=-20, max_value=20))
+    def test_blocks_equal_up_to_names_and_a_unit_share_their_nodes(self, block, unit):
+        p, f, precision = block
+        if unit % p == 0:
+            unit += 1
+        g = Polynomial(("u", "v")[: f.nvars], {e: unit * c for e, c in f.terms.items()})
+        count = _ball_counter(p, budget=10**6)
+        f_balls, f_nodes = count(f, precision)
+        g_balls, g_nodes = count(g, precision)
+        # g meets no node that f had not, unless f has no unit coefficient
+        # (3*x at p = 3): then u = 1, and g's nodes are its own
+        assert g_nodes == f_nodes or not any(c % p for c in f.terms.values())
+        moved = {(k, unit * c % p**k): w for (k, c), w in f_balls.items()}
+        assert g_balls == moved == exact_value_balls(g, PrimeSpec(p), precision)
+        depth = 3
+        while depth > 1 and p ** ((2 * f.nvars - 1) * depth) > 20000:
+            depth -= 1
+        both = direct_sum(f, g)
+        assert ball_counts(both, PrimeSpec(p), depth).counts == count_mod(both, PrimeSpec(p), depth).counts
+
+    def test_block_without_a_unit_coefficient(self):
+        # x^2 - 2y^2 splits into x^2 and -2y^2, which has no unit
+        # coefficient at p = 2 and is normalised by u = 1
+        P2 = PrimeSpec(2)
+        assert value_balls(P("-2*y^2"), P2, 8)[0] == exact_value_balls(P("-2*y^2"), P2, 8)
+        f = P("x^2 - 2*y^2")
+        assert ball_counts(f, P2, 8).counts == count_mod(f, P2, 8).counts
+
+    def test_node_counts_pinned(self):
+        # 50,238, 19,264 and 34,311 nodes when every node was an exact polynomial
+        assert value_balls(P("3*x^3*y^4 + 5*x^4"), PrimeSpec(2), 48)[1] == 5380
+        assert value_balls(P("w*z^2"), PrimeSpec(7), 12)[1] == 404
+        assert value_balls(P("x^4*y^4"), PrimeSpec(7), 24)[1] == 4925
 
 
 class TestMeasureSeries:
@@ -461,11 +526,11 @@ class TestVerifyTheorem:
         )
 
     def test_budget_exhaustion_raises(self):
-        # 4 nodes per summand: a budget of 7 runs out inside y^2 only
-        # because f and g draw on the same budget
-        assert ball_counts(direct_sum(P("x^2"), P("y^2")), P5, 8).nodes_expanded == 8
-        with pytest.raises(BudgetExceeded, match="budget 7"):
-            verify_theorem(P("x^2"), P("y^2"), P5, depth=8, budget=7)
+        # x^2 takes 4 nodes and y^3 3, none of them shared: a budget of 6
+        # runs out inside y^3 only because f and g draw on the same budget
+        assert ball_counts(direct_sum(P("x^2"), P("y^3")), P5, 8).nodes_expanded == 7
+        with pytest.raises(BudgetExceeded, match=r"^value balls of y\^3 .* after 6 nodes \(budget 6\)$"):
+            verify_theorem(P("x^2"), P("y^3"), P5, depth=8, budget=6)
 
     def test_readme_default_passes(self):
         rep = verify_theorem(P("x^2"), P("y^3"), P5)
@@ -491,3 +556,4 @@ class TestVerifyTheorem:
         d = rep.as_dict()
         assert d["ok"] is False
         assert d["residuals"] == [[1, "-4/125"], [2, "4/125"], [5, "-4/15625"]]
+
