@@ -7,19 +7,18 @@ graded lexicographic order for printing and hashing, so equal
 polynomials have equal canonical forms.
 
 The one lift kernel lives here: ``_lift`` writes f(P + p x) on term maps
-as f(P) + p^e h(x) with h of p-unit content, and given a precision m it
-keeps only the terms mod p^m that the value balls of ``oracle`` read.
-``shift_scale`` wraps it exactly for the stationary-phase recursion:
-f(P + p x) = p^e g(x), g a ``Polynomial``, tested by re-expansion.
+as f(P) + p^e h(x) with h of p-unit content.  Given a precision m it
+keeps only the terms mod p^m that the value balls of ``oracle`` read;
+without one it is exact, for the stationary-phase recursion of ``spf``.
 
 The one vectorised evaluator lives here too, for every caller that needs
 f on many residue classes: ``eval_mod`` reduces f mod m at points given
 by one broadcastable array per variable (the columns of explicit points,
 or the axes of a grid from ``residue_axes``, which is never built), and
-``classify_mod_p`` adds the mask where every partial vanishes mod p,
-reading each partial's terms mod p off f's terms and evaluating them in
-the same loop (``_classify``, on term maps, which the value balls call
-too).  It runs in int64 and refuses a modulus m with
+``_classify`` adds, for the terms of f mod p, the mask where every
+partial vanishes mod p, reading each partial's terms mod p off f's terms
+and evaluating them in the same loop; the value balls and ``spf`` call
+it on term maps.  It runs in int64 and refuses a modulus m with
 (m - 1)^2 >= 2^63.
 ``reduction_key`` names f mod p, so that a caller can share one scan
 among the polynomials with the same reduction.  They import numpy
@@ -236,22 +235,6 @@ def _lift(terms: Iterable[Tuple[Monomial, int]], point: Sequence[int], p: int,
     return base, e, {mono: c // scale for mono, c in out.items()}
 
 
-def shift_scale(f: Polynomial, point: Sequence[int], p: int) -> Tuple[int, Polynomial]:
-    """Write f(P + p x) = p^e * g(x) with g of p-unit content.
-
-    P must be an integer point and f nonzero.  Returns (e, g).
-    """
-    if f.is_zero():
-        raise ValueError("shift_scale of the zero polynomial")
-    if len(point) != f.nvars:
-        raise ValueError(f"point arity {len(point)} != {f.nvars}")
-    base, e, h = _lift(f.terms.items(), [int(x) for x in point], p)
-    d = p_valuation(gcd(base, p**e if h else 0), p)  # the valuation of base + p^e h
-    terms = {mono: c * p ** (e - d) for mono, c in h.items()}
-    terms[(0,) * f.nvars] = base // p**d
-    return d, Polynomial(f.variables, terms)
-
-
 def _pow_mod(arr, e: int, modulus: int):
     if e == 1:
         return arr % modulus
@@ -323,11 +306,6 @@ def _eval_terms(terms: Sequence[Tuple[Monomial, int]], coords, modulus: int):
         if not lazy:
             acc %= modulus
     return acc % modulus
-
-
-def classify_mod_p(f: Polynomial, coords, p: int):
-    """``_classify`` on the terms of f mod p (``reduction_key``)."""
-    return _classify(reduction_key(f, p), coords, p)
 
 
 def _classify(terms: Sequence[Tuple[Monomial, int]], coords, p: int):

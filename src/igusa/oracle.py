@@ -260,7 +260,13 @@ def ball_counts(
     fold: ValueBalls = {(depth, f.constant_term() % power[depth]): 1}
     count = _ball_counter(q, budget)
     nodes = 0
-    for block in sorted(_blocks(f), key=Polynomial.total_degree):
+    # the values of a ball (k, c), c != 0, have valuation v(c); those of
+    # (k, 0) lie in p^k Z, and a share p^(k-j) of them in p^j Z for j > k.
+    # The last block's sums go straight to this tally, building no fold.
+    exact, zero = [0] * (depth + 2), [0] * (depth + 1)  # weights by v(c), by k of (k, 0)
+    blocks = sorted(_blocks(f), key=Polynomial.total_degree)
+    last = blocks[-1]
+    for block in blocks:
         m = max(k for k, _ in fold)
         balls, nodes = count(block, m)
         scale = q ** (block.nvars * (depth - m))
@@ -269,21 +275,18 @@ def ball_counts(
             w1 *= scale
             for (k2, c2), w2 in balls.items():
                 k = k1 if k1 < k2 else k2
-                ball = (k, (c1 + c2) % power[k])
-                summed[ball] = summed.get(ball, 0) + w1 * w2
+                c = (c1 + c2) % power[k]
+                if block is not last:
+                    summed[(k, c)] = summed.get((k, c), 0) + w1 * w2
+                elif not c:
+                    zero[k] += w1 * w2
+                elif c % q == 0:
+                    v = 1
+                    while c % power[v + 1] == 0:
+                        v += 1
+                    exact[v] += w1 * w2
         fold = summed
 
-    # the values of a ball (k, c), c != 0, have valuation v(c); those of
-    # (k, 0) lie in p^k Z, and a share p^(k-j) of them in p^j Z for j > k
-    exact, zero = [0] * (depth + 2), [0] * (depth + 1)  # weights by v(c), by k of (k, 0)
-    for (k, c), w in fold.items():
-        if not c:
-            zero[k] += w
-        elif c % q == 0:
-            v = 1
-            while c % power[v + 1] == 0:
-                v += 1
-            exact[v] += w
     for j in range(depth, 0, -1):  # exact[j]: the points of p^j Z in whole balls
         exact[j] += exact[j + 1] + zero[j]
     counts = []

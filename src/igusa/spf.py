@@ -14,11 +14,14 @@ all of Z_p^n, so only the root can be on the torus.  Recursing on the
 singular lifts terminates exactly when f has no singular point inside
 D, and the result is a rational function with the single denominator
 factor (1 - t/q).  The classification is vectorised: one call of
-``mpoly.classify_mod_p`` on the axes of ``mpoly.residue_axes``.
-It reads fbar alone, so within one evaluation the nodes whose
-polynomials have the same reduction mod p (``mpoly.reduction_key``) on
-the same grid share one classification: a chain of singular lifts
-whose reductions repeat scans its residues once.
+``mpoly._classify`` on the terms of fbar and the axes of
+``mpoly.residue_axes``.  It reads fbar alone, so within one evaluation
+the nodes with the same reduction mod p on the same grid share one
+classification: a chain of singular lifts whose reductions repeat scans
+its residues once.  A node below the root is a term map, its terms in
+graded-lex order, lifted by the exact kernel ``mpoly._lift`` on one table
+of binomial rows per evaluation; each node's numerator is Python ints
+over one power of q, and ``Fraction``s are built once, at the root.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Polynomial, classify_mod_p, reduction_key, residue_axes
-from .mpoly import shift_scale
-from .numeric import PrimeSpec
+from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, _classify, _lift, reduction_key
+from .mpoly import _term_sort_key, residue_axes
+from .numeric import PrimeSpec, p_valuation
 from .ratfun import RationalZeta
 
 
@@ -76,21 +79,26 @@ def spf_counts(f: Polynomial, p: PrimeSpec, torus: bool = False) -> SPFCounts:
 
     nu and sigma are the Haar measures of the first two classes; the
     singular zeros are returned as their canonical lifts in {0..p-1}^n,
-    in sorted order.  One ``classify_mod_p`` pass over the grid's axes
+    in sorted order.  One ``_grid_counts`` pass over the grid's axes
     does it, after ``_refuse_grid``.
     """
-    import numpy as np
-
     low = int(torus)
     _refuse_grid(p.p, f.nvars, low)
-    values, critical = classify_mod_p(f, residue_axes(p.p, f.nvars, low), p.p)
+    return _grid_counts(reduction_key(f, p.p), p.p, f.nvars, low)[0]
+
+
+def _grid_counts(reduced: Sequence[Tuple[Monomial, int]], q: int, n: int, low: int):
+    """(counts, (a, b)) for the terms mod q, each nonzero mod q, of a node on
+    the grid {low..q-1}^n: its ``SPFCounts`` and the node's own numerator
+    coefficients nu and sigma (1 - 1/q) - nu/q as the ints a, b over q^(n+1)."""
+    import numpy as np
+
+    values, critical = _classify(reduced, residue_axes(q, n, low), q)
     zero = values == 0
-    scale = Fraction(1, p.p**f.nvars)
-    return SPFCounts(
-        nu=int((~zero).sum()) * scale,
-        sigma=int((zero & ~critical).sum()) * scale,
-        singular=tuple(map(tuple, (np.argwhere(zero & critical) + low).tolist())),
-    )
+    nonzero, smooth = int((~zero).sum()), int((zero & ~critical).sum())
+    singular = tuple(map(tuple, (np.argwhere(zero & critical) + low).tolist()))
+    counts = SPFCounts(Fraction(nonzero, q**n), Fraction(smooth, q**n), singular)
+    return counts, (nonzero * q, smooth * (q - 1) - nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +145,21 @@ def _path_str(path: Sequence[Tuple[int, ...]]) -> str:
     return " -> ".join(str(tuple(pt)) for pt in path) if path else "(root)"
 
 
+def _lift_node(terms: Sequence[Tuple[Monomial, int]], point: Tuple[int, ...], q: int,
+               rows: dict) -> Tuple[int, tuple]:
+    """(d, g) with f(P + p x) = p^d g(x), g of p-unit content, for the f
+    with these terms: g's nonzero terms in graded-lex order.  The lift is
+    ``_lift``'s exact one on the binomial rows ``rows``; d is the
+    valuation of base + p^e h, e when p^e divides base (h is not 0)."""
+    base, e, h = _lift(terms, point, q, rows=rows)
+    d = e if h and base % q**e == 0 else p_valuation(base, q)
+    scale = q ** (e - d)
+    child = [(mono, h[mono] * scale) for mono in sorted(h, key=_term_sort_key)]
+    if base:
+        child.insert(0, ((0,) * len(point), base // q**d))
+    return d, tuple(child)
+
+
 def spf_evaluate(
     f: Polynomial,
     p: PrimeSpec,
@@ -158,35 +181,39 @@ def spf_evaluate(
     every lift the full grid, so the keys below record ``low``.  The
     root grid's size limit is checked first; on the torus the full
     grid's is checked once the root has a singular lift, so it binds
-    only when a lift needs it.  Each node classifies its residues by
-    ``spf_counts`` only when no earlier node of this call had the same
-    reduction mod p and grid; the classification is shared, never kept
-    beyond the call.
+    only when a lift needs it.  A node is the tuple of its terms in
+    graded-lex order, keyed with ``low``, and its lifts are ``_lift_node``
+    on one table of binomial rows for the call.  Each node classifies its
+    residues by ``_grid_counts`` only when no earlier node of this call
+    had the same reduction mod p and grid; the classification is shared,
+    never kept beyond the call.  A node's numerator is (ints, k), the ints
+    over q^k; a child's joins it times q^(k - k_child - n), and the root's
+    becomes ``Fraction``s.
     """
     q = p.p
     n = f.nvars
     low = int(torus)
-    _refuse_grid(p.p, n, low)
+    _refuse_grid(q, n, low)
     if f.is_zero():
         raise ValueError("the zero polynomial has no finite |f|^s integral")
     if not 0 <= depth_guard <= MAX_LIFTS:
         raise ValueError(f"depth_guard must be in 0..{MAX_LIFTS}, got {depth_guard}")
-    memo: Dict[tuple, Tuple[Tuple[Fraction, ...], SPFCounts]] = {}
-    classified: Dict[tuple, SPFCounts] = {}  # (reduction_key, low) -> counts
+    memo: Dict[tuple, Tuple[List[int], int, SPFCounts]] = {}  # (terms, low) -> numerator
+    classified: Dict[tuple, tuple] = {}  # (reduction, low) -> _grid_counts
     on_stack: Set[tuple] = set()
-    inv_q, scale = Fraction(1, q), Fraction(1, q**n)
+    rows: dict = {}  # the binomial rows of every lift of this call
 
     def node(
-        g: Polynomial,
+        terms: tuple,
         low: int,
         path: Tuple[Tuple[int, ...], ...],
         order_e: int,
         cumulative_E: int,
-    ) -> Tuple[Tuple[Fraction, ...], SPFTraceNode]:
-        key = (g.canonical_key(), low)
+    ) -> Tuple[List[int], int, SPFTraceNode]:
+        key = (terms, low)
         if key in memo:
-            num, counts = memo[key]
-            return num, SPFTraceNode(path, order_e, cumulative_E, counts, True, ())
+            ints, k, counts = memo[key]
+            return ints, k, SPFTraceNode(path, order_e, cumulative_E, counts, True, ())
         if key in on_stack:
             raise DepthGuardExceeded(
                 f"self-similar recursion at path {_path_str(path)}: the scaled "
@@ -199,33 +226,38 @@ def spf_evaluate(
             )
         on_stack.add(key)
         try:
-            reduction = (reduction_key(g, p.p), low)
-            counts = classified.get(reduction)
-            if counts is None:
-                counts = classified[reduction] = spf_counts(g, p, bool(low))
+            reduction = (tuple((mono, c % q) for mono, c in terms if c % q), low)
+            found = classified.get(reduction)
+            if found is None:
+                found = classified[reduction] = _grid_counts(reduction[0], q, n, low)
+            counts, own = found
             if counts.singular and low:
-                _refuse_grid(p.p, n, 0)  # the torus root's lifts scan the full grid
-            lifts = []  # (e, numerator) of each singular lift, in order
+                _refuse_grid(q, n, 0)  # the torus root's lifts scan the full grid
+            lifts = []  # (e, ints, k) of each singular lift, in order
             children = []
             for P in counts.singular:
-                e, g_child = shift_scale(g, P, p.p)
-                child_num, child_node = node(g_child, 0, path + (P,), e, cumulative_E + e)
-                lifts.append((e, child_num))
+                e, child_terms = _lift_node(terms, P, q, rows)
+                child_ints, child_k, child_node = node(child_terms, 0, path + (P,), e, cumulative_E + e)
+                lifts.append((e, child_ints, child_k))
                 children.append(child_node)
         finally:
             on_stack.remove(key)
         # built once the lifts return, so a depth-guard exit builds none
-        numerator: List[Fraction] = [counts.nu, counts.sigma * (1 - inv_q) - counts.nu * inv_q]
-        for e, child_num in lifts:
-            need = e + len(child_num)
-            if len(numerator) < need:
-                numerator.extend([Fraction(0)] * (need - len(numerator)))
-            for m, c in enumerate(child_num):
-                numerator[e + m] += scale * c
-        num = tuple(numerator)
-        memo[key] = (num, counts)
-        return num, SPFTraceNode(path, order_e, cumulative_E, counts, False, tuple(children))
+        k = max([n + 1] + [child_k + n for _, _, child_k in lifts])
+        shift = q ** (k - n - 1)
+        ints = [own[0] * shift, own[1] * shift]
+        for e, child_ints, child_k in lifts:
+            need = e + len(child_ints)
+            if len(ints) < need:
+                ints.extend([0] * (need - len(ints)))
+            factor = q ** (k - child_k - n)
+            for m, c in enumerate(child_ints, e):
+                ints[m] += c * factor
+        memo[key] = (ints, k, counts)
+        return ints, k, SPFTraceNode(path, order_e, cumulative_E, counts, False, tuple(children))
 
-    numerator, root = node(f, low, (), 0, 0)
-    zeta = RationalZeta(numerator=numerator, denominator_factors=((1, 1),), q=q)
+    ints, k, root = node(f.canonical_key()[1], low, (), 0, 0)
+    denominator = q**k
+    zeta = RationalZeta(numerator=tuple(Fraction(c, denominator) for c in ints),
+                        denominator_factors=((1, 1),), q=q)
     return SPFEvaluation(zeta=zeta, trace=SPFTrace(root))

@@ -21,6 +21,11 @@ something:
   were taken mod p^m up to a unit: memoised on each exact polynomial and
   precision, its residue classes sorted by plain evaluation of f and its
   partials, and its lifts expanded in full.
+* ``spf_evaluate`` is the stationary-phase recursion as it was before its
+  nodes became term maps: each node an exact ``Polynomial``, lifted by
+  ``shift_scale``, which expands f(P + p x) term by term with the binomial
+  theorem, classified by the scalar loop of ``helpers.reference_spf_counts``
+  (no scan is shared), and its numerator summed in ``Fraction``s.
 * ``recover_numerator`` is the library's numerator recovery as it was on
   ``Fraction``s throughout, before the library moved it to ints over one
   common denominator.  ``divide_out_factor`` is the division by one factor
@@ -29,8 +34,8 @@ something:
 
 None of them imports a route it checks (``value_balls``, ``ball_counts``
 and their ``_normal_form`` and ``_ball_counter``, ``spf_evaluate``,
-``spf_counts``, the lift kernel ``_lift`` and ``shift_scale``, the
-evaluation kernel ``eval_mod``, ``classify_mod_p``, ``_classify``,
+``spf_counts`` and their ``_lift_node`` and ``_grid_counts``, the lift
+kernel ``_lift``, the evaluation kernel ``eval_mod``, ``_classify``,
 ``_eval_terms``, ``_pow_mod``, ``residue_axes``, or ``ratfun``'s int
 routes); ``test_imports`` holds this file to that.
 """
@@ -42,11 +47,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from helpers import reference_spf_counts
 from igusa.mpoly import Polynomial
 from igusa.newton import Face, NewtonPolyhedron, _dot
 from igusa.numeric import PrimeSpec, p_valuation
 from igusa.oracle import CountSeries
-from igusa.ratfun import Factor, RecoveryResult
+from igusa.ratfun import Factor, RationalZeta, RecoveryResult
+from igusa.spf import DepthGuardExceeded, SPFEvaluation, SPFTrace, SPFTraceNode
 
 Domain = Callable[[Tuple[int, ...]], bool]  # membership of a valuation vector
 
@@ -217,6 +224,62 @@ def value_balls(f: Polynomial, p: PrimeSpec, precision: int) -> dict:
         return out
 
     return balls(f, precision)
+
+
+# ---------------------------------------------------------------------------
+# stationary phase on exact polynomials
+
+
+def shift_scale(f: Polynomial, point: Tuple[int, ...], p: int) -> Tuple[int, Polynomial]:
+    """(e, g) with f(P + p x) = p^e g(x) and g of p-unit content, f expanded
+    in full by the binomial theorem; f must be nonzero."""
+    terms = _shifted(f, point, p)
+    if f.evaluate(point):
+        terms[(0,) * f.nvars] = f.evaluate(point)
+    e = min(p_valuation(c, p) for c in terms.values())
+    return e, Polynomial(f.variables, {mono: c // p**e for mono, c in terms.items()})
+
+
+def spf_evaluate(f: Polynomial, p: PrimeSpec, torus: bool = False, depth_guard: int = 32) -> SPFEvaluation:
+    """``spf.spf_evaluate`` on exact polynomials, for grids within the
+    residue limit and a nonzero f: a node is memoised on its polynomial
+    and grid, classified on its own, and the numerator of
+    Z = N / (1 - t/q) is nu + (sigma (1 - 1/q) - nu/q) t plus q^(-n) t^e
+    times each singular lift's N.  A node that repeats one on the stack,
+    or a path longer than depth_guard, raises DepthGuardExceeded."""
+    q, n = p.p, f.nvars
+    memo: dict = {}
+    on_stack: set = set()
+
+    def node(g: Polynomial, low: int, path: tuple, order_e: int, total_e: int):
+        where = " -> ".join(str(pt) for pt in path) if path else "(root)"
+        if (g, low) in memo:
+            numerator, counts = memo[(g, low)]
+            return numerator, SPFTraceNode(path, order_e, total_e, counts, True, ())
+        if (g, low) in on_stack:
+            raise DepthGuardExceeded(
+                f"self-similar recursion at path {where}: the scaled "
+                "polynomial repeats, so f has a singular point in the domain")
+        if len(path) > depth_guard:
+            raise DepthGuardExceeded(
+                f"recursion depth {len(path)} exceeds depth_guard={depth_guard} at path {where}")
+        on_stack.add((g, low))
+        counts = reference_spf_counts(g, q, low)
+        numerator = [counts.nu, counts.sigma * (1 - Fraction(1, q)) - counts.nu / q]
+        children = []
+        for point in counts.singular:
+            e, h = shift_scale(g, point, q)
+            lifted, child = node(h, 0, path + (point,), e, total_e + e)
+            children.append(child)
+            numerator += [Fraction(0)] * (e + len(lifted) - len(numerator))
+            for m, c in enumerate(lifted):
+                numerator[e + m] += c / q**n
+        on_stack.remove((g, low))
+        memo[(g, low)] = (tuple(numerator), counts)
+        return tuple(numerator), SPFTraceNode(path, order_e, total_e, counts, False, tuple(children))
+
+    numerator, root = node(f, int(torus), (), 0, 0)
+    return SPFEvaluation(RationalZeta(numerator, ((1, 1),), q), SPFTrace(root))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def test_every_module_level_import_is_read():
 # tests/helpers.py are the independent check of, the evaluation kernel
 # that those routes share, and ratfun's int kernel
 CHECKED_ROUTES = {"value_balls", "ball_counts", "_normal_form", "_ball_counter",
-                  "spf_evaluate", "spf_counts", "_lift", "shift_scale",
-                  "eval_mod", "classify_mod_p", "_classify", "_eval_terms", "_pow_mod", "residue_axes",
+                  "spf_evaluate", "spf_counts", "_lift_node", "_grid_counts", "_lift",
+                  "eval_mod", "_classify", "_eval_terms", "_pow_mod", "residue_axes",
                   "recover_numerator", "reduce_factors",
                   "denominator_polynomial", "_exact_quotient", "_denominator_ints",
                   "_scaled", "_trim", "_poly_mul"}

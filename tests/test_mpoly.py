@@ -12,16 +12,16 @@ from helpers import plus_multiple, random_sparse_poly
 from igusa.mpoly import (
     MAX_EXPONENT,
     Polynomial,
+    _classify,
     _lift,
-    classify_mod_p,
     direct_sum,
     eval_mod,
     from_terms,
     reduction_key,
     residue_axes,
-    shift_scale,
 )
 from igusa.numeric import p_valuation
+from igusa.spf import _lift_node
 
 
 def P(text):
@@ -176,7 +176,7 @@ class TestEvalMod:
     def test_classify_marks_common_zeros_of_the_partials(self):
         f = P("x^2 + y^3 + x*y")
         pts = np.array(list(itertools.product(range(5), repeat=2)), dtype=np.int64)
-        values, critical = classify_mod_p(f, pts.T, 5)
+        values, critical = _classify(reduction_key(f, 5), pts.T, 5)
         for pt, v, c in zip(pts.tolist(), values.tolist(), critical.tolist()):
             assert v == f.evaluate(pt) % 5
             assert c == all(g.evaluate(pt) % 5 == 0 for g in f.partials())
@@ -234,15 +234,16 @@ class TestResidueGrid:
                 f = random_sparse_poly(rng, n, max_terms=5, max_exp=6, coeff_bound=10**4,
                                        origin_vanishing=False)
                 assert np.array_equal(eval_mod(f, axes, p).ravel(), eval_mod(f, cols, p).ravel())
-                values, critical = classify_mod_p(f, axes, p)
-                want_values, want_critical = classify_mod_p(f, cols, p)
+                values, critical = _classify(reduction_key(f, p), axes, p)
+                want_values, want_critical = _classify(reduction_key(f, p), cols, p)
                 assert values.shape == critical.shape == (p - low,) * n
                 assert np.array_equal(values.ravel(), want_values.ravel())
                 assert np.array_equal(critical.ravel(), want_critical.ravel())
 
 
 class TestClassifyAgainstPartials:
-    """classify_mod_p against Polynomial.partials() and Polynomial.evaluate,
+    """_classify on reduction_key(f, p) against Polynomial.partials() and
+    Polynomial.evaluate,
     on polynomials where p divides a coefficient or an exponent, so that
     terms of a partial vanish mod p."""
 
@@ -271,11 +272,11 @@ class TestClassifyAgainstPartials:
             n = f.nvars
             for low in (0, 1):  # the full grid and the torus, as axes
                 points = list(itertools.product(range(low, p), repeat=n))
-                values, critical = classify_mod_p(f, residue_axes(p, n, low), p)
+                values, critical = _classify(reduction_key(f, p), residue_axes(p, n, low), p)
                 got = (values.ravel().tolist(), critical.ravel().tolist())
                 assert got == self._plain(f, points, p), (str(f), p, low)
             points = [tuple(rng.randint(-60, 60) for _ in range(n)) for _ in range(12)]
-            values, critical = classify_mod_p(f, np.array(points, dtype=np.int64).T, p)
+            values, critical = _classify(reduction_key(f, p), np.array(points, dtype=np.int64).T, p)
             assert (values.tolist(), critical.tolist()) == self._plain(f, points, p), (str(f), p)
 
 
@@ -311,6 +312,15 @@ class TestDirectSum:
         g2 = from_terms(("u",), list(g.terms.items()))
         h = direct_sum(f, g2)
         assert h.evaluate((pt[0], pt[1])) == f.evaluate((pt[0],)) + g2.evaluate((pt[1],))
+
+
+def shift_scale(f, point, p):
+    """(e, g) with f(P + p x) = p^e g(x): spf's exact lift, ``_lift`` and its
+    content step, on f's terms, which must give g's terms in canonical order."""
+    e, terms = _lift_node(f.canonical_key()[1], tuple(point), p, {})
+    g = Polynomial(f.variables, dict(terms))
+    assert terms == g.canonical_key()[1]
+    return e, g
 
 
 class TestShiftScale:

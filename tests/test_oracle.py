@@ -139,6 +139,27 @@ class TestBallCounts:
         spec = PrimeSpec(p)
         assert ball_counts(f, spec, depth).counts == count_mod(f, spec, depth).counts
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_last_block_sums_that_hit_zero(self, seed):
+        # 3-4 one-variable blocks: c*v^a and -c*w^a, whose centres cancel
+        # to 0 mod p^k where v = w, one or two more, and at times a
+        # constant term that p divides; the last block's sums go straight
+        # to the valuation tally, and the counts must still be the lifted ones
+        rng = random.Random(1000 + seed)
+        p = rng.choice([2, 3, 5])
+        c, a = rng.choice([1, -2, 3, p, p + 1]), rng.randint(1, 3)
+        pairs = [(a, c), (a, -c)]
+        pairs += [(rng.randint(1, 4), rng.choice([1, -1, 2, p, p * p])) for _ in range(rng.randint(1, 2))]
+        n = len(pairs)
+        terms = [((0,) * n, p ** rng.randint(0, 3) * rng.choice([0, 1, -1]))]
+        for i, (e, coeff) in enumerate(pairs):
+            terms.append((tuple(e if j == i else 0 for j in range(n)), coeff))
+        f = from_terms([f"v{i}" for i in range(n)], terms)
+        assert len(_blocks(f)) == n
+        depth = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
+        spec = PrimeSpec(p)
+        assert ball_counts(f, spec, depth).counts == count_mod(f, spec, depth).counts
+
     def test_blocks_are_the_components_of_the_variables(self):
         f = Polynomial(("u", "w", "x", "y", "z"), {(0, 0, 2, 1, 0): 1, (0, 0, 0, 0, 3): 2, (0, 0, 0, 0, 0): 7,
                                                     (0, 5, 0, 0, 0): -1, (0, 1, 0, 1, 0): 3})

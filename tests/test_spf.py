@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import plus_multiple, random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
-from igusa.mpoly import MAX_LIFTS
+from igusa.mpoly import MAX_LIFTS, from_terms
 from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series
 from igusa.ratfun import expand
 from igusa.spf import DepthGuardExceeded, spf_counts, spf_evaluate
-from reference import BoundNotCertified, count_mod, sup_bound
+from reference import BoundNotCertified, count_mod, shift_scale, sup_bound
+from reference import spf_evaluate as reference_spf
 
 
 def _trace_depth(root: dict) -> int:
@@ -93,13 +94,13 @@ class TestSharedClassification:
         from igusa import spf
 
         calls = []
-        original = spf.spf_counts
+        original = spf._grid_counts
 
-        def counting(f, p, torus=False):
-            calls.append(str(f))
-            return original(f, p, torus)
+        def counting(reduced, q, n, low):
+            calls.append(reduced)
+            return original(reduced, q, n, low)
 
-        monkeypatch.setattr(spf, "spf_counts", counting)
+        monkeypatch.setattr(spf, "_grid_counts", counting)
         return calls
 
     def test_depth_guard_chain_scans_twice(self, monkeypatch):
@@ -126,8 +127,6 @@ class TestSharedClassification:
         ("x^2 - 4*y^2 + x*y*z - 2^8", 2, "full", 11, 106),
     ])
     def test_every_node_keeps_its_own_counts(self, monkeypatch, text, p, root, calls, nodes):
-        from igusa.mpoly import shift_scale
-
         f, spec, torus = P(text), PrimeSpec(p), root == "torus"
         made = self._count_calls(monkeypatch)
         result = spf_evaluate(f, spec, torus)
@@ -143,6 +142,69 @@ class TestSharedClassification:
                 assert e == child.order_e
                 todo.append((child, h))
         assert nodes == 0
+
+
+@st.composite
+def _spf_inputs(draw):
+    """(f, p, torus, depth_guard): 1-3 variables (3 only for p <= 3, so the
+    scalar reference stays quick), exponents up to 4, coefficients that p
+    divides at times, and small depth guards.  f is any such polynomial, one
+    singular at the origin (no term of degree below 2), or a constant."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=3 if p <= 3 else 2))
+    coeff = st.sampled_from([1, -1, 2, -3, p, -p, p * p, 2 * p**3, p + 1])
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    kind = draw(st.sampled_from(["any", "singular", "constant"]))
+    if kind == "constant":
+        terms = [((0,) * n, draw(coeff))]
+    else:
+        exps = exps.filter(lambda e: sum(e) >= 2) if kind == "singular" else exps
+        terms = draw(st.lists(st.tuples(exps, coeff), min_size=1, max_size=4))
+    f = from_terms("xyz"[:n], terms)
+    assume(not f.is_zero())
+    return f, PrimeSpec(p), draw(st.booleans()), draw(st.integers(min_value=0, max_value=8))
+
+
+def _outcome(evaluate, f, p, torus, depth_guard):
+    """The zeta and trace of an evaluation, or the text of its depth-guard exit."""
+    try:
+        result = evaluate(f, p, torus, depth_guard)
+    except DepthGuardExceeded as exc:
+        return "DepthGuardExceeded: " + str(exc)
+    zeta = result.zeta
+    return zeta.numerator, zeta.denominator_factors, zeta.q, result.trace.as_dict()
+
+
+class TestAgainstReference:
+    """spf_evaluate on term maps against the recursion on exact polynomials
+    with Fraction numerators (``reference.spf_evaluate``)."""
+
+    @settings(max_examples=120)
+    @given(_spf_inputs())
+    def test_random_inputs(self, case):
+        assert _outcome(spf_evaluate, *case) == _outcome(reference_spf, *case)
+
+    @pytest.mark.parametrize("text, p, torus, depth_guard, ends", [
+        ("x^2 + y^3", 5, False, 32, "depth"),  # the 33-node chain of the bench
+        ("x^2", 5, False, 32, "self-similar"),
+        ("x^2 - 5^12", 5, False, 32, None),
+        ("x^2 - 2*x + 1 - 5^12", 5, True, 32, None),
+        ("x^2 - 4*y^2 + x*y*z - 2^8", 2, False, 32, None),
+        ("3*x^3 - 2*y^2", 7, False, 5, "depth"),
+        ("25 + 0*x*y", 5, True, 32, None),  # constant lifts: memo hits
+    ])
+    def test_pinned_inputs(self, text, p, torus, depth_guard, ends):
+        case = (P(text), PrimeSpec(p), torus, depth_guard)
+        got = _outcome(spf_evaluate, *case)
+        assert got == _outcome(reference_spf, *case)
+        assert (ends is None) == (not isinstance(got, str)) and (ends or "") in str(got)
+
+    def test_deep_chain(self):
+        # x^2 - 5^600 lifts 300 times at the class (0,), down to y^2 - 1
+        case = (P("x^2 - 5^600"), P5, False, MAX_LIFTS)
+        got = _outcome(spf_evaluate, *case)
+        assert got == _outcome(reference_spf, *case)
+        assert _trace_depth(got[3]) == MAX_LIFTS + 1
 
 
 class TestSupBound:
