@@ -7,11 +7,16 @@ numerator recovery left nonzero residuals), 1 any error, usage errors
 included (a bad value, an unknown flag, a missing flag or subcommand).
 Every error is rendered as structured JSON on standard error; `-h`
 prints help and exits 0.
+
+Each subcommand's parser is built once per process, when it first
+runs, so a process that calls `main` many times parses without building.
+JSON is rendered in one pass, byte-identical to `json.dumps(indent=2)`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -236,6 +241,63 @@ def _render_tsv(cmd: str, payload: dict) -> str:
     return "\n".join(["pole"] + payload["poles"])
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, rendered in one pass.
+
+    Strings, keys included, go through json's own ASCII escaper and ints
+    through ``int.__repr__``; tuples print as lists.  Anything else, a
+    float or a non-``str`` key among them, raises ``TypeError``.
+    """
+    out: List[str] = []
+    _emit_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _emit_json(obj, out: List[str], newline: str) -> None:
+    """Append obj's JSON to out; ``newline`` is "\\n" and the indent of
+    obj's line.  One frame per nesting level: a deep ``spf --trace``
+    nests over 600 levels."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _emit_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _natural(text: str) -> int:
     """The argparse type of an option that takes an int >= 0."""
     try:
@@ -254,78 +316,89 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
+def _formats(sp) -> None:
+    sp.add_argument("--json", dest="fmt", action="store_const", const="json",
+                    default="json", help="JSON output (default)")
+    sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv", help="TSV output")
+
+
+def _polys(sp, *, g: Optional[bool] = None, prime=False, tsv=False) -> None:
+    """-f; g None takes no -g, else requires it or not."""
+    sp.add_argument("-f", dest="f_text", metavar="POLY", required=True,
+                    help="polynomial, e.g. 'x^2 + y^3'")
+    if g is not None:
+        sp.add_argument("-g", dest="g_text", metavar="POLY", required=g,
+                        help="second polynomial (disjoint variables)")
+    if prime:
+        sp.add_argument("-p", dest="prime", type=int, default=5, help="prime (default 5)")
+    if tsv:
+        _formats(sp)
+
+
+def _budget(sp) -> None:
+    sp.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
+                    help="node budget (default 10^8) shared by the blocks of "
+                    "disjoint variables; a node is one polynomial mod p^m up to a "
+                    "unit and precision m, counted once over all blocks, and nodes "
+                    "with one reduction mod p share one scan of the p^n residues")
+
+
+def _spf_args(sp) -> None:
+    _polys(sp, prime=True)
+    sp.add_argument("--domain", choices=["full", "torus"], default="full")
+    sp.add_argument("--trace", action="store_true", help="include the recursion trace")
+    sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32,
+                    help=f"bound on nested singular lifts, 0..{MAX_LIFTS} (default 32)")
+
+
+def _count_args(sp) -> None:
+    _polys(sp, prime=True, tsv=True)
+    sp.add_argument("--depth", type=int, default=8, help="levels of p-adic precision (default 8)")
+    _budget(sp)
+
+
+def _verify_args(sp) -> None:
+    _polys(sp, g=True, prime=True)
+    sp.add_argument("--depth", type=int, default=None,
+                    help="levels of p-adic precision (default: max-deg + the sum of "
+                    "the predicted factors' t-powers + 2)")
+    _budget(sp)
+    sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
+                    help="numerator degree bound (default: depth-3 with --depth, else "
+                    "the sum of the predicted factors' t-powers); exit 2 can mean "
+                    "it is below the numerator's degree")
+
+
+def _phi_args(sp) -> None:
+    sp.add_argument("-c", type=int, required=True)
+    sp.add_argument("-d", type=int, required=True)
+    sp.add_argument("--cw", dest="c_weight", type=int, default=None, help="weight of c-steps")
+    sp.add_argument("--dw", dest="d_weight", type=int, default=None, help="weight of d-steps")
+    _formats(sp)
+
+
+_COMMANDS = {  # name: (help, builder of its arguments)
+    "analyze": ("Newton polyhedron, non-criticality, denominator", lambda sp: _polys(sp, g=False)),
+    "poles": ("candidate poles of the direct-sum zeta function",
+              lambda sp: _polys(sp, g=True, tsv=True)),
+    "spf": ("exact stationary-phase evaluation of the integral", _spf_args),
+    "count": ("count solutions mod p^m", _count_args),
+    "verify": ("check the predicted denominator against counts", _verify_args),
+    "phi": ("orbit and weight tables of the interleaving map", _phi_args),
+}
+
+
+@functools.cache
+def _build_parser(cmd: Optional[str]) -> argparse.ArgumentParser:
     """The parser of subcommand ``cmd`` alone, as ``add_parser`` would
-    make it, when ``cmd`` names one; else the full ``igusa`` parser."""
-
-    def formats(sp):
-        sp.add_argument("--json", dest="fmt", action="store_const", const="json",
-                        default="json", help="JSON output (default)")
-        sp.add_argument("--tsv", dest="fmt", action="store_const", const="tsv", help="TSV output")
-
-    def polys(sp, *, g: Optional[bool] = None, prime=False, tsv=False):
-        """-f; g None takes no -g, else requires it or not."""
-        sp.add_argument("-f", dest="f_text", metavar="POLY", required=True,
-                        help="polynomial, e.g. 'x^2 + y^3'")
-        if g is not None:
-            sp.add_argument("-g", dest="g_text", metavar="POLY", required=g,
-                            help="second polynomial (disjoint variables)")
-        if prime:
-            sp.add_argument("-p", dest="prime", type=int, default=5, help="prime (default 5)")
-        if tsv:
-            formats(sp)
-
-    def budget(sp):
-        sp.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
-                        help="node budget (default 10^8) shared by the blocks of "
-                        "disjoint variables; a node is one polynomial mod p^m up to a "
-                        "unit and precision m, counted once over all blocks, and nodes "
-                        "with one reduction mod p share one scan of the p^n residues")
-
-    def spf(sp):
-        polys(sp, prime=True)
-        sp.add_argument("--domain", choices=["full", "torus"], default="full")
-        sp.add_argument("--trace", action="store_true", help="include the recursion trace")
-        sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32,
-                        help=f"bound on nested singular lifts, 0..{MAX_LIFTS} (default 32)")
-
-    def count(sp):
-        polys(sp, prime=True, tsv=True)
-        sp.add_argument("--depth", type=int, default=8, help="levels of p-adic precision (default 8)")
-        budget(sp)
-
-    def verify(sp):
-        polys(sp, g=True, prime=True)
-        sp.add_argument("--depth", type=int, default=None,
-                        help="levels of p-adic precision (default: max-deg + the sum of "
-                        "the predicted factors' t-powers + 2)")
-        budget(sp)
-        sp.add_argument("--max-deg", dest="max_deg", type=int, default=None,
-                        help="numerator degree bound (default: depth-3 with --depth, else "
-                        "the sum of the predicted factors' t-powers); exit 2 can mean "
-                        "it is below the numerator's degree")
-
-    def phi(sp):
-        sp.add_argument("-c", type=int, required=True)
-        sp.add_argument("-d", type=int, required=True)
-        sp.add_argument("--cw", dest="c_weight", type=int, default=None, help="weight of c-steps")
-        sp.add_argument("--dw", dest="d_weight", type=int, default=None, help="weight of d-steps")
-        formats(sp)
-
-    commands = {  # name: (help, builder of its arguments)
-        "analyze": ("Newton polyhedron, non-criticality, denominator", lambda sp: polys(sp, g=False)),
-        "poles": ("candidate poles of the direct-sum zeta function",
-                  lambda sp: polys(sp, g=True, tsv=True)),
-        "spf": ("exact stationary-phase evaluation of the integral", spf),
-        "count": ("count solutions mod p^m", count),
-        "verify": ("check the predicted denominator against counts", verify),
-        "phi": ("orbit and weight tables of the interleaving map", phi),
-    }
-    if cmd in commands:
+    make it, when ``cmd`` names one; else (``None``) the full ``igusa``
+    parser.  Built once per process: parsing leaves a parser as it was,
+    and help reads its width when it is printed."""
+    if cmd is not None:
         # add_parser's prog is "igusa <name>", and it sets no description
         parser = _Parser(prog=f"igusa {cmd}")
         parser.set_defaults(cmd=cmd, fmt="json")
-        commands[cmd][1](parser)
+        _COMMANDS[cmd][1](parser)
         return parser
     parser = _Parser(
         prog="igusa",
@@ -334,7 +407,7 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
     )
     parser.set_defaults(fmt="json")  # for the subcommands that print only JSON
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (summary, build) in commands.items():
+    for name, (summary, build) in _COMMANDS.items():
         build(sub.add_parser(name, help=summary))
     return parser
 
@@ -342,9 +415,11 @@ def _build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
 def _parse_args(argv: List[str]) -> argparse.Namespace:
     """The namespace of argv, parsed by its subcommand's parser alone
     when argv[0] names one (it sets ``cmd`` itself), else by the full
-    parser; both give the same namespaces, usage errors and help."""
-    parser = _build_parser(argv[0] if argv else None)
-    return parser.parse_args(argv[1:] if parser.get_default("cmd") else argv)
+    parser; both give the same namespaces, usage errors and help.  The
+    cache key is a subcommand or ``None``, so it holds at most 7 parsers."""
+    cmd = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser(cmd)
+    return parser.parse_args(argv if cmd is None else argv[1:])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -354,7 +429,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.fmt == "tsv":
             print(_render_tsv(args.cmd, payload))
         else:
-            print(json.dumps(payload, indent=2))
+            print(_render_json(payload))
         return code
     except BrokenPipeError:
         return 1
@@ -365,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         if isinstance(exc, ParseError):
             error["error"]["position"] = exc.position
-        print(json.dumps(error, indent=2), file=sys.stderr)
+        print(_render_json(error), file=sys.stderr)
         return 1
 
 

@@ -7,14 +7,17 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_sparse_poly
+from igusa import cli
 from igusa.cli import (
-    SCHEMA, ParseError, _build_parser, _parse_args, main, parse_polynomial, run,
+    SCHEMA, ParseError, _build_parser, _parse_args, _render_json, main, parse_polynomial, run,
 )
 from igusa.mpoly import MAX_LIFTS
 
@@ -161,7 +164,7 @@ def test_parse_accepts_sizes_at_the_limit():
 
 def run_argv(*argv):
     """``run`` on the arguments the command line parser makes of argv."""
-    return run(argv[0], _build_parser().parse_args(argv))
+    return run(argv[0], _build_parser(None).parse_args(argv))
 
 
 class TestRunPayloads:
@@ -417,11 +420,14 @@ class TestMain:
             assert report["error"]["message"].startswith("unusable window")
 
     def test_lift_caps_hold_through_main(self):
-        # an spf of MAX_LIFTS nested lifts runs, and a count one lift past
-        # the cap stops in-band
+        # an spf of MAX_LIFTS nested lifts runs and prints its trace, nested
+        # 2 * MAX_LIFTS + 4 levels deep, and a count one lift past the cap
+        # stops in-band
         rc, out, err = invoke(["spf", "-f", f"x^2 - 5^{2 * MAX_LIFTS}", "-p", "5",
-                               "--depth-guard", str(MAX_LIFTS)])
+                               "--depth-guard", str(MAX_LIFTS), "--trace"])
         assert rc == 0, err
+        assert out.count('"children"') == MAX_LIFTS + 1
+        assert out.endswith("}\n")
         rc, out, err = invoke(["count", "-f", "x^2", "-p", "2", "--depth", str(2 * MAX_LIFTS + 4)])
         assert rc == 1
         assert json.loads(err)["error"]["type"] == "BudgetExceeded"
@@ -536,8 +542,7 @@ for name in ("golden_analyze_poles.json", "golden_analyze_many_vars.json"):
         GOLDEN_ARGVS += [entry["argv"] for entry in json.load(fh)]
 
 
-@pytest.mark.parametrize(
-    "argv",
+PARSER_ARGVS = (
     GOLDEN_ARGVS + USAGE_ERRORS + [["-h"]]
     + [[cmd, "-h"] for cmd in SUBCOMMANDS]
     + [[cmd] for cmd in SUBCOMMANDS if [cmd] not in USAGE_ERRORS]
@@ -545,17 +550,64 @@ for name in ("golden_analyze_poles.json", "golden_analyze_many_vars.json"):
         ["spf", "-f", "x", "--dom", "torus"],  # an abbreviated option
         ["spf", "-f", "x", "extra"],  # a stray positional
         ["phi", "--", "-c", "3"],
-    ],
-    ids=lambda argv: " ".join(argv) or "no subcommand",
+    ]
 )
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no subcommand"
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=_argv_id)
 def test_parser_of_one_subcommand_parses_as_the_full_one(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parsed(_build_parser().parse_args, argv)
+    full = _parsed(_build_parser(None).parse_args, argv)
     assert _parsed(_parse_args, argv) == full
 
 
+def _fresh(argv, monkeypatch):
+    """What _parse_args makes of argv with a parser built for the call."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+        return _parsed(_parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=_argv_id)
+def test_a_cached_parser_parses_as_a_fresh_one(argv, monkeypatch):
+    # twice, the first time right after a usage error on the same parser
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = _fresh(argv, monkeypatch)
+    bad = argv[:1] + ["--no-such-flag"] if argv and argv[0] in SUBCOMMANDS else ["--no-such-flag"]
+    assert isinstance(_parsed(_parse_args, bad), str)
+    assert _parsed(_parse_args, argv) == fresh
+    assert _parsed(_parse_args, argv) == fresh
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[cmd, "-h"] for cmd in SUBCOMMANDS], ids=_argv_id)
+def test_help_width_is_read_when_help_prints(argv, monkeypatch):
+    helps = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(_parsed(_parse_args, argv))
+        assert helps[-1] == _fresh(argv, monkeypatch)
+    if argv[0] == "verify":
+        assert helps[0] != helps[1]
+
+
+def test_misspelt_subcommands_add_no_parser():
+    # the cache key is a subcommand or None, whatever argv[0] holds
+    full = _build_parser.__wrapped__(None)
+    for i in range(1000):
+        name = SUBCOMMANDS[i % len(SUBCOMMANDS)]
+        argv = [f"{name[:i % 3]}{i}{name[i % 3:]}", "-f", "x"]
+        message = _parsed(_parse_args, argv)
+        assert "invalid choice" in message
+        assert message == _parsed(full.parse_args, argv)
+    assert _build_parser.cache_info().currsize <= 7
+
+
 def test_a_run_builds_one_subparser(monkeypatch):
-    # phi's alone; the full parser would make 7
+    # phi's alone, once per process; the full parser would make 7
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -563,9 +615,66 @@ def test_a_run_builds_one_subparser(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    _build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert invoke(["phi", "-c", "3", "-d", "2"])[0] == 0
     assert built == ["igusa phi"]
+    assert invoke(["phi", "-c", "3", "-d", "2"])[0] == 0
+    assert built == ["igusa phi"]
+
+
+_JSON_TEXT = st.text(st.characters(blacklist_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028é😀'))
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.integers(-(10**60), 10**60) | _JSON_TEXT)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestRenderJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_TREES)
+    def test_matches_json_dumps(self, tree):
+        assert _render_json(tree) == json.dumps(tree, indent=2)
+
+    def test_empty_containers_and_scalars(self):
+        tree = {"a": [], "b": {}, "c": (), "d": [True, False, None, -(2**100), "\u00e9\n"]}
+        assert _render_json(tree) == json.dumps(tree, indent=2)
+        for leaf in ([], {}, (), 0, "", None):
+            assert _render_json(leaf) == json.dumps(leaf, indent=2)
+
+    def test_nesting_as_deep_as_the_longest_trace(self):
+        # spf --trace at MAX_LIFTS nests 2 * MAX_LIFTS + 4 levels; rendering
+        # takes one frame per level, under pytest's own frames
+        levels = 2 * MAX_LIFTS + 8
+        tree = {"leaf": [1, "x", None]}
+        for level in range(levels - 2):
+            tree = [tree, level] if level % 2 else {"n": level, "child": tree}
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + levels + 10)
+        try:
+            text = _render_json(tree)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("bad, json_refuses", [
+        (1.5, False), (Fraction(1, 2), True), (np.int64(3), True), ({(1,): 2}, True), ({1: 2}, False),
+    ], ids=["float", "Fraction", "numpy int", "tuple key", "int key"])
+    def test_refuses_what_is_not_json(self, bad, json_refuses):
+        # json.dumps prints floats and int keys; no payload has either
+        for tree in (bad, {"a": [bad]}):
+            with pytest.raises(TypeError):
+                _render_json(tree)
+            if json_refuses:
+                with pytest.raises(TypeError):
+                    json.dumps(tree, indent=2)
 
 
 @pytest.mark.skipif(shutil.which("igusa") is None, reason="console script not on PATH")

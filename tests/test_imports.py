@@ -52,13 +52,14 @@ def test_every_module_level_import_is_read():
 
 # the routes that tests/reference.py and the reference_* functions of
 # tests/helpers.py are the independent check of, the evaluation kernel
-# that those routes share, and ratfun's int kernel
+# that those routes share, ratfun's int kernel, and the CLI's JSON
+# renderer, which the tests check against json.dumps
 CHECKED_ROUTES = {"value_balls", "ball_counts", "_normal_form", "_ball_counter",
                   "spf_evaluate", "spf_counts", "_lift_node", "_grid_counts", "_lift",
                   "eval_mod", "_classify", "_eval_terms", "_pow_mod", "residue_axes",
                   "recover_numerator", "reduce_factors",
                   "denominator_polynomial", "_exact_quotient", "_denominator_ints",
-                  "_scaled", "_trim", "_poly_mul"}
+                  "_scaled", "_trim", "_poly_mul", "_render_json"}
 
 
 def _imports(tree: ast.AST):
