@@ -131,7 +131,8 @@ def parse_polynomial(text: str) -> Polynomial:
 
 def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
     """Execute one subcommand on the arguments ``_parse_args`` parsed;
-    returns (JSON payload, exit code)."""
+    returns (payload, exit code).  ``main`` puts the schema key in front
+    of the payload when it prints JSON."""
     if cmd == "phi":
         from . import euclid
 
@@ -140,8 +141,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         cw = req.c_weight if req.c_weight is not None else c
         dw = req.d_weight if req.d_weight is not None else d
         sums = euclid.weight_sums(orb, cw, dw)
-        payload = {
-            "schema": SCHEMA,
+        return {
             "c": c,
             "d": d,
             "e": orb.e,
@@ -154,8 +154,7 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
             "picks": list(sums.picks),
             "min_sum": sums.min_sum,
             "pick_sum": sums.pick_sum,
-        }
-        return payload, 0
+        }, 0
 
     # the others load the same modules whichever of them runs
     # (bench/tracer.py wraps every one of them); numpy loads only with
@@ -168,7 +167,6 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         poly = newton.build_polyhedron(f)
         report = noncrit.check_noncritical(f, polyhedron=poly)
         payload = {
-            "schema": SCHEMA,
             "f": str(f),
             "polyhedron": poly.as_dict(),
             "noncritical": report.as_dict(),
@@ -182,13 +180,12 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
 
     if cmd == "poles":
         poles = tsden.denominator(f, parse_polynomial(req.g_text)).candidate_poles()
-        return {"schema": SCHEMA, "poles": [str(x) for x in poles]}, 0
+        return {"poles": [str(x) for x in poles]}, 0
 
     if cmd == "spf":
         p = PrimeSpec(req.prime)
         result = spf.spf_evaluate(f, p, torus=req.domain == "torus", depth_guard=req.depth_guard)
         payload = {
-            "schema": SCHEMA,
             "f": str(f),
             "p": p.p,
             "domain": req.domain,
@@ -202,20 +199,14 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
     if cmd == "count":
         counts = oracle.ball_counts(f, PrimeSpec(req.prime), req.depth, budget=req.budget)
         series = oracle.measure_series(counts)
-        payload = {
-            "schema": SCHEMA,
-            **counts.as_dict(),
-            "series": [str(c) for c in series],
-        }
-        return payload, 0
+        return {**counts.as_dict(), "series": [str(c) for c in series]}, 0
 
     if cmd == "verify":
         g = parse_polynomial(req.g_text)
         report = oracle.verify_theorem(
             f, g, PrimeSpec(req.prime), depth=req.depth, max_deg=req.max_deg, budget=req.budget
         )
-        payload = {"schema": SCHEMA, **report.as_dict()}
-        return payload, 0 if report.ok else 2
+        return report.as_dict(), 0 if report.ok else 2
 
     raise ValueError(f"unknown subcommand {cmd!r}")
 
@@ -429,7 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.fmt == "tsv":
             print(_render_tsv(args.cmd, payload))
         else:
-            print(_render_json(payload))
+            print(_render_json({"schema": SCHEMA, **payload}))
         return code
     except BrokenPipeError:
         return 1

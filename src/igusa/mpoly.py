@@ -19,9 +19,10 @@ or the axes of a grid from ``residue_axes``, which is never built), and
 partial vanishes mod p, reading each partial's terms mod p off f's terms
 and evaluating them in the same loop; the value balls and ``spf`` call
 it on term maps.  It runs in int64 and refuses a modulus m with
-(m - 1)^2 >= 2^63.
-``reduction_key`` names f mod p, so that a caller can share one scan
-among the polynomials with the same reduction.  They import numpy
+(m - 1)^2 >= 2^63.  Both callers key a residue scan on the terms of f
+mod p that are nonzero mod p: values mod p and, since d(f mod p) =
+(df) mod p, the partials mod p depend on these alone, so one scan serves
+every polynomial with the same reduction.  They import numpy
 themselves, so parsing a polynomial does not load it.
 """
 
@@ -266,14 +267,6 @@ def residue_axes(p: int, n: int, low: int = 0):
     import numpy as np
 
     return np.ix_(*(np.arange(low, p, dtype=np.int64) for _ in range(n)))
-
-
-def reduction_key(f: Polynomial, p: int) -> tuple:
-    """The terms of f mod p whose coefficient is nonzero mod p, in canonical
-    order: f and g have equal keys exactly when f = g mod p.  Values mod p
-    and the partials mod p, since d(f mod p) = (df) mod p, depend on this
-    key alone, so a residue scan of f serves every g with the same key."""
-    return tuple((e, c % p) for e, c in f.canonical_key()[1] if c % p)
 
 
 def eval_mod(f: Polynomial, coords, modulus: int):

@@ -178,7 +178,7 @@ def _groebner_trivial(partials: Sequence[Polynomial], support: Tuple[Tuple[int, 
     ch. 2): fraction-free reductions to primitive parts, the pair with the
     least lcm first, and the product and chain criteria in the
     Gebauer-Moeller update.  It returns as soon as a nonzero constant
-    appears, and raises ValueError naming the face once it has spent
+    appears, and raises ValueError naming the face once it has taken
     _GROEBNER_STEPS reduction steps.
     """
     n = partials[0].nvars

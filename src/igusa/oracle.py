@@ -1,12 +1,13 @@
 """Exact p-adic point counts and end-to-end denominator checks.
 
-``value_balls`` pushes the point count of f mod p^m forward to the values
-of f, as a list of uniform balls.  Each residue class mod p is sorted by
-``mpoly._classify``.  A class where some partial derivative is a unit
-maps uniformly onto one ball of radius p^-1 (Hensel's lemma, the same
-shortcut ``spf`` takes), and a singular class recurses through
-f(r + p x) - f(r) = p^e h(x), from the lift kernel ``mpoly._lift``.  A
-node is a term map taken mod p^m and divided by a unit (``_normal_form``).
+``_ball_counter`` makes the one value-ball counter: it pushes the point
+count of f mod p^m forward to the values of f, as a list of uniform
+balls.  Each residue class mod p is sorted by ``mpoly._classify``.  A
+class where some partial derivative is a unit maps uniformly onto one
+ball of radius p^-1 (Hensel's lemma, the same shortcut ``spf`` takes),
+and a singular class recurses through f(r + p x) - f(r) = p^e h(x), from
+the lift kernel ``mpoly._lift``.  A node is a term map taken mod p^m and
+divided by a unit (``_normal_form``).
 ``ball_counts`` splits f into blocks of disjoint variables and adds
 their balls up (two uniform balls add to one), its blocks sharing one
 memo of nodes; ``igusa count`` runs on it, and so does
@@ -90,38 +91,6 @@ class CountSeries:
         }
 
 
-def value_balls(
-    f: Polynomial,
-    p: PrimeSpec,
-    precision: int,
-    budget: int = DEFAULT_BUDGET,
-    spent: int = 0,
-) -> Tuple[ValueBalls, int]:
-    """The values of f on (Z/p^m)^n, m = precision, as uniform balls.
-
-    Returns ``(balls, nodes)``.  ``balls`` maps (k, c) with 1 <= k <= m
-    and 0 <= c < p^k to the number w of points x mod p^m with
-    f(x) = c mod p^k; those w points have values mod p^m spread evenly
-    over the p^(m-k) residues of c + p^k Z, so p^(m-k) divides w.  The
-    weights add up to p^(n m).  ``nodes`` is ``spent`` (nodes already
-    taken from the same budget) plus the nodes met here: one per normal
-    form (``_normal_form``) and precision of the recursion.  A node over
-    ``budget`` raises BudgetExceeded, and so do a class path of more than
-    ``MAX_LIFTS`` lifts and more than 4 * 10^6 residues mod p, the last
-    before any is scanned; a negative budget raises ValueError.
-
-    A node g sorts the p^n residue classes mod p by ``mpoly._classify``,
-    which reads g mod p alone, so nodes with one reduction share a scan.
-    A class r where some partial is a unit maps onto g(r) + p Z_p
-    uniformly (Hensel).  On any other class g(r + p x) - g(r) = p^e h(x)
-    with e >= 2, so the class takes the balls of h at precision m - e,
-    scaled by p^e and moved to g(r); when e >= m it is one point mod p^m,
-    and at m = 1 every class is the ball (1, g(r) mod p).  ``_lift`` keeps
-    only the terms below p^m, all that the balls read.
-    """
-    return _ball_counter(p.p, budget, spent)(f, precision)
-
-
 def _normal_form(terms: Dict[Monomial, int], p: int, m: int) -> Tuple[int, tuple]:
     """(u, node), g = u * node mod p^m: the nonzero terms mod p^m in graded-lex
     order over u, the first unit mod p among them (else 1).  Exact, since the
@@ -133,10 +102,32 @@ def _normal_form(terms: Dict[Monomial, int], p: int, m: int) -> Tuple[int, tuple
     return u, tuple((mono, r) for mono, c in ordered if (r := c * inverse % modulus))
 
 
-def _ball_counter(q: int, budget: int, spent: int = 0):
-    """count(f, precision) = ``value_balls`` for blocks on one budget, nodes
-    counted from ``spent``.  The calls share the memo and the scans, keyed
-    with the arity: blocks equal up to names and a unit are counted once."""
+def _ball_counter(q: int, budget: int):
+    """count(f, precision): the values of f on (Z/q^m)^n, m = precision, as
+    uniform balls, for blocks on one budget.  The calls share the memo and
+    the scans, keyed with the arity: blocks equal up to names and a unit are
+    counted once.
+
+    count returns ``(balls, nodes)``.  ``balls`` maps (k, c) with
+    1 <= k <= m and 0 <= c < q^k to the number w of points x mod q^m with
+    f(x) = c mod q^k; those w points have values mod q^m spread evenly
+    over the q^(m-k) residues of c + q^k Z, so q^(m-k) divides w.  The
+    weights add up to q^(n m).  ``nodes`` counts the nodes met by all the
+    calls so far: one per normal form (``_normal_form``) and precision of
+    the recursion.  A node over ``budget`` raises BudgetExceeded, and so do
+    a class path of more than ``MAX_LIFTS`` lifts and more than 4 * 10^6
+    residues mod q, the last before any is scanned; a negative budget
+    raises ValueError.
+
+    A node g sorts the q^n residue classes mod q by ``mpoly._classify``,
+    which reads g mod q alone, so nodes with one reduction share a scan.
+    A class r where some partial is a unit maps onto g(r) + q Z_q
+    uniformly (Hensel).  On any other class g(r + q x) - g(r) = q^e h(x)
+    with e >= 2, so the class takes the balls of h at precision m - e,
+    scaled by q^e and moved to g(r); when e >= m it is one point mod q^m,
+    and at m = 1 every class is the ball (1, g(r) mod q).  ``_lift`` keeps
+    only the terms below q^m, all that the balls read.
+    """
     import numpy as np
 
     if budget < 0:
@@ -144,7 +135,7 @@ def _ball_counter(q: int, budget: int, spent: int = 0):
     memo: Dict[tuple, ValueBalls] = {}  # (n, node, m) -> balls
     scans: Dict[tuple, tuple] = {}  # (n, node mod p, m == 1) -> scan
     rows: Dict[int, dict] = {}  # m -> the binomial rows of ``_lift`` at precision m
-    nodes = spent
+    nodes = 0
 
     def count(f: Polynomial, precision: int) -> Tuple[ValueBalls, int]:
         if precision < 1:
@@ -246,7 +237,7 @@ def ball_counts(
     are tallied by the valuation of their centres, and N_j is the number
     of points mod p^depth whose value is 0 mod p^j, over p^(n (depth - j)).
     The blocks share one memo of nodes and one node budget, and
-    ``nodes_expanded`` counts their nodes as ``value_balls`` does, a node
+    ``nodes_expanded`` counts their nodes as ``_ball_counter`` does, a node
     shared by two blocks once; running out raises BudgetExceeded, and a
     negative budget ValueError.
     """

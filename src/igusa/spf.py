@@ -13,12 +13,13 @@ with t = q^(-s) and f(P + p x) = p^(e_P) f_P(x).  Each Z(f_P) is over
 all of Z_p^n, so only the root can be on the torus.  Recursing on the
 singular lifts terminates exactly when f has no singular point inside
 D, and the result is a rational function with the single denominator
-factor (1 - t/q).  The classification is vectorised: one call of
-``mpoly._classify`` on the terms of fbar and the axes of
-``mpoly.residue_axes``.  It reads fbar alone, so within one evaluation
-the nodes with the same reduction mod p on the same grid share one
-classification: a chain of singular lifts whose reductions repeat scans
-its residues once.  A node below the root is a term map, its terms in
+factor (1 - t/q).  ``spf_evaluate`` runs the recursion, and its trace
+keeps each node's counts.  The classification, ``_grid_counts``, is
+vectorised: one call of ``mpoly._classify`` on the terms of fbar and the
+axes of ``mpoly.residue_axes``.  It reads fbar alone, so within one
+evaluation the nodes with the same reduction mod p on the same grid share
+one classification: a chain of singular lifts whose reductions repeat
+scans its residues once.  A node below the root is a term map, its terms in
 graded-lex order, lifted by the exact kernel ``mpoly._lift`` on one table
 of binomial rows per evaluation; each node's numerator is Python ints
 over one power of q, and ``Fraction``s are built once, at the root.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, _classify, _lift, reduction_key
+from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, _classify, _lift
 from .mpoly import _term_sort_key, residue_axes
 from .numeric import PrimeSpec, p_valuation
 from .ratfun import RationalZeta
@@ -73,24 +74,17 @@ class SPFCounts:
         }
 
 
-def spf_counts(f: Polynomial, p: PrimeSpec, torus: bool = False) -> SPFCounts:
-    """Classify every residue of {0..p-1}^n, or of its torus {1..p-1}^n,
-    into nonzero / smooth zero / singular zero.
-
-    nu and sigma are the Haar measures of the first two classes; the
-    singular zeros are returned as their canonical lifts in {0..p-1}^n,
-    in sorted order.  One ``_grid_counts`` pass over the grid's axes
-    does it, after ``_refuse_grid``.
-    """
-    low = int(torus)
-    _refuse_grid(p.p, f.nvars, low)
-    return _grid_counts(reduction_key(f, p.p), p.p, f.nvars, low)[0]
-
-
 def _grid_counts(reduced: Sequence[Tuple[Monomial, int]], q: int, n: int, low: int):
     """(counts, (a, b)) for the terms mod q, each nonzero mod q, of a node on
     the grid {low..q-1}^n: its ``SPFCounts`` and the node's own numerator
-    coefficients nu and sigma (1 - 1/q) - nu/q as the ints a, b over q^(n+1)."""
+    coefficients nu and sigma (1 - 1/q) - nu/q as the ints a, b over q^(n+1).
+
+    The counts classify every residue of the grid, {0..q-1}^n or its torus
+    {1..q-1}^n, into nonzero / smooth zero / singular zero: nu and sigma
+    are the Haar measures of the first two classes, and the singular zeros
+    are their canonical lifts in {0..q-1}^n, in sorted order.  One
+    ``_classify`` pass over the grid's axes does it; the caller refuses an
+    oversized grid first, by ``_refuse_grid``."""
     import numpy as np
 
     values, critical = _classify(reduced, residue_axes(q, n, low), q)
@@ -225,23 +219,21 @@ def spf_evaluate(
                 f"at path {_path_str(path)}"
             )
         on_stack.add(key)
-        try:
-            reduction = (tuple((mono, c % q) for mono, c in terms if c % q), low)
-            found = classified.get(reduction)
-            if found is None:
-                found = classified[reduction] = _grid_counts(reduction[0], q, n, low)
-            counts, own = found
-            if counts.singular and low:
-                _refuse_grid(q, n, 0)  # the torus root's lifts scan the full grid
-            lifts = []  # (e, ints, k) of each singular lift, in order
-            children = []
-            for P in counts.singular:
-                e, child_terms = _lift_node(terms, P, q, rows)
-                child_ints, child_k, child_node = node(child_terms, 0, path + (P,), e, cumulative_E + e)
-                lifts.append((e, child_ints, child_k))
-                children.append(child_node)
-        finally:
-            on_stack.remove(key)
+        reduction = (tuple((mono, c % q) for mono, c in terms if c % q), low)
+        found = classified.get(reduction)
+        if found is None:
+            found = classified[reduction] = _grid_counts(reduction[0], q, n, low)
+        counts, own = found
+        if counts.singular and low:
+            _refuse_grid(q, n, 0)  # the torus root's lifts scan the full grid
+        lifts = []  # (e, ints, k) of each singular lift, in order
+        children = []
+        for P in counts.singular:
+            e, child_terms = _lift_node(terms, P, q, rows)
+            child_ints, child_k, child_node = node(child_terms, 0, path + (P,), e, cumulative_E + e)
+            lifts.append((e, child_ints, child_k))
+            children.append(child_node)
+        on_stack.remove(key)
         # built once the lifts return, so a depth-guard exit builds none
         k = max([n + 1] + [child_k + n for _, _, child_k in lifts])
         shift = q ** (k - n - 1)

@@ -13,7 +13,9 @@ from math import gcd, prod
 from typing import List, Sequence, Tuple
 
 from igusa.mpoly import Polynomial, from_terms
-from igusa.spf import SPFCounts
+from igusa.numeric import DEFAULT_BUDGET
+from igusa.oracle import _ball_counter
+from igusa.spf import SPFCounts, _grid_counts
 
 
 def _reduce(mat: List[List[Fraction]], ncols: int) -> List[int]:
@@ -227,9 +229,27 @@ def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
     return c is not None and all(sum(a * b for a, b in zip(h, c)) > 0 for h in normals)
 
 
+def reduced(f: Polynomial, p: int) -> tuple:
+    """The terms of f mod p whose coefficient is nonzero mod p, in graded-lex
+    order: what ``_classify`` and ``spf._grid_counts`` take for f."""
+    return tuple((e, c % p) for e, c in f.canonical_key()[1] if c % p)
+
+
+def grid_counts(f: Polynomial, p: int, low: int = 0) -> SPFCounts:
+    """The ``SPFCounts`` of f on {low..p-1}^n, by ``spf._grid_counts``."""
+    return _grid_counts(reduced(f, p), p, f.nvars, low)[0]
+
+
+def ball_count(f: Polynomial, p: int, precision: int):
+    """(balls, nodes) of f at a precision, from a counter of its own on the
+    default budget: ``oracle._ball_counter(p, DEFAULT_BUDGET)(f, precision)``."""
+    return _ball_counter(p, DEFAULT_BUDGET)(f, precision)
+
+
 def reference_spf_counts(f: Polynomial, p: int, low: int = 0) -> SPFCounts:
-    """``spf_counts`` by a scalar loop: every residue of {low..p-1}^n in
-    sorted order, f and each partial evaluated exactly and reduced mod p."""
+    """``spf._grid_counts``' counts by a scalar loop: every residue of
+    {low..p-1}^n in sorted order, f and each partial evaluated exactly and
+    reduced mod p."""
     partials = f.partials()
     nonzero = 0
     smooth = 0

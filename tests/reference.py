@@ -32,10 +32,9 @@ something:
   on ``Fraction``s, the reference for ``reduce_factors``, which retires
   the factors that divide exactly.
 
-None of them imports a route it checks (``value_balls``, ``ball_counts``
-and their ``_normal_form`` and ``_ball_counter``, ``spf_evaluate``,
-``spf_counts`` and their ``_lift_node`` and ``_grid_counts``, the lift
-kernel ``_lift``, the evaluation kernel ``eval_mod``, ``_classify``,
+None of them imports a route it checks (``ball_counts`` and its
+``_normal_form`` and ``_ball_counter``, ``spf_evaluate`` and its
+``_lift_node`` and ``_grid_counts``, the lift kernel ``_lift``, the evaluation kernel ``eval_mod``, ``_classify``,
 ``_eval_terms``, ``_pow_mod``, ``residue_axes``, or ``ratfun``'s int
 routes); ``test_imports`` holds this file to that.
 """
@@ -189,7 +188,7 @@ def _shifted(g: Polynomial, r: Tuple[int, ...], p: int) -> dict:
 
 
 def value_balls(f: Polynomial, p: PrimeSpec, precision: int) -> dict:
-    """The balls of f at a precision, as ``oracle.value_balls`` defines
+    """The balls of f at a precision, as ``oracle._ball_counter`` defines
     them, with a node memoised on its exact polynomial and precision.  Every
     class r mod p is classified by evaluating f and its partials at r; a
     class where some partial is a unit, or any class at precision 1, is

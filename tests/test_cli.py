@@ -171,7 +171,7 @@ class TestRunPayloads:
     def test_poles(self):
         payload, code = run_argv("poles", "-f", "x^2", "-g", "y^3")
         assert code == 0
-        assert payload == {"schema": SCHEMA, "poles": ["-1", "-5/6"]}
+        assert payload == {"poles": ["-1", "-5/6"]}
 
     def test_count(self):
         payload, code = run_argv("count", "-f", "x^2", "-p", "5", "--depth", "4")

@@ -1,7 +1,9 @@
 """Every module-level import under src/igusa and tests is read
 somewhere in its module: an import nobody reads is dead weight, and it
-can hide that the code which needed it is gone.  And the tests'
-reference routes stay apart from the routes they check."""
+can hide that the code which needed it is gone.  Every public function
+of src/igusa is named in src/igusa outside its own def: one that only
+tests call is dead code too.  And the tests' reference routes stay apart
+from the routes they check."""
 
 import ast
 import os
@@ -54,8 +56,8 @@ def test_every_module_level_import_is_read():
 # tests/helpers.py are the independent check of, the evaluation kernel
 # that those routes share, ratfun's int kernel, and the CLI's JSON
 # renderer, which the tests check against json.dumps
-CHECKED_ROUTES = {"value_balls", "ball_counts", "_normal_form", "_ball_counter",
-                  "spf_evaluate", "spf_counts", "_lift_node", "_grid_counts", "_lift",
+CHECKED_ROUTES = {"ball_counts", "_normal_form", "_ball_counter",
+                  "spf_evaluate", "_lift_node", "_grid_counts", "_lift",
                   "eval_mod", "_classify", "_eval_terms", "_pow_mod", "residue_axes",
                   "recover_numerator", "reduce_factors",
                   "denominator_polynomial", "_exact_quotient", "_denominator_ints",
@@ -92,3 +94,35 @@ def test_reference_stays_independent():
                 for module, names in _imports(_tree(path)))
     ]
     assert importers == []
+
+
+def _unnamed_functions(trees):
+    """"path: name" of each public module-level function of the (path, tree)
+    pairs that no ``Name`` or ``Attribute`` node names outside its own def,
+    in any of the trees; a docstring or an import names nothing."""
+    statements = [(node, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                          if isinstance(n, (ast.Name, ast.Attribute))})
+                  for _, tree in trees for node in tree.body]
+    return [f"{path}: {node.name}" for path, tree in trees for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and not any(node.name in names for other, names in statements if other is not node)]
+
+
+def test_unnamed_function_is_found():
+    source = ('"""d and a, named in text only"""\n'
+              "from m import d\n\n"
+              "def a():\n    return a()\n\n"
+              "def b():\n    pass\n\n"
+              "def _c():\n    pass\n\n"
+              "def d():\n    pass\n\n"
+              "x = m.b\n")
+    assert _unnamed_functions([("m.py", ast.parse(source))]) == ["m.py: a", "m.py: d"]
+
+
+def test_every_public_function_is_named_in_the_package():
+    # a public function that only its own tests call is dead code: the
+    # library keeps the private helper the tests reach, and tests call that
+    trees = [(os.path.relpath(path, ROOT), _tree(path)) for path in _sources()
+             if path.startswith(os.path.join(ROOT, "src", "igusa"))]
+    assert len(trees) > 10
+    assert _unnamed_functions(trees) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import plus_multiple, random_sparse_poly
+from helpers import random_sparse_poly, reduced
 from igusa.mpoly import (
     MAX_EXPONENT,
     Polynomial,
@@ -17,7 +17,6 @@ from igusa.mpoly import (
     direct_sum,
     eval_mod,
     from_terms,
-    reduction_key,
     residue_axes,
 )
 from igusa.numeric import p_valuation
@@ -176,7 +175,7 @@ class TestEvalMod:
     def test_classify_marks_common_zeros_of_the_partials(self):
         f = P("x^2 + y^3 + x*y")
         pts = np.array(list(itertools.product(range(5), repeat=2)), dtype=np.int64)
-        values, critical = _classify(reduction_key(f, 5), pts.T, 5)
+        values, critical = _classify(reduced(f, 5), pts.T, 5)
         for pt, v, c in zip(pts.tolist(), values.tolist(), critical.tolist()):
             assert v == f.evaluate(pt) % 5
             assert c == all(g.evaluate(pt) % 5 == 0 for g in f.partials())
@@ -234,15 +233,15 @@ class TestResidueGrid:
                 f = random_sparse_poly(rng, n, max_terms=5, max_exp=6, coeff_bound=10**4,
                                        origin_vanishing=False)
                 assert np.array_equal(eval_mod(f, axes, p).ravel(), eval_mod(f, cols, p).ravel())
-                values, critical = _classify(reduction_key(f, p), axes, p)
-                want_values, want_critical = _classify(reduction_key(f, p), cols, p)
+                values, critical = _classify(reduced(f, p), axes, p)
+                want_values, want_critical = _classify(reduced(f, p), cols, p)
                 assert values.shape == critical.shape == (p - low,) * n
                 assert np.array_equal(values.ravel(), want_values.ravel())
                 assert np.array_equal(critical.ravel(), want_critical.ravel())
 
 
 class TestClassifyAgainstPartials:
-    """_classify on reduction_key(f, p) against Polynomial.partials() and
+    """_classify on reduced(f, p) against Polynomial.partials() and
     Polynomial.evaluate,
     on polynomials where p divides a coefficient or an exponent, so that
     terms of a partial vanish mod p."""
@@ -272,29 +271,12 @@ class TestClassifyAgainstPartials:
             n = f.nvars
             for low in (0, 1):  # the full grid and the torus, as axes
                 points = list(itertools.product(range(low, p), repeat=n))
-                values, critical = _classify(reduction_key(f, p), residue_axes(p, n, low), p)
+                values, critical = _classify(reduced(f, p), residue_axes(p, n, low), p)
                 got = (values.ravel().tolist(), critical.ravel().tolist())
                 assert got == self._plain(f, points, p), (str(f), p, low)
             points = [tuple(rng.randint(-60, 60) for _ in range(n)) for _ in range(12)]
-            values, critical = _classify(reduction_key(f, p), np.array(points, dtype=np.int64).T, p)
+            values, critical = _classify(reduced(f, p), np.array(points, dtype=np.int64).T, p)
             assert (values.tolist(), critical.tolist()) == self._plain(f, points, p), (str(f), p)
-
-
-class TestReductionKey:
-    def test_equal_exactly_mod_p(self):
-        rng = random.Random(23)
-        for p in (2, 3, 5, 7):
-            for _ in range(20):
-                n = rng.randint(1, 3)
-                f = random_sparse_poly(rng, n, max_terms=5, max_exp=4, origin_vanishing=False)
-                h = random_sparse_poly(rng, n, max_terms=5, max_exp=4, origin_vanishing=False)
-                assert reduction_key(f, p) == reduction_key(plus_multiple(f, p, h), p)
-                differ = any(c % p for c in plus_multiple(f, -1, h).terms.values())
-                assert (reduction_key(f, p) == reduction_key(h, p)) == (not differ)
-
-    def test_drops_multiples_of_p(self):
-        assert reduction_key(P("x^2 + 5*y - 7"), 5) == (((0, 0), 3), ((2, 0), 1))
-        assert reduction_key(P("5*x^2 - 25*y"), 5) == ()
 
 
 class TestDirectSum:

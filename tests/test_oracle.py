@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_sparse_poly
+from helpers import ball_count, random_sparse_poly
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import MAX_LIFTS, Polynomial, direct_sum, from_terms
 from igusa.newton import build_polyhedron
 from igusa.numeric import PrimeSpec
-from igusa.oracle import BudgetExceeded, _blocks, ball_counts, measure_series, value_balls, verify_theorem
-from igusa.oracle import _ball_counter
+from igusa.oracle import BudgetExceeded, _ball_counter, _blocks, ball_counts, measure_series, verify_theorem
 from reference import count_mod, face_cone, product, proper_faces, zero_cone
 from reference import value_balls as exact_value_balls
 
@@ -181,7 +180,7 @@ class TestBallCounts:
         # polynomial and precision of each block, y^3 pushed to the finest
         # ball of x^2
         c = ball_counts(P("x^2 + y^3"), P5, 9)
-        nodes = sum(value_balls(P(block), P5, 9)[1] for block in ("x^2", "y^3"))
+        nodes = sum(ball_count(P(block), 5, 9)[1] for block in ("x^2", "y^3"))
         assert c.nodes_expanded == nodes == 8
         assert c.counts == (5, 45, 225, 1125, 5625, 90625, 453125, 3828125, 19140625)
 
@@ -200,7 +199,7 @@ class TestBallCounts:
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
             ball_counts(P("x"), P5, 3, budget=-1)
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
-            value_balls(P("x"), P5, 3, budget=-1)
+            _ball_counter(5, budget=-1)
 
     def test_lifts_stop_in_band_at_the_cap(self):
         # x^2 at p = 2 lifts at the class (0,) once per two levels: depth
@@ -238,7 +237,7 @@ class TestBallCounts:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             ball_counts(P("x"), P5, 0)
         with pytest.raises(ValueError, match="^precision must be >= 1$"):
-            value_balls(P("x"), P5, 0)
+            ball_count(P("x"), 5, 0)
         with pytest.raises(ValueError, match="need at least one variable"):
             ball_counts(P("3"), P5, 2)
 
@@ -261,7 +260,7 @@ class TestValueBalls:
             depth -= 1
         spec = PrimeSpec(p)
         for poly in (f, g):
-            balls, _ = value_balls(poly, spec, depth)
+            balls, _ = ball_count(poly, p, depth)
             assert sum(balls.values()) == p ** (poly.nvars * depth)
             assert all(w % p ** (depth - k) == 0 for (k, _), w in balls.items())
         fast = ball_counts(direct_sum(f, g), spec, depth)
@@ -288,7 +287,7 @@ class TestValueBalls:
         # precision 7, and then to x^2 at precisions 5, 3 and 1 (5^5 y is 0
         # mod 5^5): every reduction is x^2, scanned once with its partials,
         # and the node at precision 1 is read off its values
-        balls, nodes = value_balls(P("x^2 + 5^7*y"), P5, 9)
+        balls, nodes = ball_count(P("x^2 + 5^7*y"), 5, 9)
         assert nodes == 5
         assert scanned == [("classify", (((2, 0), 1),)), ("values", (((2, 0), 1),))]
         assert sum(balls.values()) == 5 ** 18
@@ -298,7 +297,7 @@ class TestValueBalls:
 
         f = P("x^2 + y^2 + x*y*z")  # singular at (0, 0, z) for every z
         monkeypatch.setattr(oracle, "_classify", None)
-        balls, nodes = value_balls(f, P3, 1)
+        balls, nodes = ball_count(f, 3, 1)
         assert nodes == 1
         want = {}
         for r in itertools.product(range(3), repeat=3):
@@ -324,7 +323,7 @@ class TestNormalForm:
     @given(block=blocks())
     def test_balls_match_the_exact_route(self, block):
         p, f, precision = block
-        assert value_balls(f, PrimeSpec(p), precision)[0] == exact_value_balls(f, PrimeSpec(p), precision)
+        assert ball_count(f, p, precision)[0] == exact_value_balls(f, PrimeSpec(p), precision)
 
     @settings(max_examples=60, deadline=None)
     @given(block=blocks(), unit=st.integers(min_value=-20, max_value=20))
@@ -351,15 +350,15 @@ class TestNormalForm:
         # x^2 - 2y^2 splits into x^2 and -2y^2, which has no unit
         # coefficient at p = 2 and is normalised by u = 1
         P2 = PrimeSpec(2)
-        assert value_balls(P("-2*y^2"), P2, 8)[0] == exact_value_balls(P("-2*y^2"), P2, 8)
+        assert ball_count(P("-2*y^2"), 2, 8)[0] == exact_value_balls(P("-2*y^2"), P2, 8)
         f = P("x^2 - 2*y^2")
         assert ball_counts(f, P2, 8).counts == count_mod(f, P2, 8).counts
 
     def test_node_counts_pinned(self):
         # 50,238, 19,264 and 34,311 nodes when every node was an exact polynomial
-        assert value_balls(P("3*x^3*y^4 + 5*x^4"), PrimeSpec(2), 48)[1] == 5380
-        assert value_balls(P("w*z^2"), PrimeSpec(7), 12)[1] == 404
-        assert value_balls(P("x^4*y^4"), PrimeSpec(7), 24)[1] == 4925
+        assert ball_count(P("3*x^3*y^4 + 5*x^4"), 2, 48)[1] == 5380
+        assert ball_count(P("w*z^2"), 7, 12)[1] == 404
+        assert ball_count(P("x^4*y^4"), 7, 24)[1] == 4925
 
 
 class TestMeasureSeries:

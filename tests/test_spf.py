@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import plus_multiple, random_sparse_poly, reference_spf_counts
+from helpers import grid_counts, plus_multiple, random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import MAX_LIFTS, from_terms
 from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series
 from igusa.ratfun import expand
-from igusa.spf import DepthGuardExceeded, spf_counts, spf_evaluate
+from igusa.spf import DepthGuardExceeded, spf_evaluate
 from reference import BoundNotCertified, count_mod, shift_scale, sup_bound
 from reference import spf_evaluate as reference_spf
 
@@ -31,15 +31,15 @@ P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
 
 class TestSpfCounts:
     def test_smooth_line(self):
-        c = spf_counts(P("x"), P5)
+        c = grid_counts(P("x"), 5)
         assert (c.nu, c.sigma, c.singular) == (Fraction(4, 5), Fraction(1, 5), ())
 
     def test_double_zero(self):
-        c = spf_counts(P("x^2"), P5)
+        c = grid_counts(P("x^2"), 5)
         assert (c.nu, c.sigma, c.singular) == (Fraction(4, 5), Fraction(0), ((0,),))
 
     def test_torus_without_zeros(self):
-        c = spf_counts(P("x^2 + y^2"), P3, torus=True)
+        c = grid_counts(P("x^2 + y^2"), 3, low=1)
         assert (c.nu, c.sigma, c.singular) == (Fraction(4, 9), Fraction(0), ())
 
     @settings(max_examples=40)
@@ -57,7 +57,7 @@ class TestSpfCounts:
 
         a, b, c = coeffs
         f = from_terms(("x", "y"), [((2, 0), a), ((0, 2), b), ((1, 1), c), ((1, 0), 1)])
-        counts = spf_counts(f, PrimeSpec(p), torus)
+        counts = grid_counts(f, p, int(torus))
         total = counts.nu + counts.sigma + Fraction(len(counts.singular), p**2)
         assert total == Fraction((p - torus) ** 2, p**2)
 
@@ -65,12 +65,11 @@ class TestSpfCounts:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_matches_scalar_reference(self, p):
         rng = random.Random(p)
-        spec = PrimeSpec(p)
         for n in (1, 2, 3):
             for torus in (False, True):
                 for _ in range(3):
                     f = random_sparse_poly(rng, n, max_terms=5, max_exp=5, origin_vanishing=False)
-                    got = spf_counts(f, spec, torus)
+                    got = grid_counts(f, p, int(torus))
                     want = reference_spf_counts(f, p, int(torus))
                     assert (got.nu, got.sigma, got.singular) == (want.nu, want.sigma, want.singular)
 
@@ -81,13 +80,12 @@ class TestSharedClassification:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_counts_depend_on_the_reduction_only(self, p):
         rng = random.Random(100 + p)
-        spec = PrimeSpec(p)
         for n in (1, 2, 3):
-            for torus in (False, True):
+            for low in (0, 1):
                 for _ in range(3):
                     g = random_sparse_poly(rng, n, max_terms=5, max_exp=5, origin_vanishing=False)
                     h = random_sparse_poly(rng, n, max_terms=4, max_exp=6, origin_vanishing=False)
-                    assert spf_counts(g, spec, torus) == spf_counts(plus_multiple(g, p, h), spec, torus)
+                    assert grid_counts(g, p, low) == grid_counts(plus_multiple(g, p, h), p, low)
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -136,7 +134,7 @@ class TestSharedClassification:
         while todo:
             node, g = todo.pop()
             nodes -= 1
-            assert node.counts == spf_counts(g, spec, torus and node.path == ())
+            assert node.counts == grid_counts(g, p, int(torus and node.path == ()))
             for child in node.children:
                 e, h = shift_scale(g, child.path[-1], p)
                 assert e == child.order_e
