@@ -23,7 +23,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .mpoly import MAX_EXPONENT, MAX_LIFTS, Polynomial, from_terms
-from .numeric import DEFAULT_BUDGET, PrimeSpec
+from .numeric import DEFAULT_BUDGET
 
 SCHEMA = 1
 
@@ -183,11 +183,10 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         return {"poles": [str(x) for x in poles]}, 0
 
     if cmd == "spf":
-        p = PrimeSpec(req.prime)
-        result = spf.spf_evaluate(f, p, torus=req.domain == "torus", depth_guard=req.depth_guard)
+        result = spf.spf_evaluate(f, req.prime, torus=req.domain == "torus", depth_guard=req.depth_guard)
         payload = {
             "f": str(f),
-            "p": p.p,
+            "p": req.prime,
             "domain": req.domain,
             "zeta": result.zeta.as_dict(),
             "text": str(result.zeta),
@@ -197,14 +196,14 @@ def run(cmd: str, req: argparse.Namespace) -> Tuple[dict, int]:
         return payload, 0
 
     if cmd == "count":
-        counts = oracle.ball_counts(f, PrimeSpec(req.prime), req.depth, budget=req.budget)
+        counts = oracle.ball_counts(f, req.prime, req.depth, budget=req.budget)
         series = oracle.measure_series(counts)
         return {**counts.as_dict(), "series": [str(c) for c in series]}, 0
 
     if cmd == "verify":
         g = parse_polynomial(req.g_text)
         report = oracle.verify_theorem(
-            f, g, PrimeSpec(req.prime), depth=req.depth, max_deg=req.max_deg, budget=req.budget
+            f, g, req.prime, depth=req.depth, max_deg=req.max_deg, budget=req.budget
         )
         return report.as_dict(), 0 if report.ok else 2
 

@@ -12,26 +12,26 @@ keeps only the terms mod p^m that the value balls of ``oracle`` read;
 without one it is exact, for the stationary-phase recursion of ``spf``.
 
 The one vectorised evaluator lives here too, for every caller that needs
-f on many residue classes: ``eval_mod`` reduces f mod m at points given
-by one broadcastable array per variable (the columns of explicit points,
-or the axes of a grid from ``residue_axes``, which is never built), and
+f on many residue classes: ``eval_mod`` reduces f, given by its
+(monomial, coefficient) pairs, mod m at points given by one
+broadcastable array per variable (the columns of explicit points, or the
+axes of a grid from ``residue_axes``, which is never built), and
 ``_classify`` adds, for the terms of f mod p, the mask where every
 partial vanishes mod p, reading each partial's terms mod p off f's terms
-and evaluating them in the same loop; the value balls and ``spf`` call
-it on term maps.  It runs in int64 and refuses a modulus m with
-(m - 1)^2 >= 2^63.  Both callers key a residue scan on the terms of f
-mod p that are nonzero mod p: values mod p and, since d(f mod p) =
-(df) mod p, the partials mod p depend on these alone, so one scan serves
-every polynomial with the same reduction.  They import numpy
-themselves, so parsing a polynomial does not load it.
+and evaluating them by the same loop; the value balls and ``spf`` call
+it.  It runs in int64 and refuses a modulus m with (m - 1)^2 >= 2^63.
+Both of its callers key a residue scan on the terms of f mod p that are
+nonzero mod p: values mod p and, since d(f mod p) = (df) mod p, the
+partials mod p depend on these alone, so one scan serves every
+polynomial with the same reduction.  They import numpy themselves, so
+parsing a polynomial does not load it.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .numeric import p_valuation
 
@@ -111,7 +111,7 @@ class Polynomial:
 
     # -- evaluation and calculus --------------------------------------
 
-    def evaluate(self, point: Sequence[Union[int, Fraction]]):
+    def evaluate(self, point: Sequence):
         """Evaluate at a point of ints or Fractions."""
         if len(point) != self.nvars:
             raise ValueError(f"point arity {len(point)} != {self.nvars}")
@@ -269,20 +269,15 @@ def residue_axes(p: int, n: int, low: int = 0):
     return np.ix_(*(np.arange(low, p, dtype=np.int64) for _ in range(n)))
 
 
-def eval_mod(f: Polynomial, coords, modulus: int):
-    """f mod modulus, in [0, modulus), at the points of coords: one array
-    per variable, broadcast together (the columns pts.T of explicit points,
-    or ``residue_axes``).  The result has their broadcast shape and dtype
+def eval_mod(terms: Sequence[Tuple[Monomial, int]], coords, modulus: int):
+    """The polynomial with these (monomial, coefficient) terms mod modulus,
+    in [0, modulus), at the points of coords: one array per variable,
+    broadcast together (the columns pts.T of explicit points, or
+    ``residue_axes``).  The result has their broadcast shape and dtype
     int64, which is exact while (modulus - 1)^2 < 2^63; a larger modulus
     raises ValueError.  Each factor of a term is reduced before it
     multiplies, so a term is at most (m - 1)^2; the M terms are summed
     unreduced while M (m - 1)^2 < 2^63, else reduced after each sum."""
-    return _eval_terms(f.terms.items(), coords, modulus)
-
-
-def _eval_terms(terms: Sequence[Tuple[Monomial, int]], coords, modulus: int):
-    """``eval_mod`` of the polynomial with these (monomial, coefficient)
-    terms: the one evaluation loop."""
     import numpy as np
 
     if (modulus - 1) ** 2 >= 2**63:
@@ -304,17 +299,17 @@ def _eval_terms(terms: Sequence[Tuple[Monomial, int]], coords, modulus: int):
 def _classify(terms: Sequence[Tuple[Monomial, int]], coords, p: int):
     """(values mod p at the points of coords, mask of the points where every
     partial is 0 mod p), for the terms mod p, each nonzero mod p, of a
-    polynomial, both by ``_eval_terms``' loop.  Each partial is read off the
+    polynomial, both by ``eval_mod``' loop.  Each partial is read off the
     terms: the term
     c x^e gives e_i c x^(e - 1_i), kept when e_i c is nonzero mod p, so a
     partial that is 0 mod p costs no evaluation and builds no Polynomial."""
     import numpy as np
 
-    values = _eval_terms(terms, coords, p)
+    values = eval_mod(terms, coords, p)
     critical = np.ones(values.shape, dtype=bool)
     for i in range(len(coords)):
         partial = [(exps[:i] + (exps[i] - 1,) + exps[i + 1:], exps[i] * c % p)
                    for exps, c in terms if exps[i] * c % p]
         if partial:
-            critical &= _eval_terms(partial, coords, p) == 0
+            critical &= eval_mod(partial, coords, p) == 0
     return values, critical

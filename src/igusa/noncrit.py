@@ -386,8 +386,9 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
     hull's system on (F_ell^x)^d, in lexicographic order of y, mapped back
     to x with y_j = 1 for j > d.  The system is built once for all primes.
     The rank test (module docstring) rules out zeros first; else
-    ``eval_mod`` evaluates the first nonzero polynomial of the system on
-    the axes of ``residue_axes`` and the others at its zeros.
+    ``eval_mod`` evaluates the nonzero terms of the system's first nonzero
+    row on the axes of ``residue_axes``, and those of the others at its
+    zeros.
     """
     import numpy as np
 
@@ -406,7 +407,7 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
             yield ell, []
             continue
         if system is None:
-            system = [Polynomial(h.variables, dict(zip(h.terms, row))) for row in rows if any(row)]
+            system = [[(e, c) for e, c in zip(h.terms, row) if c] for row in rows if any(row)]
         pts = np.argwhere(eval_mod(system[0], residue_axes(ell, d, 1), ell) == 0) + 1
         for g in system[1:]:
             pts = pts[eval_mod(g, pts.T, ell) == 0]

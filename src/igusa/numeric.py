@@ -11,8 +11,6 @@ A p-adic valuation is an ``int`` and is taken of nonzero integers only:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # node budget of oracle's value-ball counter, kept here for the CLI to show without numpy
 DEFAULT_BUDGET = 10**8
 
@@ -42,24 +40,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeSpec:
-    """A prime p; the residue field size q equals p throughout."""
-
-    p: int
-
-    def __post_init__(self):
-        if isinstance(self.p, int) and self.p >= 2**64:
-            raise ValueError(f"primality is decided for p < 2^64 only, got {self.p}")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"not a prime: {self.p!r}")
+def check_prime(p) -> None:
+    """Refuse p unless it is an int prime below 2^64, the range that
+    ``_is_prime`` decides; the residue field size q equals p throughout."""
+    if isinstance(p, int) and p >= 2**64:
+        raise ValueError(f"primality is decided for p < 2^64 only, got {p}")
+    if not isinstance(p, int) or not _is_prime(p):
+        raise ValueError(f"not a prime: {p!r}")
 
 
 def p_valuation(x: int, p: int) -> int:
     """The exponent of p in the nonzero integer x.
 
     x = 0 has no finite valuation and raises ValueError.  p is not tested
-    for primality here: ``PrimeSpec`` checks it where it enters the program.
+    for primality here: ``check_prime`` checks it where it enters the library.
     """
     if p < 2:
         raise ValueError(f"valuation base must be at least 2, got {p!r}")

@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import tsden
-from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, direct_sum, residue_axes
-from .mpoly import _classify, _eval_terms, _lift
-from .numeric import DEFAULT_BUDGET, PrimeSpec
+from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, direct_sum, eval_mod
+from .mpoly import _classify, _lift, residue_axes
+from .numeric import DEFAULT_BUDGET, check_prime
 from .ratfun import Factor, RationalZeta, poles, recover_numerator, reduce_factors
 
 
@@ -59,7 +59,7 @@ class CountSeries:
     """N_m = #{x mod p^m : f(x) = 0 mod p^m} for m = 1..depth, and N_0."""
 
     f: Polynomial
-    p: PrimeSpec
+    p: int
     dim: int
     counts: Tuple[int, ...]  # counts[m-1] = N_m
     n0: int  # N_0: 1 on all of Z_p^n
@@ -79,7 +79,7 @@ class CountSeries:
     def as_dict(self) -> dict:
         return {
             "f": str(self.f),
-            "p": self.p.p,
+            "p": self.p,
             "dim": self.dim,
             "counts": list(self.counts),
             # schema 1 keeps these keys: a count over budget raises, and
@@ -115,9 +115,9 @@ def _ball_counter(q: int, budget: int):
     weights add up to q^(n m).  ``nodes`` counts the nodes met by all the
     calls so far: one per normal form (``_normal_form``) and precision of
     the recursion.  A node over ``budget`` raises BudgetExceeded, and so do
-    a class path of more than ``MAX_LIFTS`` lifts and more than 4 * 10^6
-    residues mod q, the last before any is scanned; a negative budget
-    raises ValueError.
+    a class path of more than ``MAX_LIFTS`` lifts and more than
+    ``RESIDUE_LIMIT`` residues mod q, the last before any is scanned; a
+    negative budget raises ValueError.
 
     A node g sorts the q^n residue classes mod q by ``mpoly._classify``,
     which reads g mod q alone, so nodes with one reduction share a scan.
@@ -157,7 +157,7 @@ def _ball_counter(q: int, budget: int):
             if key not in scans:
                 residues = residue_axes(q, n)
                 if m == 1:
-                    values = _eval_terms(reduced, residues, q)
+                    values = eval_mod(reduced, residues, q)
                     critical = np.zeros(values.shape, dtype=bool)
                 else:
                     values, critical = _classify(reduced, residues, q)
@@ -223,7 +223,7 @@ def _blocks(f: Polynomial) -> List[Polynomial]:
 
 
 def ball_counts(
-    f: Polynomial, p: PrimeSpec, depth: int, budget: int = DEFAULT_BUDGET
+    f: Polynomial, p: int, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CountSeries:
     """Exact N_m of f on all of Z_p^n, m = 1..depth, from value balls.
 
@@ -241,15 +241,15 @@ def ball_counts(
     shared by two blocks once; running out raises BudgetExceeded, and a
     negative budget ValueError.
     """
+    check_prime(p)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = f.nvars
     if n < 1:
         raise ValueError("need at least one variable")
-    q = p.p
-    power = [q**k for k in range(depth + 1)]  # power[k] = q^k
+    power = [p**k for k in range(depth + 1)]  # power[k] = p^k
     fold: ValueBalls = {(depth, f.constant_term() % power[depth]): 1}
-    count = _ball_counter(q, budget)
+    count = _ball_counter(p, budget)
     nodes = 0
     # the values of a ball (k, c), c != 0, have valuation v(c); those of
     # (k, 0) lie in p^k Z, and a share p^(k-j) of them in p^j Z for j > k.
@@ -260,7 +260,7 @@ def ball_counts(
     for block in blocks:
         m = max(k for k, _ in fold)
         balls, nodes = count(block, m)
-        scale = q ** (block.nvars * (depth - m))
+        scale = p ** (block.nvars * (depth - m))
         summed: ValueBalls = {}
         for (k1, c1), w1 in fold.items():
             w1 *= scale
@@ -271,7 +271,7 @@ def ball_counts(
                     summed[(k, c)] = summed.get((k, c), 0) + w1 * w2
                 elif not c:
                     zero[k] += w1 * w2
-                elif c % q == 0:
+                elif c % p == 0:
                     v = 1
                     while c % power[v + 1] == 0:
                         v += 1
@@ -283,11 +283,11 @@ def ball_counts(
     counts = []
     spread = 0  # the points of p^j Z in the balls (k, 0), k < j
     for j in range(1, depth + 1):
-        count_j, rest = divmod(exact[j] + spread, q ** (n * (depth - j)))
+        count_j, rest = divmod(exact[j] + spread, p ** (n * (depth - j)))
         if rest:
             raise ArithmeticError(f"value balls give a fractional N_{j}")
         counts.append(count_j)
-        spread = (spread + zero[j]) // q
+        spread = (spread + zero[j]) // p
     return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=1, nodes_expanded=nodes)
 
 
@@ -297,7 +297,7 @@ def measure_series(counts: CountSeries) -> Tuple[Fraction, ...]:
     This is the Haar volume of {x : v(f(x)) = m}; the last usable index
     is depth - 1.
     """
-    q = counts.p.p
+    q = counts.p
     n = counts.dim
     return tuple(
         Fraction(counts.N(m) * q**n - counts.N(m + 1), q ** ((m + 1) * n))
@@ -349,7 +349,7 @@ class VerificationReport:
 def verify_theorem(
     f: Polynomial,
     g: Polynomial,
-    p: PrimeSpec,
+    p: int,
     depth: Optional[int] = None,
     max_deg: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
@@ -370,6 +370,7 @@ def verify_theorem(
     ``ball_counts`` of f(x) + g(y), whose blocks split f from g; running
     out of node budget there raises BudgetExceeded.
     """
+    check_prime(p)
     factors = tuple(tsden.denominator(f, g).factors())
     total_b = sum(b for _, b in factors)
     if max_deg is None:
@@ -381,14 +382,14 @@ def verify_theorem(
 
     counts = ball_counts(direct_sum(f, g), p, depth, budget=budget)
     series = measure_series(counts)
-    recovery = recover_numerator(series, factors, p.p, max_deg)
+    recovery = recover_numerator(series, factors, p, max_deg)
     cancelled, surviving = (), factors
     if recovery.ok:
-        reduction = reduce_factors(RationalZeta(recovery.numerator, factors, p.p))
+        reduction = reduce_factors(RationalZeta(recovery.numerator, factors, p))
         cancelled, surviving = reduction.cancelled, reduction.surviving
     return VerificationReport(
         ok=recovery.ok,
-        p=p.p,
+        p=p,
         depth=depth,
         max_deg=max_deg,
         factors=factors,

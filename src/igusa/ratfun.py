@@ -80,12 +80,6 @@ def poles(factors: Sequence[Factor]) -> Tuple[Fraction, ...]:
     return tuple(sorted({Fraction(-a, b) for a, b in factors}))
 
 
-def denominator_polynomial(factors: Sequence[Factor], q: int) -> List[Fraction]:
-    """Coefficients of prod (1 - q^(-A) t^B) as a polynomial in t."""
-    poly, scale = _denominator_ints(factors, q)
-    return [Fraction(c, scale) for c in poly]
-
-
 @dataclass(frozen=True)
 class RationalZeta:
     """N(t) / prod (1 - q^(-A) t^B) with exact coefficients, at prime power q."""
@@ -109,9 +103,14 @@ class RationalZeta:
             return NotImplemented
         if self.q != other.q:
             return False
-        # cross-multiply: N1 * D2 == N2 * D1 as polynomials in t
-        left = _poly_mul(self.numerator, denominator_polynomial(other.denominator_factors, self.q))
-        right = _poly_mul(other.numerator, denominator_polynomial(self.denominator_factors, self.q))
+        # cross-multiply in ints: N1 * D2 == N2 * D1 as polynomials in t,
+        # with Ni = ni / di and Di = poly_i / scale_i
+        n1, d1 = _scaled(self.numerator)
+        n2, d2 = _scaled(other.numerator)
+        poly1, scale1 = _denominator_ints(self.denominator_factors, self.q)
+        poly2, scale2 = _denominator_ints(other.denominator_factors, self.q)
+        left = _poly_mul([c * d2 * scale1 for c in n1], poly2)
+        right = _poly_mul([c * d1 * scale2 for c in n2], poly1)
         return _trim(left) == _trim(right)
 
     def __hash__(self):

@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, _classify, _lift
 from .mpoly import _term_sort_key, residue_axes
-from .numeric import PrimeSpec, p_valuation
+from .numeric import check_prime, p_valuation
 from .ratfun import RationalZeta
 
 
@@ -156,7 +156,7 @@ def _lift_node(terms: Sequence[Tuple[Monomial, int]], point: Tuple[int, ...], q:
 
 def spf_evaluate(
     f: Polynomial,
-    p: PrimeSpec,
+    p: int,
     torus: bool = False,
     depth_guard: int = 32,
 ) -> SPFEvaluation:
@@ -184,10 +184,10 @@ def spf_evaluate(
     over q^k; a child's joins it times q^(k - k_child - n), and the root's
     becomes ``Fraction``s.
     """
-    q = p.p
+    check_prime(p)
     n = f.nvars
     low = int(torus)
-    _refuse_grid(q, n, low)
+    _refuse_grid(p, n, low)
     if f.is_zero():
         raise ValueError("the zero polynomial has no finite |f|^s integral")
     if not 0 <= depth_guard <= MAX_LIFTS:
@@ -219,37 +219,37 @@ def spf_evaluate(
                 f"at path {_path_str(path)}"
             )
         on_stack.add(key)
-        reduction = (tuple((mono, c % q) for mono, c in terms if c % q), low)
+        reduction = (tuple((mono, c % p) for mono, c in terms if c % p), low)
         found = classified.get(reduction)
         if found is None:
-            found = classified[reduction] = _grid_counts(reduction[0], q, n, low)
+            found = classified[reduction] = _grid_counts(reduction[0], p, n, low)
         counts, own = found
         if counts.singular and low:
-            _refuse_grid(q, n, 0)  # the torus root's lifts scan the full grid
+            _refuse_grid(p, n, 0)  # the torus root's lifts scan the full grid
         lifts = []  # (e, ints, k) of each singular lift, in order
         children = []
         for P in counts.singular:
-            e, child_terms = _lift_node(terms, P, q, rows)
+            e, child_terms = _lift_node(terms, P, p, rows)
             child_ints, child_k, child_node = node(child_terms, 0, path + (P,), e, cumulative_E + e)
             lifts.append((e, child_ints, child_k))
             children.append(child_node)
         on_stack.remove(key)
         # built once the lifts return, so a depth-guard exit builds none
         k = max([n + 1] + [child_k + n for _, _, child_k in lifts])
-        shift = q ** (k - n - 1)
+        shift = p ** (k - n - 1)
         ints = [own[0] * shift, own[1] * shift]
         for e, child_ints, child_k in lifts:
             need = e + len(child_ints)
             if len(ints) < need:
                 ints.extend([0] * (need - len(ints)))
-            factor = q ** (k - child_k - n)
+            factor = p ** (k - child_k - n)
             for m, c in enumerate(child_ints, e):
                 ints[m] += c * factor
         memo[key] = (ints, k, counts)
         return ints, k, SPFTraceNode(path, order_e, cumulative_E, counts, False, tuple(children))
 
     ints, k, root = node(f.canonical_key()[1], low, (), 0, 0)
-    denominator = q**k
+    denominator = p**k
     zeta = RationalZeta(numerator=tuple(Fraction(c, denominator) for c in ints),
-                        denominator_factors=((1, 1),), q=q)
+                        denominator_factors=((1, 1),), q=p)
     return SPFEvaluation(zeta=zeta, trace=SPFTrace(root))

@@ -34,9 +34,10 @@ something:
 
 None of them imports a route it checks (``ball_counts`` and its
 ``_normal_form`` and ``_ball_counter``, ``spf_evaluate`` and its
-``_lift_node`` and ``_grid_counts``, the lift kernel ``_lift``, the evaluation kernel ``eval_mod``, ``_classify``,
-``_eval_terms``, ``_pow_mod``, ``residue_axes``, or ``ratfun``'s int
-routes); ``test_imports`` holds this file to that.
+``_lift_node`` and ``_grid_counts``, the lift kernel ``_lift``, the
+evaluation kernel ``eval_mod``, ``_classify``, ``_pow_mod``,
+``residue_axes``, or ``ratfun``'s int routes); ``test_imports`` holds
+this file to that.
 """
 
 import itertools
@@ -49,7 +50,7 @@ import numpy as np
 from helpers import reference_spf_counts
 from igusa.mpoly import Polynomial
 from igusa.newton import Face, NewtonPolyhedron, _dot
-from igusa.numeric import PrimeSpec, p_valuation
+from igusa.numeric import p_valuation
 from igusa.oracle import CountSeries
 from igusa.ratfun import Factor, RationalZeta, RecoveryResult
 from igusa.spf import DepthGuardExceeded, SPFEvaluation, SPFTrace, SPFTraceNode
@@ -149,7 +150,7 @@ def _in_domain(surv, domain: Domain, p: int, level: int) -> int:
     return sum(size for row, size in zip(classes.tolist(), sizes.tolist()) if domain(tuple(row)))
 
 
-def count_mod(f: Polynomial, p: PrimeSpec, depth: int, domain: Optional[Domain] = None) -> CountSeries:
+def count_mod(f: Polynomial, p: int, depth: int, domain: Optional[Domain] = None) -> CountSeries:
     """Exact N_m for m = 1..depth by breadth-first lifting.
 
     Every zero of f mod p^m is lifted, whatever the domain.  With a
@@ -163,8 +164,8 @@ def count_mod(f: Polynomial, p: PrimeSpec, depth: int, domain: Optional[Domain] 
     surv = np.zeros((1, n), dtype=np.int64)
     for m in range(depth):
         nodes += len(surv)
-        surv = _expand_level(f, surv, p.p, m)
-        counts.append(len(surv) if domain is None else _in_domain(surv, domain, p.p, m + 1))
+        surv = _expand_level(f, surv, p, m)
+        counts.append(len(surv) if domain is None else _in_domain(surv, domain, p, m + 1))
     n0 = 1 if domain is None else int(domain((0,) * n))
     return CountSeries(f=f, p=p, dim=n, counts=tuple(counts), n0=n0, nodes_expanded=nodes)
 
@@ -187,14 +188,14 @@ def _shifted(g: Polynomial, r: Tuple[int, ...], p: int) -> dict:
     return {mono: c for mono, c in out.items() if c}
 
 
-def value_balls(f: Polynomial, p: PrimeSpec, precision: int) -> dict:
+def value_balls(f: Polynomial, p: int, precision: int) -> dict:
     """The balls of f at a precision, as ``oracle._ball_counter`` defines
     them, with a node memoised on its exact polynomial and precision.  Every
     class r mod p is classified by evaluating f and its partials at r; a
     class where some partial is a unit, or any class at precision 1, is
     the ball (1, g(r) mod p), and any other recurses on the exact
     g(r + p x) - g(r) = p^e h(x)."""
-    q, n = p.p, f.nvars
+    q, n = p, f.nvars
     memo: dict = {}
 
     def balls(g: Polynomial, m: int) -> dict:
@@ -239,14 +240,14 @@ def shift_scale(f: Polynomial, point: Tuple[int, ...], p: int) -> Tuple[int, Pol
     return e, Polynomial(f.variables, {mono: c // p**e for mono, c in terms.items()})
 
 
-def spf_evaluate(f: Polynomial, p: PrimeSpec, torus: bool = False, depth_guard: int = 32) -> SPFEvaluation:
+def spf_evaluate(f: Polynomial, p: int, torus: bool = False, depth_guard: int = 32) -> SPFEvaluation:
     """``spf.spf_evaluate`` on exact polynomials, for grids within the
     residue limit and a nonzero f: a node is memoised on its polynomial
     and grid, classified on its own, and the numerator of
     Z = N / (1 - t/q) is nu + (sigma (1 - 1/q) - nu/q) t plus q^(-n) t^e
     times each singular lift's N.  A node that repeats one on the stack,
     or a path longer than depth_guard, raises DepthGuardExceeded."""
-    q, n = p.p, f.nvars
+    q, n = p, f.nvars
     memo: dict = {}
     on_stack: set = set()
 
@@ -289,7 +290,7 @@ class BoundNotCertified(RuntimeError):
     """A residue-tree branch stayed open at max_depth; the supremum may be infinite."""
 
 
-def sup_bound(f: Polynomial, p: PrimeSpec, mode: str, max_depth: int = 16) -> int:
+def sup_bound(f: Polynomial, p: int, mode: str, max_depth: int = 16) -> int:
     """Certified supremum on Z_p^n of L(f, .), the least order of f and its
     partials (mode "L"), or of ell(f, .), of the partials only ("ell").
 
@@ -302,22 +303,22 @@ def sup_bound(f: Polynomial, p: PrimeSpec, mode: str, max_depth: int = 16) -> in
     """
     polys = (f, *f.partials()) if mode == "L" else f.partials()
     best = 0
-    stack = [(r, 1) for r in itertools.product(range(p.p), repeat=f.nvars)]
+    stack = [(r, 1) for r in itertools.product(range(p), repeat=f.nvars)]
     while stack:
         point, depth = stack.pop()
         # a zero value has infinite order: counting it as depth keeps the branch open
         values = [g.evaluate(point) for g in polys]
-        least = min(p_valuation(v, p.p) if v else depth for v in values)
+        least = min(p_valuation(v, p) if v else depth for v in values)
         if least < depth:
             best = max(best, least)
             continue
         if depth >= max_depth:
             raise BoundNotCertified(
-                f"branch {point} (mod {p.p}^{depth}) is still open at max_depth="
+                f"branch {point} (mod {p}^{depth}) is still open at max_depth="
                 f"{max_depth}; sup {mode} on this branch is >= {depth}"
             )
-        step = p.p**depth
-        for offset in itertools.product(range(p.p), repeat=f.nvars):
+        step = p**depth
+        for offset in itertools.product(range(p), repeat=f.nvars):
             stack.append((tuple(a + step * o for a, o in zip(point, offset)), depth + 1))
     return best
 

@@ -16,7 +16,6 @@ from igusa.cli import parse_polynomial as P
 from igusa.euclid import orbit, weight_sums
 from igusa.mpoly import direct_sum
 from igusa.newton import build_polyhedron
-from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series, verify_theorem
 from igusa.ratfun import expand, poles
 from igusa.spf import spf_evaluate
@@ -79,10 +78,9 @@ def test_c3_spf_matches_counting_oracle():
         for text in cases:
             for p in (3, 5):
                 f = P(text)
-                spec = PrimeSpec(p)
-                z = spf_evaluate(f, spec).zeta
+                z = spf_evaluate(f, p).zeta
                 via_spf = expand(z, 9)
-                via_counts = measure_series(count_mod(f, spec, 10))
+                via_counts = measure_series(count_mod(f, p, 10))
                 for m in range(10):
                     assert via_spf[m] == via_counts[m], (text, p, m)
 
@@ -91,25 +89,24 @@ def test_c4_perturbation_invariance():
     with criterion(4, "perturbation beyond 2C+2 leaves the integral unchanged", 5.0):
         f = P("x^2 + x")
         for p in (3, 5):
-            spec = PrimeSpec(p)
-            C = sup_bound(f, spec, "L")
+            C = sup_bound(f, p, "L")
             assert C == 0  # certified: the pointwise minimum never exceeds 0
             beta = 2 * C + 2
             from igusa.mpoly import from_terms
 
             g = from_terms(("x",), [((2,), 1), ((1,), 1), ((5,), p**beta)])
-            assert spf_evaluate(f, spec).zeta == spf_evaluate(g, spec).zeta
+            assert spf_evaluate(f, p).zeta == spf_evaluate(g, p).zeta
 
 
 def test_c5_denominator_verification():
     with criterion(5, "predicted denominator reproduces the counting series", 620.0):
         t0 = time.monotonic()
-        rep = verify_theorem(P("x^2"), P("y^2"), PrimeSpec(5), depth=8)
+        rep = verify_theorem(P("x^2"), P("y^2"), 5, depth=8)
         assert rep.ok and rep.residuals == ()
-        rep = verify_theorem(P("x"), P("y"), PrimeSpec(3), depth=8)
+        rep = verify_theorem(P("x"), P("y"), 3, depth=8)
         assert rep.ok and rep.residuals == ()
         assert time.monotonic() - t0 < 10.0
-        rep = verify_theorem(P("x^2"), P("y^3"), PrimeSpec(5), depth=9)
+        rep = verify_theorem(P("x^2"), P("y^3"), 5, depth=9)
         assert rep.ok and rep.residuals == ()
         assert set(poles(rep.surviving_factors)) <= {Fraction(-1), Fraction(-5, 6)}
 
@@ -123,11 +120,11 @@ def test_c6_cone_partition_of_counts():
             (face,) = proper_faces(poly1)
             parts.append([zero_cone, face_cone(poly1, face)])
         per = [
-            count_mod(fsum, PrimeSpec(3), 6, domain=product(a, b, 1))
+            count_mod(fsum, 3, 6, domain=product(a, b, 1))
             for a in parts[0]
             for b in parts[1]
         ]
-        full = count_mod(fsum, PrimeSpec(3), 6)
+        full = count_mod(fsum, 3, 6)
         for m in range(7):
             assert sum(c.N(m) for c in per) == full.N(m)
         # order: zero x zero, zero x cone, cone x zero, cone x cone
@@ -148,8 +145,7 @@ def test_c7_count_series_sanity():
                 polys.append(f)
         for f in polys:
             for p in (2, 3, 5):
-                spec = PrimeSpec(p)
-                c = count_mod(f, spec, 4)
+                c = count_mod(f, p, 4)
                 for m in range(4):
                     assert c.N(m + 1) <= p**f.nvars * c.N(m)
                 series = measure_series(c)

@@ -282,6 +282,28 @@ class TestMain:
         assert rc == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("count -f x^2 -p 4 --depth 2", "not a prime: 4"),
+            ("spf -f x -p 4", "not a prime: 4"),
+            ("verify -f x^2 -g y^3 -p 4", "not a prime: 4"),
+            ("count -f x -p 18446744073709551616",
+             "primality is decided for p < 2^64 only, got 18446744073709551616"),
+            # the prime is refused before any other fault of the request
+            ("count -f x -p 4 --depth 0", "not a prime: 4"),
+            ("verify -f x -g x -p 4", "not a prime: 4"),
+            ("spf -f x -p 4 --depth-guard 301", "not a prime: 4"),
+        ],
+    )
+    def test_bad_prime_is_the_first_refusal(self, argv, message):
+        rc, out, err = invoke(argv.split())
+        assert (rc, out) == (1, "")
+        assert err == (
+            '{\n  "schema": 1,\n  "error": {\n    "type": "ValueError",\n'
+            f'    "message": "{message}"\n  }}\n}}\n'
+        )
+
     def test_falsification_exit_code(self):
         rc, out, err = invoke(
             ["verify", "-f", "x^2", "-g", "y^3", "-p", "5", "--depth", "6", "--max-deg", "0"]
@@ -718,9 +740,14 @@ def _loaded_after(code: str) -> str:
 
 def test_cli_import_leaves_sympy_out():
     # the subcommands import what they need when they run; importing the
-    # CLI loads neither sympy nor numpy
-    code = "import sys, igusa.cli; print('sympy' in sys.modules, 'numpy' in sys.modules)"
-    assert _loaded_after(code) == "False False"
+    # CLI newly loads none of these.  Whatever the interpreter's start-up
+    # loaded before the import does not count.
+    code = (
+        "import sys; before = set(sys.modules); import igusa.cli; "
+        "new = set(sys.modules) - before; "
+        "print(sorted(new & {'sympy', 'numpy', 'dataclasses', 'inspect', 'fractions'}))"
+    )
+    assert _loaded_after(code) == "[]"
 
 
 def _loaded_after_main(argv) -> str:

@@ -1,9 +1,9 @@
 """Every module-level import under src/igusa and tests is read
 somewhere in its module: an import nobody reads is dead weight, and it
 can hide that the code which needed it is gone.  Every public function
-of src/igusa is named in src/igusa outside its own def: one that only
-tests call is dead code too.  And the tests' reference routes stay apart
-from the routes they check."""
+and class of src/igusa is named in src/igusa outside its own definition:
+one that only tests call or construct is dead code too.  And the tests'
+reference routes stay apart from the routes they check."""
 
 import ast
 import os
@@ -58,9 +58,9 @@ def test_every_module_level_import_is_read():
 # renderer, which the tests check against json.dumps
 CHECKED_ROUTES = {"ball_counts", "_normal_form", "_ball_counter",
                   "spf_evaluate", "_lift_node", "_grid_counts", "_lift",
-                  "eval_mod", "_classify", "_eval_terms", "_pow_mod", "residue_axes",
+                  "eval_mod", "_classify", "_pow_mod", "residue_axes",
                   "recover_numerator", "reduce_factors",
-                  "denominator_polynomial", "_exact_quotient", "_denominator_ints",
+                  "_exact_quotient", "_denominator_ints",
                   "_scaled", "_trim", "_poly_mul", "_render_json"}
 
 
@@ -97,14 +97,15 @@ def test_reference_stays_independent():
 
 
 def _unnamed_functions(trees):
-    """"path: name" of each public module-level function of the (path, tree)
-    pairs that no ``Name`` or ``Attribute`` node names outside its own def,
-    in any of the trees; a docstring or an import names nothing."""
+    """"path: name" of each public module-level function or class of the
+    (path, tree) pairs that no ``Name`` or ``Attribute`` node names outside
+    its own definition, in any of the trees; a docstring or an import names
+    nothing."""
     statements = [(node, {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                           if isinstance(n, (ast.Name, ast.Attribute))})
                   for _, tree in trees for node in tree.body]
     return [f"{path}: {node.name}" for path, tree in trees for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
             and not any(node.name in names for other, names in statements if other is not node)]
 
 
@@ -115,13 +116,17 @@ def test_unnamed_function_is_found():
               "def b():\n    pass\n\n"
               "def _c():\n    pass\n\n"
               "def d():\n    pass\n\n"
-              "x = m.b\n")
-    assert _unnamed_functions([("m.py", ast.parse(source))]) == ["m.py: a", "m.py: d"]
+              "class E:\n    def make(self):\n        return E()\n\n"
+              "class F:\n    pass\n\n"
+              "x = m.b\n"
+              "y: F\n")
+    assert _unnamed_functions([("m.py", ast.parse(source))]) == ["m.py: a", "m.py: d", "m.py: E"]
 
 
 def test_every_public_function_is_named_in_the_package():
-    # a public function that only its own tests call is dead code: the
-    # library keeps the private helper the tests reach, and tests call that
+    # a public function or class that only its own tests reach is dead
+    # code: the library keeps the private helper the tests reach, and
+    # tests call that
     trees = [(os.path.relpath(path, ROOT), _tree(path)) for path in _sources()
              if path.startswith(os.path.join(ROOT, "src", "igusa"))]
     assert len(trees) > 10

@@ -149,7 +149,7 @@ class TestEvalMod:
             f = random_sparse_poly(rng, nvars, max_terms=5, max_exp=7, coeff_bound=10**6,
                                    origin_vanishing=False)
             pts = [tuple(rng.randint(-10**6, 10**6) for _ in range(nvars)) for _ in range(12)]
-            got = eval_mod(f, np.array(pts, dtype=np.int64).T, modulus)
+            got = eval_mod(f.terms.items(), np.array(pts, dtype=np.int64).T, modulus)
             assert [int(v) for v in got] == [f.evaluate(pt) % modulus for pt in pts]
 
     @pytest.mark.parametrize("modulus", [3**20, 2**61 - 1])
@@ -157,7 +157,7 @@ class TestEvalMod:
         # (m - 1)^2 >= 2^63: a product of two residues could overflow int64
         coords = (np.array([2, 5], dtype=np.int64),)
         with pytest.raises(ValueError, match=f"^eval_mod needs .* got modulus {modulus}$"):
-            eval_mod(P("x^2"), coords, modulus)
+            eval_mod(P("x^2").terms.items(), coords, modulus)
 
     def test_switches_to_refusal_at_the_int64_bound(self):
         # 3^19 and the largest m with (m - 1)^2 < 2^63 run in int64; the
@@ -166,11 +166,11 @@ class TestEvalMod:
         assert (top - 1) ** 2 < 2**63 <= top**2
         for m in (3**19, top):
             xs = [2, 5, m - 2, m - 1]
-            got = eval_mod(P("x^2"), (np.array(xs, dtype=np.int64),), m)
+            got = eval_mod(P("x^2").terms.items(), (np.array(xs, dtype=np.int64),), m)
             assert got.dtype == np.int64
             assert got.tolist() == [x * x % m for x in xs]
         with pytest.raises(ValueError, match=f"^eval_mod needs .* got modulus {top + 1}$"):
-            eval_mod(P("x^2"), (np.array([2], dtype=np.int64),), top + 1)
+            eval_mod(P("x^2").terms.items(), (np.array([2], dtype=np.int64),), top + 1)
 
     def test_classify_marks_common_zeros_of_the_partials(self):
         f = P("x^2 + y^3 + x*y")
@@ -200,7 +200,8 @@ class TestEvalMod:
                 polys.append(f)
         for f in polys:
             want = [f.evaluate(pt) % ell for pt in points]
-            on_axes, on_rows = eval_mod(f, axes, ell), eval_mod(f, rows.T, ell)
+            terms = f.terms.items()
+            on_axes, on_rows = eval_mod(terms, axes, ell), eval_mod(terms, rows.T, ell)
             assert on_axes.dtype == on_rows.dtype == np.int64
             assert on_axes.ravel().tolist() == on_rows.tolist() == want, str(f)
 
@@ -232,7 +233,8 @@ class TestResidueGrid:
             for _ in range(8 if p < 101 else 2):  # 101^3 rows are slow to evaluate
                 f = random_sparse_poly(rng, n, max_terms=5, max_exp=6, coeff_bound=10**4,
                                        origin_vanishing=False)
-                assert np.array_equal(eval_mod(f, axes, p).ravel(), eval_mod(f, cols, p).ravel())
+                terms = f.terms.items()
+                assert np.array_equal(eval_mod(terms, axes, p).ravel(), eval_mod(terms, cols, p).ravel())
                 values, critical = _classify(reduced(f, p), axes, p)
                 want_values, want_critical = _classify(reduced(f, p), cols, p)
                 assert values.shape == critical.shape == (p - low,) * n

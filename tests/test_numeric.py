@@ -4,7 +4,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from igusa.numeric import PrimeSpec, p_valuation
+from igusa.cli import parse_polynomial
+from igusa.numeric import check_prime, p_valuation
+from igusa.oracle import ball_counts, verify_theorem
+from igusa.spf import spf_evaluate
 
 PRIMES = [2, 3, 5, 7, 11, 101]
 
@@ -90,21 +93,43 @@ class TestPValuation:
 
 
 class TestPrimeSpec:
+    """``check_prime``: what the library takes as a prime."""
+
     # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
     # pseudoprime to every witness 2..37, which decide only below 2^64
     @pytest.mark.parametrize("bad", [0, 1, 4, 9, -3, 100, 318665857834031151167461, 2**64])
     def test_rejects_nonprime(self, bad):
         with pytest.raises(ValueError):
-            PrimeSpec(bad)
+            check_prime(bad)
 
     def test_names_the_range_it_decides(self):
         pseudoprime = 318665857834031151167461
         with pytest.raises(ValueError, match=rf"^primality is decided for p < 2\^64 only, got {pseudoprime}$"):
-            PrimeSpec(pseudoprime)
+            check_prime(pseudoprime)
 
     def test_accepts_the_largest_64_bit_prime(self):
-        assert PrimeSpec(2**64 - 59).p == 2**64 - 59
+        check_prime(2**64 - 59)
 
     @pytest.mark.parametrize("good", [2, 3, 5, 7, 101, 46337])
     def test_accepts_primes(self, good):
-        assert PrimeSpec(good).p == good
+        check_prime(good)
+
+    @pytest.mark.parametrize("bad, message", [
+        (4, "not a prime: 4"),
+        (5.0, "not a prime: 5.0"),
+        (True, "not a prime: True"),
+        (2**64, f"primality is decided for p < 2^64 only, got {2**64}"),
+    ])
+    @pytest.mark.parametrize("entry", ["spf_evaluate", "ball_counts", "verify_theorem"])
+    def test_entry_points_refuse_it_first(self, entry, bad, message):
+        # every other argument is at fault too: the zero polynomial, depth
+        # 0, a depth guard past the cap, colliding variables
+        zero, x = parse_polynomial("0*x"), parse_polynomial("x")
+        call = {
+            "spf_evaluate": lambda: spf_evaluate(zero, bad, depth_guard=-1),
+            "ball_counts": lambda: ball_counts(zero, bad, 0, budget=-1),
+            "verify_theorem": lambda: verify_theorem(x, x, bad, depth=0, max_deg=-1, budget=-1),
+        }[entry]
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

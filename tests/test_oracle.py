@@ -10,12 +10,10 @@ from helpers import ball_count, random_sparse_poly
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import MAX_LIFTS, Polynomial, direct_sum, from_terms
 from igusa.newton import build_polyhedron
-from igusa.numeric import PrimeSpec
 from igusa.oracle import BudgetExceeded, _ball_counter, _blocks, ball_counts, measure_series, verify_theorem
 from reference import count_mod, face_cone, product, proper_faces, zero_cone
 from reference import value_balls as exact_value_balls
 
-P3, P5 = PrimeSpec(3), PrimeSpec(5)
 
 
 @st.composite
@@ -36,36 +34,36 @@ def blocks(draw):
 
 class TestCountMod:
     def test_double_zero_counts(self):
-        c = count_mod(P("x^2"), P5, 4)
+        c = count_mod(P("x^2"), 5, 4)
         assert c.counts == (1, 5, 5, 25)
         assert c.n0 == 1
         assert [c.N(m) for m in range(5)] == [1, 1, 5, 5, 25]
 
     def test_N_bounds_checked(self):
-        c = count_mod(P("x^2"), P5, 4)
+        c = count_mod(P("x^2"), 5, 4)
         with pytest.raises(IndexError):
             c.N(5)
         with pytest.raises(IndexError):
             c.N(-1)
 
     def test_cusp_counts(self):
-        c = count_mod(P("x^2 + y^3"), P3, 6)
+        c = count_mod(P("x^2 + y^3"), 3, 6)
         assert c.counts == (3, 15, 45, 135, 405, 2673)
         assert c.nodes_expanded == 604
 
     def test_unit_scaling_invariance(self):
         f = P("x^2 + y^3")
         g = from_terms(f.variables, [(e, 7 * co) for e, co in f.terms.items()])
-        assert count_mod(f, P3, 5).counts == count_mod(g, P3, 5).counts
+        assert count_mod(f, 3, 5).counts == count_mod(g, 3, 5).counts
 
     def test_exact_deep_linear(self):
         # one solution class at every level; residues here exceed 2^63
-        c = count_mod(P("x"), P3, 22)
+        c = count_mod(P("x"), 3, 22)
         assert c.counts == (1,) * 22
 
     def test_exact_deep_square(self):
         # closed form 3^floor(m/2); intermediate squares overflow int64
-        c = count_mod(P("x^2"), P3, 21)
+        c = count_mod(P("x^2"), 3, 21)
         assert all(c.N(m) == 3 ** (m // 2) for m in range(1, 22))
 
     def test_level_one_convolution(self):
@@ -79,7 +77,7 @@ class TestCountMod:
             hist_f[f.evaluate((a,)) % p] += 1
             hist_g[g.evaluate((a,)) % p] += 1
         expected = sum(hist_f[c] * hist_g[(-c) % p] for c in range(p))
-        assert count_mod(direct_sum(f, g), P5, 1).N(1) == expected
+        assert count_mod(direct_sum(f, g), 5, 1).N(1) == expected
 
     @settings(max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10**6), p=st.sampled_from([2, 3, 5]))
@@ -88,8 +86,7 @@ class TestCountMod:
         f = random_sparse_poly(rng, rng.choice([1, 2]))
         if f.is_zero():
             return
-        spec = PrimeSpec(p)
-        c = count_mod(f, spec, 4)
+        c = count_mod(f, p, 4)
         n = f.nvars
         for m in range(4):
             assert c.N(m + 1) <= p**n * c.N(m)
@@ -107,9 +104,8 @@ class TestBallCounts:
         # the lifting reference holds up to p^(n depth) candidates at the last level
         deepest = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
         depth = rng.randint(1, deepest)
-        spec = PrimeSpec(p)
-        fast = ball_counts(f, spec, depth)
-        lifted = count_mod(f, spec, depth)
+        fast = ball_counts(f, p, depth)
+        lifted = count_mod(f, p, depth)
         assert fast.counts == lifted.counts
         assert measure_series(fast) == measure_series(lifted)
         assert (fast.dim, fast.n0, fast.depth) == (n, 1, depth)
@@ -135,8 +131,7 @@ class TestBallCounts:
             f = from_terms(f.variables, [*f.terms.items(), ((0,) * f.nvars, rng.randint(-9, 9))])
         n = f.nvars
         depth = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
-        spec = PrimeSpec(p)
-        assert ball_counts(f, spec, depth).counts == count_mod(f, spec, depth).counts
+        assert ball_counts(f, p, depth).counts == count_mod(f, p, depth).counts
 
     @pytest.mark.parametrize("seed", range(24))
     def test_last_block_sums_that_hit_zero(self, seed):
@@ -156,8 +151,7 @@ class TestBallCounts:
         f = from_terms([f"v{i}" for i in range(n)], terms)
         assert len(_blocks(f)) == n
         depth = max(d for d in range(1, 18) if d == 1 or p ** (n * d) <= 10**5)
-        spec = PrimeSpec(p)
-        assert ball_counts(f, spec, depth).counts == count_mod(f, spec, depth).counts
+        assert ball_counts(f, p, depth).counts == count_mod(f, p, depth).counts
 
     def test_blocks_are_the_components_of_the_variables(self):
         f = Polynomial(("u", "w", "x", "y", "z"), {(0, 0, 2, 1, 0): 1, (0, 0, 0, 0, 3): 2, (0, 0, 0, 0, 0): 7,
@@ -169,7 +163,7 @@ class TestBallCounts:
         # counts taken from the single-block counter; the four blocks cost
         # 24 nodes in normal form (46 as exact polynomials) where the whole
         # cost 1,711
-        c = ball_counts(P("x^2*y + z^3 + w^5 + 7"), P3, 8)
+        c = ball_counts(P("x^2*y + z^3 + w^5 + 7"), 3, 8)
         assert c.counts == (
             27, 648, 17496, 472392, 12754584, 344373768, 9298091736, 251048476872
         )
@@ -179,7 +173,7 @@ class TestBallCounts:
         # the deep row of the README's count: its counts, one node per
         # polynomial and precision of each block, y^3 pushed to the finest
         # ball of x^2
-        c = ball_counts(P("x^2 + y^3"), P5, 9)
+        c = ball_counts(P("x^2 + y^3"), 5, 9)
         nodes = sum(ball_count(P(block), 5, 9)[1] for block in ("x^2", "y^3"))
         assert c.nodes_expanded == nodes == 8
         assert c.counts == (5, 45, 225, 1125, 5625, 90625, 453125, 3828125, 19140625)
@@ -190,23 +184,22 @@ class TestBallCounts:
             match=r"^value balls of x\^2 stopped at class \(0,\) -> \(0,\) -> \(0,\) "
             r"with precision 3/9 after 3 nodes \(budget 3\)$",
         ):
-            ball_counts(P("x^2 + y^3"), P5, 9, budget=3)
+            ball_counts(P("x^2 + y^3"), 5, 9, budget=3)
 
     def test_negative_budget_is_refused(self):
         # budget 0 stops at the root; a negative budget is no budget at all
         with pytest.raises(BudgetExceeded, match=r"class \(root\) .* after 0 nodes \(budget 0\)$"):
-            ball_counts(P("x"), P5, 3, budget=0)
+            ball_counts(P("x"), 5, 3, budget=0)
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
-            ball_counts(P("x"), P5, 3, budget=-1)
+            ball_counts(P("x"), 5, 3, budget=-1)
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
             _ball_counter(5, budget=-1)
 
     def test_lifts_stop_in_band_at_the_cap(self):
         # x^2 at p = 2 lifts at the class (0,) once per two levels: depth
         # 2 * MAX_LIFTS + 2 nests MAX_LIFTS lifts, two levels more one too many
-        P2 = PrimeSpec(2)
         depth = 2 * MAX_LIFTS + 2
-        counts = ball_counts(P("x^2"), P2, depth).counts
+        counts = ball_counts(P("x^2"), 2, depth).counts
         assert counts == tuple(2 ** (m // 2) for m in range(1, depth + 1))
         chain = r"(\(0,\) -> ){%d}\(0,\)" % MAX_LIFTS
         with pytest.raises(
@@ -214,32 +207,32 @@ class TestBallCounts:
             match=rf"^value balls of x\^2 stopped at class {chain} with precision "
             rf"2/{depth + 2} after {MAX_LIFTS} nested lifts, the most one count takes$",
         ):
-            ball_counts(P("x^2"), P2, depth + 2)
+            ball_counts(P("x^2"), 2, depth + 2)
 
     def test_lifts_read_only_the_digits_they_keep(self):
         # (1 + 2x)^100000 is cut to its terms with 2^j, j < 8: the others are
         # 0 mod 2^8, and the 100001-term expansion is never built
-        c = ball_counts(P("x^100000"), PrimeSpec(2), 8)
+        c = ball_counts(P("x^100000"), 2, 8)
         assert c.counts == (1, 2, 4, 8, 16, 32, 64, 128)
         assert c.nodes_expanded == 2
 
     def test_residue_limit_raises_before_the_scan(self):
         with pytest.raises(BudgetExceeded, match=r"53\^4 = 7890481 residues mod 53"):
-            ball_counts(P("x*y*z*w"), PrimeSpec(53), 1)
+            ball_counts(P("x*y*z*w"), 53, 1)
 
     def test_residue_limit_holds_per_block(self):
         # 53^4 residues in all, 53 in each block; the counts are those of
         # verify -f x^2+y^2 -g z^2+w^2 -p 53 --depth 4 when only verify split
-        c = ball_counts(P("x^2 + y^2 + z^2 + w^2"), PrimeSpec(53), 4)
+        c = ball_counts(P("x^2 + y^2 + z^2 + w^2"), 53, 4)
         assert c.counts == (151633, 22582407745, 3362022864018001, 500527939011387206401)
 
     def test_rejects_bad_depth_and_constants(self):
         with pytest.raises(ValueError, match="depth must be >= 1"):
-            ball_counts(P("x"), P5, 0)
+            ball_counts(P("x"), 5, 0)
         with pytest.raises(ValueError, match="^precision must be >= 1$"):
             ball_count(P("x"), 5, 0)
         with pytest.raises(ValueError, match="need at least one variable"):
-            ball_counts(P("3"), P5, 2)
+            ball_counts(P("3"), 5, 2)
 
 
 class TestValueBalls:
@@ -258,20 +251,19 @@ class TestValueBalls:
         # keep the lifting reference small: about p^((n-1) m) survivors at level m
         while p ** ((n - 1) * depth) > 20000:
             depth -= 1
-        spec = PrimeSpec(p)
         for poly in (f, g):
             balls, _ = ball_count(poly, p, depth)
             assert sum(balls.values()) == p ** (poly.nvars * depth)
             assert all(w % p ** (depth - k) == 0 for (k, _), w in balls.items())
-        fast = ball_counts(direct_sum(f, g), spec, depth)
-        assert fast.counts == count_mod(direct_sum(f, g), spec, depth).counts
+        fast = ball_counts(direct_sum(f, g), p, depth)
+        assert fast.counts == count_mod(direct_sum(f, g), p, depth).counts
 
     def test_nodes_with_one_reduction_share_a_scan(self, monkeypatch):
         from igusa import oracle
 
         scanned = []
         classify = oracle._classify
-        evaluate = oracle._eval_terms
+        evaluate = oracle.eval_mod
 
         def counting_classify(terms, coords, p):
             scanned.append(("classify", terms))
@@ -282,7 +274,7 @@ class TestValueBalls:
             return evaluate(terms, coords, p)
 
         monkeypatch.setattr(oracle, "_classify", counting_classify)
-        monkeypatch.setattr(oracle, "_eval_terms", counting_eval)
+        monkeypatch.setattr(oracle, "eval_mod", counting_eval)
         # x^2 + 5^7 y at precision 9 recurses at (0, r) to x^2 + 5^6 y at
         # precision 7, and then to x^2 at precisions 5, 3 and 1 (5^5 y is 0
         # mod 5^5): every reduction is x^2, scanned once with its partials,
@@ -312,7 +304,7 @@ class TestValueBalls:
             match=r"value balls of x\^2 stopped at class \(0,\) -> \(0,\) -> \(0,\) "
             r"with precision 10/16 after 3 nodes \(budget 3\)",
         ):
-            ball_counts(direct_sum(P("x^2"), P("y^3")), P5, 16, budget=3)
+            ball_counts(direct_sum(P("x^2"), P("y^3")), 5, 16, budget=3)
 
 
 class TestNormalForm:
@@ -323,7 +315,7 @@ class TestNormalForm:
     @given(block=blocks())
     def test_balls_match_the_exact_route(self, block):
         p, f, precision = block
-        assert ball_count(f, p, precision)[0] == exact_value_balls(f, PrimeSpec(p), precision)
+        assert ball_count(f, p, precision)[0] == exact_value_balls(f, p, precision)
 
     @settings(max_examples=60, deadline=None)
     @given(block=blocks(), unit=st.integers(min_value=-20, max_value=20))
@@ -339,20 +331,19 @@ class TestNormalForm:
         # (3*x at p = 3): then u = 1, and g's nodes are its own
         assert g_nodes == f_nodes or not any(c % p for c in f.terms.values())
         moved = {(k, unit * c % p**k): w for (k, c), w in f_balls.items()}
-        assert g_balls == moved == exact_value_balls(g, PrimeSpec(p), precision)
+        assert g_balls == moved == exact_value_balls(g, p, precision)
         depth = 3
         while depth > 1 and p ** ((2 * f.nvars - 1) * depth) > 20000:
             depth -= 1
         both = direct_sum(f, g)
-        assert ball_counts(both, PrimeSpec(p), depth).counts == count_mod(both, PrimeSpec(p), depth).counts
+        assert ball_counts(both, p, depth).counts == count_mod(both, p, depth).counts
 
     def test_block_without_a_unit_coefficient(self):
         # x^2 - 2y^2 splits into x^2 and -2y^2, which has no unit
         # coefficient at p = 2 and is normalised by u = 1
-        P2 = PrimeSpec(2)
-        assert ball_count(P("-2*y^2"), 2, 8)[0] == exact_value_balls(P("-2*y^2"), P2, 8)
+        assert ball_count(P("-2*y^2"), 2, 8)[0] == exact_value_balls(P("-2*y^2"), 2, 8)
         f = P("x^2 - 2*y^2")
-        assert ball_counts(f, P2, 8).counts == count_mod(f, P2, 8).counts
+        assert ball_counts(f, 2, 8).counts == count_mod(f, 2, 8).counts
 
     def test_node_counts_pinned(self):
         # 50,238, 19,264 and 34,311 nodes when every node was an exact polynomial
@@ -363,7 +354,7 @@ class TestNormalForm:
 
 class TestMeasureSeries:
     def test_double_zero_measure(self):
-        series = measure_series(count_mod(P("x^2"), P5, 4))
+        series = measure_series(count_mod(P("x^2"), 5, 4))
         assert series == (
             Fraction(4, 5),
             Fraction(0),
@@ -372,7 +363,7 @@ class TestMeasureSeries:
         )
 
     def test_coefficients_sum_below_total_mass(self):
-        series = measure_series(count_mod(P("x^2 + y^3"), P3, 6))
+        series = measure_series(count_mod(P("x^2 + y^3"), 3, 6))
         assert sum(series) < 1
 
 
@@ -449,7 +440,7 @@ class TestDomains:
         zero1, cone1 = _coordinate_domains()
         f = P("x^2 + y^3")
         per = {
-            name: count_mod(f, P3, 6, domain=dom)
+            name: count_mod(f, 3, 6, domain=dom)
             for name, dom in {
                 "zz": product(zero1, zero1, 1),
                 "zc": product(zero1, cone1, 1),
@@ -462,7 +453,7 @@ class TestDomains:
         assert per["cz"].counts == (0, 0, 0, 0, 0, 0)
         assert per["cc"].counts == (1, 9, 27, 81, 243, 2187)
         assert [per[k].n0 for k in ("zz", "zc", "cz", "cc")] == [1, 0, 0, 0]
-        full = count_mod(f, P3, 6)
+        full = count_mod(f, 3, 6)
         for m in range(7):
             assert sum(c.N(m) for c in per.values()) == full.N(m)
 
@@ -470,11 +461,11 @@ class TestDomains:
         zero1, cone1 = _coordinate_domains()
         f = P("x^2 + y^3")
         parts = [
-            measure_series(count_mod(f, P3, 6, domain=product(a, b, 1)))
+            measure_series(count_mod(f, 3, 6, domain=product(a, b, 1)))
             for a in (zero1, cone1)
             for b in (zero1, cone1)
         ]
-        full = measure_series(count_mod(f, P3, 6))
+        full = measure_series(count_mod(f, 3, 6))
         for m in range(6):
             assert sum(s[m] for s in parts) == full[m]
 
@@ -483,10 +474,10 @@ class TestDomains:
         f = P("x^2 + x")
         poly = build_polyhedron(f)
         parts = [
-            count_mod(f, P3, 22, domain=dom)
+            count_mod(f, 3, 22, domain=dom)
             for dom in (zero_cone, face_cone(poly, proper_faces(poly)[0]))
         ]
-        full = count_mod(f, P3, 22)
+        full = count_mod(f, 3, 22)
         assert [c.counts for c in parts] == [(1,) * 22, (1,) * 22]
         assert full.counts == (2,) * 22
         for m in range(23):
@@ -500,14 +491,13 @@ class TestDomains:
     def test_pinned_product_counts(self, f_text, g_text, p, depth, expected):
         f, g = P(f_text), P(g_text)
         h = direct_sum(f, g)
-        spec = PrimeSpec(p)
         per = [
-            count_mod(h, spec, depth, domain=product(a, b, f.nvars))
+            count_mod(h, p, depth, domain=product(a, b, f.nvars))
             for a in _summand_domains(f)
             for b in _summand_domains(g)
         ]
         assert [c.counts for c in per] == expected
-        full = count_mod(h, spec, depth)
+        full = count_mod(h, p, depth)
         for m in range(depth + 1):
             assert sum(c.N(m) for c in per) == full.N(m)
 
@@ -518,7 +508,7 @@ class TestDomains:
 
 class TestVerifyTheorem:
     def test_two_squares(self):
-        rep = verify_theorem(P("x^2"), P("y^2"), P5, depth=8)
+        rep = verify_theorem(P("x^2"), P("y^2"), 5, depth=8)
         assert rep.ok
         assert rep.numerator == (Fraction(16, 25), Fraction(16, 125))
         assert rep.factors == ((1, 1), (2, 2))
@@ -528,7 +518,7 @@ class TestVerifyTheorem:
         assert rep.residuals == ()
 
     def test_two_lines_cancel_a_factor(self):
-        rep = verify_theorem(P("x"), P("y"), P3, depth=8)
+        rep = verify_theorem(P("x"), P("y"), 3, depth=8)
         assert rep.ok
         assert rep.numerator == (Fraction(2, 3), Fraction(-2, 27))
         assert rep.factors == ((1, 1), (2, 1))
@@ -536,7 +526,7 @@ class TestVerifyTheorem:
         assert rep.as_dict()["poles_surviving"] == ["-1"]
 
     def test_unattainable_degree_falsifies_in_band(self):
-        rep = verify_theorem(P("x^2"), P("y^3"), P5, depth=6, max_deg=0)
+        rep = verify_theorem(P("x^2"), P("y^3"), 5, depth=6, max_deg=0)
         assert not rep.ok
         assert rep.numerator is None
         assert rep.residuals == (
@@ -548,23 +538,23 @@ class TestVerifyTheorem:
     def test_budget_exhaustion_raises(self):
         # x^2 takes 4 nodes and y^3 3, none of them shared: a budget of 6
         # runs out inside y^3 only because f and g draw on the same budget
-        assert ball_counts(direct_sum(P("x^2"), P("y^3")), P5, 8).nodes_expanded == 7
+        assert ball_counts(direct_sum(P("x^2"), P("y^3")), 5, 8).nodes_expanded == 7
         with pytest.raises(BudgetExceeded, match=r"^value balls of y\^3 .* after 6 nodes \(budget 6\)$"):
-            verify_theorem(P("x^2"), P("y^3"), P5, depth=8, budget=6)
+            verify_theorem(P("x^2"), P("y^3"), 5, depth=8, budget=6)
 
     def test_readme_default_passes(self):
-        rep = verify_theorem(P("x^2"), P("y^3"), P5)
+        rep = verify_theorem(P("x^2"), P("y^3"), 5)
         assert rep.ok
         assert (rep.depth, rep.max_deg) == (16, 7)
         assert [str(c) for c in rep.numerator] == ["4/5", "-4/125", "4/125", "0", "0", "-4/15625"]
         assert rep.as_dict()["poles_surviving"] == ["-1", "-5/6"]
-        lifted = count_mod(P("x^2 + y^3"), P5, 7)
+        lifted = count_mod(P("x^2 + y^3"), 5, 7)
         assert rep.counts.counts[:7] == lifted.counts
 
     def test_report_dict_is_json_ready(self):
         import json
 
-        rep = verify_theorem(P("x^2"), P("y^2"), P5, depth=8)
+        rep = verify_theorem(P("x^2"), P("y^2"), 5, depth=8)
         d = rep.as_dict()
         json.dumps(d)
         assert d["ok"] is True
@@ -572,7 +562,7 @@ class TestVerifyTheorem:
         assert d["numerator"] == ["16/25", "16/125"]
 
     def test_falsification_dict(self):
-        rep = verify_theorem(P("x^2"), P("y^3"), P5, depth=6, max_deg=0)
+        rep = verify_theorem(P("x^2"), P("y^3"), 5, depth=6, max_deg=0)
         d = rep.as_dict()
         assert d["ok"] is False
         assert d["residuals"] == [[1, "-4/125"], [2, "4/125"], [5, "-4/15625"]]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import reference
 from igusa.ratfun import (
     RationalZeta,
-    denominator_polynomial,
+    _denominator_ints,
     expand,
     poles,
     recover_numerator,
@@ -22,29 +22,30 @@ factor_st = st.tuples(
 )
 
 
+def _denominator_fractions(factors, q):
+    """prod (1 - q^(-A) t^B) in Fractions, from ``_denominator_ints``."""
+    poly, scale = _denominator_ints(factors, q)
+    return [Fraction(c, scale) for c in poly]
+
+
 class TestDenominatorPolynomial:
+    # ``_denominator_ints`` gives prod (q^A - t^B): the polynomial times the scale q^(sum A)
     def test_single_factor(self):
-        assert denominator_polynomial([(1, 1)], 5) == [Fraction(1), Fraction(-1, 5)]
+        assert _denominator_ints([(1, 1)], 5) == ([5, -1], 5)
 
     def test_product_of_two(self):
-        # (1 - t/5)(1 - t^2/25) = 1 - t/5 - t^2/25 + t^3/125
-        out = denominator_polynomial([(1, 1), (2, 2)], 5)
-        assert out == [
-            Fraction(1),
-            Fraction(-1, 5),
-            Fraction(-1, 25),
-            Fraction(1, 125),
-        ]
+        # (1 - t/5)(1 - t^2/25) = 1 - t/5 - t^2/25 + t^3/125, times 125
+        assert _denominator_ints([(1, 1), (2, 2)], 5) == ([125, -25, -5, 1], 125)
 
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
-            denominator_polynomial([(1, 0)], 5)
+            _denominator_ints([(1, 0)], 5)
         with pytest.raises(ValueError):
-            denominator_polynomial([(-1, 2)], 5)
+            _denominator_ints([(-1, 2)], 5)
 
     def test_zero_q_power_is_legal(self):
         # (0, 1) encodes 1 - t, which is a valid factor
-        assert denominator_polynomial([(0, 1)], 5) == [Fraction(1), Fraction(-1)]
+        assert _denominator_ints([(0, 1)], 5) == ([1, -1], 1)
 
 
 class TestRationalZeta:
@@ -58,7 +59,7 @@ class TestRationalZeta:
         # P/(1-t/5) equals P*(1-t^2/25) / ((1-t/5)(1-t^2/25))
         p = (Fraction(2), Fraction(1, 3))
         a = RationalZeta(p, ((1, 1),), 5)
-        extra = denominator_polynomial([(2, 2)], 5)
+        extra = _denominator_fractions([(2, 2)], 5)
         num = [Fraction(0)] * (len(p) + len(extra) - 1)
         for i, x in enumerate(p):
             for j, y in enumerate(extra):
@@ -209,7 +210,7 @@ class TestDivideOutFactor:
         q=st.sampled_from([2, 3, 5]),
     )
     def test_multiply_then_divide(self, num, factor, q):
-        den = denominator_polynomial([factor], q)
+        den = _denominator_fractions([factor], q)
         prod = [Fraction(0)] * (len(num) + len(den) - 1)
         for i, x in enumerate(num):
             for j, y in enumerate(den):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import grid_counts, plus_multiple, random_sparse_poly, reference_spf_counts
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import MAX_LIFTS, from_terms
-from igusa.numeric import PrimeSpec
 from igusa.oracle import measure_series
 from igusa.ratfun import expand
 from igusa.spf import DepthGuardExceeded, spf_evaluate
@@ -26,7 +25,6 @@ def _trace_depth(root: dict) -> int:
     return deepest
 
 
-P3, P5, P7 = PrimeSpec(3), PrimeSpec(5), PrimeSpec(7)
 
 
 class TestSpfCounts:
@@ -125,9 +123,9 @@ class TestSharedClassification:
         ("x^2 - 4*y^2 + x*y*z - 2^8", 2, "full", 11, 106),
     ])
     def test_every_node_keeps_its_own_counts(self, monkeypatch, text, p, root, calls, nodes):
-        f, spec, torus = P(text), PrimeSpec(p), root == "torus"
+        f, torus = P(text), root == "torus"
         made = self._count_calls(monkeypatch)
-        result = spf_evaluate(f, spec, torus)
+        result = spf_evaluate(f, p, torus)
         assert len(made) == calls
         monkeypatch.undo()
         todo = [(result.trace.root, f)]
@@ -160,7 +158,7 @@ def _spf_inputs(draw):
         terms = draw(st.lists(st.tuples(exps, coeff), min_size=1, max_size=4))
     f = from_terms("xyz"[:n], terms)
     assume(not f.is_zero())
-    return f, PrimeSpec(p), draw(st.booleans()), draw(st.integers(min_value=0, max_value=8))
+    return f, p, draw(st.booleans()), draw(st.integers(min_value=0, max_value=8))
 
 
 def _outcome(evaluate, f, p, torus, depth_guard):
@@ -192,14 +190,14 @@ class TestAgainstReference:
         ("25 + 0*x*y", 5, True, 32, None),  # constant lifts: memo hits
     ])
     def test_pinned_inputs(self, text, p, torus, depth_guard, ends):
-        case = (P(text), PrimeSpec(p), torus, depth_guard)
+        case = (P(text), p, torus, depth_guard)
         got = _outcome(spf_evaluate, *case)
         assert got == _outcome(reference_spf, *case)
         assert (ends is None) == (not isinstance(got, str)) and (ends or "") in str(got)
 
     def test_deep_chain(self):
         # x^2 - 5^600 lifts 300 times at the class (0,), down to y^2 - 1
-        case = (P("x^2 - 5^600"), P5, False, MAX_LIFTS)
+        case = (P("x^2 - 5^600"), 5, False, MAX_LIFTS)
         got = _outcome(spf_evaluate, *case)
         assert got == _outcome(reference_spf, *case)
         assert _trace_depth(got[3]) == MAX_LIFTS + 1
@@ -207,29 +205,29 @@ class TestAgainstReference:
 
 class TestSupBound:
     def test_unit_derivative_everywhere(self):
-        assert sup_bound(P("x"), P5, "ell") == 0
+        assert sup_bound(P("x"), 5, "ell") == 0
 
     def test_smooth_parabola(self):
-        assert sup_bound(P("x^2 + x"), P5, "L") == 0
-        assert sup_bound(P("x^2 + x"), P3, "L") == 0
+        assert sup_bound(P("x^2 + x"), 5, "L") == 0
+        assert sup_bound(P("x^2 + x"), 3, "L") == 0
 
     def test_shifted_square(self):
-        assert sup_bound(P("x^2 - 5"), P5, "L") == 1
+        assert sup_bound(P("x^2 - 5"), 5, "L") == 1
 
     def test_interior_critical_point_never_closes(self):
         # 2x + 1 = 0 has a solution in the 3-adic and 5-adic integers, so
         # the derivative-only supremum is infinite and the tree reports
         # the open branch instead of a value
         with pytest.raises(BoundNotCertified, match=r"\(3280,\)"):
-            sup_bound(P("x^2 + x"), P3, "ell", max_depth=8)
+            sup_bound(P("x^2 + x"), 3, "ell", max_depth=8)
         with pytest.raises(BoundNotCertified, match=r"\(195312,\)"):
-            sup_bound(P("x^2 + x"), P5, "ell", max_depth=8)
+            sup_bound(P("x^2 + x"), 5, "ell", max_depth=8)
 
     def test_degenerate_origin_never_closes(self):
         with pytest.raises(BoundNotCertified, match=r"\(0,\)"):
-            sup_bound(P("x^2"), P3, "ell", max_depth=6)
+            sup_bound(P("x^2"), 3, "ell", max_depth=6)
         with pytest.raises(BoundNotCertified):
-            sup_bound(P("x^2"), P3, "L", max_depth=6)
+            sup_bound(P("x^2"), 3, "L", max_depth=6)
 
     @pytest.mark.parametrize(
         "text,mode,p",
@@ -237,8 +235,7 @@ class TestSupBound:
     )
     def test_certified_value_matches_direct_minimization(self, text, mode, p):
         f = P(text)
-        spec = PrimeSpec(p)
-        bound = sup_bound(f, spec, mode)
+        bound = sup_bound(f, p, mode)
         polys = (f, *f.partials()) if mode == "L" else f.partials()
         # direct check at one level past the certified bound: the
         # truncated pointwise minimum must attain the bound and never
@@ -259,12 +256,12 @@ class TestSupBound:
 
 class TestSpfEvaluate:
     def test_smooth_line_closed_form(self):
-        result = spf_evaluate(P("x"), P5)
+        result = spf_evaluate(P("x"), 5)
         assert result.zeta.numerator == (Fraction(4, 5),)
         assert result.zeta.denominator_factors == ((1, 1),)
 
     def test_shifted_square_terminates(self):
-        result = spf_evaluate(P("x^2 - 5"), P5)
+        result = spf_evaluate(P("x^2 - 5"), 5)
         assert result.zeta.numerator == (
             Fraction(4, 5),
             Fraction(1, 25),
@@ -275,13 +272,12 @@ class TestSpfEvaluate:
     def test_full_grid_is_checked_at_the_first_singular_lift(self):
         # 13^6 residues are over the limit, 12^6 are not: a torus root
         # refuses the full grid only when one of its lifts needs it
-        P13 = PrimeSpec(13)
         squares = "x^2 + y^2 + z^2 + u^2 + v^2 + w^2"  # singular at the origin only
-        assert _trace_depth(spf_evaluate(P(squares), P13, torus=True).trace.as_dict()) == 1
+        assert _trace_depth(spf_evaluate(P(squares), 13, torus=True).trace.as_dict()) == 1
         shifted = "x^2-2x+y^2-2y+z^2-2z+u^2-2u+v^2-2v+w^2-2w+6"  # singular at (1, ..., 1)
         with pytest.raises(ValueError, match=r"^a residue domain of dimension 6 mod 13 has "
                                              r"13\^6 = 4826809 residues, over the limit"):
-            spf_evaluate(P(shifted), P13, torus=True)
+            spf_evaluate(P(shifted), 13, torus=True)
 
     def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
         # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
@@ -291,69 +287,68 @@ class TestSpfEvaluate:
         f = P("x + y + z + w")
         full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
         with pytest.raises(ValueError, match=full):
-            spf_evaluate(f, PrimeSpec(53))
+            spf_evaluate(f, 53)
         torus = r"has 52\^4 = 7311616 residues, over the limit of 4000000$"
         with pytest.raises(ValueError, match=torus):
-            spf_evaluate(f, PrimeSpec(53), torus=True)
+            spf_evaluate(f, 53, torus=True)
 
     def test_refusals_keep_their_order(self):
         # dimension, then the root grid's size, then the zero polynomial,
         # then depth_guard
         with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
-            spf_evaluate(P("5"), P5)
+            spf_evaluate(P("5"), 5)
         with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
-            spf_evaluate(P("0"), P5, depth_guard=-1)
+            spf_evaluate(P("0"), 5, depth_guard=-1)
         with pytest.raises(ValueError, match="53\\^4 = 7890481 residues"):
-            spf_evaluate(P("0*x*y*z*w"), PrimeSpec(53), depth_guard=-1)
+            spf_evaluate(P("0*x*y*z*w"), 53, depth_guard=-1)
         with pytest.raises(ValueError, match="^the zero polynomial"):
-            spf_evaluate(P("0*x"), P5, depth_guard=-1)
+            spf_evaluate(P("0*x"), 5, depth_guard=-1)
 
     def test_self_similar_recursion_detected(self):
         with pytest.raises(DepthGuardExceeded, match="self-similar"):
-            spf_evaluate(P("x^2"), P5)
+            spf_evaluate(P("x^2"), 5)
 
     def test_singular_direct_sum_detected(self):
         with pytest.raises(DepthGuardExceeded):
-            spf_evaluate(P("x^2 + y^2"), P3)
+            spf_evaluate(P("x^2 + y^2"), 3)
 
     def test_depth_guard_cuts_long_chains(self):
         from igusa.mpoly import from_terms
 
         f = from_terms(("x",), [((2,), 1), ((0,), -(5**20))])
         with pytest.raises(DepthGuardExceeded, match="depth"):
-            spf_evaluate(f, P5, depth_guard=3)
+            spf_evaluate(f, 5, depth_guard=3)
         # with a generous guard the chain terminates
-        result = spf_evaluate(f, P5)
+        result = spf_evaluate(f, 5)
         assert _trace_depth(result.trace.as_dict()) == 11
 
     def test_depth_guard_holds_at_the_cap(self):
         # x^2 - 5^(2k) lifts k times, at the class (0,), down to y^2 - 1
         f = P(f"x^2 - 5^{2 * MAX_LIFTS}")
-        result = spf_evaluate(f, P5, depth_guard=MAX_LIFTS)
+        result = spf_evaluate(f, 5, depth_guard=MAX_LIFTS)
         assert _trace_depth(result.trace.as_dict()) == MAX_LIFTS + 1
         with pytest.raises(ValueError, match=rf"^depth_guard must be in 0..{MAX_LIFTS}, got {MAX_LIFTS + 1}$"):
-            spf_evaluate(f, P5, depth_guard=MAX_LIFTS + 1)
+            spf_evaluate(f, 5, depth_guard=MAX_LIFTS + 1)
 
     def test_negative_depth_guard_rejected(self):
         with pytest.raises(ValueError, match="depth_guard"):
-            spf_evaluate(P("x^2 - 5"), P5, depth_guard=-1)
+            spf_evaluate(P("x^2 - 5"), 5, depth_guard=-1)
 
     def test_zero_polynomial_rejected(self):
         from igusa.mpoly import from_terms
 
         with pytest.raises(ValueError):
-            spf_evaluate(from_terms(("x",), []), P5)
+            spf_evaluate(from_terms(("x",), []), 5)
 
     def test_torus_constant(self):
-        result = spf_evaluate(P("x^2 + y^2"), P3, torus=True)
+        result = spf_evaluate(P("x^2 + y^2"), 3, torus=True)
         series = expand(result.zeta, 6)
         assert series == (Fraction(4, 9),) + (Fraction(0),) * 6
 
     def test_single_denominator_factor_always(self):
         cases = [("x", 3), ("x^2 + x", 3), ("x^2 - 5", 5), ("x + y", 3), ("x^2 + 3x + y", 5)]
         for text, p in cases:
-            spec = PrimeSpec(p)
-            result = spf_evaluate(P(text), spec)
+            result = spf_evaluate(P(text), p)
             assert result.zeta.denominator_factors == ((1, 1),)
 
     @pytest.mark.parametrize(
@@ -363,24 +358,22 @@ class TestSpfEvaluate:
     )
     def test_matches_counting_oracle(self, text, p):
         f = P(text)
-        spec = PrimeSpec(p)
         depth = 6
-        via_spf = expand(spf_evaluate(f, spec).zeta, depth)
-        via_counts = measure_series(count_mod(f, spec, depth + 1))
+        via_spf = expand(spf_evaluate(f, p).zeta, depth)
+        via_counts = measure_series(count_mod(f, p, depth + 1))
         for m in range(depth + 1):
             assert via_spf[m] == via_counts[m], (text, p, m)
 
     def test_partial_sums_bounded_by_domain_measure(self):
         for text, p, torus in [("x^2 + x", 3, False), ("x^2 - 5", 5, False), ("x", 5, True)]:
             f = P(text)
-            spec = PrimeSpec(p)
-            series = expand(spf_evaluate(f, spec, torus).zeta, 8)
+            series = expand(spf_evaluate(f, p, torus).zeta, 8)
             assert all(c >= 0 for c in series)
             total = sum(series)
             assert total <= Fraction((p - torus) ** f.nvars, p**f.nvars)
 
     def test_trace_structure(self):
-        result = spf_evaluate(P("x^2 - 5"), P5)
+        result = spf_evaluate(P("x^2 - 5"), 5)
         root = result.trace.root
         assert root.path == ()
         assert len(root.children) == 1
