@@ -6,8 +6,9 @@ polynomial f_tau have no common zero with all coordinates nonzero.
 The reading here is geometric: zeros are sought over an algebraically
 closed field of characteristic 0.
 
-Two modes; with none given, ``check_noncritical`` takes the exact one
-wherever it applies:
+Two modes, picked by the number of variables n: the exact one wherever
+it applies, else the heuristic.  Both scan the auxiliary primes
+``AUX_PRIMES``:
 
 * ``exact_small`` (n <= ``EXACT_MAX_NVARS``, which is 2): a complete
   decision.  The common-zero locus off the coordinate hyperplanes is
@@ -21,8 +22,8 @@ wherever it applies:
   with a budget of reduction steps (``_groebner_trivial``).  Rules 1-4
   decide every face in practice: the improper face of a general f has
   torus critical points, and they carry witnesses.
-* ``finite_field_heuristic`` (any n): scan the torus (F_l^x)^n, on
-  each face's hull (below), for a nonempty list of auxiliary primes l,
+* ``finite_field_heuristic`` (n > ``EXACT_MAX_NVARS``): scan the torus
+  (F_l^x)^n, on each face's hull (below), for the auxiliary primes l,
   one prime at a time while the face is undecided.  A zero that passes
   the liftability test (below) certifies a critical verdict; finding no
   zeros for any l supports non-critical, flagged as heuristic; anything
@@ -80,9 +81,8 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 from ._linalg import det, rank_mod
 from .mpoly import RESIDUE_LIMIT, Polynomial, eval_mod, residue_axes
 from .newton import NewtonPolyhedron, build_polyhedron
-from .numeric import _is_prime
 
-DEFAULT_AUX_PRIMES = (101, 103, 107)
+AUX_PRIMES = (101, 103, 107)  # l^2 < 2^63: the torus scan multiplies residues in int64
 EXACT_MAX_NVARS = 2  # exact_small decides up to this many variables
 _GROEBNER_STEPS = 10**4
 
@@ -121,7 +121,7 @@ class NonCritReport:
     mode: str
     heuristic: bool
     findings: Tuple[FaceFinding, ...]
-    aux_primes: Tuple[int, ...] = ()
+    aux_primes: Tuple[int, ...]
 
     def as_dict(self) -> dict:
         return {
@@ -400,8 +400,8 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
         size = (ell - 1) ** d
         if size > RESIDUE_LIMIT:
             raise ValueError(
-                f"torus grid of {d} coordinates in F_{ell}^x has {size} points; "
-                "supply smaller auxiliary primes"
+                f"torus grid of {d} coordinates in F_{ell}^x has {size} points, "
+                f"over the limit of {RESIDUE_LIMIT}"
             )
         if rank_mod(rows, ell) == len(h.terms):
             yield ell, []
@@ -416,35 +416,17 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
                     for pt in pts.tolist()]
 
 
-def check_noncritical(
-    f: Polynomial,
-    mode: Optional[str] = None,
-    aux_primes: Sequence[int] = DEFAULT_AUX_PRIMES,
-    polyhedron: Optional[NewtonPolyhedron] = None,
-) -> NonCritReport:
+def check_noncritical(f: Polynomial, polyhedron: Optional[NewtonPolyhedron] = None) -> NonCritReport:
     """Decide (exactly or heuristically) whether f is Newton non-critical.
 
-    ``exact_small`` is a complete characteristic-0 decision, limited to
-    n <= EXACT_MAX_NVARS; it additionally scans the auxiliary primes,
-    flags those whose torus zeros disagree with the exact verdict, and
-    draws the witnesses of critical faces from those zeros.
-    ``finite_field_heuristic`` works in any dimension.  With no mode,
-    the number of variables picks: exact where it can decide.
+    The number of variables picks the mode.  ``exact_small``, for
+    n <= EXACT_MAX_NVARS, is a complete characteristic-0 decision; it
+    additionally scans the auxiliary primes, flags those whose torus
+    zeros disagree with the exact verdict, and draws the witnesses of
+    critical faces from those zeros.  ``finite_field_heuristic`` takes
+    every larger n.
     """
-    if mode is None:
-        mode = "exact_small" if f.nvars <= EXACT_MAX_NVARS else "finite_field_heuristic"
-    if mode not in ("exact_small", "finite_field_heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_small" and f.nvars > EXACT_MAX_NVARS:
-        raise ValueError(
-            f"exact_small mode is limited to polynomials in <= {EXACT_MAX_NVARS} variables"
-        )
-    if mode == "finite_field_heuristic" and not aux_primes:
-        raise ValueError("finite_field_heuristic mode needs at least one auxiliary prime")
-    for ell in aux_primes:
-        # the torus scan multiplies residues in int64
-        if not _is_prime(ell) or ell * ell >= 2**63:
-            raise ValueError(f"auxiliary prime {ell} is not a prime with l^2 < 2^63")
+    mode = "exact_small" if f.nvars <= EXACT_MAX_NVARS else "finite_field_heuristic"
     poly = polyhedron if polyhedron is not None else build_polyhedron(f)
     findings: List[FaceFinding] = []
     # a finding depends only on the meet support (f_tau and the key come
@@ -456,7 +438,7 @@ def check_noncritical(
         if finding is None:
             f_tau = poly.face_polynomial(f, face)
             check = _check_face_exact if mode == "exact_small" else _check_face_heuristic
-            finding = check(f_tau, f_tau.partials(), tuple(sorted(face.meet_support)), aux_primes)
+            finding = check(f_tau, f_tau.partials(), tuple(sorted(face.meet_support)))
             decided[face.meet_support] = finding
         findings.append(finding)
         if finding.verdict == "critical":
@@ -468,13 +450,13 @@ def check_noncritical(
         mode=mode,
         heuristic=(mode == "finite_field_heuristic"),
         findings=tuple(findings),
-        aux_primes=tuple(aux_primes),
+        aux_primes=AUX_PRIMES,
     )
 
 
-def _check_face_exact(f_tau, partials, support, aux_primes) -> FaceFinding:
+def _check_face_exact(f_tau, partials, support) -> FaceFinding:
     hull = _hull(f_tau)
-    scans = list(_torus_scans(hull, aux_primes))
+    scans = list(_torus_scans(hull, AUX_PRIMES))
     trivial, witness = _decide_exact(hull, partials, scans, support)
     # a prime disagrees when it has torus zeros on a trivial face or none on a critical one
     disagree = tuple(ell for ell, zeros in scans if bool(zeros) == trivial)
@@ -482,14 +464,14 @@ def _check_face_exact(f_tau, partials, support, aux_primes) -> FaceFinding:
     return FaceFinding(support, verdict, "char0", f"saturated gradient ideal is {ideal}", witness, disagree)
 
 
-def _check_face_heuristic(f_tau, partials, support, aux_primes) -> FaceFinding:
+def _check_face_heuristic(f_tau, partials, support) -> FaceFinding:
     hull = _hull(f_tau)
     # the scans with zeros, prime by prime: a prime is scanned only while
     # the face is undecided
-    found = ((ell, zeros) for ell, zeros in _torus_scans(hull, aux_primes) if zeros)
+    found = ((ell, zeros) for ell, zeros in _torus_scans(hull, AUX_PRIMES) if zeros)
     first = next(found, None)
     if first is None:
-        fields = ",".join(f"F_{ell}" for ell in aux_primes)
+        fields = ",".join(f"F_{ell}" for ell in AUX_PRIMES)
         return FaceFinding(support, "non_critical", fields, "no torus zeros modulo any auxiliary prime (heuristic)")
     # d = n: no partial is zero, so the Jacobian of the partials is the
     # Hessian; d < n: Euler's relation makes it singular at every zero, so

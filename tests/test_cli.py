@@ -376,6 +376,17 @@ class TestMain:
             "over the limit of 4000000"
         )
 
+    def test_analyze_over_the_torus_grid_limit_exits_1(self):
+        # a poles polynomial of bench/reference.json: its improper face has
+        # affine dimension 4, a grid of 100^4 torus points mod 101
+        f = ("3*x^4*z*w + 3*x^3*y*z + 2*x*y^4*w - 2*x*y^2*z^4*w - 2*x*y*w"
+             " - x*z^5*w^2 - 2*y^4*w^2 - 2*z^4*w^3")
+        assert invoke(["analyze", "-f", f]) == (1, "", (
+            '{\n  "schema": 1,\n  "error": {\n    "type": "ValueError",\n'
+            '    "message": "torus grid of 4 coordinates in F_101^x has 100000000 points, '
+            'over the limit of 4000000"\n  }\n}\n'
+        ))
+
     def test_spf_torus_under_an_oversized_full_domain(self):
         # 3^14 residues exceed the limit, but the torus has 2^14 and a smooth f
         # never lifts to the full domain; nu = (2^14 - 5462)/3^14, with 5462

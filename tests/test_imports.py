@@ -2,8 +2,11 @@
 somewhere in its module: an import nobody reads is dead weight, and it
 can hide that the code which needed it is gone.  Every public function
 and class of src/igusa is named in src/igusa outside its own definition:
-one that only tests call or construct is dead code too.  And the tests'
-reference routes stay apart from the routes they check."""
+one that only tests call or construct is dead code too.  Every
+defaulted parameter of a module-level function of src/igusa is passed
+by some call in src/igusa: an option that no caller sets is a second
+code path that only tests reach.  And the tests' reference routes stay
+apart from the routes they check."""
 
 import ast
 import os
@@ -123,11 +126,69 @@ def test_unnamed_function_is_found():
     assert _unnamed_functions([("m.py", ast.parse(source))]) == ["m.py: a", "m.py: d", "m.py: E"]
 
 
+def _package_trees():
+    """(path, tree) of each module of src/igusa."""
+    trees = [(os.path.relpath(path, ROOT), _tree(path)) for path in _sources()
+             if path.startswith(os.path.join(ROOT, "src", "igusa"))]
+    assert len(trees) > 10
+    return trees
+
+
 def test_every_public_function_is_named_in_the_package():
     # a public function or class that only its own tests reach is dead
     # code: the library keeps the private helper the tests reach, and
     # tests call that
-    trees = [(os.path.relpath(path, ROOT), _tree(path)) for path in _sources()
-             if path.startswith(os.path.join(ROOT, "src", "igusa"))]
-    assert len(trees) > 10
-    assert _unnamed_functions(trees) == []
+    assert _unnamed_functions(_package_trees()) == []
+
+
+def _unset_defaults(trees):
+    """"path: function(parameter)" for each defaulted parameter of a
+    module-level function of the (path, tree) pairs that no call in the
+    trees passes, by keyword or by position.  A call is matched by the
+    name it calls, a bare name or an attribute; one that unpacks * or **
+    arguments passes every parameter."""
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, position, name):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or (position is not None and len(call.args) > position)
+                or any(k.arg in (None, name) for k in call.keywords))
+
+    unset = []
+    for path, tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            unset += [f"{path}: {node.name}({name})" for i, name in defaulted
+                      if not any(passes(call, i, name) for call in calls.get(node.name, []))]
+    return unset
+
+
+def test_unset_default_is_found():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+              "def g(x=0):\n    return h(x)\n\n"
+              "def h(y=0, z=0):\n    pass\n\n"
+              "def k(w=0):\n    pass\n\n"
+              "class C:\n    def f(self, u=0):\n        pass\n\n"
+              "f(0, 1, e=5)\n"
+              "m.g()\n"
+              "k(*[])\n")
+    assert _unset_defaults([("m.py", ast.parse(source))]) == [
+        "m.py: f(c)", "m.py: f(d)", "m.py: g(x)", "m.py: h(z)",
+    ]
+
+
+def test_every_default_is_passed_in_the_package():
+    # the one exception: the console script calls main(), while the
+    # benchmark and the tests call main(argv)
+    assert _unset_defaults(_package_trees()) == ["src/igusa/cli.py: main(argv)"]

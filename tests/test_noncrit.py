@@ -33,13 +33,13 @@ from igusa.noncrit import check_noncritical
 
 class TestExactMode:
     def test_single_monomial_is_non_critical(self):
-        report = check_noncritical(P("x^2"), mode="exact_small")
+        report = check_noncritical(P("x^2"))
         assert report.verdict == "non_critical"
         assert not report.heuristic
         assert all(f.verdict == "non_critical" for f in report.findings)
 
     def test_perfect_square_is_critical(self):
-        report = check_noncritical(P("x^2 + 2x*y + y^2"), mode="exact_small")
+        report = check_noncritical(P("x^2 + 2x*y + y^2"))
         assert report.verdict == "critical"
         witnesses = [f.witness for f in report.findings if f.verdict == "critical"]
         assert witnesses
@@ -50,11 +50,11 @@ class TestExactMode:
         assert w[0] == -w[1]
 
     def test_cusp_is_non_critical(self):
-        report = check_noncritical(P("x^2 + y^3"), mode="exact_small")
+        report = check_noncritical(P("x^2 + y^3"))
         assert report.verdict == "non_critical"
 
     def test_nodal_cubic_is_critical_with_unit_witness(self):
-        report = check_noncritical(P("x^3 + y^3 - 3x*y"), mode="exact_small")
+        report = check_noncritical(P("x^3 + y^3 - 3x*y"))
         assert report.verdict == "critical"
         witnesses = [f.witness for f in report.findings if f.verdict == "critical"]
         assert (1, 1) in witnesses
@@ -62,12 +62,8 @@ class TestExactMode:
     def test_findings_cover_every_face(self):
         f = P("x^2 + y^3")
         poly = build_polyhedron(f)
-        report = check_noncritical(f, mode="exact_small", polyhedron=poly)
+        report = check_noncritical(f, polyhedron=poly)
         assert len(report.findings) == len(poly.faces)
-
-    def test_exact_mode_limited_to_two_variables(self):
-        with pytest.raises(ValueError):
-            check_noncritical(P("x*y*z"), mode="exact_small")
 
     @pytest.mark.parametrize(
         "text,mode", [("x^2 + y^3", "exact_small"), ("x*y*z", "finite_field_heuristic")]
@@ -78,7 +74,7 @@ class TestExactMode:
     def test_exact_witness_kills_face_partials(self):
         f = P("x^3 + y^3 - 3x*y")
         poly = build_polyhedron(f)
-        report = check_noncritical(f, mode="exact_small", polyhedron=poly)
+        report = check_noncritical(f, polyhedron=poly)
         for face, finding in zip(poly.faces, report.findings):
             if finding.verdict != "critical":
                 continue
@@ -88,7 +84,7 @@ class TestExactMode:
 
     def test_no_disagreeing_primes_on_clean_inputs(self):
         for text in ["x^2", "x^2 + y^3", "x + y"]:
-            report = check_noncritical(P(text), mode="exact_small")
+            report = check_noncritical(P(text))
             assert all(not f.disagreeing_primes for f in report.findings)
 
 
@@ -147,7 +143,7 @@ class TestExactWitness:
             else:
                 f = random_sparse_poly(rng, 2, max_terms=4, max_exp=5, coeff_bound=4)
             try:
-                report = check_noncritical(f, mode="exact_small")
+                report = check_noncritical(f)
             except ValueError:  # the origin is no zero of f
                 continue
             if report.verdict == "critical":
@@ -178,7 +174,7 @@ class TestExactWitness:
 
         monkeypatch.setattr(noncrit, "_groebner_trivial", refuse)
         for text in self.SOLVER_INPUTS:
-            report = check_noncritical(P(text), mode="exact_small")
+            report = check_noncritical(P(text))
             assert report.verdict == "critical", text
             critical = [fnd for fnd in report.findings if fnd.verdict == "critical"]
             assert critical and all(fnd.witness is not None for fnd in critical), text
@@ -191,18 +187,19 @@ class TestExactWitness:
         # the factor 3y + 1, whose zeros form a curve with y = -1/3: the
         # Jacobian has rank 1 along it.  Zeros exist mod 103 in both cases.
         f = P(text)
-        report = check_noncritical(f, mode="exact_small")
+        report = check_noncritical(f)
         assert report.verdict == "critical"
         critical = [fnd for fnd in report.findings if fnd.verdict == "critical"]
         assert critical and all(fnd.witness is None for fnd in critical)
         zeros = torus_common_zeros(f.partials(), 103)
         assert zeros and not any(lifts_mod(f.partials(), z, 103) for z in zeros)
 
-    def test_over_budget_prime_raises(self):
+    def test_over_budget_prime_raises(self, monkeypatch):
         # the improper face is off every hyperplane: 2002^2 points exceed
         # the grid budget, and the prime must not pass as if it agreed
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (2003,))
         with pytest.raises(ValueError, match="F_2003"):
-            check_noncritical(P("x^2 + 2*x*y + y^2 + x^3"), mode="exact_small", aux_primes=(2003,))
+            check_noncritical(P("x^2 + 2*x*y + y^2 + x^3"))
 
 
 def _support(f_tau):
@@ -230,7 +227,7 @@ class TestExactRules:
         hull = noncrit._hull(f)
         assert hull.h.nvars == 1
         assert noncrit._line_critical(hull.v0, hull.h) is critical
-        finding = noncrit._check_face_exact(f, f.partials(), _support(f), noncrit.DEFAULT_AUX_PRIMES)
+        finding = noncrit._check_face_exact(f, f.partials(), _support(f))
         assert finding.verdict == ("critical" if critical else "non_critical")
 
     def test_decision_agrees_with_sympy(self, monkeypatch):
@@ -273,7 +270,7 @@ class TestExactRules:
         for f_tau in faces.values():
             calls.clear()
             partials = f_tau.partials()
-            finding = noncrit._check_face_exact(f_tau, partials, _support(f_tau), noncrit.DEFAULT_AUX_PRIMES)
+            finding = noncrit._check_face_exact(f_tau, partials, _support(f_tau))
             assert (finding.verdict == "non_critical") == sympy_torus_ideal_trivial(partials), str(f_tau)
             nonzero = [g for g in partials if not g.is_zero()]
             if any(len(g.terms) == 1 for g in nonzero):
@@ -293,7 +290,7 @@ class TestExactRules:
     def test_fallback_budget(self, monkeypatch):
         monkeypatch.setattr(noncrit, "_GROEBNER_STEPS", 1)
         with pytest.raises(ValueError, match=re.escape("face [[1, 1], [3, 0], [3, 3]]")):
-            check_noncritical(P("2*x*y + 2*x^3 - 3*x^3*y^3"), mode="exact_small")
+            check_noncritical(P("2*x*y + 2*x^3 - 3*x^3*y^3"))
 
 
 def test_exact_mode_leaves_sympy_out():
@@ -305,7 +302,7 @@ def test_exact_mode_leaves_sympy_out():
         "from igusa.cli import parse_polynomial\n"
         "from igusa.noncrit import check_noncritical\n"
         "for text in ['x^5 + y^7 + x^2*y^2', '2*x*y + 2*x^3 - 3*x^3*y^3', 'x^2 - 2*x*y + y^2']:\n"
-        "    print(check_noncritical(parse_polynomial(text), mode='exact_small').verdict)\n"
+        "    print(check_noncritical(parse_polynomial(text)).verdict)\n"
         "print('sympy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
@@ -335,9 +332,11 @@ class TestSharedSupport:
 
         monkeypatch.setattr(noncrit, "_hull_system", lambda hull: systems.append(hull) or system(hull))
         monkeypatch.setattr(noncrit, "_torus_scans", recorded_scans)
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", aux_primes)
         f = P(text)
         poly = build_polyhedron(f)
-        report = check_noncritical(f, mode=mode, aux_primes=aux_primes, polyhedron=poly)
+        report = check_noncritical(f, polyhedron=poly)
+        assert report.mode == mode
         assert len(poly.faces) == nfaces
         assert len({face.meet_support for face in poly.faces}) == nsupports
         assert len(systems) == len(set(systems)) == nsupports
@@ -349,8 +348,13 @@ class TestSharedSupport:
 
 
 class TestHeuristicMode:
+    @pytest.fixture(autouse=True)
+    def heuristic(self, monkeypatch):
+        # every input, 1-2 variables too, takes the finite-field heuristic
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 0)
+
     def test_nodal_cubic_certified_critical(self):
-        report = check_noncritical(P("x^3 + y^3 - 3x*y"), mode="finite_field_heuristic")
+        report = check_noncritical(P("x^3 + y^3 - 3x*y"))
         assert report.verdict == "critical"
         assert report.heuristic
         witnesses = [f.witness for f in report.findings if f.verdict == "critical"]
@@ -359,38 +363,40 @@ class TestHeuristicMode:
     def test_degenerate_square_is_inconclusive(self):
         # zeros exist on the torus mod every auxiliary prime, but the
         # Hessian is singular there, so no lifting certificate exists
-        report = check_noncritical(P("x^2 + 2x*y + y^2"), mode="finite_field_heuristic")
+        report = check_noncritical(P("x^2 + 2x*y + y^2"))
         assert report.verdict == "inconclusive"
 
-    def test_euler_guard_on_a_lower_dimensional_face(self):
+    def test_euler_guard_on_a_lower_dimensional_face(self, monkeypatch):
         # the face x^2 - x^3 has d = 1 < n = 2: the Jacobian of its one
         # nonzero partial has full rank at x = 2/3, which exact mode lifts,
         # while the Hessian, with a zero row for y, never certifies a zero
         f = P("x^2 - x^3 + y^2")
         face = [[2, 0], [3, 0]]
-        exact = [fc for fc in check_noncritical(f, mode="exact_small").as_dict()["faces"] if fc["support"] == face]
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 2)
+        exact = [fc for fc in check_noncritical(f).as_dict()["faces"] if fc["support"] == face]
         assert [(fc["verdict"], fc["witness"]) for fc in exact] == [("critical", ["68 mod 101", "1 mod 101"])]
-        heur = check_noncritical(f, mode="finite_field_heuristic")
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 0)
+        heur = check_noncritical(f)
         assert heur.verdict == "inconclusive"
         assert [fnd.verdict for fnd in heur.findings if [list(w) for w in fnd.face_support] == face] == ["inconclusive"]
 
-    def test_inconclusive_names_the_first_prime_with_zeros(self):
+    def test_inconclusive_names_the_first_prime_with_zeros(self, monkeypatch):
         # the face scans find 0, 1, 0 and 0 zeros mod 7, 11, 13 and 31
         f = P("-3*y^2*z^2 - x^3*y^4 - x^4*y*z^3")
-        report = check_noncritical(f, mode="finite_field_heuristic", aux_primes=(7, 11, 13, 31))
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (7, 11, 13, 31))
+        report = check_noncritical(f)
         fields = {fnd.field for fnd in report.findings if fnd.verdict == "inconclusive"}
         assert report.verdict == "inconclusive"
         assert fields == {"F_11"}
 
     def test_three_variable_monomial(self):
-        report = check_noncritical(P("x*y*z"), mode="finite_field_heuristic")
+        report = check_noncritical(P("x*y*z"))
         assert report.verdict == "non_critical"
         assert report.heuristic
 
-    def test_aux_primes_recorded(self):
-        report = check_noncritical(
-            P("x^2"), mode="finite_field_heuristic", aux_primes=(101, 103)
-        )
+    def test_aux_primes_recorded(self, monkeypatch):
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (101, 103))
+        report = check_noncritical(P("x^2"))
         assert report.aux_primes == (101, 103)
 
 
@@ -403,26 +409,9 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             check_noncritical(P("x + 1"))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            check_noncritical(P("x^2"), mode="bogus")
-
-    def test_heuristic_mode_needs_aux_primes(self):
-        # with no prime to scan, no face finds zeros, and a critical input
-        # would read non_critical
-        f = P("x^2 + 2*x*y + y^2 + z^2")
-        with pytest.raises(ValueError, match="auxiliary prime"):
-            check_noncritical(f, mode="finite_field_heuristic", aux_primes=())
-        # exact mode decides without them
-        assert check_noncritical(P("x^2 + 2*x*y + y^2"), mode="exact_small", aux_primes=()).verdict == "critical"
-
-    @pytest.mark.parametrize("mode", ["exact_small", "finite_field_heuristic"])
-    @pytest.mark.parametrize("ell", [100, 2**61 - 1])
-    def test_bad_aux_prime_rejected(self, mode, ell):
-        # 100 is not prime; 2^61 - 1 is, but its residues overflow int64
-        # products.  Exact mode would otherwise skip the prime silently.
-        with pytest.raises(ValueError, match=str(ell)):
-            check_noncritical(P("x^2"), mode=mode, aux_primes=(ell,))
+    def test_exact_mode_needs_no_aux_primes(self, monkeypatch):
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", ())
+        assert check_noncritical(P("x^2 + 2*x*y + y^2")).verdict == "critical"
 
 
 class TestMonomialProperty:
@@ -437,7 +426,7 @@ class TestMonomialProperty:
         g = gcd(*exps)
         exps = tuple(e // g for e in exps)
         f = from_terms(("x", "y"), [(exps, coeff)])
-        assert check_noncritical(f, mode="exact_small").verdict == "non_critical"
+        assert check_noncritical(f).verdict == "non_critical"
 
     @settings(max_examples=30)
     @given(
@@ -469,7 +458,7 @@ class TestMonomialProperty:
         for text, fallback in cases:
             bases.clear()
             f = P(text)
-            report = check_noncritical(f, mode="exact_small")
+            report = check_noncritical(f)
             poly = build_polyhedron(f)
             polys = [poly.face_polynomial(f, face) for face in poly.faces]
             assert bases == fallback
@@ -491,18 +480,17 @@ class TestMonomialProperty:
         g = _gcd(_gcd(exps[0], exps[1]), exps[2])
         exps = tuple(e // g for e in exps)
         f = from_terms(("x", "y", "z"), [(exps, 1)])
-        assert (
-            check_noncritical(f, mode="finite_field_heuristic").verdict == "non_critical"
-        )
+        assert check_noncritical(f).verdict == "non_critical"
 
 
 class TestModeAgreement:
     CASES = ["x^2", "x^2 + y^3", "x + y", "x^3 + y^3 - 3x*y", "x^2*y + x*y^2 + x^4"]
 
     @pytest.mark.parametrize("text", CASES)
-    def test_exact_and_heuristic_never_contradict(self, text):
-        exact = check_noncritical(P(text), mode="exact_small").verdict
-        heur = check_noncritical(P(text), mode="finite_field_heuristic").verdict
+    def test_exact_and_heuristic_never_contradict(self, monkeypatch, text):
+        exact = check_noncritical(P(text)).verdict
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 0)
+        heur = check_noncritical(P(text)).verdict
         # the heuristic may fail to decide, but must not flip a decision
         if heur != "inconclusive":
             assert heur == exact
@@ -566,7 +554,7 @@ class TestTorusSlice:
         hull = _check_hull(from_terms(("x", "y", "z", "w"), [((0, 1, 0, 3), 1), ((0, 2, 2, 0), 2)]))
         assert hull.h.nvars == 1
 
-    def test_hull_meets_every_orbit(self):
+    def test_hull_meets_every_orbit(self, monkeypatch):
         # f = (y^2 - 3x)^2: at l = 7 its partials vanish at (5, 1) but
         # nowhere on x = 1, since 3 is no square mod 7; the hull scan, a
         # line, still meets every orbit of zeros
@@ -577,11 +565,12 @@ class TestTorusSlice:
         assert hull.h.nvars == 1
         found = _zeros_mod(hull, 7)
         assert found and set(found) <= set(zeros)
-        heur = check_noncritical(f, mode="finite_field_heuristic", aux_primes=(7,))
-        assert heur.verdict == "inconclusive"
-        exact = check_noncritical(f, mode="exact_small", aux_primes=(7,))
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (7,))
+        exact = check_noncritical(f)
         assert exact.verdict == "critical"
         assert all(not fnd.disagreeing_primes for fnd in exact.findings)
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 0)
+        assert check_noncritical(f).verdict == "inconclusive"
 
     def test_slice_existence_matches_full_grid(self):
         rng = random.Random(31)
@@ -613,23 +602,20 @@ class TestTorusSlice:
                     seen["zeros"] += bool(zeros)
         assert min(seen.values()) > 20, seen
 
-    def test_homogeneous_four_variables(self):
+    def test_homogeneous_four_variables(self, monkeypatch):
         f = P("x^2 + y^2 + z^2 + w^2 + 2*x*y")
-        report = check_noncritical(f, mode="finite_field_heuristic", aux_primes=(11, 13))
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (11, 13))
+        report = check_noncritical(f)
         assert report.verdict == "inconclusive"
         assert all(fnd.verdict != "critical" for fnd in report.findings)
 
     def test_grid_budget_counts_scanned_points(self, monkeypatch):
         # 10^3 points on a slice of (F_11^x)^4, 10^4 on the whole torus
         monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 1000)
-        homogeneous = check_noncritical(
-            P("x^2 + y^2 + z^2 + w^2"), mode="finite_field_heuristic", aux_primes=(11,)
-        )
-        assert homogeneous.verdict == "non_critical"
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (11,))
+        assert check_noncritical(P("x^2 + y^2 + z^2 + w^2")).verdict == "non_critical"
         with pytest.raises(ValueError, match="10000 points"):
-            check_noncritical(
-                P("x^2 + y^3 + z^5 + w^7 + x*y*z*w"), mode="finite_field_heuristic", aux_primes=(11,)
-            )
+            check_noncritical(P("x^2 + y^3 + z^5 + w^7 + x*y*z*w"))
 
     @pytest.mark.parametrize("mode", ["exact_small", "finite_field_heuristic"])
     def test_budget_weight_sharing_factors(self, monkeypatch, mode):
@@ -637,7 +623,10 @@ class TestTorusSlice:
         # both axes: at l = 7 no slice x_j = 1 meets every orbit, so a slice
         # scan covers all 36 points; the hull is a line of 6
         monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 10)
-        assert check_noncritical(P("x^3 + y^2"), mode=mode, aux_primes=(7,)).verdict == "non_critical"
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (7,))
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 2 if mode == "exact_small" else 0)
+        report = check_noncritical(P("x^3 + y^2"))
+        assert (report.mode, report.verdict) == (mode, "non_critical")
 
     def test_budget_four_variables(self, monkeypatch):
         # every face of -y^3 z - w^4 + x^2 y^2 has affine dimension <= 2:
@@ -647,7 +636,7 @@ class TestTorusSlice:
         f = P("-y^3*z - w^4 + x^2*y^2")
         poly = build_polyhedron(f)
         assert max(noncrit._hull(poly.face_polynomial(f, face)).h.nvars for face in poly.faces) == 2
-        report = check_noncritical(f, mode="finite_field_heuristic", polyhedron=poly)
+        report = check_noncritical(f, polyhedron=poly)
         assert report.verdict == "non_critical"
 
 
@@ -701,12 +690,13 @@ class TestRankTest:
         self._no_grid(monkeypatch)
         # a simplex face, d + 1 monomials: rank M at l = 7 on every face
         assert [_zeros_mod(hull, 7) for hull in hulls] == [[]] * len(hulls)
-        report = check_noncritical(f, aux_primes=(7, 11, 101))
-        assert report.verdict == "non_critical"
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (7, 11, 101))
+        assert check_noncritical(f).verdict == "non_critical"
         # at l = 5, which divides the exponent of z^5, the edge y^3 + z^5 has
         # rank 1 < 2 and is scanned
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (5,))
         with pytest.raises(AssertionError, match="a grid was built"):
-            check_noncritical(f, aux_primes=(5,))
+            check_noncritical(f)
 
     def test_rank_below_m_without_zeros(self, monkeypatch):
         # the improper face of x^2 + y^2 + x*y^2: d = n = 2, three monomials,
@@ -733,7 +723,9 @@ class TestRankTest:
         assert reference_torus_zeros(noncrit._hull(scaled), ell) == [(1, 1)]
         self._no_grid(monkeypatch)
         assert _zeros_mod(noncrit._hull(x2y3), ell) == []
-        report = check_noncritical(x2y3, mode="finite_field_heuristic", aux_primes=(ell,))
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (ell,))
+        monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 0)
+        report = check_noncritical(x2y3)
         assert report.verdict == "non_critical"
 
     def test_zeros_map_back_through_negative_exponents(self):
@@ -750,11 +742,12 @@ class TestRankTest:
         # the facet of x^2 + y^3 + z^5 has rank M, but its 100^2 points at
         # l = 101 are over the limit, and the refusal stands
         monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 100)
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (101,))
         with pytest.raises(ValueError, match="10000 points"):
-            check_noncritical(P("x^2 + y^3 + z^5"), aux_primes=(101,))
+            check_noncritical(P("x^2 + y^3 + z^5"))
 
 
-# check_noncritical(mode="finite_field_heuristic").as_dict() recorded with the
+# check_noncritical(f).as_dict() in the finite-field heuristic, recorded with the
 # full-torus scan, before the slice: 40 polynomials drawn by
 # random_sparse_poly(random.Random(4), 3, max_terms=5, max_exp=4,
 # coeff_bound=5) and two with singular faces, at aux primes (7, 11, 13, 31);
@@ -764,8 +757,9 @@ with open(os.path.join(os.path.dirname(__file__), "data", "golden_noncrit_heuris
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: str(e["terms"])[:60])
-def test_heuristic_report_matches_golden(entry):
+def test_heuristic_report_matches_golden(monkeypatch, entry):
     f = from_terms(entry["variables"], [(tuple(e), c) for e, c in entry["terms"]])
-    kwargs = {} if entry["aux_primes"] is None else {"aux_primes": tuple(entry["aux_primes"])}
-    report = check_noncritical(f, mode="finite_field_heuristic", **kwargs)
+    if entry["aux_primes"] is not None:
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", tuple(entry["aux_primes"]))
+    report = check_noncritical(f)
     assert json.dumps(report.as_dict()) == entry["report"]
