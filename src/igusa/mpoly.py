@@ -263,7 +263,16 @@ MAX_LIFTS = 300
 def residue_axes(p: int, n: int, low: int = 0):
     """n int64 axes of low .. p-1, shaped as by ``np.ix_``: broadcast, they
     are the grid {low..p-1}^n in C order, the order of
-    ``itertools.product``.  For n = 0 that is () and nothing is built."""
+    ``itertools.product``.  For n = 0 that is () and nothing is built.
+    A grid of more than RESIDUE_LIMIT residues raises ValueError before
+    anything is built: every scan (value balls, spf domains, noncrit tori)
+    takes its grid from here."""
+    size = (p - low) ** n
+    if size > RESIDUE_LIMIT:
+        raise ValueError(
+            f"a residue domain of dimension {n} mod {p} has {p - low}^{n} = {size} "
+            f"residues, over the limit of {RESIDUE_LIMIT}"
+        )
     import numpy as np
 
     return np.ix_(*(np.arange(low, p, dtype=np.int64) for _ in range(n)))

@@ -66,9 +66,9 @@ never certifies it.  The system is linear in the M monomials of h,
 which are units on the torus: its (d + 1) x M coefficient matrix is
 built once per face, and when it has rank M mod l, no torus point
 solves it and no grid is scanned (for d < n, mostly simplex faces,
-M = d + 1); else ``eval_mod`` scans the grid on its d axes.
-``RESIDUE_LIMIT`` counts the (l - 1)^d points and is checked first;
-a scan over it raises ValueError in either mode.
+M = d + 1); else ``eval_mod`` scans the grid on its d axes.  Only a
+scanned grid is refused: ``residue_axes`` raises ValueError, in either
+mode, when its (l - 1)^d points are over the residue limit.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._linalg import det, rank_mod
-from .mpoly import RESIDUE_LIMIT, Polynomial, eval_mod, residue_axes
+from ._linalg import rank, rank_mod
+from .mpoly import Polynomial, eval_mod, residue_axes
 from .newton import NewtonPolyhedron, build_polyhedron
 
 AUX_PRIMES = (101, 103, 107)  # l^2 < 2^63: the torus scan multiplies residues in int64
@@ -323,7 +323,7 @@ def _line_critical(v0: Tuple[int, ...], h: Polynomial) -> bool:
         m, dh = len(coeffs) - 1, [k * c for k, c in enumerate(coeffs)][1:]
         sylvester = [[0] * i + coeffs[::-1] + [0] * (m - 2 - i) for i in range(m - 1)]
         sylvester += [[0] * i + dh[::-1] + [0] * (m - 1 - i) for i in range(m)]
-        return det(sylvester) == 0
+        return rank(sylvester) < len(sylvester)
     return sum((v0[0] + k) * c != 0 for k, c in enumerate(coeffs)) >= 2
 
 
@@ -397,12 +397,6 @@ def _torus_scans(hull: Hull, primes: Sequence[int]):
     rows = _hull_system(hull)
     system = None
     for ell in primes:
-        size = (ell - 1) ** d
-        if size > RESIDUE_LIMIT:
-            raise ValueError(
-                f"torus grid of {d} coordinates in F_{ell}^x has {size} points, "
-                f"over the limit of {RESIDUE_LIMIT}"
-            )
         if rank_mod(rows, ell) == len(h.terms):
             yield ell, []
             continue

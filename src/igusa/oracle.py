@@ -26,8 +26,8 @@ budget: a node is one normal form and precision met in the recursion
 ``BudgetExceeded`` naming the block, the class and the precision where
 the count stopped; so does a class path of more than ``mpoly.MAX_LIFTS``
 nested lifts.  Nodes whose polynomials agree mod p share one scan
-of the p^n residue classes mod p, on ``mpoly.residue_axes``, and a scan
-of more than ``mpoly.RESIDUE_LIMIT`` residues is refused before it starts.
+of the p^n residue classes mod p, on ``mpoly.residue_axes``, which
+refuses a grid over its residue limit with ValueError before building it.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import tsden
-from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, direct_sum, eval_mod
-from .mpoly import _classify, _lift, residue_axes
+from .mpoly import MAX_LIFTS, Monomial, Polynomial, _classify, _lift, _term_sort_key
+from .mpoly import direct_sum, eval_mod, residue_axes
 from .numeric import DEFAULT_BUDGET, check_prime
 from .ratfun import Factor, RationalZeta, poles, recover_numerator, reduce_factors
 
 
 class BudgetExceeded(RuntimeError):
-    """A budget (of nodes, or of residues per scan) stopped counting."""
+    """A budget (of nodes, or of nested lifts) stopped counting."""
 
 
 ValueBalls = Dict[Tuple[int, int], int]  # (k, centre mod p^k) -> weight
@@ -96,7 +96,7 @@ def _normal_form(terms: Dict[Monomial, int], p: int, m: int) -> Tuple[int, tuple
     order over u, the first unit mod p among them (else 1).  Exact, since the
     balls of g read g mod p^m, and those of u g are those of g, centres times u."""
     modulus = p**m
-    ordered = sorted(terms.items(), key=lambda term: (sum(term[0]), term[0]))
+    ordered = sorted(terms.items(), key=lambda term: _term_sort_key(term[0]))
     u = next((c for _, c in ordered if c % p), 1) % modulus
     inverse = pow(u, -1, modulus)
     return u, tuple((mono, r) for mono, c in ordered if (r := c * inverse % modulus))
@@ -114,10 +114,10 @@ def _ball_counter(q: int, budget: int):
     over the q^(m-k) residues of c + q^k Z, so q^(m-k) divides w.  The
     weights add up to q^(n m).  ``nodes`` counts the nodes met by all the
     calls so far: one per normal form (``_normal_form``) and precision of
-    the recursion.  A node over ``budget`` raises BudgetExceeded, and so do
-    a class path of more than ``MAX_LIFTS`` lifts and more than
-    ``RESIDUE_LIMIT`` residues mod q, the last before any is scanned; a
-    negative budget raises ValueError.
+    the recursion.  A node over ``budget`` raises BudgetExceeded, and so
+    does a class path of more than ``MAX_LIFTS`` lifts; a negative budget
+    raises ValueError, and so does ``residue_axes``, before building
+    anything, at the first scan of more residues mod q than its limit.
 
     A node g sorts the q^n residue classes mod q by ``mpoly._classify``,
     which reads g mod q alone, so nodes with one reduction share a scan.
@@ -141,11 +141,6 @@ def _ball_counter(q: int, budget: int):
         if precision < 1:
             raise ValueError("precision must be >= 1")
         n = f.nvars
-        if q**n > RESIDUE_LIMIT:
-            raise BudgetExceeded(
-                f"value balls of {f} scan the {q}^{n} = {q**n} residues mod {q}, "
-                f"over the limit of {RESIDUE_LIMIT}"
-            )
         power = [q**k for k in range(max(n, 1) * precision + 1)]  # power[k] = q^k
 
         def scan(node: tuple, m: int):

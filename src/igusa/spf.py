@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .mpoly import MAX_LIFTS, RESIDUE_LIMIT, Monomial, Polynomial, _classify, _lift
+from .mpoly import MAX_LIFTS, Monomial, Polynomial, _classify, _lift
 from .mpoly import _term_sort_key, residue_axes
 from .numeric import check_prime, p_valuation
 from .ratfun import RationalZeta
@@ -39,19 +39,6 @@ from .ratfun import RationalZeta
 
 class DepthGuardExceeded(RuntimeError):
     """The SPF recursion did not terminate within the depth guard."""
-
-
-def _refuse_grid(p: int, n: int, low: int):
-    """Refuse the grid {low..p-1}^n when it has no coordinates or more
-    than RESIDUE_LIMIT residues; a size check that builds nothing."""
-    if n < 1:
-        raise ValueError("domain dimension must be >= 1")
-    size = (p - low) ** n
-    if size > RESIDUE_LIMIT:
-        raise ValueError(
-            f"a residue domain of dimension {n} mod {p} has {p - low}^{n} = {size} "
-            f"residues, over the limit of {RESIDUE_LIMIT}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +70,8 @@ def _grid_counts(reduced: Sequence[Tuple[Monomial, int]], q: int, n: int, low: i
     {1..q-1}^n, into nonzero / smooth zero / singular zero: nu and sigma
     are the Haar measures of the first two classes, and the singular zeros
     are their canonical lifts in {0..q-1}^n, in sorted order.  One
-    ``_classify`` pass over the grid's axes does it; the caller refuses an
-    oversized grid first, by ``_refuse_grid``."""
+    ``_classify`` pass over the grid's axes does it; ``residue_axes``
+    refuses an oversized grid before building it."""
     import numpy as np
 
     values, critical = _classify(reduced, residue_axes(q, n, low), q)
@@ -172,22 +159,23 @@ def spf_evaluate(
     0..MAX_LIFTS is refused with ValueError: each lift holds a frame.
 
     The root classifies the grid {low..p-1}^n, low = 1 on the torus, and
-    every lift the full grid, so the keys below record ``low``.  The
-    root grid's size limit is checked first; on the torus the full
-    grid's is checked once the root has a singular lift, so it binds
-    only when a lift needs it.  A node is the tuple of its terms in
-    graded-lex order, keyed with ``low``, and its lifts are ``_lift_node``
-    on one table of binomial rows for the call.  Each node classifies its
-    residues by ``_grid_counts`` only when no earlier node of this call
-    had the same reduction mod p and grid; the classification is shared,
-    never kept beyond the call.  A node's numerator is (ints, k), the ints
-    over q^k; a child's joins it times q^(k - k_child - n), and the root's
-    becomes ``Fraction``s.
+    every lift the full grid, so the keys below record ``low``.  A grid
+    over the residue limit is refused, with ValueError, by
+    ``residue_axes`` when a node first scans it: on the torus the full
+    grid's limit binds only when a lift needs it.  A node is the tuple of
+    its terms in graded-lex order, keyed with ``low``, and its lifts are
+    ``_lift_node`` on one table of binomial rows for the call.  Each node
+    classifies its residues by ``_grid_counts`` only when no earlier node
+    of this call had the same reduction mod p and grid; the classification
+    is shared, never kept beyond the call.  A node's numerator is (ints,
+    k), the ints over q^k; a child's joins it times q^(k - k_child - n),
+    and the root's becomes ``Fraction``s.
     """
     check_prime(p)
     n = f.nvars
     low = int(torus)
-    _refuse_grid(p, n, low)
+    if n < 1:
+        raise ValueError("domain dimension must be >= 1")
     if f.is_zero():
         raise ValueError("the zero polynomial has no finite |f|^s integral")
     if not 0 <= depth_guard <= MAX_LIFTS:
@@ -224,8 +212,6 @@ def spf_evaluate(
         if found is None:
             found = classified[reduction] = _grid_counts(reduction[0], p, n, low)
         counts, own = found
-        if counts.singular and low:
-            _refuse_grid(p, n, 0)  # the torus root's lifts scan the full grid
         lifts = []  # (e, ints, k) of each singular lift, in order
         children = []
         for P in counts.singular:

@@ -235,6 +235,17 @@ def reduced(f: Polynomial, p: int) -> tuple:
     return tuple((e, c % p) for e, c in f.canonical_key()[1] if c % p)
 
 
+def refuse_arrays(monkeypatch):
+    """Make ``numpy.arange``, with which ``residue_axes`` builds every
+    grid, raise: a refusal that still passes built no residue."""
+    import numpy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a residue was built")
+
+    monkeypatch.setattr(numpy, "arange", refuse)
+
+
 def grid_counts(f: Polynomial, p: int, low: int = 0) -> SPFCounts:
     """The ``SPFCounts`` of f on {low..p-1}^n, by ``spf._grid_counts``."""
     return _grid_counts(reduced(f, p), p, f.nvars, low)[0]

@@ -349,12 +349,15 @@ class TestMain:
 
     def test_count_over_the_residue_limit_exits_1(self):
         # one block in 4 variables: 53^4 = 7,890,481 residues mod 53,
-        # refused before they are built
+        # refused by the grid kernel before they are built, as spf's are
         rc, out, err = invoke(["count", "-f", "x*y*z*w", "-p", "53"])
         assert rc == 1
         error = json.loads(err)["error"]
-        assert error["type"] == "BudgetExceeded"
-        assert "53^4 = 7890481 residues" in error["message"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (
+            "a residue domain of dimension 4 mod 53 has 53^4 = 7890481 residues, "
+            "over the limit of 4000000"
+        )
 
     def test_count_of_small_blocks_passes_the_residue_limit(self):
         # four blocks of 53 residues each, where the whole would be 53^4
@@ -378,13 +381,14 @@ class TestMain:
 
     def test_analyze_over_the_torus_grid_limit_exits_1(self):
         # a poles polynomial of bench/reference.json: its improper face has
-        # affine dimension 4, a grid of 100^4 torus points mod 101
+        # affine dimension 4 and 8 monomials, more than the rank of its hull
+        # system's 5 rows, so it scans a grid of 100^4 torus points mod 101
         f = ("3*x^4*z*w + 3*x^3*y*z + 2*x*y^4*w - 2*x*y^2*z^4*w - 2*x*y*w"
              " - x*z^5*w^2 - 2*y^4*w^2 - 2*z^4*w^3")
         assert invoke(["analyze", "-f", f]) == (1, "", (
             '{\n  "schema": 1,\n  "error": {\n    "type": "ValueError",\n'
-            '    "message": "torus grid of 4 coordinates in F_101^x has 100000000 points, '
-            'over the limit of 4000000"\n  }\n}\n'
+            '    "message": "a residue domain of dimension 4 mod 101 has 100^4 = 100000000 '
+            'residues, over the limit of 4000000"\n  }\n}\n'
         ))
 
     def test_spf_torus_under_an_oversized_full_domain(self):

@@ -5,8 +5,9 @@ and class of src/igusa is named in src/igusa outside its own definition:
 one that only tests call or construct is dead code too.  Every
 defaulted parameter of a module-level function of src/igusa is passed
 by some call in src/igusa: an option that no caller sets is a second
-code path that only tests reach.  And the tests' reference routes stay
-apart from the routes they check."""
+code path that only tests reach.  ``RESIDUE_LIMIT`` is read by
+``mpoly.residue_axes`` alone, the kernel that builds every residue grid.
+And the tests' reference routes stay apart from the routes they check."""
 
 import ast
 import os
@@ -186,6 +187,34 @@ def test_unset_default_is_found():
     assert _unset_defaults([("m.py", ast.parse(source))]) == [
         "m.py: f(c)", "m.py: f(d)", "m.py: g(x)", "m.py: h(z)",
     ]
+
+
+def _limit_readers(trees, limit="RESIDUE_LIMIT"):
+    """"path: statement" for each module-level statement of the (path, tree)
+    pairs that reads or imports ``limit``; its assignment reads nothing."""
+    def reads(n):
+        return ((isinstance(n, ast.Name) and n.id == limit and not isinstance(n.ctx, ast.Store))
+                or (isinstance(n, ast.Attribute) and n.attr == limit)
+                or (isinstance(n, ast.alias) and n.name == limit))
+
+    return [f"{path}: {getattr(node, 'name', type(node).__name__)}" for path, tree in trees
+            for node in tree.body if any(map(reads, ast.walk(node)))]
+
+
+def test_limit_reader_is_found():
+    source = ("from m import RESIDUE_LIMIT\n"
+              "RESIDUE_LIMIT = 4\n\n"
+              "def a(n):\n    return n > RESIDUE_LIMIT\n\n"
+              "def b(n):\n    return n > mpoly.RESIDUE_LIMIT\n\n"
+              "def c(n):\n    return n > 4\n")
+    assert _limit_readers([("m.py", ast.parse(source))]) == ["m.py: ImportFrom", "m.py: a", "m.py: b"]
+
+
+def test_residue_limit_has_one_reader():
+    # every scan takes its grid from residue_axes, which refuses one over
+    # the limit before building it: a second reader would be a second copy
+    # of that refusal
+    assert _limit_readers(_package_trees()) == ["src/igusa/mpoly.py: residue_axes"]
 
 
 def test_every_default_is_passed_in_the_package():

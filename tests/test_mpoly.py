@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import random_sparse_poly, reduced
+from helpers import random_sparse_poly, reduced, refuse_arrays
 from igusa.mpoly import (
     MAX_EXPONENT,
     Polynomial,
@@ -222,6 +222,25 @@ class TestResidueGrid:
         grid = np.broadcast_arrays(*axes)
         rows = [tuple(int(a[idx]) for a in grid) for idx in np.ndindex(shape)]
         assert rows == list(itertools.product(range(low, p), repeat=n))
+
+    def test_grids_over_the_limit_are_refused_before_any_axis(self, monkeypatch):
+        # every scan takes its grid here, so this one check bounds them all;
+        # a grid of exactly the limit passes
+        from igusa import mpoly
+
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 27)
+        assert [a.shape for a in residue_axes(3, 3)] == [(3, 1, 1), (1, 3, 1), (1, 1, 3)]
+        assert [a.shape for a in residue_axes(4, 3, 1)] == [(3, 1, 1), (1, 3, 1), (1, 1, 3)]
+        refuse_arrays(monkeypatch)
+        for (p, n, low), message in [
+            ((5, 3, 1), "a residue domain of dimension 3 mod 5 has 4^3 = 64 residues, "
+                        "over the limit of 27"),
+            ((2, 5, 0), "a residue domain of dimension 5 mod 2 has 2^5 = 32 residues, "
+                        "over the limit of 27"),
+        ]:
+            with pytest.raises(ValueError) as refused:
+                residue_axes(p, n, low)
+            assert str(refused.value) == message
 
     @pytest.mark.parametrize("p", [2, 5, 101])
     @pytest.mark.parametrize("low", [0, 1])

