@@ -22,7 +22,7 @@ import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .mpoly import MAX_EXPONENT, MAX_LIFTS, Polynomial, from_terms
+from .mpoly import DEPTH_GUARD, MAX_EXPONENT, MAX_LIFTS, Polynomial, from_terms
 from .numeric import DEFAULT_BUDGET
 
 SCHEMA = 1
@@ -337,8 +337,8 @@ def _spf_args(sp) -> None:
     _polys(sp, prime=True)
     sp.add_argument("--domain", choices=["full", "torus"], default="full")
     sp.add_argument("--trace", action="store_true", help="include the recursion trace")
-    sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=32,
-                    help=f"bound on nested singular lifts, 0..{MAX_LIFTS} (default 32)")
+    sp.add_argument("--depth-guard", dest="depth_guard", type=_natural, default=DEPTH_GUARD,
+                    help=f"bound on nested singular lifts, 0..{MAX_LIFTS} (default {DEPTH_GUARD})")
 
 
 def _count_args(sp) -> None:

@@ -2,9 +2,9 @@
 
 A monomial is an exponent tuple (one natural number per variable); a
 polynomial is a map from monomials to nonzero integer coefficients
-together with an ordered tuple of variable names.  Terms are kept in
-graded lexicographic order for printing and hashing, so equal
-polynomials have equal canonical forms.
+together with an ordered tuple of variable names, and nothing else:
+equality and hashing read the term map, whose order does not matter,
+and printing sorts the terms in graded lexicographic order.
 
 The one lift kernel lives here: ``_lift`` writes f(P + p x) on term maps
 as f(P) + p^e h(x) with h of p-unit content.  Given a precision m it
@@ -47,7 +47,7 @@ def _term_sort_key(exps: Monomial):
 class Polynomial:
     """Immutable sparse polynomial over Z."""
 
-    __slots__ = ("variables", "terms", "_key")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, int]):
         variables = tuple(variables)
@@ -67,13 +67,9 @@ class Polynomial:
             if not isinstance(coeff, int):
                 raise TypeError(f"integer coefficients only, got {type(coeff).__name__}")
             if coeff != 0:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", dict(clean))
-        key = (variables, tuple(sorted(clean.items(), key=lambda kv: _term_sort_key(kv[0]))))
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -98,16 +94,13 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def canonical_key(self):
-        return self._key
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._key == other._key
+        return (self.variables, self.terms) == (other.variables, other.terms)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.variables, frozenset(self.terms.items())))
 
     # -- evaluation and calculus --------------------------------------
 
@@ -128,15 +121,9 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise IndexError(f"variable index {i} out of range")
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            c = coeff * e[i]
-            e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), 0) + c
-        return Polynomial(self.variables, out)
+        # distinct monomials have distinct derivatives: no terms merge
+        return Polynomial(self.variables, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                           for e, c in self.terms.items() if e[i]})
 
     def partials(self) -> Tuple["Polynomial", ...]:
         return tuple(self.partial(i) for i in range(self.nvars))
@@ -200,7 +187,7 @@ def direct_sum(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _lift(terms: Iterable[Tuple[Monomial, int]], point: Sequence[int], p: int,
-          precision: Optional[int] = None, rows: Optional[dict] = None) -> Tuple[int, int, dict]:
+          precision: Optional[int], rows: dict) -> Tuple[int, int, dict]:
     """(base, e, h) with f(P + p x) = base + p^e h(x) for the f with these
     terms: base = f(P) and h a map of non-constant terms of p-unit content.
     The binomial rows of (P_i + p x_i)^k are kept per (P_i, k) in ``rows``
@@ -209,7 +196,6 @@ def _lift(terms: Iterable[Tuple[Monomial, int]], point: Sequence[int], p: int,
     p^(m - e), and e = m, h = {} when f(P + p x) = f(P) mod p^m.  Without
     one it is exact, and e = 0, h = {} for a constant f."""
     modulus = None if precision is None else p**precision
-    rows = {} if rows is None else rows
     out: dict = {}
     for exps, coeff in terms:
         expanded = [((), coeff)]  # the term expanded in the variables so far
@@ -258,6 +244,7 @@ RESIDUE_LIMIT = 4 * 10**6  # residues in one scan: value balls, spf domains, non
 # Python frame, and two while `spf --trace` writes its JSON, so the cap keeps
 # the deepest call well inside the default recursion limit of 1000
 MAX_LIFTS = 300
+DEPTH_GUARD = 32  # spf's default bound on nested singular lifts
 
 
 def residue_axes(p: int, n: int, low: int = 0):

@@ -6,9 +6,11 @@ polynomial f_tau have no common zero with all coordinates nonzero.
 The reading here is geometric: zeros are sought over an algebraically
 closed field of characteristic 0.
 
-Two modes, picked by the number of variables n: the exact one wherever
-it applies, else the heuristic.  Both scan the auxiliary primes
-``AUX_PRIMES``:
+One pipeline: ``check_noncritical`` builds f_tau, its nonzero partials
+and its hull (below) once per distinct face, and one function per mode
+decides the face from them.  The number of variables n picks the mode:
+the exact one wherever it applies, else the heuristic.  Both scan the
+auxiliary primes ``AUX_PRIMES``:
 
 * ``exact_small`` (n <= ``EXACT_MAX_NVARS``, which is 2): a complete
   decision.  The common-zero locus off the coordinate hyperplanes is
@@ -327,40 +329,20 @@ def _line_critical(v0: Tuple[int, ...], h: Polynomial) -> bool:
     return sum((v0[0] + k) * c != 0 for k, c in enumerate(coeffs)) >= 2
 
 
-def _decide_exact(hull, partials, scans, support) -> Tuple[bool, Optional[Tuple]]:
-    """(trivial, witness) for a face: whether its partials have no common
-    torus zero in characteristic 0, and a witness when they have one.
-    The first rule that applies decides (see the module docstring)."""
-    nonzero = [g for g in partials if not g.is_zero()]
-    if any(len(g.terms) == 1 for g in nonzero):
-        return True, None
-    line = len(nonzero) > 1 and hull.h.nvars == 1
-    if line and not _line_critical(hull.v0, hull.h):
-        return True, None
-    witness = _integer_zero(partials)
-    lifted = None if witness else _hensel_zero(partials, scans)
-    if lifted:
-        witness = tuple(f"{x} mod {lifted[0]}" for x in lifted[1])
-    if witness is None and len(nonzero) > 1 and not line:
-        return _groebner_trivial(nonzero, support), None
-    return False, witness
-
-
-def _integer_zero(partials: Sequence[Polynomial]) -> Optional[Tuple[int, ...]]:
-    """A common zero of the partials with small nonzero integer coordinates."""
-    nonzero = [g for g in partials if not g.is_zero()]
-    for point in itertools.product([1, -1, 2, -2, 3, -3, 5, -5], repeat=len(partials)):
+def _integer_zero(nonzero: Sequence[Polynomial], n: int) -> Optional[Tuple[int, ...]]:
+    """A common zero of the nonzero partials: n small nonzero integers."""
+    for point in itertools.product([1, -1, 2, -2, 3, -3, 5, -5], repeat=n):
         if all(g.evaluate(point) == 0 for g in nonzero):
             return point
     return None
 
 
-def _hensel_zero(partials: Sequence[Polynomial], scans) -> Optional[Tuple[int, Tuple[int, ...]]]:
+def _hensel_zero(nonzero: Sequence[Polynomial], scans) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """(ell, point): the first of at most 64 torus zeros per (ell, zeros)
     scan at which the Jacobian of the nonzero partials has full row rank
     mod ell, so that Hensel lifts it to a common zero in Z_ell^n with unit
     coordinates; else None.  Scans are drawn one at a time."""
-    jacobian = [g.partials() for g in partials if not g.is_zero()]
+    jacobian = [g.partials() for g in nonzero]
     for ell, zeros in scans:
         for point in zeros[:64]:
             if rank_mod([[h.evaluate(point) for h in row] for row in jacobian], ell) == len(jacobian):
@@ -418,48 +400,47 @@ def check_noncritical(f: Polynomial, polyhedron: Optional[NewtonPolyhedron] = No
     additionally scans the auxiliary primes, flags those whose torus
     zeros disagree with the exact verdict, and draws the witnesses of
     critical faces from those zeros.  ``finite_field_heuristic`` takes
-    every larger n.
+    every larger n.  f is critical if a face is, else inconclusive if a
+    face is, else non-critical.
     """
     mode = "exact_small" if f.nvars <= EXACT_MAX_NVARS else "finite_field_heuristic"
+    check = _check_face_exact if mode == "exact_small" else _check_face_heuristic
     poly = polyhedron if polyhedron is not None else build_polyhedron(f)
-    findings: List[FaceFinding] = []
-    # a finding depends only on the meet support (f_tau and the key come
-    # from it), so faces that share one are decided once
+    # a finding depends only on the meet support (f_tau comes from it), so
+    # each distinct one is prepared and decided once
     decided: Dict[FrozenSet, FaceFinding] = {}
-    overall = "non_critical"
     for face in poly.faces:
-        finding = decided.get(face.meet_support)
-        if finding is None:
+        if face.meet_support not in decided:
             f_tau = poly.face_polynomial(f, face)
-            check = _check_face_exact if mode == "exact_small" else _check_face_heuristic
-            finding = check(f_tau, f_tau.partials(), tuple(sorted(face.meet_support)))
-            decided[face.meet_support] = finding
-        findings.append(finding)
-        if finding.verdict == "critical":
-            overall = "critical"
-        elif finding.verdict == "inconclusive" and overall != "critical":
-            overall = "inconclusive"
-    return NonCritReport(
-        verdict=overall,
-        mode=mode,
-        heuristic=(mode == "finite_field_heuristic"),
-        findings=tuple(findings),
-        aux_primes=AUX_PRIMES,
-    )
+            nonzero = [g for g in f_tau.partials() if not g.is_zero()]
+            decided[face.meet_support] = check(_hull(f_tau), nonzero, tuple(sorted(face.meet_support)))
+    findings = tuple(decided[face.meet_support] for face in poly.faces)
+    verdicts = {finding.verdict for finding in findings}
+    overall = next((v for v in ("critical", "inconclusive") if v in verdicts), "non_critical")
+    return NonCritReport(overall, mode, mode != "exact_small", findings, AUX_PRIMES)
 
 
-def _check_face_exact(f_tau, partials, support) -> FaceFinding:
-    hull = _hull(f_tau)
+def _check_face_exact(hull: Hull, nonzero: Sequence[Polynomial], support) -> FaceFinding:
+    """The first of the module docstring's five rules that applies decides
+    whether the partials have no common torus zero in characteristic 0."""
     scans = list(_torus_scans(hull, AUX_PRIMES))
-    trivial, witness = _decide_exact(hull, partials, scans, support)
+    line = len(nonzero) > 1 and hull.h.nvars == 1
+    witness = None
+    if any(len(g.terms) == 1 for g in nonzero) or line and not _line_critical(hull.v0, hull.h):
+        trivial = True
+    else:
+        witness = _integer_zero(nonzero, len(hull.v0))
+        lifted = None if witness else _hensel_zero(nonzero, scans)
+        if lifted:
+            witness = tuple(f"{x} mod {lifted[0]}" for x in lifted[1])
+        trivial = witness is None and len(nonzero) > 1 and not line and _groebner_trivial(nonzero, support)
     # a prime disagrees when it has torus zeros on a trivial face or none on a critical one
     disagree = tuple(ell for ell, zeros in scans if bool(zeros) == trivial)
     verdict, ideal = ("non_critical", "trivial") if trivial else ("critical", "nontrivial")
     return FaceFinding(support, verdict, "char0", f"saturated gradient ideal is {ideal}", witness, disagree)
 
 
-def _check_face_heuristic(f_tau, partials, support) -> FaceFinding:
-    hull = _hull(f_tau)
+def _check_face_heuristic(hull: Hull, nonzero: Sequence[Polynomial], support) -> FaceFinding:
     # the scans with zeros, prime by prime: a prime is scanned only while
     # the face is undecided
     found = ((ell, zeros) for ell, zeros in _torus_scans(hull, AUX_PRIMES) if zeros)
@@ -470,8 +451,8 @@ def _check_face_heuristic(f_tau, partials, support) -> FaceFinding:
     # d = n: no partial is zero, so the Jacobian of the partials is the
     # Hessian; d < n: Euler's relation makes it singular at every zero, so
     # only their existence matters
-    if hull.h.nvars == f_tau.nvars:
-        lifted = _hensel_zero(partials, itertools.chain([first], found))
+    if hull.h.nvars == len(hull.v0):
+        lifted = _hensel_zero(nonzero, itertools.chain([first], found))
         if lifted:
             ell, point = lifted
             certificate = "torus zero with invertible Hessian lifts (Hensel)"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .mpoly import MAX_LIFTS, Monomial, Polynomial, _classify, _lift
+from .mpoly import DEPTH_GUARD, MAX_LIFTS, Monomial, Polynomial, _classify, _lift
 from .mpoly import _term_sort_key, residue_axes
 from .numeric import check_prime, p_valuation
 from .ratfun import RationalZeta
@@ -132,7 +132,7 @@ def _lift_node(terms: Sequence[Tuple[Monomial, int]], point: Tuple[int, ...], q:
     with these terms: g's nonzero terms in graded-lex order.  The lift is
     ``_lift``'s exact one on the binomial rows ``rows``; d is the
     valuation of base + p^e h, e when p^e divides base (h is not 0)."""
-    base, e, h = _lift(terms, point, q, rows=rows)
+    base, e, h = _lift(terms, point, q, None, rows)
     d = e if h and base % q**e == 0 else p_valuation(base, q)
     scale = q ** (e - d)
     child = [(mono, h[mono] * scale) for mono in sorted(h, key=_term_sort_key)]
@@ -145,7 +145,7 @@ def spf_evaluate(
     f: Polynomial,
     p: int,
     torus: bool = False,
-    depth_guard: int = 32,
+    depth_guard: int = DEPTH_GUARD,
 ) -> SPFEvaluation:
     """Exact rational value of the integral of |f|^s |dx| over Z_p^n, or
     over the unit torus when ``torus``.
@@ -234,7 +234,8 @@ def spf_evaluate(
         memo[key] = (ints, k, counts)
         return ints, k, SPFTraceNode(path, order_e, cumulative_E, counts, False, tuple(children))
 
-    ints, k, root = node(f.canonical_key()[1], low, (), 0, 0)
+    terms = tuple(sorted(f.terms.items(), key=lambda term: _term_sort_key(term[0])))
+    ints, k, root = node(terms, low, (), 0, 0)
     denominator = p**k
     zeta = RationalZeta(numerator=tuple(Fraction(c, denominator) for c in ints),
                         denominator_factors=((1, 1),), q=p)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import List, Sequence, Tuple
 
-from igusa.mpoly import Polynomial, from_terms
+from igusa.mpoly import Polynomial, _term_sort_key, from_terms
 from igusa.numeric import DEFAULT_BUDGET
 from igusa.oracle import _ball_counter
 from igusa.spf import SPFCounts, _grid_counts
@@ -229,10 +229,15 @@ def cone_contains(cone: Cone, v: Sequence[int]) -> bool:
     return c is not None and all(sum(a * b for a, b in zip(h, c)) > 0 for h in normals)
 
 
+def graded_lex(f: Polynomial) -> tuple:
+    """The terms of f in graded-lex order: a node of ``spf``'s recursion."""
+    return tuple(sorted(f.terms.items(), key=lambda term: _term_sort_key(term[0])))
+
+
 def reduced(f: Polynomial, p: int) -> tuple:
     """The terms of f mod p whose coefficient is nonzero mod p, in graded-lex
     order: what ``_classify`` and ``spf._grid_counts`` take for f."""
-    return tuple((e, c % p) for e, c in f.canonical_key()[1] if c % p)
+    return tuple((e, c % p) for e, c in graded_lex(f) if c % p)
 
 
 def refuse_arrays(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import random_sparse_poly, reduced, refuse_arrays
+from helpers import graded_lex, random_sparse_poly, reduced, refuse_arrays
 from igusa.mpoly import (
     MAX_EXPONENT,
     Polynomial,
@@ -319,10 +319,11 @@ class TestDirectSum:
 
 def shift_scale(f, point, p):
     """(e, g) with f(P + p x) = p^e g(x): spf's exact lift, ``_lift`` and its
-    content step, on f's terms, which must give g's terms in canonical order."""
-    e, terms = _lift_node(f.canonical_key()[1], tuple(point), p, {})
+    content step, on f's terms in graded-lex order, which must give g's terms
+    in graded-lex order."""
+    e, terms = _lift_node(graded_lex(f), tuple(point), p, {})
     g = Polynomial(f.variables, dict(terms))
-    assert terms == g.canonical_key()[1]
+    assert terms == graded_lex(g)
     return e, g
 
 
@@ -381,7 +382,7 @@ class TestShiftScale:
         rest = {mono: int(c) % p**m for mono, c in composed.items() if c % p**m}
         e = min((p_valuation(c, p) for c in rest.values()), default=m)
         want = {mono: c // p**e for mono, c in rest.items()}
-        assert _lift(f.terms.items(), point, p, m) == (base, e, want)
+        assert _lift(f.terms.items(), point, p, m, {}) == (base, e, want)
         assert all(0 <= c < p ** (m - e) for c in want.values())
         assert not want or math.gcd(*want.values()) % p
 
@@ -396,11 +397,15 @@ class TestShiftScale:
         assert math.gcd(*g.terms.values()) % p != 0
 
 
-class TestCanonicalKey:
+class TestEquality:
     @given(f=polynomials(), g=polynomials())
-    def test_key_equality_matches_equality(self, f, g):
-        if f.variables == g.variables:
-            assert (f.canonical_key() == g.canonical_key()) == (f == g)
+    def test_equality_is_variables_and_terms(self, f, g):
+        assert (f == g) == (f.variables == g.variables and f.terms == g.terms)
+        if f == g:
+            assert hash(f) == hash(g)
+        # the order of the terms does not count
+        h = Polynomial(f.variables, dict(reversed(list(f.terms.items()))))
+        assert h == f and hash(h) == hash(f)
 
     @given(f=polynomials())
     def test_hash_consistent(self, f):

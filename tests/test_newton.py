@@ -138,7 +138,7 @@ def _check_h_v_consistency(f):
     bound = max(max(s) for s in support) + 1
     box = poly_in_box(poly.facets, bound, n)
     assert set(support) <= set(box)
-    rng = random.Random(hash(f.canonical_key()) & 0xFFFF)
+    rng = random.Random(str(f))  # str hashes are salted per process; the text is not
     for _ in range(6):
         a = tuple(rng.randint(0, 5) for _ in range(n))
         h_min = min(sum(ai * wi for ai, wi in zip(a, pt)) for pt in box)

@@ -228,7 +228,8 @@ class TestExactRules:
         hull = noncrit._hull(f)
         assert hull.h.nvars == 1
         assert noncrit._line_critical(hull.v0, hull.h) is critical
-        finding = noncrit._check_face_exact(f, f.partials(), _support(f))
+        nonzero = [g for g in f.partials() if not g.is_zero()]
+        finding = noncrit._check_face_exact(hull, nonzero, _support(f))
         assert finding.verdict == ("critical" if critical else "non_critical")
 
     def test_decision_agrees_with_sympy(self, monkeypatch):
@@ -257,12 +258,12 @@ class TestExactRules:
         for f in inputs:
             if f.constant_term():
                 # a weighted-degree-0 face polynomial on its own
-                faces[f.canonical_key()] = f
+                faces[f] = f
                 continue
             poly = build_polyhedron(f)
             for face in poly.faces:
                 f_tau = poly.face_polynomial(f, face)
-                faces[f_tau.canonical_key()] = f_tau
+                faces[f_tau] = f_tau
         calls = []
         for name in ("_line_critical", "_groebner_trivial"):
             fn = getattr(noncrit, name)
@@ -271,9 +272,9 @@ class TestExactRules:
         for f_tau in faces.values():
             calls.clear()
             partials = f_tau.partials()
-            finding = noncrit._check_face_exact(f_tau, partials, _support(f_tau))
-            assert (finding.verdict == "non_critical") == sympy_torus_ideal_trivial(partials), str(f_tau)
             nonzero = [g for g in partials if not g.is_zero()]
+            finding = noncrit._check_face_exact(noncrit._hull(f_tau), nonzero, _support(f_tau))
+            assert (finding.verdict == "non_critical") == sympy_torus_ideal_trivial(partials), str(f_tau)
             if any(len(g.terms) == 1 for g in nonzero):
                 rule = "monomial"
             elif len(nonzero) == 1:
@@ -322,15 +323,17 @@ class TestSharedSupport:
         ],
     )
     def test_one_scan_batch_per_support(self, monkeypatch, text, mode, aux_primes, nfaces, nsupports):
-        # and one hull system per support, whatever the number of primes
-        systems, scans = [], []
-        system, torus_scans = noncrit._hull_system, noncrit._torus_scans
+        # and one hull and one hull system per support, whatever the number
+        # of primes
+        hulls, systems, scans = [], [], []
+        hull_of, system, torus_scans = noncrit._hull, noncrit._hull_system, noncrit._torus_scans
 
         def recorded_scans(hull, primes):
             for ell, zeros in torus_scans(hull, primes):
                 scans.append((hull, ell))
                 yield ell, zeros
 
+        monkeypatch.setattr(noncrit, "_hull", lambda f_tau: hulls.append(f_tau) or hull_of(f_tau))
         monkeypatch.setattr(noncrit, "_hull_system", lambda hull: systems.append(hull) or system(hull))
         monkeypatch.setattr(noncrit, "_torus_scans", recorded_scans)
         monkeypatch.setattr(noncrit, "AUX_PRIMES", aux_primes)
@@ -340,6 +343,7 @@ class TestSharedSupport:
         assert report.mode == mode
         assert len(poly.faces) == nfaces
         assert len({face.meet_support for face in poly.faces}) == nsupports
+        assert len(hulls) == len(set(hulls)) == nsupports
         assert len(systems) == len(set(systems)) == nsupports
         assert len(scans) == len(set(scans)) == nsupports * len(aux_primes)
         faces = report.as_dict()["faces"]
